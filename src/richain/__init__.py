@@ -47,6 +47,7 @@ from .dynamics import (
     window_entropy,
     window_overlap_norm_sq,
     window_state,
+    xi_coefficients,
 )
 from .experiments import (
     ChainStateSpec,
@@ -72,7 +73,7 @@ __all__ = [
     "EvolvedState", "SubsystemSelector", "evolve_state", "reduced_char_fn",
     "effective_beta_S", "effective_beta_Sm", "total_entropy",
     "relative_entropy", "entropy_production_limit", "window_state",
-    "window_overlap_norm_sq", "window_entropy",
+    "window_overlap_norm_sq", "window_entropy", "xi_coefficients",
     "LimitSchedule", "ChainStateSpec", "MomentReport", "RunRecord",
     "moment_hypothesis_check", "short_time_limit_run", "convergence_study",
     "sweep",

@@ -6,7 +6,9 @@ characteristic-function arguments by the one-step matrices of `kernel`,
 so the state never leaves the rank-one corrected quasi-free family: the
 only moving part is the coefficient vector xi_m picked up by the
 distinguished component.  Reduced states, effective temperatures and
-entropies all read off that vector.
+entropies all read off that vector.  A marginal keeps the same rank-one
+form with xi_m restricted to the kept slots, so a reduced state costs
+O(|slots|) and never builds the full (N+1)-vector.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import numpy as np
 from .kernel import ModelParams, step_scalars
 from .quasifree import (
     RankOneQuasiFreeState,
-    beta_from_x,
     char_fn,
     gibbs_x,
+    mode_entropy,
     occupation,
     state_entropy,
 )
@@ -30,6 +32,7 @@ from .quasifree import (
 __all__ = [
     "EvolvedState",
     "SubsystemSelector",
+    "xi_coefficients",
     "evolve_state",
     "reduced_char_fn",
     "effective_beta_S",
@@ -47,17 +50,40 @@ _NORM_TOL = 1e-12
 _GEOM_DEGENERATE = 1e-9
 
 
-def _first_row(params: ModelParams, m: int) -> np.ndarray:
-    """Coefficients c_j with (U_1...U_m zeta)_0 = sum_j c_j zeta_j."""
+def xi_coefficients(params: ModelParams, m: int, slots) -> np.ndarray:
+    """Components of xi_m on the given full-chain slots, in the order given.
+
+    xi_m is the conjugate of the first row of U_1...U_m: conj(phase (gz)^m)
+    at slot 0, conj(phase g w (gz)^(j-1)) at slots 1 <= j <= m and 0 on
+    the slots beyond m that no step has touched yet, with phase
+    exp(i m tau eps).  Costs O(len(slots)).
+    """
+    if not 0 <= m <= params.N:
+        raise ValueError(f"steps m must lie in 0..{params.N}, got {m}")
+    slots = np.asarray(slots, dtype=int)
+    if slots.ndim != 1 or slots.size == 0:
+        raise ValueError("slots must be a nonempty list of slot indices")
+    if slots.min() < 0 or slots.max() > params.N:
+        raise ValueError(f"slots must lie in 0..{params.N}, got {slots.tolist()}")
+    if len(set(slots.tolist())) != slots.size:
+        raise ValueError(f"slots must be distinct, got {slots.tolist()}")
     s = step_scalars(params)
     gz = s.g * s.z
-    row = np.zeros(params.N + 1, dtype=complex)
-    row[0] = gz**m
-    if m >= 1:
-        j = np.arange(1, m + 1)
-        row[1 : m + 1] = s.g * s.w * gz ** (j - 1)
-    row *= cmath.exp(1j * m * params.tau * params.eps)
-    return row
+    coeff = np.zeros(slots.size, dtype=complex)
+    visited = (slots >= 1) & (slots <= m)
+    coeff[visited] = s.g * s.w * gz ** (slots[visited] - 1)
+    coeff[slots == 0] = gz**m
+    coeff *= cmath.exp(1j * m * params.tau * params.eps)
+    return np.conj(coeff)
+
+
+def _state_on_slots(params: ModelParams, m: int, slots) -> RankOneQuasiFreeState:
+    """Reduced state on `slots` after m steps: the rank-one form with xi_m restricted."""
+    xi = xi_coefficients(params, m, slots)
+    x = gibbs_x(params.beta)
+    return RankOneQuasiFreeState(
+        modes=xi.size, x=x, x0=gibbs_x(params.beta0) - x, xi=xi
+    )
 
 
 @dataclass(frozen=True)
@@ -139,24 +165,19 @@ def evolve_state(params: ModelParams, m: int) -> EvolvedState:
 
     The characteristic function is exp[-(1/4)(x(beta)<zeta,zeta> +
     (x(beta0)-x(beta))|(U_1...U_m zeta)_0|^2)]; m = 0 gives back the
-    initial product.
+    initial product.  Builds the full (N+1)-vector; marginals need only
+    their own slots (see `reduced_char_fn` and `window_state`).
     """
-    if not 0 <= m <= params.N:
-        raise ValueError(f"steps m must lie in 0..{params.N}, got {m}")
-    x = gibbs_x(params.beta)
-    x0 = gibbs_x(params.beta0) - x
-    xi = np.conj(_first_row(params, m))
-    return EvolvedState(
-        m=m, state=RankOneQuasiFreeState(modes=params.N + 1, x=x, x0=x0, xi=xi)
-    )
+    return EvolvedState(m=m, state=_state_on_slots(params, m, range(params.N + 1)))
 
 
 def reduced_char_fn(params: ModelParams, selector: SubsystemSelector, alphas) -> complex:
     """Characteristic function of the selected marginal at its local arguments.
 
-    Marginals of quasi-free states are evaluated by zero-padding the
-    local Weyl arguments into the full chain, so every selector runs
-    through one code path and marginalization consistency is structural.
+    The marginal on the selector's slots is the rank-one corrected state
+    with xi_m restricted to those slots, taken in the selector's local
+    order.  It is evaluated at the local arguments directly, in
+    O(arity) and without building the full chain.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     if alphas.shape != (selector.arity,):
@@ -166,37 +187,54 @@ def reduced_char_fn(params: ModelParams, selector: SubsystemSelector, alphas) ->
         )
     if selector.m > params.N:
         raise ValueError(f"selector step m={selector.m} exceeds N={params.N}")
-    full = np.zeros(params.N + 1, dtype=complex)
-    full[selector.slots()] = alphas
-    return complex(char_fn(evolve_state(params, selector.m).state, full))
+    state = _state_on_slots(params, selector.m, selector.slots())
+    return complex(char_fn(state, alphas))
+
+
+def _beta_from_occupation(n: float) -> float:
+    """Inverse of the mean occupation n = 1/(e^beta - 1); n = 0 maps to +inf."""
+    if n == 0.0:
+        return math.inf
+    return math.log1p(1.0 / n)
 
 
 def effective_beta_S(params: ModelParams, m: int) -> float:
-    """Inverse temperature beta* with x(beta*) = |z|^2m x(beta0) + (1-|z|^2m) x(beta)."""
+    """Inverse temperature beta* of S after m steps.
+
+    Its mean occupation is the mix n* = |z|^2m n(beta0) + (1-|z|^2m) n(beta),
+    the same affine mix as x(beta*) since x = 2n + 1.  Mixing occupations
+    keeps a cold S finite where x(beta0) has rounded to 1.
+    """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     zsq = abs(step_scalars(params).z) ** 2
-    xs = zsq**m * gibbs_x(params.beta0) + (1.0 - zsq**m) * gibbs_x(params.beta)
-    return beta_from_x(xs)
+    ns = zsq**m * occupation(params.beta0) + (1.0 - zsq**m) * occupation(params.beta)
+    return _beta_from_occupation(ns)
 
 
 def effective_beta_Sm(params: ModelParams, m: int) -> float:
     """Inverse temperature beta** of chain mode m after its interaction step.
 
-    x(beta**) mixes x(beta0) with weight |w|^2 |z|^(2(m-1)) into x(beta);
-    equivalently it is the |w|^2-mix of x(beta*((m-1)tau)) and x(beta).
+    n(beta**) mixes n(beta0) with weight |w|^2 |z|^(2(m-1)) into n(beta);
+    equivalently it is the |w|^2-mix of n(beta*((m-1)tau)) and n(beta).
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     s = step_scalars(params)
     weight = abs(s.w) ** 2 * abs(s.z) ** (2 * (m - 1))
-    xss = weight * gibbs_x(params.beta0) + (1.0 - weight) * gibbs_x(params.beta)
-    return beta_from_x(xss)
+    nss = weight * occupation(params.beta0) + (1.0 - weight) * occupation(params.beta)
+    return _beta_from_occupation(nss)
 
 
 def total_entropy(params: ModelParams, m: int) -> float:
-    """Entropy of the full (N+1)-mode state after m steps; equals N s(beta) + s(beta0)."""
-    return state_entropy(evolve_state(params, m).state).total
+    """Entropy of the full (N+1)-mode state after m steps.
+
+    The steps are unitary, so this is the initial N s(beta) + s(beta0)
+    at every m in 0..N, in O(1).
+    """
+    if not 0 <= m <= params.N:
+        raise ValueError(f"steps m must lie in 0..{params.N}, got {m}")
+    return params.N * mode_entropy(params.beta) + mode_entropy(params.beta0)
 
 
 def relative_entropy(params: ModelParams, n_steps: int) -> float:
@@ -236,18 +274,7 @@ def window_state(params: ModelParams, n: int, k: int) -> RankOneQuasiFreeState:
     """
     if not 0 <= n <= k <= params.N:
         raise ValueError(f"window needs 0 <= n <= k <= N, got n={n}, k={k}, N={params.N}")
-    s = step_scalars(params)
-    gz = s.g * s.z
-    phase = cmath.exp(1j * k * params.tau * params.eps)
-    coeff = np.zeros(n + 1, dtype=complex)
-    coeff[0] = phase * gz**k
-    if n >= 1:
-        i = np.arange(1, n + 1)
-        coeff[1:] = phase * s.g * s.w * gz ** (k - n + i - 1)
-    x = gibbs_x(params.beta)
-    return RankOneQuasiFreeState(
-        modes=n + 1, x=x, x0=gibbs_x(params.beta0) - x, xi=np.conj(coeff)
-    )
+    return _state_on_slots(params, k, [0, *range(k - n + 1, k + 1)])
 
 
 def window_overlap_norm_sq(params: ModelParams, n: int, k: int) -> float:

@@ -85,16 +85,6 @@ class ModelParams:
                 f"E*eps = {self.E * self.eps}"
             )
 
-    @property
-    def h5_operative(self) -> bool:
-        """Whether |w(tau)| < 1 and |z(tau)| < 1 (strictly).
-
-        All convergence statements of the model need this; the step
-        algebra itself does not.
-        """
-        s = step_scalars(self)
-        return abs(s.w) < 1.0 and abs(s.z) < 1.0
-
 
 @dataclass(frozen=True)
 class StepScalars:

@@ -7,6 +7,7 @@ import subprocess
 
 import pytest
 
+from richain import dynamics
 from richain.cli import main
 
 STD_MODEL = {
@@ -105,6 +106,18 @@ class TestSimulateCommand:
         assert abs(float(rows[2]["relative_entropy"]) - 0.082485226948163533) < 1e-15
         totals = {r["total_entropy"] for r in rows}
         assert len(totals) == 1
+
+    def test_rows_never_build_the_full_chain(self, tmp_path, capsys, monkeypatch):
+        # without --oracle every row is O(1): no (N+1)-mode evolved state
+        def full_state(*args):
+            raise AssertionError("simulate built the full evolved state")
+
+        monkeypatch.setattr(dynamics, "evolve_state", full_state)
+        model = dict(STD_MODEL, N=40)
+        cfg = write_config(tmp_path, {"schema_version": 1, "model": model})
+        code, out, _ = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 41
 
     def test_infinite_beta_roundtrips_as_inf(self, tmp_path, capsys):
         model = dict(STD_MODEL)

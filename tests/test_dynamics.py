@@ -18,9 +18,10 @@ from richain.dynamics import (
     window_entropy,
     window_overlap_norm_sq,
     window_state,
+    xi_coefficients,
 )
 from richain.kernel import ModelParams, propagate_vector, step_scalars
-from richain.quasifree import char_fn, gibbs_x, mode_entropy, sigma
+from richain.quasifree import char_fn, gibbs_x, mode_entropy, sigma, state_entropy
 
 # reference values computed offline at 50-digit precision
 SIGMA_2 = 0.95477125244221922768
@@ -187,6 +188,86 @@ class TestReducedCharFn:
             reduced_char_fn(p, SubsystemSelector(kind="window", m=3, n=2), [0.1, 0.2])
 
 
+def _all_selectors(N):
+    """One selector of every kind at every step m in 0..N it admits."""
+    for m in range(N + 1):
+        yield SubsystemSelector(kind="S", m=m)
+        if m >= 1:
+            yield SubsystemSelector(kind="S1", m=m)
+            yield SubsystemSelector(kind="Sm", m=m)
+            yield SubsystemSelector(kind="S_plus_Sm", m=m)
+        for n in range(1, m - 1):
+            yield SubsystemSelector(kind="Smn_plus_Sm", m=m, n=n)
+        for n in range(m + 1):
+            yield SubsystemSelector(kind="window", m=m, n=n)
+
+
+class TestSlotPath:
+    """Marginals on their own slots against the zero-padded full-chain evaluation."""
+
+    def test_reduced_char_fn_matches_zero_padded_full_state(self):
+        p = std_params(N=7, E=2.3, eta=0.6, tau=0.8)
+        rng = np.random.default_rng(21)
+        kinds = set()
+        for selector in _all_selectors(p.N):
+            kinds.add(selector.kind)
+            full_state = evolve_state(p, selector.m).state
+            for _ in range(3):
+                alphas = rng.standard_normal(selector.arity) + 1j * rng.standard_normal(
+                    selector.arity
+                )
+                padded = np.zeros(p.N + 1, dtype=complex)
+                padded[selector.slots()] = alphas
+                expect = char_fn(full_state, padded)
+                assert abs(reduced_char_fn(p, selector, alphas) - expect) < 1e-15
+        assert kinds == set(SubsystemSelector._KINDS)
+
+    def test_window_state_is_restricted_full_xi(self):
+        p = std_params(N=9, E=2.0, tau=0.8)
+        for k in range(p.N + 1):
+            full = evolve_state(p, k).state
+            for n in range(k + 1):
+                st = window_state(p, n, k)
+                slots = [0] + list(range(k - n + 1, k + 1))
+                assert st.modes == n + 1
+                assert (st.x, st.x0) == (full.x, full.x0)
+                assert np.max(np.abs(st.xi - full.xi[slots])) < 1e-15
+
+    def test_xi_coefficients_restrict_the_full_vector(self):
+        p = std_params(N=6, E=1.4, eta=0.3, tau=1.3)
+        for m in range(p.N + 1):
+            full = xi_coefficients(p, m, range(p.N + 1))
+            assert np.array_equal(full, evolve_state(p, m).state.xi)
+            assert np.all(full[m + 1:] == 0)
+            slots = [5, 0, 3]
+            assert np.array_equal(xi_coefficients(p, m, slots), full[slots])
+
+    def test_xi_coefficients_validation(self):
+        p = std_params(N=4)
+        for m, slots in ((5, [0]), (-1, [0]), (2, []), (2, [5]), (2, [-1]), (2, [1, 1])):
+            with pytest.raises(ValueError):
+                xi_coefficients(p, m, slots)
+
+    @pytest.mark.parametrize("beta0,beta", [
+        (math.log(3), math.log(2)), (0.2, 3.0), (math.inf, math.log(2)), (math.inf, 0.1),
+    ])
+    def test_total_entropy_matches_full_state_entropy(self, beta0, beta):
+        p = std_params(N=12, E=2.3, eta=0.8, tau=0.45, beta0=beta0, beta=beta)
+        for m in range(p.N + 1):
+            full = state_entropy(evolve_state(p, m).state).total
+            assert abs(total_entropy(p, m) - full) < 1e-13
+
+    def test_step_range_errors(self):
+        p = std_params(N=4)
+        for m in (-1, 5):
+            with pytest.raises(ValueError):
+                total_entropy(p, m)
+        with pytest.raises(ValueError):
+            reduced_char_fn(p, SubsystemSelector(kind="S", m=5), 0.1)
+        with pytest.raises(ValueError):
+            reduced_char_fn(p, SubsystemSelector(kind="S_plus_Sm", m=2), [0.1, 0.2, 0.3])
+
+
 class TestSelectors:
     def test_slot_layout(self):
         assert SubsystemSelector(kind="S", m=0).slots() == [0]
@@ -242,6 +323,26 @@ class TestEffectiveTemperatures:
             got = gibbs_x(effective_beta_Sm(p, m))
             weight = wsq * zsq ** (m - 1)
             assert abs(got - (weight * x0 + (1 - weight) * xb)) < 1e-12
+
+    def test_cold_distinguished_mode_stays_finite(self):
+        # x(40) rounds to 1.0, so mixing covariance scalars lost S entirely
+        p = std_params(N=3, E=2.0, beta0=40.0, beta=50.0)
+        assert abs(effective_beta_S(p, 0) - 40.0) < 1e-12 * 40.0
+        s = step_scalars(p)
+        for m in (1, 2, 3):
+            weight = abs(s.w) ** 2 * abs(s.z) ** (2 * (m - 1))
+            # at these temperatures n(beta) = e^-beta to far below double precision
+            expect = -math.log(weight * math.exp(-40.0) + (1 - weight) * math.exp(-50.0))
+            assert abs(effective_beta_Sm(p, m) - expect) < 1e-12 * expect
+            zsq_m = abs(s.z) ** (2 * m)
+            expect = -math.log(zsq_m * math.exp(-40.0) + (1 - zsq_m) * math.exp(-50.0))
+            assert abs(effective_beta_S(p, m) - expect) < 1e-12 * expect
+
+    def test_vacuum_stays_infinite(self):
+        p = std_params(N=3, beta0=math.inf, beta=math.inf)
+        assert effective_beta_S(p, 2) == math.inf
+        assert effective_beta_Sm(p, 2) == math.inf
+        assert effective_beta_S(std_params(N=3, beta0=math.inf), 0) == math.inf
 
     def test_both_converge_to_chain_temperature(self):
         p = std_params(N=200, E=2.0)
