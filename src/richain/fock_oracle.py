@@ -15,15 +15,30 @@ D^M <= 20000.  Because the step Hamiltonians commute with the total
 number operator, states evolved from diagonal products never develop
 matrix elements between different total-occupation sectors; the
 `BlockedDensityMatrix` representation stores one dense block per sector
-and pushes the reachable size well past the dense guard (the acceptance
-checks run three modes at D = 30, where the dense matrix would take
-11.7 GB but the blocks only a few hundred MB).  All public operations
-accept either representation.
+and pushes the reachable size well past the dense guard: three modes at
+D = 30 make 88 sectors, the largest 675 x 675, and all blocks of one
+state take 204 MiB where the dense matrix would take 10.9 GiB.  All
+public operations accept either representation.
+
+The blocked path splits further wherever the physics guarantees it:
+
+- The pair Hamiltonian conserves the pair occupation p = n0 + nn, so
+  its step unitary is one tridiagonal exponential of size <= D per p,
+  cached per (E, eps, eta, tau, D).  A step groups each sector's basis
+  by spectator occupation; inside a group p is fixed and the step is one
+  such block times a spectator phase.
+- A mode that has not yet exchanged quanta keeps a definite occupation.
+  A state evolved from a diagonal product records which modes have, and
+  its spectrum is taken per group of equal uncoupled occupations (at
+  most D x D for three modes after their first step).  Equal-size groups
+  share one `eigvalsh` call, and each state's spectrum is computed once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,8 +168,6 @@ class FockDensityMatrix:
 class _SectorBasis:
     """Occupation tuples of M modes at cutoff D, grouped by total occupation."""
 
-    _cache: dict[tuple[int, int], "_SectorBasis"] = {}
-
     def __init__(self, modes: int, cutoff: int):
         self.modes = modes
         self.cutoff = cutoff
@@ -165,26 +178,46 @@ class _SectorBasis:
         totals = totals[order]
         bounds = np.searchsorted(totals, np.arange(modes * (cutoff - 1) + 2))
         self.sectors: list[np.ndarray] = [
-            np.ascontiguousarray(grids[bounds[s] : bounds[s + 1]])
+            _read_only(np.ascontiguousarray(grids[bounds[s] : bounds[s + 1]]))
             for s in range(modes * (cutoff - 1) + 1)
         ]
         # row-major ravel index of each basis tuple, per sector
         radix = cutoff ** np.arange(modes - 1, -1, -1)
-        self.ravels: list[np.ndarray] = [B @ radix for B in self.sectors]
+        self.ravels: list[np.ndarray] = [_read_only(B @ radix) for B in self.sectors]
 
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def get(cls, modes: int, cutoff: int) -> "_SectorBasis":
-        key = (modes, cutoff)
-        if key not in cls._cache:
-            cls._cache[key] = cls(modes, cutoff)
-        return cls._cache[key]
+        return cls(modes, cutoff)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _occupation_groups(
+    B: np.ndarray, cols: list[int], cutoff: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row order that groups the basis tuples B by their occupations of `cols`.
+
+    Returns (order, bounds): group g is order[bounds[g]:bounds[g + 1]],
+    and inside a group the rows keep the sector's row-major order.
+    """
+    key = B[:, cols] @ (cutoff ** np.arange(len(cols) - 1, -1, -1))
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+    return order, np.r_[starts, len(B)]
 
 
 class BlockedDensityMatrix:
     """Density matrix stored as one dense block per total-occupation sector.
 
     Valid only for states with no coherences between sectors, which is
-    preserved by every operation in this module that returns one.
+    preserved by every operation in this module that returns one.  The
+    blocks are stored as a tuple of the given arrays, made read-only, so
+    the spectrum computed from them once stays valid.
     """
 
     def __init__(self, modes: int, cutoff: int, blocks: list[np.ndarray]):
@@ -195,7 +228,12 @@ class BlockedDensityMatrix:
             raise ValueError(
                 f"expected {len(self.basis.sectors)} sector blocks, got {len(blocks)}"
             )
-        self.blocks = blocks
+        self.blocks = tuple(_read_only(np.asarray(b, dtype=complex)) for b in blocks)
+        # Modes that have exchanged quanta since a diagonal product, or None
+        # when unknown.  Every other mode keeps a definite occupation, so the
+        # state is block-diagonal in those modes' occupations.
+        self._coupled: frozenset[int] | None = None
+        self._spectrum: np.ndarray | None = None
 
     @classmethod
     def from_diagonal_product(
@@ -210,7 +248,9 @@ class BlockedDensityMatrix:
             for m in range(modes):
                 diag = diag * np.asarray(prob_vectors[m])[B[:, m]]
             blocks.append(np.diag(diag.astype(complex)))
-        return cls(modes, cutoff, blocks)
+        rho = cls(modes, cutoff, blocks)
+        rho._coupled = frozenset()
+        return rho
 
     @classmethod
     def from_thermal_product(
@@ -296,17 +336,42 @@ def product_density(factors: list[FockDensityMatrix]) -> FockDensityMatrix:
     return FockDensityMatrix(len(factors), cutoff, mat)
 
 
+def _pair_occupations(p: int, D: int) -> np.ndarray:
+    """n0 values of the pair basis (n0, p - n0) at pair occupation p, ascending."""
+    return np.arange(max(0, p - D + 1), min(p, D - 1) + 1)
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_blocks(
+    E: float, eps: float, eta: float, tau: float, D: int
+) -> tuple[np.ndarray, ...]:
+    """exp(-i*tau*H_pair) as one read-only block per pair occupation p = n0 + nn.
+
+    H_pair conserves p, so block p acts on the basis (n0, p - n0) listed by
+    `_pair_occupations`, where H_pair is tridiagonal: E*n0 + eps*nn on the
+    diagonal and eta*sqrt((n0 + 1)*nn) between (n0, nn) and (n0 + 1, nn - 1).
+    Inside a block neither mode leaves 0..D-1, so the blocks are exact for
+    the truncated ladders.
+    """
+    blocks = []
+    for p in range(2 * D - 1):
+        n0 = _pair_occupations(p, D)
+        nn = p - n0
+        off = eta * np.sqrt((n0[:-1] + 1.0) * nn[:-1])
+        H = np.diag(E * n0 + eps * nn) + np.diag(off, 1) + np.diag(off, -1)
+        blocks.append(_read_only(_expi_hermitian(H, -tau)))
+    return tuple(blocks)
+
+
 def _pair_step_unitary(params, D: int) -> np.ndarray:
     """exp(-i*tau*H_pair) on the two interacting modes, (D^2 x D^2)."""
-    a = build_ladder(D)
-    num = np.diag(_number_diag(D)).astype(complex)
-    eye = np.eye(D, dtype=complex)
-    H2 = (
-        params.E * np.kron(num, eye)
-        + params.eps * np.kron(eye, num)
-        + params.eta * (np.kron(a.conj().T, a) + np.kron(a, a.conj().T))
-    )
-    return _expi_hermitian(H2, -params.tau)
+    U2 = np.zeros((D * D, D * D), dtype=complex)
+    blocks = _pair_blocks(params.E, params.eps, params.eta, params.tau, D)
+    for p, block in enumerate(blocks):
+        n0 = _pair_occupations(p, D)
+        idx = n0 * D + (p - n0)
+        U2[np.ix_(idx, idx)] = block
+    return U2
 
 
 def _dense_step(mat: np.ndarray, modes: int, D: int, n: int, U2: np.ndarray,
@@ -340,32 +405,57 @@ def _dense_step(mat: np.ndarray, modes: int, D: int, n: int, U2: np.ndarray,
     return out.reshape(dim, dim).conj().T
 
 
+@functools.lru_cache(maxsize=32)
+def _step_plan(modes: int, D: int, n: int) -> tuple:
+    """Per sector, how the step on slot n acts on it.
+
+    A sector's basis is grouped by spectator occupation (every mode but 0
+    and n).  Inside a group the pair occupation p is fixed and n0 ascends,
+    so the group is exactly the basis of pair block p and the step there
+    is that block times the spectator phase.  Each entry is (order,
+    inverse, groups): order makes the groups contiguous, inverse undoes
+    it, and groups lists (lo, hi, p, spectator total) per row slice.
+    """
+    basis = _SectorBasis.get(modes, D)
+    rest = [c for c in range(modes) if c not in (0, n)]
+    plan = []
+    for s, B in enumerate(basis.sectors):
+        order, bounds = _occupation_groups(B, rest, D)
+        groups = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            p = int(B[order[lo], 0] + B[order[lo], n])
+            groups.append((int(lo), int(hi), p, s - p))
+        plan.append((_read_only(order), _read_only(np.argsort(order)), tuple(groups)))
+    return tuple(plan)
+
+
 def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMatrix:
     D, modes = rho.cutoff, rho.modes
-    U2 = _pair_step_unitary(params, D)
-    rest_cols = [c for c in range(modes) if c not in (0, n)]
-    radix = D ** np.arange(len(rest_cols) - 1, -1, -1) if rest_cols else None
+    U = _pair_blocks(params.E, params.eps, params.eta, params.tau, D)
+    phase = np.exp(-1j * params.tau * params.eps * np.arange(modes * (D - 1) + 1))
     new_blocks = []
-    for s, B in enumerate(rho.basis.sectors):
-        block = rho.blocks[s]
-        pair_idx = B[:, 0] * D + B[:, n]
-        Us = U2[np.ix_(pair_idx, pair_idx)]
-        if rest_cols:
-            key = B[:, rest_cols] @ radix
-            Us = Us * (key[:, None] == key[None, :])
-            rest_total = s - B[:, 0] - B[:, n]
-            Us = Us * np.exp(-1j * params.tau * params.eps * rest_total)[None, :]
-        new_blocks.append(Us @ block @ Us.conj().T)
-    return BlockedDensityMatrix(modes, D, new_blocks)
+    for block, (order, inverse, groups) in zip(rho.blocks, _step_plan(modes, D, n)):
+        X = block[np.ix_(order, order)]
+        # rows, then rows of the conjugate transpose: Us @ block @ Us^H
+        for _ in range(2):
+            for lo, hi, p, rest_total in groups:
+                X[lo:hi] = (phase[rest_total] * U[p]) @ X[lo:hi]
+            X = np.ascontiguousarray(X.conj().T)
+        new_blocks.append(X[np.ix_(inverse, inverse)])
+    out = BlockedDensityMatrix(modes, D, new_blocks)
+    if rho._coupled is not None:
+        out._coupled = rho._coupled | {0, n}
+    return out
 
 
 def evolve_density(rho, params, schedule) -> "FockDensityMatrix | BlockedDensityMatrix":
     """Apply exp(-i*tau*H_n) for each slot n in `schedule`, in order.
 
-    Each step unitary is assembled from a Hermitian eigendecomposition of
-    the two-mode part tensored with the free spectator phases; this equals
-    the exponential of the whole truncated step Hamiltonian because the
-    two commuting parts truncate independently.
+    Each step unitary is assembled from Hermitian eigendecompositions of
+    the two-mode part, one per pair occupation, tensored with the free
+    spectator phases; this equals the exponential of the whole truncated
+    step Hamiltonian because the two commuting parts truncate
+    independently.
     """
     schedule = list(schedule)
     for n in schedule:
@@ -495,21 +585,10 @@ def partial_trace(rho, keep) -> FockDensityMatrix:
     if isinstance(rho, BlockedDensityMatrix):
         out = np.zeros((out_dim, out_dim), dtype=complex)
         keep_radix = D ** np.arange(len(keep) - 1, -1, -1)
-        traced_radix = (
-            D ** np.arange(len(traced) - 1, -1, -1) if traced else None
-        )
         for B, block in zip(rho.basis.sectors, rho.blocks):
             kept_idx = B[:, keep] @ keep_radix
-            if not traced:
-                out[np.ix_(kept_idx, kept_idx)] += block
-                continue
-            key = B[:, traced] @ traced_radix
-            order = np.argsort(key, kind="stable")
-            sorted_key = key[order]
-            starts = np.flatnonzero(
-                np.r_[True, sorted_key[1:] != sorted_key[:-1]]
-            )
-            for lo, hi in zip(starts, np.r_[starts[1:], len(order)]):
+            order, bounds = _occupation_groups(B, traced, D)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
                 grp = order[lo:hi]
                 out[np.ix_(kept_idx[grp], kept_idx[grp])] += block[np.ix_(grp, grp)]
         return FockDensityMatrix(len(keep), D, out)
@@ -533,12 +612,55 @@ def _entropy_from_eigs(vals: np.ndarray) -> float:
     return float(-(v * np.log(v)).sum())
 
 
+@functools.lru_cache(maxsize=32)
+def _spectrum_plan(modes: int, D: int, uncoupled: tuple[int, ...]) -> tuple:
+    """Per sector, its rows grouped by the occupations of the `uncoupled` modes.
+
+    Each entry pairs every group size k with a (count, k) matrix of row
+    indices, one row per group of that size.
+    """
+    plan = []
+    for B in _SectorBasis.get(modes, D).sectors:
+        order, bounds = _occupation_groups(B, list(uncoupled), D)
+        sizes = np.diff(bounds)
+        plan.append(tuple(
+            (int(k), _read_only(order[bounds[:-1][sizes == k][:, None] + np.arange(k)]))
+            for k in np.unique(sizes)
+        ))
+    return tuple(plan)
+
+
+def _spectrum(rho: BlockedDensityMatrix) -> np.ndarray:
+    """All eigenvalues of a blocked state, computed once per state.
+
+    A mode outside `rho._coupled` keeps a definite occupation, so each
+    sector block is block-diagonal in those modes' occupations and the
+    groups' sub-blocks carry its whole spectrum.  With no record every
+    mode counts as coupled and each sector is one group.  Groups of one
+    size are stacked, across sectors, into one `eigvalsh` call.
+    """
+    if rho._spectrum is None:
+        coupled = range(rho.modes) if rho._coupled is None else rho._coupled
+        uncoupled = tuple(m for m in range(rho.modes) if m not in coupled)
+        stacks = defaultdict(list)
+        plan = _spectrum_plan(rho.modes, rho.cutoff, uncoupled)
+        for block, by_size in zip(rho.blocks, plan):
+            for k, idx in by_size:
+                if k == len(block):
+                    stacks[k].append(block[None])
+                else:
+                    stacks[k].append(block[idx[:, :, None], idx[:, None, :]])
+        rho._spectrum = _read_only(np.concatenate([
+            np.linalg.eigvalsh(np.concatenate(parts)).ravel()
+            for parts in stacks.values()
+        ]))
+    return rho._spectrum
+
+
 def von_neumann_entropy(rho) -> float:
     """-Tr[rho ln rho] in nats, with 0*ln 0 := 0."""
     if isinstance(rho, BlockedDensityMatrix):
-        return sum(
-            _entropy_from_eigs(np.linalg.eigvalsh(b)) for b in rho.blocks
-        )
+        return _entropy_from_eigs(_spectrum(rho))
     return _entropy_from_eigs(np.linalg.eigvalsh(rho.matrix))
 
 
@@ -576,11 +698,10 @@ def relative_entropy_oracle(rho, rho0) -> float:
                 _relative_entropy_spectral(b, b0)
                 for b, b0 in zip(rho.blocks, rho0.blocks)
             )
-        total = 0.0
+        lam = np.clip(_spectrum(rho), 0.0, None)
+        keep = lam > EIG_FLOOR
+        total = float((lam[keep] * np.log(lam[keep])).sum())
         for block, block0 in zip(rho.blocks, rho0.blocks):
-            lam = np.clip(np.linalg.eigvalsh(block), 0.0, None)
-            keep = lam > EIG_FLOOR
-            total += float((lam[keep] * np.log(lam[keep])).sum())
             p0 = np.diagonal(block0).real
             diag = np.diagonal(block).real
             dead = p0 <= EIG_FLOOR

@@ -106,6 +106,17 @@ class TestDensityContainers:
         total = sum(float(d.sum().real) for d in diag)
         assert abs(total - blocked.trace()) < 1e-14
 
+    def test_blocks_are_read_only(self):
+        # a cached spectrum stays valid only while no block can change
+        p = make_params(N=1)
+        blocked = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta], 5)
+        evolved = fo.evolve_density(blocked, p, [1])
+        direct = fo.BlockedDensityMatrix(2, 5, [np.asarray(b).copy() for b in evolved.blocks])
+        for rho in (blocked, evolved, direct):
+            assert isinstance(rho.blocks, tuple)
+            with pytest.raises(ValueError, match="read-only"):
+                rho.blocks[3][0, 0] = 0.5
+
 
 class TestHamiltonianAndStep:
     def test_matches_scipy_expm(self):
@@ -161,6 +172,121 @@ class TestHamiltonianAndStep:
         assert abs(
             fo.von_neumann_entropy(evolved) - fo.von_neumann_entropy(blocked)
         ) < 1e-10
+
+
+def _kron_pair_hamiltonian(E, eps, eta, D):
+    a = fo.build_ladder(D)
+    num = np.diag(np.arange(D)).astype(complex)
+    eye = np.eye(D, dtype=complex)
+    return (
+        E * np.kron(num, eye)
+        + eps * np.kron(eye, num)
+        + eta * (np.kron(a.conj().T, a) + np.kron(a, a.conj().T))
+    )
+
+
+class TestPairUnitary:
+    @pytest.mark.parametrize("D", [2, 7, 16])
+    @pytest.mark.parametrize(
+        "E, eps, eta, tau",
+        [
+            (1.3, 0.8, 0.6, 0.9),  # generic
+            (1.1, 1.1, 0.0, 0.7),  # free: E = eps, eta = 0
+            (2.0, 0.5, 1.0, 0.6),  # stability edge: eta^2 = E*eps
+        ],
+    )
+    def test_blocks_match_expm(self, D, E, eps, eta, tau):
+        blocks = fo._pair_blocks(E, eps, eta, tau, D)
+        assert len(blocks) == 2 * D - 1
+        U2 = np.zeros((D * D, D * D), dtype=complex)
+        for p, block in enumerate(blocks):
+            assert not block.flags.writeable
+            n0 = np.arange(max(0, p - D + 1), min(p, D - 1) + 1)
+            idx = n0 * D + (p - n0)
+            U2[np.ix_(idx, idx)] = block
+        expect = scipy.linalg.expm(-1j * tau * _kron_pair_hamiltonian(E, eps, eta, D))
+        assert np.max(np.abs(U2 - expect)) < 1e-13
+        params = make_params(E=E, eps=eps, eta=eta, tau=tau)
+        assert np.array_equal(fo._pair_step_unitary(params, D), U2)
+
+    def test_cache_keys_on_tau(self):
+        first = fo._pair_blocks(1.0, 1.0, 0.5, 1.0, 6)
+        other = fo._pair_blocks(1.0, 1.0, 0.5, 0.5, 6)
+        assert other is not first
+        assert max(np.max(np.abs(a - b)) for a, b in zip(first, other)) > 1e-3
+        assert fo._pair_blocks(1.0, 1.0, 0.5, 1.0, 6) is first
+
+
+def _full_block_entropy(rho):
+    lam = np.clip(np.concatenate([np.linalg.eigvalsh(b) for b in rho.blocks]), 0.0, None)
+    lam = lam[lam > fo.EIG_FLOOR]
+    return float(-(lam * np.log(lam)).sum())
+
+
+def _full_block_relative_entropy(rho, rho0):
+    total = -_full_block_entropy(rho)
+    for b, b0 in zip(rho.blocks, rho0.blocks):
+        p0 = np.diagonal(b0).real
+        live = p0 > fo.EIG_FLOOR
+        total -= float((np.diagonal(b).real[live] * np.log(p0[live])).sum())
+    return total
+
+
+class TestGroupedSpectra:
+    """Spectra grouped by uncoupled occupations against full-block eigvalsh."""
+
+    def _assert_matches_full_block(self, rho, rho0):
+        assert abs(fo.von_neumann_entropy(rho) - _full_block_entropy(rho)) < 1e-13
+        got = fo.relative_entropy_oracle(rho, rho0)
+        assert abs(got - _full_block_relative_entropy(rho, rho0)) < 1e-13
+
+    def test_three_modes_each_step(self):
+        p = make_params(E=2.0, eps=1.0, eta=0.7, tau=0.8)
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta, p.beta], 9)
+        rho1 = fo.evolve_density(rho0, p, [1])
+        rho2 = fo.evolve_density(rho1, p, [2])
+        for rho in (rho0, rho1, rho2):
+            self._assert_matches_full_block(rho, rho0)
+
+    @pytest.mark.parametrize("modes, schedule", [(4, [1, 3]), (3, [1, 2, 1])])
+    def test_partial_and_revisiting_schedules(self, modes, schedule):
+        # [1, 3] leaves mode 2 uncoupled; [1, 2, 1] revisits slot 1
+        p = make_params(eta=0.6, tau=0.7)
+        betas = [p.beta0] + [p.beta, 1.0, 0.8][: modes - 1]
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product(betas, 9)
+        for k in range(1, len(schedule) + 1):
+            rho = fo.evolve_density(rho0, p, schedule[:k])
+            self._assert_matches_full_block(rho, rho0)
+
+    def test_state_built_from_blocks_takes_full_blocks(self):
+        # blocks of a coupled state, handed in directly: no structure is known,
+        # so grouping by any mode's occupation would drop coherences
+        p = make_params()
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta, p.beta], 9)
+        evolved = fo.evolve_density(rho0, p, [1, 2])
+        direct = fo.BlockedDensityMatrix(3, 9, [np.asarray(b).copy() for b in evolved.blocks])
+        assert direct._coupled is None
+        self._assert_matches_full_block(direct, rho0)
+        assert abs(fo.von_neumann_entropy(direct) - fo.von_neumann_entropy(rho0)) < 1e-12
+
+    def test_spectrum_computed_once_per_state(self, monkeypatch):
+        p = make_params()
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta, p.beta], 7)
+        rho2 = fo.evolve_density(rho0, p, [1, 2])
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        fo.von_neumann_entropy(rho2)
+        first = len(calls)
+        fo.relative_entropy_oracle(rho2, rho0)
+        fo.von_neumann_entropy(rho2)
+        assert first > 0
+        assert len(calls) == first
 
 
 class TestWeyl:
