@@ -216,11 +216,24 @@ class BlockedDensityMatrix:
 
     Valid only for states with no coherences between sectors, which is
     preserved by every operation in this module that returns one.  The
-    blocks are stored as a tuple of the given arrays, made read-only, so
-    the spectrum computed from them once stays valid.
+    constructor copies the given blocks and stores the copies as a tuple
+    of read-only arrays, so the spectrum computed from them once stays
+    valid whatever the caller later does with its own arrays.
     """
 
     def __init__(self, modes: int, cutoff: int, blocks: list[np.ndarray]):
+        self._set_blocks(modes, cutoff, [np.array(b, dtype=complex) for b in blocks])
+
+    @classmethod
+    def _from_own_blocks(
+        cls, modes: int, cutoff: int, blocks: list[np.ndarray]
+    ) -> "BlockedDensityMatrix":
+        """Take over fresh complex arrays that nothing else holds, uncopied."""
+        rho = cls.__new__(cls)
+        rho._set_blocks(modes, cutoff, blocks)
+        return rho
+
+    def _set_blocks(self, modes: int, cutoff: int, blocks: list[np.ndarray]) -> None:
         self.modes = modes
         self.cutoff = cutoff
         self.basis = _SectorBasis.get(modes, cutoff)
@@ -228,7 +241,7 @@ class BlockedDensityMatrix:
             raise ValueError(
                 f"expected {len(self.basis.sectors)} sector blocks, got {len(blocks)}"
             )
-        self.blocks = tuple(_read_only(np.asarray(b, dtype=complex)) for b in blocks)
+        self.blocks = tuple(_read_only(b) for b in blocks)
         # Modes that have exchanged quanta since a diagonal product, or None
         # when unknown.  Every other mode keeps a definite occupation, so the
         # state is block-diagonal in those modes' occupations.
@@ -248,7 +261,7 @@ class BlockedDensityMatrix:
             for m in range(modes):
                 diag = diag * np.asarray(prob_vectors[m])[B[:, m]]
             blocks.append(np.diag(diag.astype(complex)))
-        rho = cls(modes, cutoff, blocks)
+        rho = cls._from_own_blocks(modes, cutoff, blocks)
         rho._coupled = frozenset()
         return rho
 
@@ -442,7 +455,7 @@ def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMa
                 X[lo:hi] = (phase[rest_total] * U[p]) @ X[lo:hi]
             X = np.ascontiguousarray(X.conj().T)
         new_blocks.append(X[np.ix_(inverse, inverse)])
-    out = BlockedDensityMatrix(modes, D, new_blocks)
+    out = BlockedDensityMatrix._from_own_blocks(modes, D, new_blocks)
     if rho._coupled is not None:
         out._coupled = rho._coupled | {0, n}
     return out
@@ -612,24 +625,6 @@ def _entropy_from_eigs(vals: np.ndarray) -> float:
     return float(-(v * np.log(v)).sum())
 
 
-@functools.lru_cache(maxsize=32)
-def _spectrum_plan(modes: int, D: int, uncoupled: tuple[int, ...]) -> tuple:
-    """Per sector, its rows grouped by the occupations of the `uncoupled` modes.
-
-    Each entry pairs every group size k with a (count, k) matrix of row
-    indices, one row per group of that size.
-    """
-    plan = []
-    for B in _SectorBasis.get(modes, D).sectors:
-        order, bounds = _occupation_groups(B, list(uncoupled), D)
-        sizes = np.diff(bounds)
-        plan.append(tuple(
-            (int(k), _read_only(order[bounds[:-1][sizes == k][:, None] + np.arange(k)]))
-            for k in np.unique(sizes)
-        ))
-    return tuple(plan)
-
-
 def _spectrum(rho: BlockedDensityMatrix) -> np.ndarray:
     """All eigenvalues of a blocked state, computed once per state.
 
@@ -641,14 +636,17 @@ def _spectrum(rho: BlockedDensityMatrix) -> np.ndarray:
     """
     if rho._spectrum is None:
         coupled = range(rho.modes) if rho._coupled is None else rho._coupled
-        uncoupled = tuple(m for m in range(rho.modes) if m not in coupled)
+        uncoupled = [m for m in range(rho.modes) if m not in coupled]
         stacks = defaultdict(list)
-        plan = _spectrum_plan(rho.modes, rho.cutoff, uncoupled)
-        for block, by_size in zip(rho.blocks, plan):
-            for k, idx in by_size:
+        for B, block in zip(rho.basis.sectors, rho.blocks):
+            order, bounds = _occupation_groups(B, uncoupled, rho.cutoff)
+            sizes = np.diff(bounds)
+            for k in np.unique(sizes).tolist():
                 if k == len(block):
                     stacks[k].append(block[None])
                 else:
+                    # one row of group indices per group of size k
+                    idx = order[bounds[:-1][sizes == k][:, None] + np.arange(k)]
                     stacks[k].append(block[idx[:, :, None], idx[:, None, :]])
         rho._spectrum = _read_only(np.concatenate([
             np.linalg.eigvalsh(np.concatenate(parts)).ravel()

@@ -117,6 +117,30 @@ class TestDensityContainers:
             with pytest.raises(ValueError, match="read-only"):
                 rho.blocks[3][0, 0] = 0.5
 
+    def test_constructor_copies_caller_arrays(self):
+        # blocks handed in as views of one writable buffer: the caller keeps
+        # its buffer writable, and later edits to it reach neither the
+        # blocks nor the spectrum computed from them
+        p = make_params(N=1)
+        evolved = fo.evolve_density(
+            fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta], 5), p, [1]
+        )
+        sizes = [len(b) for b in evolved.blocks]
+        buffer = np.zeros((len(sizes), max(sizes), max(sizes)), dtype=complex)
+        views = []
+        for s, b in enumerate(evolved.blocks):
+            buffer[s, : len(b), : len(b)] = b
+            views.append(buffer[s, : len(b), : len(b)])
+        direct = fo.BlockedDensityMatrix(2, 5, views)
+        entropy = fo.von_neumann_entropy(direct)
+        assert buffer.flags.writeable and all(v.flags.writeable for v in views)
+        buffer[:] = 0.0
+        assert all(np.array_equal(d, b) for d, b in zip(direct.blocks, evolved.blocks))
+        assert fo.von_neumann_entropy(direct) == entropy
+        assert entropy == fo.von_neumann_entropy(
+            fo.BlockedDensityMatrix(2, 5, [np.asarray(b).copy() for b in evolved.blocks])
+        )
+
 
 class TestHamiltonianAndStep:
     def test_matches_scipy_expm(self):
