@@ -68,11 +68,9 @@ def xi_coefficients(params: ModelParams, m: int, slots) -> np.ndarray:
     if len(set(slots.tolist())) != slots.size:
         raise ValueError(f"slots must be distinct, got {slots.tolist()}")
     s = step_scalars(params)
-    gz = s.g * s.z
-    coeff = np.zeros(slots.size, dtype=complex)
-    visited = (slots >= 1) & (slots <= m)
-    coeff[visited] = s.g * s.w * gz ** (slots[visited] - 1)
-    coeff[slots == 0] = gz**m
+    coeff = s.gz_power(np.where(slots == 0, m, slots - 1))
+    coeff[slots >= 1] *= s.g * s.w
+    coeff[slots > m] = 0.0
     coeff *= cmath.exp(1j * m * params.tau * params.eps)
     return np.conj(coeff)
 

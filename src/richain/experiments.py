@@ -310,14 +310,13 @@ def short_time_limit_run(
 
     for j, (n_steps, tau) in enumerate(zip(schedule.checkpoints, taus)):
         params = replace(template, tau=tau, N=n_steps)
-        s = step_scalars(params)
-        abs_z_sq = abs(s.z) ** 2
+        zsq_n = abs(step_scalars(params).gz_power(n_steps)) ** 2
         for i, theta in enumerate(thetas):
             t0 = time.perf_counter()
             limit = math.exp(-0.25 * abs(theta) ** 2 * limit_moment)
             if spec.kind == "gibbs":
                 # product collapses: |z|^2N-weighted mix of x(beta0) and x(beta)
-                xstar = abs_z_sq**n_steps * x0 + (1.0 - abs_z_sq**n_steps) * gibbs_x(spec.beta)
+                xstar = zsq_n * x0 + (1.0 - zsq_n) * gibbs_x(spec.beta)
                 value = complex(math.exp(-0.25 * abs(theta) ** 2 * xstar))
             elif theta == 0:
                 value = 1.0 + 0j

@@ -536,8 +536,18 @@ def weyl_expectation_batch(
     phase rotation exp(i*phi*num) conjugating exp(i*|alpha|*X) with
     X = (a + a^dag)/sqrt(2); that identity is exact at the cutoff because
     the rotation is diagonal.  A single eigendecomposition of X therefore
-    serves every alpha.  With minus_one=True the returned array is
-    Tr[rho*w(alpha)] - 1 evaluated without cancellation, which keeps
+    serves every alpha.
+
+    X has a zero diagonal, so the parity S = (-1)^num maps its
+    eigenvector for lam to one for -lam: the spectrum is symmetric.  Only
+    the D//2 positive eigenvalues (and, for odd D, the zero mode) enter.
+    With T+ collecting the positive eigenvectors' overlaps with offset d
+    of rho, the mirrored overlaps are exactly (-1)^d T+, so offset d
+    reads 2*Re(e) @ T+ when d is even and 2i*Im(e) @ T+ when d is odd,
+    e = exp(i*|alpha|*lam).  This holds for every rho and halves the
+    transcendentals per alpha; a diagonal rho needs no sines of odd
+    offsets and no phase factors.  With minus_one=True the returned array
+    is Tr[rho*w(alpha)] - 1 evaluated without cancellation, which keeps
     million-term products of near-unit factors at full precision.
     """
     if rho.modes != 1:
@@ -546,42 +556,51 @@ def weyl_expectation_batch(
     alphas = np.asarray(alphas, dtype=complex).ravel()
     _check_weyl_headroom(alphas, D)
     a = build_ladder(D)
-    X = (a + a.conj().T) / math.sqrt(2.0)
-    lam, Q = np.linalg.eigh(X)
+    lam, Q = np.linalg.eigh((a + a.conj().T) / math.sqrt(2.0))
+    # positive half of the spectrum, then the zero mode at half weight
+    half = D // 2
+    lam_pos = lam[D - half :]
+    Q_pos = Q[:, D - half :]
+    weight = np.full(half, 2.0)
+    if D % 2:
+        lam_pos = np.append(lam_pos, 0.0)
+        Q_pos = np.column_stack([Q_pos, Q[:, half]])
+        weight = np.append(weight, 1.0)
 
-    # T[j, d] collects Q^dag * rho_rotated * Q diagonals by offset d of rho
+    # T[j, d] = weight_j * sum_r conj(Q[r, j]) rho[r, r+d] Q[r+d, j]
     offsets = []
     cols = []
     for d in range(-(D - 1), D):
         diag = np.diagonal(rho.matrix, offset=d)
         if not np.any(diag):
             continue
-        L = D - abs(d)
-        if d >= 0:
-            rows = np.arange(L)
-            col = (Q[rows].conj() * diag[:, None] * Q[rows + d]).sum(axis=0)
-        else:
-            rows = np.arange(-d, D)
-            col = (Q[rows].conj() * diag[:, None] * Q[rows + d]).sum(axis=0)
+        rows = np.arange(max(0, -d), D - max(0, d))
         offsets.append(d)
-        cols.append(col)
-    T = np.stack(cols, axis=1)  # (D, nd)
+        cols.append(weight * (Q_pos[rows].conj() * diag[:, None] * Q_pos[rows + d]).sum(axis=0))
     ds = np.array(offsets)
+    T = np.stack(cols, axis=1)  # (len(lam_pos), nd)
+    even = ds % 2 == 0
+
+    def real_times(A, B):
+        # real A times complex B without a complex copy of A
+        return A @ B.real + 1j * (A @ B.imag)
 
     r = np.abs(alphas)
-    phi = np.angle(alphas)
+    phi = np.angle(alphas) if np.any(ds) else None
     out = np.empty(len(alphas), dtype=complex)
     chunk = 200_000
     for lo in range(0, len(alphas), chunk):
         hi = min(lo + chunk, len(alphas))
-        P = np.exp(1j * np.outer(phi[lo:hi], ds))
-        if minus_one:
-            # exp(i*r*lam) - 1 = -2*sin^2(r*lam/2) + i*sin(r*lam), no cancellation
-            arg = np.outer(r[lo:hi], lam)
-            E = -2.0 * np.sin(arg / 2.0) ** 2 + 1j * np.sin(arg)
-        else:
-            E = np.exp(1j * np.outer(r[lo:hi], lam))
-        out[lo:hi] = ((E @ T) * P).sum(axis=1)
+        arg = np.outer(r[lo:hi], lam_pos)
+        # cos(x) - 1 = -2*sin^2(x/2), no cancellation
+        re = -2.0 * np.sin(arg / 2.0) ** 2 if minus_one else np.cos(arg)
+        C = np.empty((hi - lo, len(ds)), dtype=complex)
+        C[:, even] = real_times(re, T[:, even])
+        if not even.all():
+            C[:, ~even] = 1j * real_times(np.sin(arg), T[:, ~even])
+        if phi is not None:
+            C *= np.exp(1j * np.outer(phi[lo:hi], ds))
+        out[lo:hi] = C.sum(axis=1)
     return out
 
 

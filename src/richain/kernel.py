@@ -94,6 +94,22 @@ class StepScalars:
     w: complex
     z: complex
 
+    def gz_power(self, k):
+        """(g z)^k for integer k >= 0, a scalar or an array of them.
+
+        Taken as exp(k (log|z| + i arg(gz))) with log|z| =
+        log1p(-|w|^2)/2, which |z|^2 + |w|^2 = 1 allows: the modulus
+        keeps a relative error near 1e-16 for k up to 1e8, where the
+        complex power loses about k ulps.  Once |w|^2 > 1/2, log|z| is
+        read off |z| itself.  z = 0 gives exactly 1 at k = 0 and 0 beyond.
+        """
+        k = np.asarray(k)
+        if self.z == 0:
+            return np.where(k == 0, 1.0 + 0j, 0j)[()]
+        wsq = abs(self.w) ** 2
+        log_abs = 0.5 * math.log1p(-wsq) if wsq <= 0.5 else math.log(abs(self.z))
+        return np.exp(k * complex(log_abs, cmath.phase(self.g * self.z)))
+
 
 @dataclass(frozen=True)
 class StepMatrix:
@@ -230,6 +246,11 @@ def propagate_vector(params: ModelParams, m: int, zeta: np.ndarray) -> Propagate
     in k (already-visited slots, the current slot, untouched slots) and
     costs O(N) instead of m matrix products; the Euclidean norm is
     preserved.
+
+    Its suffix sums T[k] = zeta[k+1] + gz T[k+1] come from a doubling
+    scan: pass s adds (gz)^s T[k+s] to T[k], so ceil(log2 m) whole-array
+    passes replace the loop over slots, and |gz|^s <= 1 keeps every pass
+    stable.  Powers of gz come from `StepScalars.gz_power`.
     """
     if not 1 <= m <= params.N:
         raise ValueError(f"step count m must satisfy 1 <= m <= {params.N}, got {m}")
@@ -240,20 +261,25 @@ def propagate_vector(params: ModelParams, m: int, zeta: np.ndarray) -> Propagate
         )
     s = step_scalars(params)
     g, w, z = s.g, s.w, s.z
-    gz = g * z
     gzbar = g * z.conjugate()
     phase = cmath.exp(1j * m * params.tau * params.eps)
 
-    # suffix sums T[k] = sum_{j=k+1..m} (gz)^(j-k-1) * zeta[j]
+    # suffix sums T[k] = sum_{j=k+1..m} (gz)^(j-k-1) * zeta[j]; T[m] = 0
     T = np.zeros(m + 1, dtype=complex)
-    for k in range(m - 1, -1, -1):
-        T[k] = zeta[k + 1] + gz * T[k + 1]
+    T[:m] = zeta[1 : m + 1]
+    shift = 1
+    while shift < m:
+        T[: m - shift] += s.gz_power(shift) * T[shift:m]
+        shift *= 2
 
     out = np.empty(params.N + 1, dtype=complex)
-    out[0] = gz**m * zeta[0] + g * w * T[0]
+    out[0] = s.gz_power(m) * zeta[0] + g * w * T[0]
     if m > 1:
-        ks = np.arange(1, m)
-        out[1:m] = g * w * gz ** (m - ks) * zeta[0] + gzbar * zeta[1:m] + (g * w) ** 2 * T[1:m]
+        out[1:m] = (
+            g * w * s.gz_power(np.arange(m - 1, 0, -1)) * zeta[0]
+            + gzbar * zeta[1:m]
+            + (g * w) ** 2 * T[1:m]
+        )
     out[m] = g * w * zeta[0] + gzbar * zeta[m]
     out[m + 1 :] = zeta[m + 1 :]
     out *= phase

@@ -1,6 +1,7 @@
 """Schedules, chain-state specs, limit runs, convergence studies and sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from richain.experiments import (
     short_time_limit_run,
     sweep,
 )
-from richain.kernel import ModelParams
+from richain.kernel import ModelParams, step_scalars
 from richain.quasifree import gibbs_x
 
 
@@ -209,6 +210,41 @@ class TestShortTimeLimitRun:
             assert rec.outputs["monotone_ok"]
         assert errs[0] > errs[1] > errs[2]
         assert recs[-1].outputs["fitted_bound"] >= 0.0
+
+    def test_gibbs_xstar_matches_mpmath_at_1e6(self):
+        mp = pytest.importorskip("mpmath")
+        # eta = 0.1 leaves |z|^(2N) near 0.5 at N = 1e6, so both temperatures weigh in
+        template = std_params(E=2.0, eta=0.1)
+        sched = LimitSchedule(checkpoints=(100_000, 1_000_000))
+        spec = ChainStateSpec(kind="gibbs", beta=math.log(2))
+        rec = short_time_limit_run(template, sched, spec, [1.0])[-1]
+        xstar = -4.0 * math.log(rec.outputs["value"].real)
+        with mp.workdps(50):
+            E, eps, eta, tau = (mp.mpf(v) for v in (2.0, 1.0, 0.1, rec.outputs["tau"]))
+            omega = mp.sqrt(((E - eps) / 2) ** 2 + eta**2)
+            zsq_n = (1 - (eta / omega * mp.sin(tau * omega)) ** 2) ** 1_000_000
+            x0, x = (1 / mp.tanh(mp.mpf(b) / 2) for b in (template.beta0, math.log(2)))
+            expect = float(zsq_n * x0 + (1 - zsq_n) * x)
+        assert 0.3 < float(zsq_n) < 0.7
+        assert abs(xstar - expect) < 1e-14 * expect
+
+    @pytest.mark.parametrize("theta", [1.0 + 0.0j, 0.5 + 0.5j])
+    def test_number_state_product_accuracy(self, theta):
+        # level 1 has C(t) = exp(-|t|^2/4) (1 - |t|^2/2), so the product's log is
+        # an fsum of closed-form terms with |theta_k|^2 = |w|^2 |z|^(2j) |theta|^2
+        template = std_params(E=2.0, eta=0.5)
+        sched = LimitSchedule(checkpoints=(10_000, 100_000))
+        spec = ChainStateSpec(kind="number_state", level=1)
+        x0 = gibbs_x(template.beta0)
+        tsq = abs(theta) ** 2
+        for rec in short_time_limit_run(template, sched, spec, [theta]):
+            n = rec.outputs["N"]
+            wsq = abs(step_scalars(replace(template, tau=rec.outputs["tau"], N=n)).w) ** 2
+            zsq_j = np.exp(np.arange(n + 1) * math.log1p(-wsq))
+            terms = wsq * zsq_j[:n] * tsq
+            log_ref = -0.25 * zsq_j[n] * tsq * x0 + math.fsum(-terms / 4 + np.log1p(-terms / 2))
+            expect = math.exp(log_ref)
+            assert abs(rec.outputs["value"] - expect) < 1e-13 * expect
 
     def test_zero_theta_is_exact(self):
         recs = short_time_limit_run(

@@ -372,6 +372,21 @@ class TestWeyl:
         assert shifted[0] == 0.0
         assert np.max(np.abs(shifted - (vals - 1.0))) < 1e-13
 
+    @pytest.mark.parametrize("D", [15, 24])
+    def test_batch_general_state(self, D):
+        # odd D has a zero mode; a random rho fills every offset, odd ones included
+        rng = np.random.default_rng(D)
+        A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        rho = fo.FockDensityMatrix(1, D, A @ A.conj().T / np.trace(A @ A.conj().T).real)
+        radius = 0.3 * math.sqrt(D) * rng.uniform(0.0, 1.0, 30)
+        alphas = np.append(radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 30)), 0.0)
+        vals = fo.weyl_expectation_batch(rho, alphas)
+        shifted = fo.weyl_expectation_batch(rho, alphas, minus_one=True)
+        single = np.array([fo.weyl_expectation(rho, np.array([a])) for a in alphas])
+        assert np.max(np.abs(vals - single)) < 1e-12
+        assert np.max(np.abs(shifted - (single - 1.0))) < 1e-12
+        assert np.max(np.abs(shifted - (vals - 1.0))) < 1e-13
+
     def test_headroom_guard(self):
         rho, _ = fo.gibbs_density(1.0, 6)
         with pytest.raises(ValueError, match="cutoff"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from richain.kernel import (
     ModelParams,
+    StepScalars,
     matrix_exponential_check,
     normal_modes,
     propagate_vector,
@@ -100,6 +101,27 @@ class TestStepScalars:
         assert abs(s2.z.real - math.cos(2.0 * p.tau * omega)) < 1e-15
 
 
+class TestGzPower:
+    def test_matches_power_at_small_k(self):
+        for p in (make_params(), make_params(E=1.0, tau=math.acos(0.1) / 0.5), make_params(eta=0.0)):
+            s = step_scalars(p)
+            ks = np.arange(40)
+            assert np.max(np.abs(s.gz_power(ks) - (s.g * s.z) ** ks)) < 1e-14
+            assert abs(s.gz_power(7) - (s.g * s.z) ** 7) < 1e-14
+
+    def test_exact_zero_z(self):
+        # gz = 0: k = 0 is exactly 1 and nothing evaluates 0 * log(0)
+        s = StepScalars(g=1.0 + 0j, w=1j, z=0j)
+        with np.errstate(all="raise"):
+            assert s.gz_power(0) == 1.0
+            np.testing.assert_array_equal(s.gz_power(np.arange(4)), [1.0, 0.0, 0.0, 0.0])
+
+    def test_decoupled_is_a_pure_phase(self):
+        # w = 0 gives log|z| = 0 exactly, so no modulus drift even at k = 1e8
+        s = step_scalars(make_params(eta=0.0))
+        assert abs(abs(s.gz_power(10**8)) - 1.0) < 1e-15
+
+
 class TestStepMatrix:
     @settings(max_examples=100, deadline=None)
     @given(admissible_params(), st.integers(1, 3))
@@ -176,6 +198,28 @@ class TestPropagateVector:
             zeta = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             out = propagate_vector(p, 3, zeta).components
             assert np.max(np.abs(out - U @ zeta)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            make_params(tau=2.0 * 1e6**-0.4, N=256),  # limit-schedule tau at N = 1e6
+            make_params(E=1.0, tau=math.acos(0.1) / 0.5, N=256),  # |gz| = 0.1
+            make_params(eta=0.0, N=256),  # w = 0
+            make_params(E=1.0, tau=math.pi, N=256),  # tau*eta = pi/2, z ~ 0
+        ],
+        ids=["abs_gz_near_1", "abs_gz_0.1", "w_zero", "z_zero"],
+    )
+    def test_matches_step_matrix_product(self, p):
+        rng = np.random.default_rng(17)
+        phase = cmath.exp(1j * p.tau * p.eps)
+        for m in (1, 2, 3, 100, 255, 256):
+            zeta = rng.standard_normal(257) + 1j * rng.standard_normal(257)
+            zeta /= np.linalg.norm(zeta)
+            expect = zeta
+            for n in range(m, 0, -1):
+                expect = phase * (step_matrix(p, n).entries @ expect)
+            out = propagate_vector(p, m, zeta).components
+            assert np.max(np.abs(out - expect)) < 1e-12
 
     def test_system_column(self):
         # zeta = theta e0: visited slots read gw(gz)^(m-k), final slot gw
