@@ -68,9 +68,10 @@ def xi_coefficients(params: ModelParams, m: int, slots) -> np.ndarray:
     if len(set(slots.tolist())) != slots.size:
         raise ValueError(f"slots must be distinct, got {slots.tolist()}")
     s = step_scalars(params)
-    coeff = s.gz_power(np.where(slots == 0, m, slots - 1))
-    coeff[slots >= 1] *= s.g * s.w
-    coeff[slots > m] = 0.0
+    coeff = np.zeros(slots.size, dtype=complex)
+    live = slots <= m  # slot 0 and the visited slots
+    coeff[live] = s.gz_power(np.where(slots == 0, m, slots - 1)[live])
+    coeff[live & (slots >= 1)] *= s.g * s.w
     coeff *= cmath.exp(1j * m * params.tau * params.eps)
     return np.conj(coeff)
 

@@ -16,6 +16,7 @@ point.  Records are plain data; serialization lives in `cli`.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import time
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from . import dynamics, fock_oracle
-from .kernel import ModelParams, normal_modes, propagate_vector, step_scalars, validate_hypotheses
+from .kernel import ModelParams, normal_modes, step_scalars, validate_hypotheses
 from .quasifree import char_fn, gibbs_x, sigma
 
 __all__ = [
@@ -310,7 +311,8 @@ def short_time_limit_run(
 
     for j, (n_steps, tau) in enumerate(zip(schedule.checkpoints, taus)):
         params = replace(template, tau=tau, N=n_steps)
-        zsq_n = abs(step_scalars(params).gz_power(n_steps)) ** 2
+        s = step_scalars(params)
+        zsq_n = abs(s.gz_power(n_steps)) ** 2
         for i, theta in enumerate(thetas):
             t0 = time.perf_counter()
             limit = math.exp(-0.25 * abs(theta) ** 2 * limit_moment)
@@ -321,11 +323,11 @@ def short_time_limit_run(
             elif theta == 0:
                 value = 1.0 + 0j
             else:
-                e0 = np.zeros(n_steps + 1, dtype=complex)
-                e0[0] = theta
-                comps = propagate_vector(params, n_steps, e0).components
-                log_chain = _chain_product_log(spec, comps[1:], eval_cutoff)
-                log_c0 = -0.25 * abs(comps[0]) ** 2 * x0
+                # slots 1..N of U_1 ... U_N (theta e0); slot 0 is (gz)^N phase theta
+                phase = cmath.exp(1j * n_steps * tau * template.eps)
+                thetas_k = phase * s.g * s.w * theta * s.gz_power(np.arange(n_steps - 1, -1, -1))
+                log_chain = _chain_product_log(spec, thetas_k, eval_cutoff)
+                log_c0 = -0.25 * zsq_n * abs(theta) ** 2 * x0
                 value = complex(np.exp(log_c0 + log_chain))
             err = abs(value - limit)
             errors[i, j] = err

@@ -247,10 +247,9 @@ def propagate_vector(params: ModelParams, m: int, zeta: np.ndarray) -> Propagate
     costs O(N) instead of m matrix products; the Euclidean norm is
     preserved.
 
-    Its suffix sums T[k] = zeta[k+1] + gz T[k+1] come from a doubling
-    scan: pass s adds (gz)^s T[k+s] to T[k], so ceil(log2 m) whole-array
-    passes replace the loop over slots, and |gz|^s <= 1 keeps every pass
-    stable.  Powers of gz come from `StepScalars.gz_power`.
+    The suffix sums T[k] = zeta[k+1] + gz T[k+1] are a Python loop over
+    the m visited slots, so a call is O(N) numpy work plus m scalar
+    steps.  Powers of gz come from `StepScalars.gz_power`.
     """
     if not 1 <= m <= params.N:
         raise ValueError(f"step count m must satisfy 1 <= m <= {params.N}, got {m}")
@@ -261,16 +260,14 @@ def propagate_vector(params: ModelParams, m: int, zeta: np.ndarray) -> Propagate
         )
     s = step_scalars(params)
     g, w, z = s.g, s.w, s.z
+    gz = g * z
     gzbar = g * z.conjugate()
     phase = cmath.exp(1j * m * params.tau * params.eps)
 
-    # suffix sums T[k] = sum_{j=k+1..m} (gz)^(j-k-1) * zeta[j]; T[m] = 0
+    # suffix sums T[k] = sum_{j=k+1..m} (gz)^(j-k-1) * zeta[j]
     T = np.zeros(m + 1, dtype=complex)
-    T[:m] = zeta[1 : m + 1]
-    shift = 1
-    while shift < m:
-        T[: m - shift] += s.gz_power(shift) * T[shift:m]
-        shift *= 2
+    for k in range(m - 1, -1, -1):
+        T[k] = zeta[k + 1] + gz * T[k + 1]
 
     out = np.empty(params.N + 1, dtype=complex)
     out[0] = s.gz_power(m) * zeta[0] + g * w * T[0]

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from richain import fock_oracle
 from richain.dynamics import effective_beta_S
 from richain.experiments import (
     ChainStateSpec,
@@ -16,7 +17,7 @@ from richain.experiments import (
     short_time_limit_run,
     sweep,
 )
-from richain.kernel import ModelParams, step_scalars
+from richain.kernel import ModelParams, propagate_vector, step_scalars
 from richain.quasifree import gibbs_x
 
 
@@ -210,6 +211,27 @@ class TestShortTimeLimitRun:
             assert rec.outputs["monotone_ok"]
         assert errs[0] > errs[1] > errs[2]
         assert recs[-1].outputs["fitted_bound"] >= 0.0
+
+    def test_product_terms_match_propagated_vector(self):
+        # (|0> + |3>)/sqrt(2) passes the moment hypotheses, but its C(t) depends on
+        # arg t, so the run's terms must carry the step phases of U_1 ... U_N e0
+        template = std_params(E=2.0, eta=0.5)
+        psi = np.zeros(4, dtype=complex)
+        psi[0] = psi[3] = 1.0 / math.sqrt(2)
+        spec = ChainStateSpec(kind="custom", rho=np.outer(psi, psi.conj()))
+        theta = 0.7 + 0.3j
+        rho = fock_oracle.FockDensityMatrix(1, 24, spec.density(24))
+        recs = short_time_limit_run(template, LimitSchedule(checkpoints=(100, 1_000)), spec,
+                                    [theta], cutoff=12)
+        for rec in recs:
+            n = rec.outputs["N"]
+            e0 = np.zeros(n + 1, dtype=complex)
+            e0[0] = theta
+            comps = propagate_vector(replace(template, tau=rec.outputs["tau"], N=n), n,
+                                     e0).components
+            expect = (math.exp(-0.25 * abs(comps[0]) ** 2 * gibbs_x(template.beta0))
+                      * np.prod(fock_oracle.weyl_expectation_batch(rho, comps[1:])))
+            assert abs(rec.outputs["value"] - expect) < 1e-11 * abs(expect)
 
     def test_gibbs_xstar_matches_mpmath_at_1e6(self):
         mp = pytest.importorskip("mpmath")
