@@ -46,8 +46,6 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
-# below this, 1 - |z|^2 is treated as zero and geometric sums are taken termwise
-_GEOM_DEGENERATE = 1e-9
 
 
 def xi_coefficients(params: ModelParams, m: int, slots) -> np.ndarray:
@@ -190,6 +188,16 @@ def reduced_char_fn(params: ModelParams, selector: SubsystemSelector, alphas) ->
     return complex(char_fn(state, alphas))
 
 
+def _zsq_power(L: float, m: int) -> float:
+    """|z|^(2m) = exp(m L) with L = log|z|^2 = 2 log_abs_z, exactly 1 at m = 0."""
+    return math.exp(m * L) if m else 1.0
+
+
+def _one_minus_zsq_power(L: float, m: int) -> float:
+    """1 - |z|^(2m) = -expm1(m L) without cancellation, exactly 0 at m = 0."""
+    return -math.expm1(m * L) if m else 0.0
+
+
 def _beta_from_occupation(n: float) -> float:
     """Inverse of the mean occupation n = 1/(e^beta - 1); n = 0 maps to +inf."""
     if n == 0.0:
@@ -202,12 +210,15 @@ def effective_beta_S(params: ModelParams, m: int) -> float:
 
     Its mean occupation is the mix n* = |z|^2m n(beta0) + (1-|z|^2m) n(beta),
     the same affine mix as x(beta*) since x = 2n + 1.  Mixing occupations
-    keeps a cold S finite where x(beta0) has rounded to 1.
+    keeps a cold S finite where x(beta0) has rounded to 1.  Both weights
+    come from log|z|^2 = log1p(-|w|^2), so they keep full precision at
+    m = 1e6 and beyond.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    zsq = abs(step_scalars(params).z) ** 2
-    ns = zsq**m * occupation(params.beta0) + (1.0 - zsq**m) * occupation(params.beta)
+    L = 2.0 * step_scalars(params).log_abs_z
+    ns = (_zsq_power(L, m) * occupation(params.beta0)
+          + _one_minus_zsq_power(L, m) * occupation(params.beta))
     return _beta_from_occupation(ns)
 
 
@@ -220,7 +231,7 @@ def effective_beta_Sm(params: ModelParams, m: int) -> float:
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     s = step_scalars(params)
-    weight = abs(s.w) ** 2 * abs(s.z) ** (2 * (m - 1))
+    weight = abs(s.w) ** 2 * _zsq_power(2.0 * s.log_abs_z, m - 1)
     nss = weight * occupation(params.beta0) + (1.0 - weight) * occupation(params.beta)
     return _beta_from_occupation(nss)
 
@@ -249,8 +260,8 @@ def relative_entropy(params: ModelParams, n_steps: int) -> float:
     prefactor = (params.beta0 - params.beta) * (
         occupation(params.beta) - occupation(params.beta0)
     )
-    zsq = abs(step_scalars(params).z) ** 2
-    return prefactor * (1.0 - zsq**n_steps)
+    L = 2.0 * step_scalars(params).log_abs_z
+    return prefactor * _one_minus_zsq_power(L, n_steps)
 
 
 def entropy_production_limit(params: ModelParams) -> float:
@@ -279,19 +290,16 @@ def window_state(params: ModelParams, n: int, k: int) -> RankOneQuasiFreeState:
 def window_overlap_norm_sq(params: ModelParams, n: int, k: int) -> float:
     """Closed form of <xi_{n,k}, xi_{n,k}> for the window state.
 
-    |z|^2k + |w|^2 |z|^(2(k-n)) (1-|z|^2n)/(1-|z|^2), with the geometric
-    sum taken termwise when |z| is within 1e-9 of 1.
+    |z|^2k + |w|^2 |z|^(2(k-n)) (1-|z|^2n)/(1-|z|^2).  With L = log|z|^2
+    the geometric sum is expm1(n L)/expm1(L), which stays accurate as |z|
+    approaches 1 and is exactly n at w = 0.
     """
     if not 0 <= n <= k <= params.N:
         raise ValueError(f"window needs 0 <= n <= k <= N, got n={n}, k={k}, N={params.N}")
     s = step_scalars(params)
-    zsq = abs(s.z) ** 2
-    wsq = abs(s.w) ** 2
-    if abs(1.0 - zsq) < _GEOM_DEGENERATE:
-        geom = float(n)
-    else:
-        geom = (1.0 - zsq**n) / (1.0 - zsq)
-    return zsq**k + wsq * zsq ** (k - n) * geom
+    L = 2.0 * s.log_abs_z
+    geom = float(n) if n == 0 or L == 0.0 else math.expm1(n * L) / math.expm1(L)
+    return _zsq_power(L, k) + abs(s.w) ** 2 * _zsq_power(L, k - n) * geom
 
 
 def window_entropy(params: ModelParams, n: int, k: int) -> float:

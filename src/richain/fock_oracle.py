@@ -32,6 +32,18 @@ The blocked path splits further wherever the physics guarantees it:
   its spectrum is taken per group of equal uncoupled occupations (at
   most D x D for three modes after their first step).  Equal-size groups
   share one `eigvalsh` call, and each state's spectrum is computed once.
+
+Each blocked operation touches a sector block in a single pass of flat
+or row gathers and never builds a sector-sized `np.ix_` copy:
+
+- A step permutes rows only: Us @ block @ Us^H = Us @ (Us @ block)^H,
+  and each side gathers the block's rows into spectator-occupation
+  order, applies the pair blocks to contiguous row slices and gathers
+  the rows back, through one sector-sized temporary besides the result.
+- `weyl_expectation` gathers each mode's factor of the Weyl matrix with
+  one flat `take` from that mode's transposed one-mode matrix, multiplies
+  the factors in place and contracts them with the block in one dot of
+  the two ravels.
 """
 
 from __future__ import annotations
@@ -446,15 +458,28 @@ def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMa
     D, modes = rho.cutoff, rho.modes
     U = _pair_blocks(params.E, params.eps, params.eta, params.tau, D)
     phase = np.exp(-1j * params.tau * params.eps * np.arange(modes * (D - 1) + 1))
+    # Us = P^T G P with P the row permutation `order` and G the grouped
+    # blocks, so Us @ block @ Us^H = Us @ (Us @ block)^H: each side permutes
+    # rows only.  A sector needs two buffers, its evolved block B and one
+    # temporary A.  The indices are permutations, so mode="clip" never
+    # clips; it spares the copy that take(..., out=) makes by default.
     new_blocks = []
     for block, (order, inverse, groups) in zip(rho.blocks, _step_plan(modes, D, n)):
-        X = block[np.ix_(order, order)]
-        # rows, then rows of the conjugate transpose: Us @ block @ Us^H
-        for _ in range(2):
-            for lo, hi, p, rest_total in groups:
-                X[lo:hi] = (phase[rest_total] * U[p]) @ X[lo:hi]
-            X = np.ascontiguousarray(X.conj().T)
-        new_blocks.append(X[np.ix_(inverse, inverse)])
+        steps = [(lo, hi, phase[rest_total] * U[p]) for lo, hi, p, rest_total in groups]
+        B = np.empty_like(block)
+        A = block.take(order, axis=0)
+        for lo, hi, Us in steps:
+            np.matmul(Us, A[lo:hi], out=B[lo:hi])
+        np.take(B, inverse, axis=0, out=A, mode="clip")  # A = Us @ block
+        np.conjugate(A, out=A)
+        np.take(A.T, order, axis=0, out=B, mode="clip")
+        for lo, hi, Us in steps:
+            np.matmul(Us, B[lo:hi], out=A[lo:hi])
+        np.take(A, inverse, axis=0, out=B, mode="clip")
+        new_blocks.append(B)
+        # free A before the next sector's B is allocated, so the evolved
+        # blocks pack together instead of around freed temporaries
+        del A
     out = BlockedDensityMatrix._from_own_blocks(modes, D, new_blocks)
     if rho._coupled is not None:
         out._coupled = rho._coupled | {0, n}
@@ -508,13 +533,17 @@ def weyl_expectation(rho, zeta) -> complex:
     _check_weyl_headroom(zeta, rho.cutoff)
     ws = [_one_mode_weyl(z, rho.cutoff) for z in zeta]
     if isinstance(rho, BlockedDensityMatrix):
+        # W[I, J] = prod_m w_m[J_m, I_m], gathered flat from the transposed
+        # factors, so sum_{I,J} rho[I,J] * W[I,J] is one dot of the ravels
+        D = rho.cutoff
+        flat = [np.ascontiguousarray(w.T).ravel() for w in ws]
         total = 0j
         for B, block in zip(rho.basis.sectors, rho.blocks):
-            W = ws[0][np.ix_(B[:, 0], B[:, 0])].copy()
-            for m in range(1, rho.modes):
-                W *= ws[m][np.ix_(B[:, m], B[:, m])]
-            # sum over rho[I,J] * W[J,I]
-            total += np.sum(block * W.T)
+            cols = B.T
+            W = flat[0].take(D * cols[0][:, None] + cols[0])
+            for wt, col in zip(flat[1:], cols[1:]):
+                W *= wt.take(D * col[:, None] + col)
+            total += W.ravel() @ block.ravel()
         return complex(total)
     # sum_{I,J} rho[I,J] * prod_m w_m[J_m, I_m], contracted mode by mode so the
     # D^M x D^M Weyl matrix is never materialized
@@ -708,7 +737,7 @@ def relative_entropy_oracle(rho, rho0) -> float:
         if (rho.modes, rho.cutoff) != (rho0.modes, rho0.cutoff):
             raise ValueError("states must share modes and cutoff")
         ref_diagonal = all(
-            np.count_nonzero(b - np.diag(np.diagonal(b))) == 0 for b in rho0.blocks
+            np.count_nonzero(b) == np.count_nonzero(np.diagonal(b)) for b in rho0.blocks
         )
         if not ref_diagonal:
             return sum(

@@ -94,21 +94,29 @@ class StepScalars:
     w: complex
     z: complex
 
+    @property
+    def log_abs_z(self) -> float:
+        """log|z| as log1p(-|w|^2)/2, which |z|^2 + |w|^2 = 1 allows.
+
+        Powers exp(k log|z|) then keep a relative error near 1e-16 for k
+        up to 1e8, where the float power of |z| loses about k ulps.  Once
+        |w|^2 > 1/2, log|z| is read off |z| itself; z = 0 gives -inf.
+        """
+        wsq = abs(self.w) ** 2
+        if wsq <= 0.5:
+            return 0.5 * math.log1p(-wsq)
+        return math.log(abs(self.z)) if self.z != 0 else -math.inf
+
     def gz_power(self, k):
         """(g z)^k for integer k >= 0, a scalar or an array of them.
 
-        Taken as exp(k (log|z| + i arg(gz))) with log|z| =
-        log1p(-|w|^2)/2, which |z|^2 + |w|^2 = 1 allows: the modulus
-        keeps a relative error near 1e-16 for k up to 1e8, where the
-        complex power loses about k ulps.  Once |w|^2 > 1/2, log|z| is
-        read off |z| itself.  z = 0 gives exactly 1 at k = 0 and 0 beyond.
+        Taken as exp(k (log|z| + i arg(gz))) with `log_abs_z`.  z = 0
+        gives exactly 1 at k = 0 and 0 beyond.
         """
         k = np.asarray(k)
         if self.z == 0:
             return np.where(k == 0, 1.0 + 0j, 0j)[()]
-        wsq = abs(self.w) ** 2
-        log_abs = 0.5 * math.log1p(-wsq) if wsq <= 0.5 else math.log(abs(self.z))
-        return np.exp(k * complex(log_abs, cmath.phase(self.g * self.z)))
+        return np.exp(k * complex(self.log_abs_z, cmath.phase(self.g * self.z)))
 
 
 @dataclass(frozen=True)

@@ -350,6 +350,46 @@ class TestEffectiveTemperatures:
         assert abs(effective_beta_Sm(p, 200) - math.log(2)) < 1e-9
 
 
+class TestContractionPowers:
+    def test_limit_schedule_matches_mpmath_at_1e6(self):
+        # |z|^(2m) as exp(m log1p(-|w|^2)); the float power of |z|^2 was off
+        # by about 1e-11 relative here
+        mp = pytest.importorskip("mpmath")
+        N, n = 1_000_000, 1000
+        p = std_params(N=N, E=2.0, eps=1.0, eta=0.1, tau=2.0 * float(N) ** -0.4)
+        with mp.workdps(50):
+            E, eps, eta, tau = (mp.mpf(v) for v in (p.E, p.eps, p.eta, p.tau))
+            omega = mp.sqrt(((E - eps) / 2) ** 2 + eta**2)
+            wsq = (eta / omega * mp.sin(tau * omega)) ** 2
+            zsq = 1 - wsq
+            n0, nb = (1 / mp.expm1(mp.mpf(b)) for b in (p.beta0, p.beta))
+            weight_S, weight_Sm = zsq**N, wsq * zsq ** (N - 1)
+            expect = [
+                mp.log1p(1 / (weight_S * n0 + (1 - weight_S) * nb)),
+                mp.log1p(1 / (weight_Sm * n0 + (1 - weight_Sm) * nb)),
+                (mp.mpf(p.beta0) - p.beta) * (nb - n0) * (1 - weight_S),
+                zsq**N + wsq * zsq ** (N - n) * (1 - zsq**n) / wsq,
+            ]
+            expect = [float(v) for v in expect]
+        assert 0.3 < float(zsq**N) < 0.7
+        got = [
+            effective_beta_S(p, N),
+            effective_beta_Sm(p, N),
+            relative_entropy(p, N),
+            window_overlap_norm_sq(p, n, N),
+        ]
+        for g, e in zip(got, expect):
+            assert abs(g - e) < 1e-14 * abs(e)
+
+    def test_exact_at_zero_steps_and_zero_coupling(self):
+        p = std_params(N=10, E=2.0)
+        assert relative_entropy(p, 0) == 0.0
+        assert effective_beta_S(p, 0) == p.beta0
+        decoupled = std_params(N=10, eta=0.0)
+        assert relative_entropy(decoupled, 7) == 0.0
+        assert window_overlap_norm_sq(decoupled, 4, 9) == 1.0
+
+
 class TestEntropies:
     def test_total_entropy_value_and_invariance(self):
         p = std_params()
@@ -443,7 +483,7 @@ class TestWindow:
         assert abs(ratio - expect) / expect < 0.05
 
     def test_decoupled_window_keeps_initial_entropy(self):
-        # eta = 0: |z| = 1 exercises the termwise geometric branch
+        # eta = 0: |z| = 1, where the geometric sum is exactly n
         p = std_params(N=10, eta=0.0)
         assert abs(window_overlap_norm_sq(p, 2, 6) - 1.0) < 1e-12
         expect = 2.0 * mode_entropy(p.beta) + mode_entropy(p.beta0)

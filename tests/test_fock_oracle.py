@@ -19,6 +19,17 @@ def make_params(E=1.0, eps=1.0, eta=0.5, tau=1.0, N=2, beta0=math.log(3), beta=m
     return ModelParams(E=E, eps=eps, eta=eta, tau=tau, N=N, beta0=beta0, beta=beta)
 
 
+def _generic_blocked_state(modes, D, rng):
+    """Constructor-built state whose sector blocks are generic positive Hermitian matrices."""
+    sizes = [len(B) for B in fo._SectorBasis.get(modes, D).sectors]
+    blocks = []
+    for k in sizes:
+        A = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        blocks.append(A @ A.conj().T)
+    trace = sum(np.trace(b).real for b in blocks)
+    return fo.BlockedDensityMatrix(modes, D, [(b + b.conj().T) / (2 * trace) for b in blocks])
+
+
 class TestLadder:
     def test_matrix_elements(self):
         a = fo.build_ladder(5)
@@ -185,6 +196,16 @@ class TestHamiltonianAndStep:
         b2 = fo.evolve_density(fo.evolve_density(blocked, p, [1]), p, [2])
         d2 = fo.evolve_density(fo.evolve_density(dense, p, [1]), p, [2])
         assert np.max(np.abs(b2.to_dense().matrix - d2.matrix)) < 1e-12
+
+    @pytest.mark.parametrize("schedule", [[1, 3], [2, 1, 3], [1, 2, 1]])
+    def test_blocked_equals_dense_from_generic_state(self, schedule):
+        # a non-product start: every sector block is a full Hermitian matrix
+        p = make_params(E=1.7, eps=1.1, eta=0.6, tau=0.9)
+        blocked = _generic_blocked_state(4, 5, np.random.default_rng(len(schedule)))
+        dense = blocked.to_dense()
+        got = fo.evolve_density(blocked, p, schedule).to_dense().matrix
+        expect = fo.evolve_density(dense, p, schedule).matrix
+        assert np.max(np.abs(got - expect)) < 1e-13
 
     def test_evolution_preserves_trace_and_entropy(self):
         p = make_params()
@@ -386,6 +407,29 @@ class TestWeyl:
         assert np.max(np.abs(vals - single)) < 1e-12
         assert np.max(np.abs(shifted - (single - 1.0))) < 1e-12
         assert np.max(np.abs(shifted - (vals - 1.0))) < 1e-13
+
+    @pytest.mark.parametrize("modes, D", [(2, 9), (2, 10), (3, 7), (3, 8), (4, 5), (4, 6)])
+    def test_blocked_equals_dense_on_generic_states(self, modes, D):
+        # evolved, revisiting and constructor-built states, odd and even cutoffs
+        p = make_params(E=1.7, eps=1.1, eta=0.6, tau=0.9)
+        betas = [p.beta0] + [p.beta, 1.0, 0.8][: modes - 1]
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product(betas, D)
+        revisit = [1, 2, 1] if modes > 2 else [1, 1, 1]
+        rng = np.random.default_rng(10 * modes + D)
+        states = [
+            fo.evolve_density(rho0, p, range(1, modes)),
+            fo.evolve_density(rho0, p, revisit),
+            _generic_blocked_state(modes, D, rng),
+        ]
+        for rho in states:
+            dense = rho.to_dense()
+            for _ in range(4):
+                zeta = 0.5 * rng.uniform(0.2, 1.0, modes) * np.exp(
+                    2j * np.pi * rng.uniform(0.0, 1.0, modes)
+                )
+                vb = fo.weyl_expectation(rho, zeta)
+                vd = fo.weyl_expectation(dense, zeta)
+                assert abs(vb - vd) < 1e-13
 
     def test_headroom_guard(self):
         rho, _ = fo.gibbs_density(1.0, 6)
