@@ -6,7 +6,9 @@ function converges to the universal Gaussian exp(-|theta|^2 Tr[rho_1
 (a*a + a a*)]/4) regardless of the chain state's details, provided the
 chain state has vanishing first and second gauge-breaking moments.  The
 driver evaluates the exact product representation at every checkpoint
-and records the distance to the limit.
+and records the distance to the limit.  Each theta's error sequence is
+fitted to the bound c1 exp(-eta^2 tau^2 N/2) + c2 tau^3 N by a closed-form
+nonnegative least-squares fit over the two columns.
 
 Also here: the moment-hypothesis report backing that run, geometric
 convergence studies for the effective temperatures, relative entropy and
@@ -23,7 +25,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import dynamics, fock_oracle
 from .kernel import ModelParams, normal_modes, step_scalars, validate_hypotheses
@@ -266,6 +267,29 @@ def _chain_product_log(spec: ChainStateSpec, thetas_k: np.ndarray, cutoff: int) 
 _PRODUCT_TERM_CAP = 1_000_000
 
 
+def _nnls_two_columns(design: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """argmin |design c - data| over c >= 0 for a design with two columns.
+
+    The problem is convex, so its optimum lies on an active-set face: one
+    column alone (skipping a zero column; its fit clamped at 0 gives c = 0),
+    or the unconstrained fit when that is nonnegative.  The feasible
+    candidate of least residual is that optimum.  A rank-deficient design
+    has many optima; any one is returned.
+    """
+    candidates = []
+    for k in range(2):
+        column = design[:, k]
+        norm_sq = column @ column
+        if norm_sq > 0.0:
+            face = np.zeros(2)
+            face[k] = max(column @ data / norm_sq, 0.0)
+            candidates.append(face)
+    free = np.linalg.lstsq(design, data, rcond=None)[0]
+    if np.all(free >= 0.0):
+        candidates.append(free)
+    return min(candidates, key=lambda c: np.linalg.norm(design @ c - data))
+
+
 def short_time_limit_run(
     template: ModelParams,
     schedule: LimitSchedule,
@@ -362,7 +386,7 @@ def short_time_limit_run(
     for i in range(len(thetas)):
         errs = errors[i]
         if errs.max() > 0.0:
-            coef, _ = nnls(design, errs)
+            coef = _nnls_two_columns(design, errs)
         else:
             coef = np.zeros(2)
         bounds = design @ coef

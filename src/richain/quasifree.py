@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _ADMISSIBILITY_SLACK = 1e-12
+_LN2 = math.log(2.0)
 
 
 def gibbs_x(beta: float) -> float:
@@ -81,7 +82,11 @@ def mode_entropy(beta: float) -> float:
     q = math.exp(-beta)
     if q == 0.0:
         return 0.0
-    return beta * q / (1.0 - q) - math.log1p(-q)
+    # 1 - q as -expm1(-beta), exact at small beta; its log from 1 - q up to
+    # beta = ln 2 and from q beyond, where log1p(-q) is the exact form
+    one_minus_q = -math.expm1(-beta)
+    log_one_minus_q = math.log(one_minus_q) if beta <= _LN2 else math.log1p(-q)
+    return beta * q / one_minus_q - log_one_minus_q
 
 
 def occupation(beta: float) -> float:

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import richain
 from richain import dynamics
 from richain.cli import main
 
@@ -326,6 +330,42 @@ class TestConfigErrors:
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
+
+
+_NO_SCIPY_LIMIT = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from richain.cli import main
+
+code = main(["limit", "--config", sys.argv[1]])
+assert "scipy" not in sys.modules, "scipy was imported"
+sys.exit(code)
+"""
+
+
+def test_limit_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: block it outright and run the limit
+    # workload's small config in a fresh interpreter
+    cfg = write_config(tmp_path, {
+        "schema_version": 1,
+        "limit": {"spec": {"kind": "number_state", "level": 1},
+                  "thetas": [[1.0, 0.0]], "checkpoints": [100, 1000]},
+    })
+    src = str(Path(richain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _NO_SCIPY_LIMIT, cfg],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 3 and lines[0].startswith("run_id,")
 
 
 @pytest.mark.skipif(shutil.which("richain") is None,

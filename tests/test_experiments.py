@@ -12,6 +12,7 @@ from richain.experiments import (
     ChainStateSpec,
     LimitSchedule,
     RunRecord,
+    _nnls_two_columns,
     convergence_study,
     moment_hypothesis_check,
     short_time_limit_run,
@@ -306,6 +307,76 @@ class TestShortTimeLimitRun:
         assert [r.run_id for r in recs] == [
             "limit-000-00", "limit-001-00", "limit-000-01", "limit-001-01"
         ]
+
+    def test_limit_workload_fit_is_pinned(self):
+        # the benchmark's limit workload: CLI default model, default schedule
+        # 1e2..1e6, number_state level 1; the tau^3 N column is clamped to 0
+        template = ModelParams(E=2.0, eps=1.0, eta=0.5, tau=1.0, N=8,
+                               beta0=math.log(3.0), beta=math.log(2.0))
+        recs = short_time_limit_run(template, LimitSchedule(),
+                                    ChainStateSpec(kind="number_state", level=1),
+                                    [1.0, 0.5 + 0.5j])
+        for rec, c1 in zip(recs[:2], (0.028204373115714988, 0.021250797327484944)):
+            assert abs(rec.outputs["fitted_c1"] - c1) <= 1e-14 * c1
+            assert rec.outputs["fitted_c2"] == 0.0
+
+
+class TestNnlsTwoColumns:
+    """The limit run's closed-form bound fit against scipy's active-set NNLS."""
+
+    @staticmethod
+    def check(design, data):
+        optimize = pytest.importorskip("scipy.optimize")
+        ref, ref_residual = optimize.nnls(design, data)
+        coef = _nnls_two_columns(design, data)
+        assert np.all(coef >= 0.0)
+        assert abs(np.linalg.norm(design @ coef - data) - ref_residual) < 1e-12
+        return coef, ref
+
+    def test_random_tall_designs(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            rows = int(rng.integers(8, 40))
+            coef, ref = self.check(rng.standard_normal((rows, 2)), rng.standard_normal(rows))
+            assert np.max(np.abs(coef - ref)) < 1e-12
+
+    def test_equal_columns(self):
+        # rank 1: every split of c1 + c2 is optimal, so only the sum is unique
+        column = np.linspace(0.1, 1.0, 6)
+        coef, ref = self.check(np.column_stack([column, column]), 1.0 + np.cos(np.arange(6.0)))
+        assert abs(coef.sum() - ref.sum()) < 1e-12
+        assert ref.sum() > 0.0
+
+    def test_zero_column(self):
+        column = np.linspace(0.1, 1.0, 6)
+        data = 1.0 + np.cos(np.arange(6.0))
+        for k in range(2):
+            design = np.zeros((6, 2))
+            design[:, k] = column
+            coef, ref = self.check(design, data)
+            assert np.max(np.abs(coef - ref)) < 1e-12
+            assert ref[1 - k] == 0.0 and ref[k] > 0.0
+        coef, ref = self.check(np.zeros((6, 2)), data)
+        assert np.all(coef == 0.0) and np.all(ref == 0.0)
+
+    def test_all_zero_data(self):
+        design = np.column_stack([np.linspace(0.1, 1.0, 6), np.linspace(1.0, 2.0, 6)])
+        coef, ref = self.check(design, np.zeros(6))
+        assert np.all(coef == 0.0) and np.all(ref == 0.0)
+
+    @pytest.mark.parametrize("free, clamped", [
+        ((-1.0, 2.0), (True, False)),
+        ((2.0, -1.0), (False, True)),
+        ((-1.0, -1.0), (True, True)),
+    ])
+    def test_clamped_faces(self, free, clamped):
+        t = np.linspace(0.0, 0.5 * math.pi, 10)
+        design = np.column_stack([np.cos(t), np.sin(t)])
+        data = design @ np.array(free) + 0.01 * np.cos(7.0 * t)
+        coef, ref = self.check(design, data)
+        assert np.max(np.abs(coef - ref)) < 1e-12
+        assert tuple(ref == 0.0) == clamped
+        assert tuple(coef == 0.0) == clamped
 
 
 class TestConvergenceStudy:

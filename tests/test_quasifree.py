@@ -85,6 +85,16 @@ class TestSigma:
             assert abs(mode_entropy(beta) - sigma(gibbs_x(beta))) < 1e-13
         assert mode_entropy(math.inf) == 0.0
 
+    @pytest.mark.parametrize("beta", [1e-12, 1e-8, 1e-4, math.log(2), 30.0, 700.0])
+    def test_mode_entropy_matches_mpmath(self, beta):
+        mp = pytest.importorskip("mpmath")
+        # 1 - e^-b at 50 digits rounds to 1 once b passes ~115: take both
+        # terms from expm1/log1p
+        with mp.workdps(50):
+            b = mp.mpf(beta)
+            expect = b / mp.expm1(b) - mp.log1p(-mp.exp(-b))
+        assert abs(mode_entropy(beta) - float(expect)) <= 1e-14 * float(expect)
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(1.0, 1e4))
     def test_nonnegative_and_monotone(self, x):
