@@ -13,45 +13,51 @@ Two density-matrix representations are provided.  `FockDensityMatrix`
 stores the full D^M x D^M matrix and is subject to the desk-scale guard
 D^M <= 20000.  Because the step Hamiltonians commute with the total
 number operator, states evolved from diagonal products never develop
-matrix elements between different total-occupation sectors; the
-`BlockedDensityMatrix` representation stores one dense block per sector
-and pushes the reachable size well past the dense guard: three modes at
-D = 30 make 88 sectors, the largest 675 x 675, and all blocks of one
-state take 204 MiB where the dense matrix would take 10.9 GiB.  All
-public operations accept either representation.
+matrix elements between different total-occupation sectors, and a mode
+that has not yet exchanged quanta keeps a definite occupation.  So
+`BlockedDensityMatrix` stores one dense block per group of equal
+uncoupled-mode occupations inside each sector, all blocks of one state
+in one buffer.  Three modes at D = 24 make 70 sectors, the largest
+432 x 432, and the states of a two-step run store:
+
+- the thermal product, no mode coupled: 1 x 1 groups, its 13,824
+  diagonal entries (0.2 MiB);
+- after step 1, modes 0 and 1 coupled: one pair block of size <= D per
+  group, 221,376 entries (3.4 MiB);
+- after step 2, every mode coupled: the groups are the sectors,
+  4,382,904 entries (66.9 MiB), where the dense matrix takes 2.8 GiB.
+
+The public constructor takes sector blocks and counts every mode as
+coupled.  All public operations accept either representation.
 
 The blocked path splits further wherever the physics guarantees it:
 
 - The pair Hamiltonian conserves the pair occupation p = n0 + nn, so
   its step unitary is one tridiagonal exponential of size <= D per p,
-  cached per (E, eps, eta, tau, D).  A step groups each sector's basis
-  by spectator occupation; inside a group p is fixed and the step is one
-  such block times a spectator phase.
-- A mode that has not yet exchanged quanta keeps a definite occupation.
-  A state evolved from a diagonal product records which modes have, and
-  its spectrum is taken per group of equal uncoupled occupations (at
-  most D x D for three modes after their first step).  Equal-size groups
-  share one `eigvalsh` call, and each state's spectrum is computed once.
-
-Each blocked operation touches a sector block in a single pass of flat
-or row gathers and never builds a sector-sized `np.ix_` copy:
-
-- A step permutes rows only: Us @ block @ Us^H = Us @ (Us @ block)^H,
-  and each side gathers the block's rows into spectator-occupation
-  order, applies the pair blocks to contiguous row slices and gathers
-  the rows back, through one sector-sized temporary besides the result.
-- `weyl_expectation` gathers each mode's factor of the Weyl matrix with
-  one flat `take` from that mode's transposed one-mode matrix, multiplies
-  the factors in place and contracts them with the block in one dot of
-  the two ravels.
+  cached per (E, eps, eta, tau, D).
+- A step on slot n writes the layout of the coupled modes plus {0, n}
+  directly.  Where each output group is one pair block p, as in the
+  first step from a product, the group becomes U[p] rho_g U[p]^H,
+  batched over the groups of one size.  Otherwise each output group
+  embeds the finer input groups it contains and permutes rows only:
+  Us @ block @ Us^H = Us @ (Us @ block)^H, and each side gathers the
+  block's rows into spectator-occupation order, applies the pair blocks
+  times their spectator phases to contiguous row slices and gathers the
+  rows back.
+- Blocks of one size are stacked in the buffer.  A spectrum is one
+  `eigvalsh` call per size, computed once per state, and
+  `weyl_expectation` gathers each mode's factor of the Weyl matrix for
+  a run of one stack's groups with one flat `take` from that mode's
+  transposed one-mode matrix, multiplies the factors in place and
+  contracts them with the run in one dot of the two ravels.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +74,6 @@ __all__ = [
     "evolve_density",
     "weyl_expectation",
     "weyl_expectation_batch",
-    "partial_trace",
     "von_neumann_entropy",
     "relative_entropy_oracle",
 ]
@@ -80,6 +85,8 @@ _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 # full spectra are only checked on construction below this dimension
 _EIG_CHECK_DIM = 1200
+# largest Weyl-matrix gather of `weyl_expectation` on a blocked state
+_GATHER_ENTRIES = 1 << 17
 
 
 def build_ladder(D: int) -> np.ndarray:
@@ -178,24 +185,23 @@ class FockDensityMatrix:
 
 
 class _SectorBasis:
-    """Occupation tuples of M modes at cutoff D, grouped by total occupation."""
+    """Occupation tuples of M modes at cutoff D, grouped by total occupation.
+
+    `grid` lists the tuples sector after sector, row-major inside a
+    sector; a tuple's index in `grid` is its basis position.
+    """
 
     def __init__(self, modes: int, cutoff: int):
         self.modes = modes
         self.cutoff = cutoff
-        grids = np.indices((cutoff,) * modes).reshape(modes, -1).T  # (D^M, M)
-        totals = grids.sum(axis=1)
-        order = np.argsort(totals, kind="stable")
-        grids = grids[order]
-        totals = totals[order]
-        bounds = np.searchsorted(totals, np.arange(modes * (cutoff - 1) + 2))
-        self.sectors: list[np.ndarray] = [
-            _read_only(np.ascontiguousarray(grids[bounds[s] : bounds[s + 1]]))
-            for s in range(modes * (cutoff - 1) + 1)
-        ]
-        # row-major ravel index of each basis tuple, per sector
-        radix = cutoff ** np.arange(modes - 1, -1, -1)
-        self.ravels: list[np.ndarray] = [_read_only(B @ radix) for B in self.sectors]
+        grid = np.indices((cutoff,) * modes).reshape(modes, -1).T  # (D^M, M)
+        order = np.argsort(grid.sum(axis=1), kind="stable")
+        self.grid = _read_only(np.ascontiguousarray(grid[order]))
+        self.totals = _read_only(self.grid.sum(axis=1))
+        # sector s is grid[starts[s]:starts[s + 1]]
+        self.starts = np.searchsorted(self.totals, np.arange(modes * (cutoff - 1) + 2))
+        # row-major ravel index of each basis tuple
+        self.ravel = _read_only(self.grid @ (cutoff ** np.arange(modes - 1, -1, -1)))
 
     @classmethod
     @functools.lru_cache(maxsize=16)
@@ -223,42 +229,140 @@ def _occupation_groups(
     return order, np.r_[starts, len(B)]
 
 
+class _Stack(NamedTuple):
+    """The groups of one size k: `members[i]` lists the basis positions of
+    the i-th, whose k x k block starts at buffer[offset + i*k*k]."""
+
+    size: int
+    members: np.ndarray
+    offset: int
+
+
+class _GroupLayout:
+    """Groups of equal uncoupled-mode occupations inside each sector.
+
+    A mode outside `coupled` keeps a definite occupation, so a state is
+    block-diagonal in these groups.  Groups are numbered by sector and
+    then by the uncoupled occupations, and inside a group the basis keeps
+    the sector's row-major order.  A state keeps its blocks in one buffer
+    of `size` entries, stacked by ascending block size.
+    """
+
+    def __init__(self, modes: int, cutoff: int, coupled: frozenset[int]):
+        self.modes = modes
+        self.cutoff = cutoff
+        self.coupled = coupled
+        self.basis = basis = _SectorBasis.get(modes, cutoff)
+        uncoupled = [m for m in range(modes) if m not in coupled]
+        key = basis.grid[:, uncoupled] @ (cutoff ** np.arange(len(uncoupled) - 1, -1, -1))
+        positions = np.arange(len(key))
+        order = np.lexsort((positions, key, basis.totals))
+        new = np.r_[True, (np.diff(basis.totals[order]) != 0) | (np.diff(key[order]) != 0)]
+        starts = np.flatnonzero(new)
+        sorted_group = np.cumsum(new) - 1
+        self.sizes = _read_only(np.diff(np.r_[starts, len(order)]))
+        # group of each basis position, and its index inside that group
+        self.group_of = np.empty_like(positions)
+        self.group_of[order] = sorted_group
+        self.local = np.empty_like(positions)
+        self.local[order] = positions - starts[sorted_group]
+        _read_only(self.group_of)
+        _read_only(self.local)
+
+        offsets = np.empty(len(starts), dtype=np.intp)
+        stacks = []
+        offset = 0
+        for k in np.unique(self.sizes).tolist():
+            groups = np.flatnonzero(self.sizes == k)
+            offsets[groups] = offset + k * k * np.arange(len(groups))
+            members = order[starts[groups][:, None] + np.arange(k)]
+            stacks.append(_Stack(k, _read_only(members), offset))
+            offset += len(groups) * k * k
+        self.offsets = _read_only(offsets)
+        self.stacks: tuple[_Stack, ...] = tuple(stacks)
+        self.size = offset
+
+    @classmethod
+    @functools.lru_cache(maxsize=16)
+    def get(cls, modes: int, cutoff: int, coupled: frozenset[int]) -> "_GroupLayout":
+        return cls(modes, cutoff, coupled)
+
+
+def _embedding(fine: _GroupLayout, coarse: _GroupLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Where each buffer entry of a `fine` state sits in a `coarse` one.
+
+    Every fine group lies inside one coarse group, so a fine state's
+    buffer scatters into a zeroed coarse buffer as coarse[dst] = fine[src].
+    The pairs come sorted by dst.
+    """
+    srcs, dsts = [], []
+    for st in fine.stacks:
+        rows = st.members[:, :, None]
+        group = coarse.group_of[rows]
+        dst = (coarse.offsets[group] + coarse.local[rows] * coarse.sizes[group]
+               + coarse.local[st.members[:, None, :]])
+        dsts.append(dst.ravel())
+        srcs.append(st.offset + np.arange(dst.size))
+    dst = np.concatenate(dsts)
+    order = np.argsort(dst)
+    return _read_only(np.concatenate(srcs)[order]), _read_only(dst[order])
+
+
 class BlockedDensityMatrix:
-    """Density matrix stored as one dense block per total-occupation sector.
+    """Density matrix stored as one dense block per group of equal
+    uncoupled-mode occupations inside each total-occupation sector.
 
     Valid only for states with no coherences between sectors, which is
     preserved by every operation in this module that returns one.  The
-    constructor copies the given blocks and stores the copies as a tuple
-    of read-only arrays, so the spectrum computed from them once stays
-    valid whatever the caller later does with its own arrays.
+    constructor takes one block per sector, counts every mode as coupled
+    and copies the blocks into a buffer of its own, so the spectrum
+    computed from them once stays valid whatever the caller later does
+    with its own arrays.  States built by `from_diagonal_product` or by
+    `evolve_density` know which modes have exchanged quanta and store
+    only the groups of `_GroupLayout`.  Every block is a read-only view
+    into the state's one buffer.
     """
 
     def __init__(self, modes: int, cutoff: int, blocks: list[np.ndarray]):
-        self._set_blocks(modes, cutoff, [np.array(b, dtype=complex) for b in blocks])
+        layout = _GroupLayout.get(modes, cutoff, frozenset(range(modes)))
+        if len(blocks) != len(layout.sizes):
+            raise ValueError(f"expected {len(layout.sizes)} sector blocks, got {len(blocks)}")
+        buffer = np.empty(layout.size, dtype=complex)
+        # with every mode coupled, group s is sector s
+        for s, (k, offset, block) in enumerate(zip(layout.sizes, layout.offsets, blocks)):
+            block = np.asarray(block)
+            if block.shape != (k, k):
+                raise ValueError(f"sector {s} block must be {k}x{k}, got {block.shape}")
+            buffer[offset : offset + k * k] = block.ravel()
+        self._set(layout, buffer)
 
     @classmethod
-    def _from_own_blocks(
-        cls, modes: int, cutoff: int, blocks: list[np.ndarray]
-    ) -> "BlockedDensityMatrix":
-        """Take over fresh complex arrays that nothing else holds, uncopied."""
+    def _from_buffer(cls, layout: _GroupLayout, buffer: np.ndarray) -> "BlockedDensityMatrix":
+        """Take over a fresh complex buffer that nothing else holds, uncopied."""
         rho = cls.__new__(cls)
-        rho._set_blocks(modes, cutoff, blocks)
+        rho._set(layout, buffer)
         return rho
 
-    def _set_blocks(self, modes: int, cutoff: int, blocks: list[np.ndarray]) -> None:
-        self.modes = modes
-        self.cutoff = cutoff
-        self.basis = _SectorBasis.get(modes, cutoff)
-        if len(blocks) != len(self.basis.sectors):
-            raise ValueError(
-                f"expected {len(self.basis.sectors)} sector blocks, got {len(blocks)}"
-            )
-        self.blocks = tuple(_read_only(b) for b in blocks)
-        # Modes that have exchanged quanta since a diagonal product, or None
-        # when unknown.  Every other mode keeps a definite occupation, so the
-        # state is block-diagonal in those modes' occupations.
-        self._coupled: frozenset[int] | None = None
+    def _set(self, layout: _GroupLayout, buffer: np.ndarray) -> None:
+        self.modes = layout.modes
+        self.cutoff = layout.cutoff
+        self._layout = layout
+        self._buffer = _read_only(buffer)
         self._spectrum: np.ndarray | None = None
+
+    def _stacks(self):
+        """Each stack of the layout with its blocks, an (n, k, k) read-only view."""
+        for st in self._layout.stacks:
+            n, k = len(st.members), st.size
+            yield st, self._buffer[st.offset : st.offset + n * k * k].reshape(n, k, k)
+
+    @functools.cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """One read-only block per group, by sector and then by uncoupled occupations."""
+        return tuple(
+            self._buffer[offset : offset + k * k].reshape(k, k)
+            for k, offset in zip(self._layout.sizes.tolist(), self._layout.offsets.tolist())
+        )
 
     @classmethod
     def from_diagonal_product(
@@ -266,16 +370,13 @@ class BlockedDensityMatrix:
     ) -> "BlockedDensityMatrix":
         """Product of diagonal one-mode states given by probability vectors."""
         modes = len(prob_vectors)
-        basis = _SectorBasis.get(modes, cutoff)
-        blocks = []
-        for B in basis.sectors:
-            diag = np.ones(len(B))
-            for m in range(modes):
-                diag = diag * np.asarray(prob_vectors[m])[B[:, m]]
-            blocks.append(np.diag(diag.astype(complex)))
-        rho = cls._from_own_blocks(modes, cutoff, blocks)
-        rho._coupled = frozenset()
-        return rho
+        layout = _GroupLayout.get(modes, cutoff, frozenset())
+        grid = layout.basis.grid
+        diag = np.ones(len(grid))
+        for m in range(modes):
+            diag = diag * np.asarray(prob_vectors[m])[grid[:, m]]
+        # with no mode coupled each group is one basis tuple, in basis order
+        return cls._from_buffer(layout, diag.astype(complex))
 
     @classmethod
     def from_thermal_product(
@@ -286,18 +387,30 @@ class BlockedDensityMatrix:
         )
 
     def trace(self) -> float:
-        return float(sum(np.trace(b).real for b in self.blocks))
+        return float(sum(
+            np.trace(blocks, axis1=1, axis2=2).real.sum() for _, blocks in self._stacks()
+        ))
+
+    def _diagonal(self) -> np.ndarray:
+        """The diagonal, indexed by basis position."""
+        out = np.empty(len(self._layout.basis.grid), dtype=complex)
+        for st, blocks in self._stacks():
+            out[st.members] = np.diagonal(blocks, axis1=1, axis2=2)
+        return out
 
     def diagonal(self) -> list[np.ndarray]:
-        return [np.diagonal(b).copy() for b in self.blocks]
+        """The diagonal, one array per sector."""
+        return np.split(self._diagonal(), self._layout.basis.starts[1:-1])
 
     def to_dense(self) -> FockDensityMatrix:
         dim = self.cutoff**self.modes
         if dim > DENSE_DIM_GUARD:
             raise ValueError(f"dense dimension {dim} exceeds the guard")
         mat = np.zeros((dim, dim), dtype=complex)
-        for B_ravel, block in zip(self.basis.ravels, self.blocks):
-            mat[np.ix_(B_ravel, B_ravel)] = block
+        ravel = self._layout.basis.ravel
+        for st, blocks in self._stacks():
+            idx = ravel[st.members]
+            mat[idx[:, :, None], idx[:, None, :]] = blocks
         return FockDensityMatrix(self.modes, self.cutoff, mat)
 
 
@@ -431,59 +544,122 @@ def _dense_step(mat: np.ndarray, modes: int, D: int, n: int, U2: np.ndarray,
 
 
 @functools.lru_cache(maxsize=32)
-def _step_plan(modes: int, D: int, n: int) -> tuple:
-    """Per sector, how the step on slot n acts on it.
+def _step_plan(modes: int, D: int, coupled: frozenset[int], n: int) -> tuple:
+    """How the step on slot n maps a state of layout `coupled` to its successor.
 
-    A sector's basis is grouped by spectator occupation (every mode but 0
-    and n).  Inside a group the pair occupation p is fixed and n0 ascends,
-    so the group is exactly the basis of pair block p and the step there
-    is that block times the spectator phase.  Each entry is (order,
-    inverse, groups): order makes the groups contiguous, inverse undoes
-    it, and groups lists (lo, hi, p, spectator total) per row slice.
+    Returns the output layout, for coupled | {0, n}, and per output stack
+    (pairs, embed, groups).  No embed is needed where the input layout is
+    the output layout; otherwise an embed is the part (src, dst) of
+    `_embedding` that lands in the stack or group, dst counted from its
+    start.
+
+    - Where no mode but 0 and n is coupled, each output group is one pair
+      block: pairs lists each group's pair occupation p, embed is the
+      stack's, and groups is None.
+    - Otherwise pairs and embed are None and groups holds, per group,
+      (order, inverse, runs, embed): order sorts the group's basis by
+      spectator occupation (every mode but 0 and n), inverse undoes it,
+      and runs lists (lo, hi, p, spectator total) per row slice.  Inside
+      a run p is fixed and n0 ascends, so the run is exactly the basis of
+      pair block p.  The group's embed puts the rows in `order` already.
     """
-    basis = _SectorBasis.get(modes, D)
+    fine = _GroupLayout.get(modes, D, coupled)
+    out = _GroupLayout.get(modes, D, coupled | {0, n})
+    embedding = None if fine is out else _embedding(fine, out)
+    grid = out.basis.grid
     rest = [c for c in range(modes) if c not in (0, n)]
     plan = []
-    for s, B in enumerate(basis.sectors):
-        order, bounds = _occupation_groups(B, rest, D)
+    for st in out.stacks:
+        k = st.size
+        if out.coupled == {0, n}:
+            first = grid[st.members[:, 0]]
+            pairs = tuple((first[:, 0] + first[:, n]).tolist())
+            plan.append((pairs, _embed_range(embedding, st.offset, len(st.members) * k * k), None))
+            continue
         groups = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            p = int(B[order[lo], 0] + B[order[lo], n])
-            groups.append((int(lo), int(hi), p, s - p))
-        plan.append((_read_only(order), _read_only(np.argsort(order)), tuple(groups)))
-    return tuple(plan)
+        for i, members in enumerate(st.members):
+            B = grid[members]
+            order, bounds = _occupation_groups(B, rest, D)
+            inverse = np.argsort(order)
+            runs = []
+            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                p = int(B[order[lo], 0] + B[order[lo], n])
+                runs.append((lo, hi, p, int(B[0].sum()) - p))
+            embed = _embed_range(embedding, st.offset + i * k * k, k * k)
+            if embed is not None:
+                rows, cols = np.divmod(embed[1], k)
+                embed = (embed[0], _read_only(inverse[rows] * k + cols))
+            groups.append((_read_only(order), _read_only(inverse), tuple(runs), embed))
+        plan.append((None, None, tuple(groups)))
+    return out, tuple(plan)
+
+
+def _embed_range(embedding, start: int, length: int):
+    """The pairs of `embedding` with dst in [start, start + length), dst - start."""
+    if embedding is None:
+        return None
+    src, dst = embedding
+    lo, hi = np.searchsorted(dst, [start, start + length])
+    return src[lo:hi], _read_only(dst[lo:hi] - start)
+
+
+def _regroup(rho: BlockedDensityMatrix, coupled: frozenset[int]) -> BlockedDensityMatrix:
+    """`rho` in the coarser layout of the modes `coupled`."""
+    layout = _GroupLayout.get(rho.modes, rho.cutoff, coupled)
+    if layout is rho._layout:
+        return rho
+    src, dst = _embedding(rho._layout, layout)
+    buffer = np.zeros(layout.size, dtype=complex)
+    buffer[dst] = rho._buffer[src]
+    return BlockedDensityMatrix._from_buffer(layout, buffer)
 
 
 def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMatrix:
     D, modes = rho.cutoff, rho.modes
+    layout, plan = _step_plan(modes, D, rho._layout.coupled, n)
     U = _pair_blocks(params.E, params.eps, params.eta, params.tau, D)
     phase = np.exp(-1j * params.tau * params.eps * np.arange(modes * (D - 1) + 1))
-    # Us = P^T G P with P the row permutation `order` and G the grouped
-    # blocks, so Us @ block @ Us^H = Us @ (Us @ block)^H: each side permutes
-    # rows only.  A sector needs two buffers, its evolved block B and one
-    # temporary A.  The indices are permutations, so mode="clip" never
-    # clips; it spares the copy that take(..., out=) makes by default.
-    new_blocks = []
-    for block, (order, inverse, groups) in zip(rho.blocks, _step_plan(modes, D, n)):
-        steps = [(lo, hi, phase[rest_total] * U[p]) for lo, hi, p, rest_total in groups]
-        B = np.empty_like(block)
-        A = block.take(order, axis=0)
-        for lo, hi, Us in steps:
-            np.matmul(Us, A[lo:hi], out=B[lo:hi])
-        np.take(B, inverse, axis=0, out=A, mode="clip")  # A = Us @ block
-        np.conjugate(A, out=A)
-        np.take(A.T, order, axis=0, out=B, mode="clip")
-        for lo, hi, Us in steps:
-            np.matmul(Us, B[lo:hi], out=A[lo:hi])
-        np.take(A, inverse, axis=0, out=B, mode="clip")
-        new_blocks.append(B)
-        # free A before the next sector's B is allocated, so the evolved
-        # blocks pack together instead of around freed temporaries
-        del A
-    out = BlockedDensityMatrix._from_own_blocks(modes, D, new_blocks)
-    if rho._coupled is not None:
-        out._coupled = rho._coupled | {0, n}
-    return out
+    source = rho._buffer
+    buffer = np.empty(layout.size, dtype=complex)
+    for st, (pairs, embed, groups) in zip(layout.stacks, plan):
+        count, k = len(st.members), st.size
+        stack = slice(st.offset, st.offset + count * k * k)
+        out = buffer[stack].reshape(count, k, k)
+        if pairs is not None:
+            if embed is None:
+                X = source[stack].reshape(count, k, k)
+            else:
+                X = np.zeros(count * k * k, dtype=complex)
+                X[embed[1]] = source[embed[0]]
+                X = X.reshape(count, k, k)
+            # one spectator phase multiplies both sides of a pair block, so
+            # it cancels
+            Ug = np.stack([U[p] for p in pairs])
+            np.matmul(Ug @ X, Ug.conj().transpose(0, 2, 1), out=out)
+            continue
+        # Us = P^T G P with P the row permutation `order` and G the grouped
+        # blocks, so Us @ block @ Us^H = Us @ (Us @ block)^H: each side permutes
+        # rows only, through one group-sized temporary A and the result R.
+        # The indices are permutations, so mode="clip" never clips; it
+        # spares the copy that take(..., out=) makes by default.
+        for i, (R, (order, inverse, runs, embed)) in enumerate(zip(out, groups)):
+            steps = [(lo, hi, phase[rest_total] * U[p]) for lo, hi, p, rest_total in runs]
+            if embed is None:
+                start = st.offset + i * k * k
+                A = source[start : start + k * k].reshape(k, k).take(order, axis=0)
+            else:
+                A = np.zeros(k * k, dtype=complex)
+                A[embed[1]] = source[embed[0]]
+                A = A.reshape(k, k)
+            for lo, hi, Us in steps:
+                np.matmul(Us, A[lo:hi], out=R[lo:hi])
+            np.take(R, inverse, axis=0, out=A, mode="clip")  # A = Us @ block
+            np.conjugate(A, out=A)
+            np.take(A.T, order, axis=0, out=R, mode="clip")
+            for lo, hi, Us in steps:
+                np.matmul(Us, R[lo:hi], out=A[lo:hi])
+            np.take(A, inverse, axis=0, out=R, mode="clip")
+    return BlockedDensityMatrix._from_buffer(layout, buffer)
 
 
 def evolve_density(rho, params, schedule) -> "FockDensityMatrix | BlockedDensityMatrix":
@@ -534,16 +710,21 @@ def weyl_expectation(rho, zeta) -> complex:
     ws = [_one_mode_weyl(z, rho.cutoff) for z in zeta]
     if isinstance(rho, BlockedDensityMatrix):
         # W[I, J] = prod_m w_m[J_m, I_m], gathered flat from the transposed
-        # factors, so sum_{I,J} rho[I,J] * W[I,J] is one dot of the ravels
+        # factors for a run of one stack's groups, so sum_{I,J} rho[I,J] *
+        # W[I,J] is one dot of the ravels; a run holds at most
+        # _GATHER_ENTRIES entries unless one group alone has more
         D = rho.cutoff
         flat = [np.ascontiguousarray(w.T).ravel() for w in ws]
+        grid = rho._layout.basis.grid
         total = 0j
-        for B, block in zip(rho.basis.sectors, rho.blocks):
-            cols = B.T
-            W = flat[0].take(D * cols[0][:, None] + cols[0])
-            for wt, col in zip(flat[1:], cols[1:]):
-                W *= wt.take(D * col[:, None] + col)
-            total += W.ravel() @ block.ravel()
+        for st, blocks in rho._stacks():
+            run = max(1, _GATHER_ENTRIES // st.size**2)
+            for lo in range(0, len(blocks), run):
+                cols = grid[st.members[lo : lo + run]].transpose(2, 0, 1)  # (modes, groups, k)
+                W = flat[0].take(D * cols[0][:, :, None] + cols[0][:, None, :])
+                for wt, col in zip(flat[1:], cols[1:]):
+                    W *= wt.take(D * col[:, :, None] + col[:, None, :])
+                total += W.ravel() @ blocks[lo : lo + run].ravel()
         return complex(total)
     # sum_{I,J} rho[I,J] * prod_m w_m[J_m, I_m], contracted mode by mode so the
     # D^M x D^M Weyl matrix is never materialized
@@ -633,37 +814,6 @@ def weyl_expectation_batch(
     return out
 
 
-def partial_trace(rho, keep) -> FockDensityMatrix:
-    """Reduced density matrix on the modes listed in `keep` (in that order)."""
-    keep = list(keep)
-    if not keep or len(set(keep)) != len(keep):
-        raise ValueError("keep must be a nonempty list of distinct modes")
-    if any(not 0 <= k < rho.modes for k in keep):
-        raise ValueError(f"keep entries must lie in 0..{rho.modes - 1}")
-    D = rho.cutoff
-    traced = [m for m in range(rho.modes) if m not in keep]
-    out_dim = D ** len(keep)
-    if isinstance(rho, BlockedDensityMatrix):
-        out = np.zeros((out_dim, out_dim), dtype=complex)
-        keep_radix = D ** np.arange(len(keep) - 1, -1, -1)
-        for B, block in zip(rho.basis.sectors, rho.blocks):
-            kept_idx = B[:, keep] @ keep_radix
-            order, bounds = _occupation_groups(B, traced, D)
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                grp = order[lo:hi]
-                out[np.ix_(kept_idx[grp], kept_idx[grp])] += block[np.ix_(grp, grp)]
-        return FockDensityMatrix(len(keep), D, out)
-    # dense: reshape, trace out, reorder remaining axes to the keep order
-    T = rho.matrix.reshape((D,) * (2 * rho.modes))
-    for m in sorted(traced, reverse=True):
-        T = np.trace(T, axis1=m, axis2=m + (T.ndim // 2))
-    remaining = [m for m in range(rho.modes) if m in keep]
-    perm = [remaining.index(k) for k in keep]
-    half = len(keep)
-    T = np.transpose(T, axes=perm + [p + half for p in perm])
-    return FockDensityMatrix(len(keep), D, T.reshape(out_dim, out_dim))
-
-
 def _entropy_from_eigs(vals: np.ndarray) -> float:
     if float(vals.min(initial=0.0)) < NEG_EIG_CLAMP:
         raise ValueError(f"eigenvalue {vals.min()} below the clamp tolerance")
@@ -674,31 +824,11 @@ def _entropy_from_eigs(vals: np.ndarray) -> float:
 
 
 def _spectrum(rho: BlockedDensityMatrix) -> np.ndarray:
-    """All eigenvalues of a blocked state, computed once per state.
-
-    A mode outside `rho._coupled` keeps a definite occupation, so each
-    sector block is block-diagonal in those modes' occupations and the
-    groups' sub-blocks carry its whole spectrum.  With no record every
-    mode counts as coupled and each sector is one group.  Groups of one
-    size are stacked, across sectors, into one `eigvalsh` call.
-    """
+    """All eigenvalues of a blocked state, one `eigvalsh` call per stack,
+    computed once per state."""
     if rho._spectrum is None:
-        coupled = range(rho.modes) if rho._coupled is None else rho._coupled
-        uncoupled = [m for m in range(rho.modes) if m not in coupled]
-        stacks = defaultdict(list)
-        for B, block in zip(rho.basis.sectors, rho.blocks):
-            order, bounds = _occupation_groups(B, uncoupled, rho.cutoff)
-            sizes = np.diff(bounds)
-            for k in np.unique(sizes).tolist():
-                if k == len(block):
-                    stacks[k].append(block[None])
-                else:
-                    # one row of group indices per group of size k
-                    idx = order[bounds[:-1][sizes == k][:, None] + np.arange(k)]
-                    stacks[k].append(block[idx[:, :, None], idx[:, None, :]])
         rho._spectrum = _read_only(np.concatenate([
-            np.linalg.eigvalsh(np.concatenate(parts)).ravel()
-            for parts in stacks.values()
+            np.linalg.eigvalsh(blocks).ravel() for _, blocks in rho._stacks()
         ]))
     return rho._spectrum
 
@@ -736,26 +866,24 @@ def relative_entropy_oracle(rho, rho0) -> float:
     if isinstance(rho, BlockedDensityMatrix):
         if (rho.modes, rho.cutoff) != (rho0.modes, rho0.cutoff):
             raise ValueError("states must share modes and cutoff")
-        ref_diagonal = all(
-            np.count_nonzero(b) == np.count_nonzero(np.diagonal(b)) for b in rho0.blocks
-        )
-        if not ref_diagonal:
+        if any(st.size > 1 for st in rho0._layout.stacks):
+            # both states are block-diagonal in the groups of their joint
+            # coupled modes
+            coupled = rho._layout.coupled | rho0._layout.coupled
             return sum(
                 _relative_entropy_spectral(b, b0)
-                for b, b0 in zip(rho.blocks, rho0.blocks)
+                for b, b0 in zip(_regroup(rho, coupled).blocks, _regroup(rho0, coupled).blocks)
             )
         lam = np.clip(_spectrum(rho), 0.0, None)
         keep = lam > EIG_FLOOR
         total = float((lam[keep] * np.log(lam[keep])).sum())
-        for block, block0 in zip(rho.blocks, rho0.blocks):
-            p0 = np.diagonal(block0).real
-            diag = np.diagonal(block).real
-            dead = p0 <= EIG_FLOOR
-            if np.any(diag[dead] > _SUPPORT_TOL):
-                raise ValueError("support of rho is not contained in support of rho0")
-            live = ~dead
-            total -= float((diag[live] * np.log(p0[live])).sum())
-        return total
+        p0 = rho0._diagonal().real
+        diag = rho._diagonal().real
+        dead = p0 <= EIG_FLOOR
+        if np.any(diag[dead] > _SUPPORT_TOL):
+            raise ValueError("support of rho is not contained in support of rho0")
+        live = ~dead
+        return total - float((diag[live] * np.log(p0[live])).sum())
     if (rho.modes, rho.cutoff) != (rho0.modes, rho0.cutoff):
         raise ValueError("states must share modes and cutoff")
     return _relative_entropy_spectral(rho.matrix, rho0.matrix)

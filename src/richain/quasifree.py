@@ -36,6 +36,10 @@ __all__ = [
 
 _ADMISSIBILITY_SLACK = 1e-12
 _LN2 = math.log(2.0)
+# past this beta, s(beta) = (beta + 1) e^-beta to within e^-beta relative,
+# and e^-beta nears the subnormal range
+_DEEP_BETA = 700.0
+_EXP_MINUS_DEEP_BETA = math.exp(-_DEEP_BETA)
 
 
 def gibbs_x(beta: float) -> float:
@@ -79,9 +83,12 @@ def mode_entropy(beta: float) -> float:
         raise ValueError(f"beta must lie in (0, +inf], got {beta!r}")
     if math.isinf(beta):
         return 0.0
+    if beta > _DEEP_BETA:
+        # e^-beta as e^-(beta - 700) e^-700, with beta - 700 exact: every
+        # factor is a normal float, so only the last product can round into
+        # the subnormal range
+        return (beta + 1.0) * math.exp(_DEEP_BETA - beta) * _EXP_MINUS_DEEP_BETA
     q = math.exp(-beta)
-    if q == 0.0:
-        return 0.0
     # 1 - q as -expm1(-beta), exact at small beta; its log from 1 - q up to
     # beta = ln 2 and from q beyond, where log1p(-q) is the exact form
     one_minus_q = -math.expm1(-beta)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fock_reference import partial_trace
 from richain import fock_oracle as fo
 from richain.dynamics import (
     SubsystemSelector,
@@ -113,7 +114,7 @@ class TestOracleAgreement:
         ]
         rng = np.random.default_rng(3)
         for selector, keep in cases:
-            reduced = fo.partial_trace(states[2], keep)
+            reduced = partial_trace(states[2], keep)
             for _ in range(5):
                 alphas = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
                 alphas *= 0.35 / np.linalg.norm(alphas)
@@ -124,7 +125,7 @@ class TestOracleAgreement:
     def test_effective_temperature_of_Sm_marginal(self, oracle_states):
         # the most recent chain mode is exactly thermal at beta**
         p, states = oracle_states
-        reduced = fo.partial_trace(states[2], [2])
+        reduced = partial_trace(states[2], [2])
         expect = fo.thermal_probabilities(effective_beta_Sm(p, 2), ORACLE_D)
         assert np.max(np.abs(np.diag(reduced.matrix).real - expect)) < 1e-4
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fock_reference import partial_trace, sector_blocks
 from richain import fock_oracle as fo
 from richain.kernel import ModelParams
 
@@ -21,7 +22,7 @@ def make_params(E=1.0, eps=1.0, eta=0.5, tau=1.0, N=2, beta0=math.log(3), beta=m
 
 def _generic_blocked_state(modes, D, rng):
     """Constructor-built state whose sector blocks are generic positive Hermitian matrices."""
-    sizes = [len(B) for B in fo._SectorBasis.get(modes, D).sectors]
+    sizes = np.diff(fo._SectorBasis.get(modes, D).starts).tolist()
     blocks = []
     for k in sizes:
         A = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
@@ -263,14 +264,14 @@ class TestPairUnitary:
 
 
 def _full_block_entropy(rho):
-    lam = np.clip(np.concatenate([np.linalg.eigvalsh(b) for b in rho.blocks]), 0.0, None)
+    lam = np.clip(np.concatenate([np.linalg.eigvalsh(b) for b in sector_blocks(rho)]), 0.0, None)
     lam = lam[lam > fo.EIG_FLOOR]
     return float(-(lam * np.log(lam)).sum())
 
 
 def _full_block_relative_entropy(rho, rho0):
     total = -_full_block_entropy(rho)
-    for b, b0 in zip(rho.blocks, rho0.blocks):
+    for b, b0 in zip(sector_blocks(rho), sector_blocks(rho0)):
         p0 = np.diagonal(b0).real
         live = p0 > fo.EIG_FLOOR
         total -= float((np.diagonal(b).real[live] * np.log(p0[live])).sum())
@@ -309,8 +310,8 @@ class TestGroupedSpectra:
         p = make_params()
         rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta, p.beta], 9)
         evolved = fo.evolve_density(rho0, p, [1, 2])
-        direct = fo.BlockedDensityMatrix(3, 9, [np.asarray(b).copy() for b in evolved.blocks])
-        assert direct._coupled is None
+        direct = fo.BlockedDensityMatrix(3, 9, sector_blocks(evolved))
+        assert direct._layout.coupled == frozenset(range(3))
         self._assert_matches_full_block(direct, rho0)
         assert abs(fo.von_neumann_entropy(direct) - fo.von_neumann_entropy(rho0)) < 1e-12
 
@@ -332,6 +333,59 @@ class TestGroupedSpectra:
         fo.von_neumann_entropy(rho2)
         assert first > 0
         assert len(calls) == first
+
+
+class TestCompactLayout:
+    """States stored by groups of equal uncoupled occupations."""
+
+    def test_stored_entry_counts(self):
+        p = make_params()
+        D = 9
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta, p.beta], D)
+        rho1 = fo.evolve_density(rho0, p, [1])
+        rho2 = fo.evolve_density(rho1, p, [2])
+        pair_sizes = [len(fo._pair_occupations(q, D)) for q in range(2 * D - 1)]
+        sector_sizes = np.diff(fo._SectorBasis.get(3, D).starts).tolist()
+        expect = [D**3, D * sum(k * k for k in pair_sizes), sum(k * k for k in sector_sizes)]
+        assert expect == [729, 4401, 32661]
+        for rho, count in zip((rho0, rho1, rho2), expect):
+            assert sum(b.size for b in rho.blocks) == count
+            assert rho.blocks[0].base.size == count
+        assert all(b.shape == (1, 1) for b in rho0.blocks)
+        assert max(len(b) for b in rho1.blocks) == D
+
+    def test_blocks_share_one_buffer(self):
+        p = make_params()
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta, p.beta], 7)
+        evolved = [fo.evolve_density(rho0, p, s) for s in ([1], [1, 2], [1, 2, 1])]
+        direct = fo.BlockedDensityMatrix(3, 7, sector_blocks(evolved[1]))
+        for rho in [rho0, direct] + evolved:
+            base = rho.blocks[0].base
+            assert all(b.base is base for b in rho.blocks)
+            assert not base.flags.writeable
+
+    @pytest.mark.parametrize(
+        "modes, D, schedule", [(3, 6, [1]), (3, 6, [1, 2]), (3, 6, [1, 2, 1]), (4, 5, [1, 3])]
+    )
+    def test_compact_equals_sector_copy(self, modes, D, schedule):
+        p = make_params(E=1.7, eps=1.1, eta=0.6, tau=0.9)
+        betas = [p.beta0] + [p.beta, 1.0, 0.8][: modes - 1]
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product(betas, D)
+        compact = fo.evolve_density(rho0, p, schedule)
+        copy = fo.BlockedDensityMatrix(modes, D, sector_blocks(compact))
+        ref_copy = fo.BlockedDensityMatrix(modes, D, sector_blocks(rho0))
+        rng = np.random.default_rng(modes * 10 + len(schedule))
+        for _ in range(3):
+            zeta = 0.3 * (rng.standard_normal(modes) + 1j * rng.standard_normal(modes))
+            assert abs(fo.weyl_expectation(compact, zeta) - fo.weyl_expectation(copy, zeta)) < 1e-13
+        assert abs(fo.von_neumann_entropy(compact) - fo.von_neumann_entropy(copy)) < 1e-13
+        expect = fo.relative_entropy_oracle(copy, ref_copy)
+        for rho, ref in ((compact, rho0), (copy, rho0), (compact, ref_copy)):
+            assert abs(fo.relative_entropy_oracle(rho, ref) - expect) < 1e-13
+        assert np.max(np.abs(compact.to_dense().matrix - copy.to_dense().matrix)) < 1e-13
+        nxt_compact = fo.evolve_density(compact, p, [modes - 1])
+        nxt_copy = fo.evolve_density(copy, p, [modes - 1])
+        assert np.max(np.abs(nxt_compact.to_dense().matrix - nxt_copy.to_dense().matrix)) < 1e-13
 
 
 class TestWeyl:
@@ -443,7 +497,7 @@ class TestPartialTrace:
         D = 7
         blocked = fo.BlockedDensityMatrix.from_thermal_product(betas, D)
         for keep in range(3):
-            red = fo.partial_trace(blocked, [keep])
+            red = partial_trace(blocked, [keep])
             expect = np.diag(fo.thermal_probabilities(betas[keep], D))
             assert np.max(np.abs(red.matrix - expect)) < 1e-13
 
@@ -455,21 +509,21 @@ class TestPartialTrace:
         )
         evolved = fo.evolve_density(blocked, p, [1, 2])
         for keep in ([0], [1], [0, 2], [0, 1]):
-            rb = fo.partial_trace(evolved, keep)
-            rd = fo.partial_trace(evolved.to_dense(), keep)
+            rb = partial_trace(evolved, keep)
+            rd = partial_trace(evolved.to_dense(), keep)
             assert np.max(np.abs(rb.matrix - rd.matrix)) < 1e-12
 
     def test_keep_order_is_ascending_sites(self):
         betas = [math.log(3), math.log(2)]
         D = 5
         blocked = fo.BlockedDensityMatrix.from_thermal_product(betas, D)
-        red = fo.partial_trace(blocked, [1])
+        red = partial_trace(blocked, [1])
         assert np.max(np.abs(np.diag(red.matrix).real
                              - fo.thermal_probabilities(math.log(2), D))) < 1e-13
 
     def test_trace_preserved(self):
         blocked = fo.BlockedDensityMatrix.from_thermal_product([1.0, 2.0, 0.5], 5)
-        red = fo.partial_trace(blocked, [0, 1])
+        red = partial_trace(blocked, [0, 1])
         assert abs(red.matrix.trace().real - 1.0) < 1e-13
 
 

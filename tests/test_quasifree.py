@@ -95,6 +95,18 @@ class TestSigma:
             expect = b / mp.expm1(b) - mp.log1p(-mp.exp(-b))
         assert abs(mode_entropy(beta) - float(expect)) <= 1e-14 * float(expect)
 
+    @pytest.mark.parametrize("beta", [711.8, 721.1, 730.5, 740.0])
+    def test_mode_entropy_deep_vacuum_matches_mpmath(self, beta):
+        # e^-beta is subnormal here; from beta ~ 715 on s(beta) is too, and
+        # the reference rounded to a double sits on the same coarse grid
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            b = mp.mpf(beta)
+            expect = float(b / mp.expm1(b) - mp.log1p(-mp.exp(-b)))
+        got = mode_entropy(beta)
+        assert got > 0.0
+        assert abs(got - expect) <= 1e-14 * expect
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(1.0, 1e4))
     def test_nonnegative_and_monotone(self, x):
