@@ -28,6 +28,7 @@ from .experiments import (
     LimitSchedule,
     RunRecord,
     convergence_study,
+    oracle_deltas,
     short_time_limit_run,
     sweep,
 )
@@ -307,25 +308,7 @@ def cmd_simulate(config: dict, params: ModelParams, use_oracle: bool, cutoff: in
         }
         deltas = None
         if oracle_states is not None:
-            state = dynamics.evolve_state(params, m).state
-            rng = np.random.default_rng([seed, m])
-            worst = 0.0
-            for _ in range(5):
-                zeta = rng.standard_normal(params.N + 1) + 1j * rng.standard_normal(
-                    params.N + 1
-                )
-                norm = float(np.linalg.norm(zeta))
-                if norm > 0.5:
-                    zeta *= 0.5 / norm
-                brute = fock_oracle.weyl_expectation(oracle_states[m], zeta)
-                worst = max(worst, abs(complex(char_fn(state, zeta)) - brute))
-            deltas = {
-                "char_fn_max": worst,
-                "entropy": abs(
-                    fock_oracle.von_neumann_entropy(oracle_states[m])
-                    - outputs["total_entropy"]
-                ),
-            }
+            deltas = oracle_deltas(params, m, oracle_states[m], np.random.default_rng([seed, m]), 5)
         records.append(
             RunRecord(
                 run_id=f"simulate-{m:04d}",
@@ -591,21 +574,10 @@ def run_verification(
     rho_m = [rho0]
     for n in (1, 2):
         rho_m.append(fock_oracle.evolve_density(rho_m[-1], p2, [n]))
-    dev = 0.0
-    for _ in range(10):
-        zeta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        norm = float(np.linalg.norm(zeta))
-        if norm > 0.5:
-            zeta *= 0.5 / norm
-        exact = char_fn(dynamics.evolve_state(p2, 2).state, zeta)
-        dev = max(dev, abs(complex(exact) - fock_oracle.weyl_expectation(rho_m[2], zeta)))
+    dev = oracle_deltas(p2, 2, rho_m[2], rng, 10)["char_fn_max"]
     checks.append(VerifyCheck("oracle_char_fn", dev, _tol(tolerance, 1e-5)))
 
-    dev = 0.0
-    for m in (0, 1, 2):
-        dev = max(dev, abs(
-            fock_oracle.von_neumann_entropy(rho_m[m]) - dynamics.total_entropy(p2, m)
-        ))
+    dev = max(oracle_deltas(p2, m, rho_m[m], rng, 0)["entropy"] for m in (0, 1, 2))
     checks.append(VerifyCheck("oracle_entropy_constancy", dev, _tol(tolerance, 1e-5)))
 
     if finite:

@@ -38,6 +38,7 @@ __all__ = [
     "moment_hypothesis_check",
     "short_time_limit_run",
     "convergence_study",
+    "oracle_deltas",
     "sweep",
 ]
 
@@ -487,6 +488,30 @@ def convergence_study(
 _GRID_KEYS = ("E", "eps", "eta", "tau", "beta0", "beta", "N")
 
 
+def oracle_deltas(
+    params: ModelParams, m: int, rho: fock_oracle.BlockedDensityMatrix,
+    rng: np.random.Generator, samples: int,
+) -> dict:
+    """The closed forms after m steps against the oracle state rho.
+
+    Draws `samples` complex zeta from `rng`, clamps their norm to 0.5 and
+    returns the largest |char_fn - Tr[rho W(zeta)]| as "char_fn_max",
+    and |S(rho) - total_entropy| as "entropy".  With samples = 0 the
+    generator is left untouched.
+    """
+    state = dynamics.evolve_state(params, m).state
+    worst = 0.0
+    for _ in range(samples):
+        zeta = rng.standard_normal(rho.modes) + 1j * rng.standard_normal(rho.modes)
+        norm = float(np.linalg.norm(zeta))
+        if norm > 0.5:
+            zeta *= 0.5 / norm
+        brute = fock_oracle.weyl_expectation(rho, zeta)
+        worst = max(worst, abs(complex(char_fn(state, zeta)) - brute))
+    entropy = abs(fock_oracle.von_neumann_entropy(rho) - dynamics.total_entropy(params, m))
+    return {"char_fn_max": worst, "entropy": entropy}
+
+
 def sweep(config: dict) -> list[RunRecord]:
     """One record per grid point, ordered by grid index.
 
@@ -560,25 +585,13 @@ def sweep(config: dict) -> list[RunRecord]:
         }
         deltas = None
         if use_oracle and params.N + 1 <= 3:
-            rng = np.random.default_rng([seed, idx])
             rho = fock_oracle.BlockedDensityMatrix.from_thermal_product(
                 [params.beta0] + [params.beta] * params.N, cutoff
             )
             evolved = fock_oracle.evolve_density(rho, params, range(1, params.N + 1))
-            analytic = dynamics.evolve_state(params, params.N).state
-            worst = 0.0
-            for _ in range(n_zeta):
-                zeta = rng.standard_normal(params.N + 1) + 1j * rng.standard_normal(params.N + 1)
-                norm = float(np.linalg.norm(zeta))
-                if norm > 0.5:
-                    zeta *= 0.5 / norm
-                exact = complex(char_fn(analytic, zeta))
-                brute = fock_oracle.weyl_expectation(evolved, zeta)
-                worst = max(worst, abs(exact - brute))
-            entropy_delta = abs(
-                fock_oracle.von_neumann_entropy(evolved) - outputs["total_entropy"]
+            deltas = oracle_deltas(
+                params, params.N, evolved, np.random.default_rng([seed, idx]), n_zeta
             )
-            deltas = {"char_fn_max": worst, "entropy": entropy_delta}
         records.append(
             RunRecord(run_id=run_id, inputs=inputs, outputs=outputs,
                       oracle_deltas=deltas, wall_time=time.perf_counter() - t0)

@@ -9,16 +9,15 @@ Cutoff semantics: each mode keeps levels 0..D-1 and transitions beyond
 level D-1 are dropped, i.e. operators are compressed to the truncated
 space and unitaries are exponentials of the truncated Hamiltonians.
 
-Two density-matrix representations are provided.  `FockDensityMatrix`
-stores the full D^M x D^M matrix and is subject to the desk-scale guard
-D^M <= 20000.  Because the step Hamiltonians commute with the total
-number operator, states evolved from diagonal products never develop
-matrix elements between different total-occupation sectors, and a mode
-that has not yet exchanged quanta keeps a definite occupation.  So
-`BlockedDensityMatrix` stores one dense block per group of equal
-uncoupled-mode occupations inside each sector, all blocks of one state
-in one buffer.  Three modes at D = 24 make 70 sectors, the largest
-432 x 432, and the states of a two-step run store:
+Multi-mode states have one representation, `BlockedDensityMatrix`.
+Because the step Hamiltonians commute with the total number operator,
+states evolved from diagonal products never develop matrix elements
+between different total-occupation sectors, and a mode that has not yet
+exchanged quanta keeps a definite occupation.  So a state stores one
+dense block per group of equal uncoupled-mode occupations inside each
+sector, all blocks of one state in one buffer.  Three modes at D = 24
+make 70 sectors, the largest 432 x 432, and the states of a two-step run
+store:
 
 - the thermal product, no mode coupled: 1 x 1 groups, its 13,824
   diagonal entries (0.2 MiB);
@@ -28,9 +27,12 @@ in one buffer.  Three modes at D = 24 make 70 sectors, the largest
   4,382,904 entries (66.9 MiB), where the dense matrix takes 2.8 GiB.
 
 The public constructor takes sector blocks and counts every mode as
-coupled.  All public operations accept either representation.
+coupled.  `evolve_density`, `weyl_expectation`, `von_neumann_entropy`
+and `relative_entropy_oracle` take blocked states only.
+`FockDensityMatrix` is the dense one-mode container that
+`weyl_expectation_batch` reads.
 
-The blocked path splits further wherever the physics guarantees it:
+The steps and spectra split further wherever the physics guarantees it:
 
 - The pair Hamiltonian conserves the pair occupation p = n0 + nn, so
   its step unitary is one tridiagonal exponential of size <= D per p,
@@ -66,11 +68,9 @@ __all__ = [
     "BlockedDensityMatrix",
     "CutoffReport",
     "build_ladder",
-    "build_hamiltonian",
     "gibbs_density",
     "thermal_probabilities",
     "recommend_cutoff",
-    "product_density",
     "evolve_density",
     "weyl_expectation",
     "weyl_expectation_batch",
@@ -78,7 +78,6 @@ __all__ = [
     "relative_entropy_oracle",
 ]
 
-DENSE_DIM_GUARD = 20000
 EIG_FLOOR = 1e-300
 NEG_EIG_CLAMP = -1e-12
 _HERMITICITY_TOL = 1e-12
@@ -94,10 +93,6 @@ def build_ladder(D: int) -> np.ndarray:
     if D < 2:
         raise ValueError(f"cutoff must be at least 2, got {D}")
     return np.diag(np.sqrt(np.arange(1.0, D)), k=1).astype(complex)
-
-
-def _number_diag(D: int) -> np.ndarray:
-    return np.arange(D, dtype=float)
 
 
 def _expi_hermitian(H: np.ndarray, t: float) -> np.ndarray:
@@ -151,37 +146,34 @@ def thermal_probabilities(beta: float, D: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockDensityMatrix:
-    """Dense density matrix on `modes` modes with per-mode cutoff `cutoff`."""
+    """Dense one-mode density matrix at cutoff `cutoff`, the input of
+    `weyl_expectation_batch`; multi-mode states are `BlockedDensityMatrix`."""
 
     modes: int
     cutoff: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        dim = self.cutoff**self.modes
-        if dim > DENSE_DIM_GUARD:
+        if self.modes != 1:
             raise ValueError(
-                f"dense dimension {dim} exceeds the guard {DENSE_DIM_GUARD}; "
+                f"FockDensityMatrix holds one mode, got modes = {self.modes}; "
                 "use BlockedDensityMatrix"
             )
+        D = self.cutoff
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix must be {dim}x{dim}, got {mat.shape}")
-        herm = float(np.max(np.abs(mat - mat.conj().T))) if dim else 0.0
+        if mat.shape != (D, D):
+            raise ValueError(f"matrix must be {D}x{D}, got {mat.shape}")
+        herm = float(np.max(np.abs(mat - mat.conj().T))) if D else 0.0
         if herm > _HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian: max deviation {herm}")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr}")
-        if dim <= _EIG_CHECK_DIM:
+        if D <= _EIG_CHECK_DIM:
             lo = float(np.linalg.eigvalsh(mat)[0])
             if lo < NEG_EIG_CLAMP:
                 raise ValueError(f"matrix not PSD: lowest eigenvalue {lo}")
-
-    @property
-    def dim(self) -> int:
-        return self.cutoff**self.modes
 
 
 class _SectorBasis:
@@ -402,58 +394,6 @@ class BlockedDensityMatrix:
         """The diagonal, one array per sector."""
         return np.split(self._diagonal(), self._layout.basis.starts[1:-1])
 
-    def to_dense(self) -> FockDensityMatrix:
-        dim = self.cutoff**self.modes
-        if dim > DENSE_DIM_GUARD:
-            raise ValueError(f"dense dimension {dim} exceeds the guard")
-        mat = np.zeros((dim, dim), dtype=complex)
-        ravel = self._layout.basis.ravel
-        for st, blocks in self._stacks():
-            idx = ravel[st.members]
-            mat[idx[:, :, None], idx[:, None, :]] = blocks
-        return FockDensityMatrix(self.modes, self.cutoff, mat)
-
-
-def build_hamiltonian(params, n: int, modes: int, cutoff: int) -> np.ndarray:
-    """Dense step-n Hamiltonian on `modes` modes at the given cutoff.
-
-    H_n = E*num_0 + eps*sum_k num_k + eta*(b0^dag b_n + b_n^dag b0),
-    with k running over chain slots 1..modes-1.
-    """
-    if not 1 <= n < modes:
-        raise ValueError(f"active slot n must satisfy 1 <= n < modes, got {n}")
-    dim = cutoff**modes
-    if dim > DENSE_DIM_GUARD:
-        raise ValueError(
-            f"dense dimension {dim} exceeds the guard {DENSE_DIM_GUARD}"
-        )
-    a = build_ladder(cutoff)
-    num = np.diag(_number_diag(cutoff)).astype(complex)
-    eye = np.eye(cutoff, dtype=complex)
-
-    def embed(op: np.ndarray, site: int) -> np.ndarray:
-        out = np.array([[1.0 + 0j]])
-        for m in range(modes):
-            out = np.kron(out, op if m == site else eye)
-        return out
-
-    def embed_two(opA: np.ndarray, i: int, opB: np.ndarray, j: int) -> np.ndarray:
-        out = np.array([[1.0 + 0j]])
-        for m in range(modes):
-            if m == i:
-                out = np.kron(out, opA)
-            elif m == j:
-                out = np.kron(out, opB)
-            else:
-                out = np.kron(out, eye)
-        return out
-
-    H = params.E * embed(num, 0)
-    for k in range(1, modes):
-        H += params.eps * embed(num, k)
-    H += params.eta * (embed_two(a.conj().T, 0, a, n) + embed_two(a, 0, a.conj().T, n))
-    return H
-
 
 def gibbs_density(beta: float, D: int) -> tuple[FockDensityMatrix, CutoffReport]:
     """One-mode thermal state at cutoff D, renormalized, with its cutoff audit."""
@@ -461,17 +401,6 @@ def gibbs_density(beta: float, D: int) -> tuple[FockDensityMatrix, CutoffReport]
     rho = FockDensityMatrix(1, D, np.diag(p.astype(complex)))
     report = CutoffReport(tail_weight=float(p[-1]), recommendation=recommend_cutoff(beta))
     return rho, report
-
-
-def product_density(factors: list[FockDensityMatrix]) -> FockDensityMatrix:
-    """Tensor product of one-mode density matrices (dense, guard applies)."""
-    cutoff = factors[0].cutoff
-    if any(f.cutoff != cutoff for f in factors):
-        raise ValueError("all factors must share one cutoff")
-    mat = np.array([[1.0 + 0j]])
-    for f in factors:
-        mat = np.kron(mat, f.matrix)
-    return FockDensityMatrix(len(factors), cutoff, mat)
 
 
 def _pair_occupations(p: int, D: int) -> np.ndarray:
@@ -499,48 +428,6 @@ def _pair_blocks(
         H = np.diag(E * n0 + eps * nn) + np.diag(off, 1) + np.diag(off, -1)
         blocks.append(_read_only(_expi_hermitian(H, -tau)))
     return tuple(blocks)
-
-
-def _pair_step_unitary(params, D: int) -> np.ndarray:
-    """exp(-i*tau*H_pair) on the two interacting modes, (D^2 x D^2)."""
-    U2 = np.zeros((D * D, D * D), dtype=complex)
-    blocks = _pair_blocks(params.E, params.eps, params.eta, params.tau, D)
-    for p, block in enumerate(blocks):
-        n0 = _pair_occupations(p, D)
-        idx = n0 * D + (p - n0)
-        U2[np.ix_(idx, idx)] = block
-    return U2
-
-
-def _dense_step(mat: np.ndarray, modes: int, D: int, n: int, U2: np.ndarray,
-                spectator_phase: np.ndarray) -> np.ndarray:
-    """One step applied to a dense matrix via tensor reshaping (no D^M x D^M unitary)."""
-    dim = D**modes
-    # rows: bring mode axes (0, n) to the front, apply U2, restore
-    T = mat.reshape((D,) * modes + (dim,))
-    T = np.moveaxis(T, n, 1)
-    T = U2 @ T.reshape(D * D, -1)
-    T = np.moveaxis(T.reshape((D, D) + (D,) * (modes - 2) + (dim,)), 1, n)
-    # spectator phases on row axes
-    for k in range(modes):
-        if k in (0, n):
-            continue
-        shape = [1] * (modes + 1)
-        shape[k] = D
-        T = T * spectator_phase.reshape(shape)
-    out = T.reshape(dim, dim)
-    # columns: the conjugate transformation
-    out = out.conj().T.reshape((D,) * modes + (dim,))
-    out = np.moveaxis(out, n, 1)
-    out = U2 @ out.reshape(D * D, -1)
-    out = np.moveaxis(out.reshape((D, D) + (D,) * (modes - 2) + (dim,)), 1, n)
-    for k in range(modes):
-        if k in (0, n):
-            continue
-        shape = [1] * (modes + 1)
-        shape[k] = D
-        out = out * spectator_phase.reshape(shape)
-    return out.reshape(dim, dim).conj().T
 
 
 @functools.lru_cache(maxsize=32)
@@ -662,7 +549,13 @@ def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMa
     return BlockedDensityMatrix._from_buffer(layout, buffer)
 
 
-def evolve_density(rho, params, schedule) -> "FockDensityMatrix | BlockedDensityMatrix":
+def _check_blocked(*states) -> None:
+    for rho in states:
+        if not isinstance(rho, BlockedDensityMatrix):
+            raise ValueError(f"expected a BlockedDensityMatrix, got {type(rho).__name__}")
+
+
+def evolve_density(rho: BlockedDensityMatrix, params, schedule) -> BlockedDensityMatrix:
     """Apply exp(-i*tau*H_n) for each slot n in `schedule`, in order.
 
     Each step unitary is assembled from Hermitian eigendecompositions of
@@ -671,21 +564,14 @@ def evolve_density(rho, params, schedule) -> "FockDensityMatrix | BlockedDensity
     step Hamiltonian because the two commuting parts truncate
     independently.
     """
+    _check_blocked(rho)
     schedule = list(schedule)
     for n in schedule:
         if not 1 <= n < rho.modes:
             raise ValueError(f"schedule slot {n} outside 1..{rho.modes - 1}")
-    if isinstance(rho, BlockedDensityMatrix):
-        out = rho
-        for n in schedule:
-            out = _blocked_step(out, params, n)
-        return out
-    mat = rho.matrix.copy()
-    spectator_phase = np.exp(-1j * params.tau * params.eps * _number_diag(rho.cutoff))
-    U2 = _pair_step_unitary(params, rho.cutoff)
     for n in schedule:
-        mat = _dense_step(mat, rho.modes, rho.cutoff, n, U2, spectator_phase)
-    return FockDensityMatrix(rho.modes, rho.cutoff, mat)
+        rho = _blocked_step(rho, params, n)
+    return rho
 
 
 def _check_weyl_headroom(zeta: np.ndarray, D: int) -> None:
@@ -697,44 +583,34 @@ def _check_weyl_headroom(zeta: np.ndarray, D: int) -> None:
         )
 
 
-def weyl_expectation(rho, zeta) -> complex:
+def weyl_expectation(rho: BlockedDensityMatrix, zeta) -> complex:
     """Tr[rho * W(zeta)] with W(zeta) the product of one-mode Weyl operators.
 
     W(zeta) = exp[i*(<zeta,b> + <b,zeta>)/sqrt(2)] factorizes over modes;
     each factor is exponentiated by eigendecomposition.
     """
+    _check_blocked(rho)
     zeta = np.asarray(zeta, dtype=complex)
     if zeta.shape != (rho.modes,):
         raise ValueError(f"zeta must have length modes = {rho.modes}")
-    _check_weyl_headroom(zeta, rho.cutoff)
-    ws = [_one_mode_weyl(z, rho.cutoff) for z in zeta]
-    if isinstance(rho, BlockedDensityMatrix):
-        # W[I, J] = prod_m w_m[J_m, I_m], gathered flat from the transposed
-        # factors for a run of one stack's groups, so sum_{I,J} rho[I,J] *
-        # W[I,J] is one dot of the ravels; a run holds at most
-        # _GATHER_ENTRIES entries unless one group alone has more
-        D = rho.cutoff
-        flat = [np.ascontiguousarray(w.T).ravel() for w in ws]
-        grid = rho._layout.basis.grid
-        total = 0j
-        for st, blocks in rho._stacks():
-            run = max(1, _GATHER_ENTRIES // st.size**2)
-            for lo in range(0, len(blocks), run):
-                cols = grid[st.members[lo : lo + run]].transpose(2, 0, 1)  # (modes, groups, k)
-                W = flat[0].take(D * cols[0][:, :, None] + cols[0][:, None, :])
-                for wt, col in zip(flat[1:], cols[1:]):
-                    W *= wt.take(D * col[:, :, None] + col[:, None, :])
-                total += W.ravel() @ blocks[lo : lo + run].ravel()
-        return complex(total)
-    # sum_{I,J} rho[I,J] * prod_m w_m[J_m, I_m], contracted mode by mode so the
-    # D^M x D^M Weyl matrix is never materialized
-    M = rho.modes
     D = rho.cutoff
-    operands: list = [rho.matrix.reshape((D,) * (2 * M)), list(range(2 * M))]
-    for m in range(M):
-        operands.extend([ws[m], [M + m, m]])
-    operands.append([])
-    return complex(np.einsum(*operands, optimize=True))
+    _check_weyl_headroom(zeta, D)
+    # W[I, J] = prod_m w_m[J_m, I_m], gathered flat from the transposed
+    # factors for a run of one stack's groups, so sum_{I,J} rho[I,J] *
+    # W[I,J] is one dot of the ravels; a run holds at most
+    # _GATHER_ENTRIES entries unless one group alone has more
+    flat = [np.ascontiguousarray(_one_mode_weyl(z, D).T).ravel() for z in zeta]
+    grid = rho._layout.basis.grid
+    total = 0j
+    for st, blocks in rho._stacks():
+        run = max(1, _GATHER_ENTRIES // st.size**2)
+        for lo in range(0, len(blocks), run):
+            cols = grid[st.members[lo : lo + run]].transpose(2, 0, 1)  # (modes, groups, k)
+            W = flat[0].take(D * cols[0][:, :, None] + cols[0][:, None, :])
+            for wt, col in zip(flat[1:], cols[1:]):
+                W *= wt.take(D * col[:, :, None] + col[:, None, :])
+            total += W.ravel() @ blocks[lo : lo + run].ravel()
+    return complex(total)
 
 
 def weyl_expectation_batch(
@@ -760,8 +636,6 @@ def weyl_expectation_batch(
     is Tr[rho*w(alpha)] - 1 evaluated without cancellation, which keeps
     million-term products of near-unit factors at full precision.
     """
-    if rho.modes != 1:
-        raise ValueError("batch path is for one-mode states")
     D = rho.cutoff
     alphas = np.asarray(alphas, dtype=complex).ravel()
     _check_weyl_headroom(alphas, D)
@@ -833,11 +707,10 @@ def _spectrum(rho: BlockedDensityMatrix) -> np.ndarray:
     return rho._spectrum
 
 
-def von_neumann_entropy(rho) -> float:
+def von_neumann_entropy(rho: BlockedDensityMatrix) -> float:
     """-Tr[rho ln rho] in nats, with 0*ln 0 := 0."""
-    if isinstance(rho, BlockedDensityMatrix):
-        return _entropy_from_eigs(_spectrum(rho))
-    return _entropy_from_eigs(np.linalg.eigvalsh(rho.matrix))
+    _check_blocked(rho)
+    return _entropy_from_eigs(_spectrum(rho))
 
 
 _SUPPORT_TOL = 1e-10
@@ -859,31 +732,26 @@ def _relative_entropy_spectral(rho_mat: np.ndarray, ref_mat: np.ndarray) -> floa
     return term_rho - term_ref
 
 
-def relative_entropy_oracle(rho, rho0) -> float:
+def relative_entropy_oracle(rho: BlockedDensityMatrix, rho0: BlockedDensityMatrix) -> float:
     """Tr[rho (ln rho - ln rho0)], nonnegative up to numerical slack."""
-    if isinstance(rho, BlockedDensityMatrix) != isinstance(rho0, BlockedDensityMatrix):
-        raise ValueError("both states must use the same representation")
-    if isinstance(rho, BlockedDensityMatrix):
-        if (rho.modes, rho.cutoff) != (rho0.modes, rho0.cutoff):
-            raise ValueError("states must share modes and cutoff")
-        if any(st.size > 1 for st in rho0._layout.stacks):
-            # both states are block-diagonal in the groups of their joint
-            # coupled modes
-            coupled = rho._layout.coupled | rho0._layout.coupled
-            return sum(
-                _relative_entropy_spectral(b, b0)
-                for b, b0 in zip(_regroup(rho, coupled).blocks, _regroup(rho0, coupled).blocks)
-            )
-        lam = np.clip(_spectrum(rho), 0.0, None)
-        keep = lam > EIG_FLOOR
-        total = float((lam[keep] * np.log(lam[keep])).sum())
-        p0 = rho0._diagonal().real
-        diag = rho._diagonal().real
-        dead = p0 <= EIG_FLOOR
-        if np.any(diag[dead] > _SUPPORT_TOL):
-            raise ValueError("support of rho is not contained in support of rho0")
-        live = ~dead
-        return total - float((diag[live] * np.log(p0[live])).sum())
+    _check_blocked(rho, rho0)
     if (rho.modes, rho.cutoff) != (rho0.modes, rho0.cutoff):
         raise ValueError("states must share modes and cutoff")
-    return _relative_entropy_spectral(rho.matrix, rho0.matrix)
+    if any(st.size > 1 for st in rho0._layout.stacks):
+        # both states are block-diagonal in the groups of their joint
+        # coupled modes
+        coupled = rho._layout.coupled | rho0._layout.coupled
+        return sum(
+            _relative_entropy_spectral(b, b0)
+            for b, b0 in zip(_regroup(rho, coupled).blocks, _regroup(rho0, coupled).blocks)
+        )
+    lam = np.clip(_spectrum(rho), 0.0, None)
+    keep = lam > EIG_FLOOR
+    total = float((lam[keep] * np.log(lam[keep])).sum())
+    p0 = rho0._diagonal().real
+    diag = rho._diagonal().real
+    dead = p0 <= EIG_FLOOR
+    if np.any(diag[dead] > _SUPPORT_TOL):
+        raise ValueError("support of rho is not contained in support of rho0")
+    live = ~dead
+    return total - float((diag[live] * np.log(p0[live])).sum())

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,10 +153,6 @@ class HypothesisReport:
     h5_operative: bool
     abs_w: float
     abs_z: float
-    convergence_valid: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "convergence_valid", self.h5_operative)
 
 
 def step_scalars(params: ModelParams, t: float | None = None) -> StepScalars:

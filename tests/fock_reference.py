@@ -1,8 +1,108 @@
-"""Dense reference helpers for the oracle tests."""
+"""Dense reference for the oracle tests, on plain ndarrays.
+
+The step is the kron-embedded step Hamiltonian exponentiated by scipy's
+expm, the Weyl expectation an einsum over expm'd one-mode factors, and
+the entropies come from full-matrix eigendecompositions.  Nothing here
+shares code with the blocked oracle's pair blocks, steps or spectra.
+"""
+
+import math
 
 import numpy as np
+import scipy.linalg
 
 from richain import fock_oracle as fo
+
+# largest dense dimension D^M the reference builds
+DENSE_DIM_GUARD = 20000
+
+
+def _check_dim(dim):
+    if dim > DENSE_DIM_GUARD:
+        raise ValueError(f"dense dimension {dim} exceeds the guard {DENSE_DIM_GUARD}")
+
+
+def _kron_all(ops):
+    out = np.array([[1.0 + 0j]])
+    for op in ops:
+        out = np.kron(out, op)
+    return out
+
+
+def step_hamiltonian(params, n, modes, cutoff):
+    """Dense step-n Hamiltonian on `modes` modes at the given cutoff.
+
+    H_n = E*num_0 + eps*sum_k num_k + eta*(b0^dag b_n + b_n^dag b0),
+    with k running over chain slots 1..modes-1.
+    """
+    if not 1 <= n < modes:
+        raise ValueError(f"active slot n must satisfy 1 <= n < modes, got {n}")
+    _check_dim(cutoff**modes)
+    a = fo.build_ladder(cutoff)
+    num = np.diag(np.arange(cutoff)).astype(complex)
+    eye = np.eye(cutoff, dtype=complex)
+
+    def embed(ops):
+        return _kron_all([ops.get(m, eye) for m in range(modes)])
+
+    H = params.E * embed({0: num})
+    for k in range(1, modes):
+        H += params.eps * embed({k: num})
+    H += params.eta * (embed({0: a.conj().T, n: a}) + embed({0: a, n: a.conj().T}))
+    return H
+
+
+def evolve(mat, params, schedule, modes, cutoff):
+    """U_n mat U_n^H for each slot n in `schedule`, U_n = expm(-i*tau*H_n)."""
+    for n in schedule:
+        U = scipy.linalg.expm(-1j * params.tau * step_hamiltonian(params, n, modes, cutoff))
+        mat = U @ mat @ U.conj().T
+    return mat
+
+
+def weyl_expectation(mat, zeta, cutoff):
+    """Tr[mat * W(zeta)], W the product of the one-mode Weyl operators.
+
+    sum_{I,J} mat[I,J] * prod_m w_m[J_m, I_m], contracted mode by mode so
+    the D^M x D^M Weyl matrix is never built.
+    """
+    zeta = np.asarray(zeta, dtype=complex)
+    M, D = len(zeta), cutoff
+    a = fo.build_ladder(D)
+    operands = [np.asarray(mat).reshape((D,) * (2 * M)), list(range(2 * M))]
+    for m, z in enumerate(zeta):
+        w = scipy.linalg.expm(1j * (np.conj(z) * a + z * a.conj().T) / math.sqrt(2.0))
+        operands.extend([w, [M + m, m]])
+    operands.append([])
+    return complex(np.einsum(*operands, optimize=True))
+
+
+def entropy(mat):
+    """-Tr[mat ln mat] from the eigenvalues of the whole matrix."""
+    lam = np.clip(np.linalg.eigvalsh(mat), 0.0, None)
+    lam = lam[lam > fo.EIG_FLOOR]
+    return float(-(lam * np.log(lam)).sum())
+
+
+def relative_entropy(mat, ref):
+    """Tr[mat (ln mat - ln ref)] for a full-rank `ref`, from the
+    eigendecompositions of both matrices."""
+    mu, V = np.linalg.eigh(ref)
+    # diagonal of mat in the eigenbasis of ref
+    weight_on_ref = np.einsum("ij,ik,kj->j", V.conj(), mat, V).real
+    return -entropy(mat) - float(weight_on_ref @ np.log(mu))
+
+
+def to_dense(rho):
+    """The D^M x D^M matrix of a blocked state, in row-major occupation order."""
+    dim = rho.cutoff**rho.modes
+    _check_dim(dim)
+    mat = np.zeros((dim, dim), dtype=complex)
+    ravel = rho._layout.basis.ravel
+    for st, blocks in rho._stacks():
+        idx = ravel[st.members]
+        mat[idx[:, :, None], idx[:, None, :]] = blocks
+    return mat
 
 
 def sector_blocks(rho):
@@ -23,38 +123,49 @@ def sector_blocks(rho):
     return out
 
 
-def partial_trace(rho, keep):
-    """Reduced density matrix on the modes listed in `keep` (in that order).
-
-    A blocked state is traced sector by sector, from `sector_blocks`: at
-    D = 16 three modes make a 4096 x 4096 dense matrix (256 MiB).
-    """
+def _check_keep(keep, modes):
     keep = list(keep)
     if not keep or len(set(keep)) != len(keep):
         raise ValueError("keep must be a nonempty list of distinct modes")
-    if any(not 0 <= k < rho.modes for k in keep):
-        raise ValueError(f"keep entries must lie in 0..{rho.modes - 1}")
+    if any(not 0 <= k < modes for k in keep):
+        raise ValueError(f"keep entries must lie in 0..{modes - 1}")
+    return keep
+
+
+def partial_trace(rho, keep):
+    """Reduced density matrix of a blocked state on the modes listed in `keep`
+    (in that order), as a plain ndarray.
+
+    The state is traced sector by sector, from `sector_blocks`: at D = 16
+    three modes make a 4096 x 4096 dense matrix (256 MiB).
+    """
+    keep = _check_keep(keep, rho.modes)
     D = rho.cutoff
     traced = [m for m in range(rho.modes) if m not in keep]
     out_dim = D ** len(keep)
-    if isinstance(rho, fo.BlockedDensityMatrix):
-        out = np.zeros((out_dim, out_dim), dtype=complex)
-        keep_radix = D ** np.arange(len(keep) - 1, -1, -1)
-        traced_radix = D ** np.arange(len(traced) - 1, -1, -1)
-        basis = fo._SectorBasis.get(rho.modes, D)
-        sectors = np.split(basis.grid, basis.starts[1:-1])
-        for B, block in zip(sectors, sector_blocks(rho)):
-            kept_idx = B[:, keep] @ keep_radix
-            traced_key = B[:, traced] @ traced_radix
-            for key in np.unique(traced_key):
-                grp = np.flatnonzero(traced_key == key)
-                out[np.ix_(kept_idx[grp], kept_idx[grp])] += block[np.ix_(grp, grp)]
-        return fo.FockDensityMatrix(len(keep), D, out)
-    T = rho.matrix.reshape((D,) * (2 * rho.modes))
-    for m in sorted(traced, reverse=True):
+    out = np.zeros((out_dim, out_dim), dtype=complex)
+    keep_radix = D ** np.arange(len(keep) - 1, -1, -1)
+    traced_radix = D ** np.arange(len(traced) - 1, -1, -1)
+    basis = fo._SectorBasis.get(rho.modes, D)
+    sectors = np.split(basis.grid, basis.starts[1:-1])
+    for B, block in zip(sectors, sector_blocks(rho)):
+        kept_idx = B[:, keep] @ keep_radix
+        traced_key = B[:, traced] @ traced_radix
+        for key in np.unique(traced_key):
+            grp = np.flatnonzero(traced_key == key)
+            out[np.ix_(kept_idx[grp], kept_idx[grp])] += block[np.ix_(grp, grp)]
+    return out
+
+
+def dense_partial_trace(mat, modes, cutoff, keep):
+    """Reduced density matrix of a dense `modes`-mode matrix on `keep`."""
+    keep = _check_keep(keep, modes)
+    D = cutoff
+    T = np.asarray(mat).reshape((D,) * (2 * modes))
+    for m in sorted(set(range(modes)) - set(keep), reverse=True):
         T = np.trace(T, axis1=m, axis2=m + (T.ndim // 2))
-    remaining = [m for m in range(rho.modes) if m in keep]
+    remaining = sorted(keep)
     perm = [remaining.index(k) for k in keep]
     half = len(keep)
     T = np.transpose(T, axes=perm + [p + half for p in perm])
-    return fo.FockDensityMatrix(len(keep), D, T.reshape(out_dim, out_dim))
+    return T.reshape(D**half, D**half)

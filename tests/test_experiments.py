@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from richain import fock_oracle
-from richain.dynamics import effective_beta_S
+from richain.dynamics import effective_beta_S, evolve_state, total_entropy
 from richain.experiments import (
     ChainStateSpec,
     LimitSchedule,
@@ -15,11 +15,12 @@ from richain.experiments import (
     _nnls_two_columns,
     convergence_study,
     moment_hypothesis_check,
+    oracle_deltas,
     short_time_limit_run,
     sweep,
 )
 from richain.kernel import ModelParams, propagate_vector, step_scalars
-from richain.quasifree import gibbs_x
+from richain.quasifree import char_fn, gibbs_x
 
 
 def std_params(N=10, **kwargs):
@@ -406,6 +407,51 @@ class TestConvergenceStudy:
             convergence_study(p, "bogus", horizon=5)
         with pytest.raises(ValueError, match="horizon"):
             convergence_study(p, "beta_star_gap", horizon=11)
+
+
+def _oracle_state(params, cutoff=8):
+    rho = fock_oracle.BlockedDensityMatrix.from_thermal_product(
+        [params.beta0] + [params.beta] * params.N, cutoff
+    )
+    return fock_oracle.evolve_density(rho, params, range(1, params.N + 1))
+
+
+class TestOracleDeltas:
+    def test_zero_samples_leave_the_generator_alone(self):
+        p = std_params(N=2, tau=1.0, eta=0.5)
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        deltas = oracle_deltas(p, 2, _oracle_state(p), rng, 0)
+        assert rng.bit_generator.state == before
+        assert deltas["char_fn_max"] == 0.0
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_char_fn_max_matches_explicit_loop(self, N):
+        p = std_params(N=N, tau=1.0, eta=0.5)
+        rho = _oracle_state(p)
+        state = evolve_state(p, N).state
+        rng = np.random.default_rng([7, N])
+        worst = 0.0
+        for _ in range(6):
+            zeta = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
+            norm = float(np.linalg.norm(zeta))
+            if norm > 0.5:
+                zeta *= 0.5 / norm
+            brute = fock_oracle.weyl_expectation(rho, zeta)
+            worst = max(worst, abs(complex(char_fn(state, zeta)) - brute))
+        got = oracle_deltas(p, N, rho, np.random.default_rng([7, N]), 6)
+        assert got["char_fn_max"] == worst
+        assert 0.0 < worst < 1e-2
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_entropy_is_the_oracle_gap(self, m):
+        p = std_params(N=2, tau=1.0, eta=0.5)
+        rho = fock_oracle.BlockedDensityMatrix.from_thermal_product(
+            [p.beta0, p.beta, p.beta], 8
+        )
+        rho = fock_oracle.evolve_density(rho, p, range(1, m + 1))
+        got = oracle_deltas(p, m, rho, np.random.default_rng(0), 0)["entropy"]
+        assert got == abs(fock_oracle.von_neumann_entropy(rho) - total_entropy(p, m))
 
 
 class TestSweep:

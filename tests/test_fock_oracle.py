@@ -1,17 +1,21 @@
 """Validation of the truncated-Fock brute-force machinery.
 
 The oracle is the independent referee for the closed forms, so its own
-checks lean on third routes: scipy's expm, textbook thermal identities
-and dense-vs-sector-blocked agreement.
+checks lean on third routes: textbook thermal identities and the dense
+reference in `fock_reference`, the kron-embedded step Hamiltonian
+exponentiated by scipy's expm.
 """
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from fock_reference import partial_trace, sector_blocks
+import fock_reference as ref
+from fock_reference import partial_trace, sector_blocks, to_dense
 from richain import fock_oracle as fo
 from richain.kernel import ModelParams
 
@@ -73,7 +77,7 @@ class TestThermal:
         assert report.tail_weight < 1e-15
         from richain.quasifree import mode_entropy
 
-        assert abs(fo.von_neumann_entropy(rho) - mode_entropy(math.log(3))) < 1e-12
+        assert abs(ref.entropy(rho.matrix) - mode_entropy(math.log(3))) < 1e-12
 
     def test_recommend_cutoff(self):
         loose = fo.recommend_cutoff(math.log(2), tol=1e-6)
@@ -101,16 +105,20 @@ class TestDensityContainers:
         with pytest.raises(ValueError):
             fo.FockDensityMatrix(modes=1, cutoff=4, matrix=m)
 
+    def test_rejects_multi_mode(self):
+        with pytest.raises(ValueError, match="BlockedDensityMatrix"):
+            fo.FockDensityMatrix(modes=2, cutoff=2, matrix=np.eye(4, dtype=complex) / 4)
+
     def test_blocked_matches_kron_product(self):
         betas = [math.log(3), math.log(2)]
         D = 6
         blocked = fo.BlockedDensityMatrix.from_thermal_product(betas, D)
         assert abs(blocked.trace() - 1.0) < 1e-14
-        dense = blocked.to_dense()
+        dense = to_dense(blocked)
         p0 = fo.thermal_probabilities(betas[0], D)
         p1 = fo.thermal_probabilities(betas[1], D)
         direct = np.kron(np.diag(p0), np.diag(p1)).astype(complex)
-        assert np.max(np.abs(dense.matrix - direct)) < 1e-14
+        assert np.max(np.abs(dense - direct)) < 1e-14
 
     def test_diagonal_roundtrip(self):
         blocked = fo.BlockedDensityMatrix.from_thermal_product([1.0, 2.0], 5)
@@ -159,20 +167,18 @@ class TestHamiltonianAndStep:
         # the per-step evolution must equal expm of the truncated generator
         p = make_params(E=1.3, eps=0.8, eta=0.6, tau=0.9, N=2)
         D = 6
-        H = fo.build_hamiltonian(p, 1, modes=2, cutoff=D)
+        H = ref.step_hamiltonian(p, 1, modes=2, cutoff=D)
         assert np.max(np.abs(H - H.conj().T)) < 1e-12
         U = scipy.linalg.expm(-1j * p.tau * H)
-        rho0 = fo.product_density(
-            [fo.gibbs_density(p.beta0, D)[0], fo.gibbs_density(p.beta, D)[0]]
-        )
-        direct = U @ rho0.matrix @ U.conj().T
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta], D)
+        direct = U @ to_dense(rho0) @ U.conj().T
         evolved = fo.evolve_density(rho0, p, [1])
-        assert np.max(np.abs(evolved.matrix - direct)) < 1e-12
+        assert np.max(np.abs(to_dense(evolved) - direct)) < 1e-12
 
     def test_conserves_total_number(self):
         p = make_params(N=2)
         D = 5
-        H = fo.build_hamiltonian(p, 2, modes=3, cutoff=D)
+        H = ref.step_hamiltonian(p, 2, modes=3, cutoff=D)
         n1 = np.diag(np.arange(D)).astype(complex)
         eye = np.eye(D)
         total = (
@@ -185,7 +191,7 @@ class TestHamiltonianAndStep:
     def test_dense_guard(self):
         p = make_params(N=2)
         with pytest.raises(ValueError, match="guard"):
-            fo.build_hamiltonian(p, 1, modes=3, cutoff=30)
+            ref.step_hamiltonian(p, 1, modes=3, cutoff=30)
 
     def test_blocked_equals_dense_evolution(self):
         p = make_params(E=2.0, eps=1.0, eta=0.7, tau=0.8, N=2)
@@ -193,19 +199,19 @@ class TestHamiltonianAndStep:
         blocked = fo.BlockedDensityMatrix.from_thermal_product(
             [p.beta0, p.beta, p.beta], D
         )
-        dense = blocked.to_dense()
+        dense = to_dense(blocked)
         b2 = fo.evolve_density(fo.evolve_density(blocked, p, [1]), p, [2])
-        d2 = fo.evolve_density(fo.evolve_density(dense, p, [1]), p, [2])
-        assert np.max(np.abs(b2.to_dense().matrix - d2.matrix)) < 1e-12
+        d2 = ref.evolve(ref.evolve(dense, p, [1], 3, D), p, [2], 3, D)
+        assert np.max(np.abs(to_dense(b2) - d2)) < 1e-12
 
     @pytest.mark.parametrize("schedule", [[1, 3], [2, 1, 3], [1, 2, 1]])
     def test_blocked_equals_dense_from_generic_state(self, schedule):
         # a non-product start: every sector block is a full Hermitian matrix
         p = make_params(E=1.7, eps=1.1, eta=0.6, tau=0.9)
         blocked = _generic_blocked_state(4, 5, np.random.default_rng(len(schedule)))
-        dense = blocked.to_dense()
-        got = fo.evolve_density(blocked, p, schedule).to_dense().matrix
-        expect = fo.evolve_density(dense, p, schedule).matrix
+        dense = to_dense(blocked)
+        got = to_dense(fo.evolve_density(blocked, p, schedule))
+        expect = ref.evolve(dense, p, schedule, 4, 5)
         assert np.max(np.abs(got - expect)) < 1e-13
 
     def test_evolution_preserves_trace_and_entropy(self):
@@ -252,8 +258,11 @@ class TestPairUnitary:
             U2[np.ix_(idx, idx)] = block
         expect = scipy.linalg.expm(-1j * tau * _kron_pair_hamiltonian(E, eps, eta, D))
         assert np.max(np.abs(U2 - expect)) < 1e-13
+        # the two-mode step applies exactly these blocks
         params = make_params(E=E, eps=eps, eta=eta, tau=tau)
-        assert np.array_equal(fo._pair_step_unitary(params, D), U2)
+        rho = _generic_blocked_state(2, D, np.random.default_rng(D))
+        got = to_dense(fo.evolve_density(rho, params, [1]))
+        assert np.max(np.abs(got - U2 @ to_dense(rho) @ U2.conj().T)) < 1e-13
 
     def test_cache_keys_on_tau(self):
         first = fo._pair_blocks(1.0, 1.0, 0.5, 1.0, 6)
@@ -382,10 +391,10 @@ class TestCompactLayout:
         expect = fo.relative_entropy_oracle(copy, ref_copy)
         for rho, ref in ((compact, rho0), (copy, rho0), (compact, ref_copy)):
             assert abs(fo.relative_entropy_oracle(rho, ref) - expect) < 1e-13
-        assert np.max(np.abs(compact.to_dense().matrix - copy.to_dense().matrix)) < 1e-13
+        assert np.max(np.abs(to_dense(compact) - to_dense(copy))) < 1e-13
         nxt_compact = fo.evolve_density(compact, p, [modes - 1])
         nxt_copy = fo.evolve_density(copy, p, [modes - 1])
-        assert np.max(np.abs(nxt_compact.to_dense().matrix - nxt_copy.to_dense().matrix)) < 1e-13
+        assert np.max(np.abs(to_dense(nxt_compact) - to_dense(nxt_copy))) < 1e-13
 
 
 class TestWeyl:
@@ -395,7 +404,7 @@ class TestWeyl:
 
         beta = math.log(2)
         D = 50
-        rho, _ = fo.gibbs_density(beta, D)
+        rho = fo.BlockedDensityMatrix.from_thermal_product([beta], D)
         for zeta in (0.3, 0.4 - 0.2j, 0.7j):
             exact = math.exp(-0.25 * gibbs_x(beta) * abs(zeta) ** 2)
             got = fo.weyl_expectation(rho, np.array([zeta]))
@@ -427,16 +436,17 @@ class TestWeyl:
         for _ in range(5):
             zeta = 0.2 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
             vb = fo.weyl_expectation(evolved, zeta)
-            vd = fo.weyl_expectation(evolved.to_dense(), zeta)
+            vd = ref.weyl_expectation(to_dense(evolved), zeta, D)
             assert abs(vb - vd) < 1e-12
 
     def test_batch_matches_single(self):
         rho, _ = fo.gibbs_density(math.log(2), 24)
+        blocked = fo.BlockedDensityMatrix.from_thermal_product([math.log(2)], 24)
         rng = np.random.default_rng(9)
         alphas = 0.5 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
         batch = fo.weyl_expectation_batch(rho, alphas)
         for i, a in enumerate(alphas):
-            single = fo.weyl_expectation(rho, np.array([a]))
+            single = fo.weyl_expectation(blocked, np.array([a]))
             assert abs(batch[i] - single) < 1e-12
 
     def test_batch_minus_one(self):
@@ -457,7 +467,7 @@ class TestWeyl:
         alphas = np.append(radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 30)), 0.0)
         vals = fo.weyl_expectation_batch(rho, alphas)
         shifted = fo.weyl_expectation_batch(rho, alphas, minus_one=True)
-        single = np.array([fo.weyl_expectation(rho, np.array([a])) for a in alphas])
+        single = np.array([ref.weyl_expectation(rho.matrix, [a], D) for a in alphas])
         assert np.max(np.abs(vals - single)) < 1e-12
         assert np.max(np.abs(shifted - (single - 1.0))) < 1e-12
         assert np.max(np.abs(shifted - (vals - 1.0))) < 1e-13
@@ -476,17 +486,17 @@ class TestWeyl:
             _generic_blocked_state(modes, D, rng),
         ]
         for rho in states:
-            dense = rho.to_dense()
+            dense = to_dense(rho)
             for _ in range(4):
                 zeta = 0.5 * rng.uniform(0.2, 1.0, modes) * np.exp(
                     2j * np.pi * rng.uniform(0.0, 1.0, modes)
                 )
                 vb = fo.weyl_expectation(rho, zeta)
-                vd = fo.weyl_expectation(dense, zeta)
+                vd = ref.weyl_expectation(dense, zeta, D)
                 assert abs(vb - vd) < 1e-13
 
     def test_headroom_guard(self):
-        rho, _ = fo.gibbs_density(1.0, 6)
+        rho = fo.BlockedDensityMatrix.from_thermal_product([1.0], 6)
         with pytest.raises(ValueError, match="cutoff"):
             fo.weyl_expectation(rho, np.array([5.0]))
 
@@ -499,7 +509,7 @@ class TestPartialTrace:
         for keep in range(3):
             red = partial_trace(blocked, [keep])
             expect = np.diag(fo.thermal_probabilities(betas[keep], D))
-            assert np.max(np.abs(red.matrix - expect)) < 1e-13
+            assert np.max(np.abs(red - expect)) < 1e-13
 
     def test_blocked_equals_dense(self):
         p = make_params()
@@ -510,21 +520,21 @@ class TestPartialTrace:
         evolved = fo.evolve_density(blocked, p, [1, 2])
         for keep in ([0], [1], [0, 2], [0, 1]):
             rb = partial_trace(evolved, keep)
-            rd = partial_trace(evolved.to_dense(), keep)
-            assert np.max(np.abs(rb.matrix - rd.matrix)) < 1e-12
+            rd = ref.dense_partial_trace(to_dense(evolved), 3, D, keep)
+            assert np.max(np.abs(rb - rd)) < 1e-12
 
     def test_keep_order_is_ascending_sites(self):
         betas = [math.log(3), math.log(2)]
         D = 5
         blocked = fo.BlockedDensityMatrix.from_thermal_product(betas, D)
         red = partial_trace(blocked, [1])
-        assert np.max(np.abs(np.diag(red.matrix).real
+        assert np.max(np.abs(np.diag(red).real
                              - fo.thermal_probabilities(math.log(2), D))) < 1e-13
 
     def test_trace_preserved(self):
         blocked = fo.BlockedDensityMatrix.from_thermal_product([1.0, 2.0, 0.5], 5)
         red = partial_trace(blocked, [0, 1])
-        assert abs(red.matrix.trace().real - 1.0) < 1e-13
+        assert abs(red.trace().real - 1.0) < 1e-13
 
 
 class TestEntropies:
@@ -538,9 +548,7 @@ class TestEntropies:
         assert abs(fo.von_neumann_entropy(blocked) - expect) < 1e-10
 
     def test_pure_state_zero(self):
-        m = np.zeros((5, 5), dtype=complex)
-        m[1, 1] = 1.0
-        rho = fo.FockDensityMatrix(modes=1, cutoff=5, matrix=m)
+        rho = fo.BlockedDensityMatrix.from_diagonal_product([np.eye(5)[1]], 5)
         assert fo.von_neumann_entropy(rho) == 0.0
 
     def test_relative_entropy_self_is_zero(self):
@@ -555,8 +563,8 @@ class TestEntropies:
         p0 = fo.thermal_probabilities(b0, D)
         live = p1 > 0
         direct = float((p1[live] * (np.log(p1[live]) - np.log(p0[live]))).sum())
-        rho1, _ = fo.gibbs_density(b1, D)
-        rho0, _ = fo.gibbs_density(b0, D)
+        rho1 = fo.BlockedDensityMatrix.from_thermal_product([b1], D)
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product([b0], D)
         got = fo.relative_entropy_oracle(rho1, rho0)
         assert abs(got - direct) < 1e-10
 
@@ -569,13 +577,47 @@ class TestEntropies:
         )
         evolved = fo.evolve_density(rho0, p, [1, 2])
         got = fo.relative_entropy_oracle(evolved, rho0)
-        dense = fo.relative_entropy_oracle(evolved.to_dense(), rho0.to_dense())
+        dense = ref.relative_entropy(to_dense(evolved), to_dense(rho0))
         assert got >= 0.0
         assert abs(got - dense) < 1e-10
 
     def test_support_violation_raises(self):
         # reference supported on the vacuum only cannot dominate a thermal state
-        rho1, _ = fo.gibbs_density(math.log(2), 8)
-        vac = fo.BlockedDensityMatrix.from_thermal_product([math.inf], 8).to_dense()
+        rho1 = fo.BlockedDensityMatrix.from_thermal_product([math.log(2)], 8)
+        vac = fo.BlockedDensityMatrix.from_thermal_product([math.inf], 8)
         with pytest.raises(ValueError, match="support"):
             fo.relative_entropy_oracle(rho1, vac)
+
+
+class TestInterface:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rho: fo.evolve_density(rho, make_params(), [1]),
+            lambda rho: fo.weyl_expectation(rho, np.array([0.1])),
+            fo.von_neumann_entropy,
+            lambda rho: fo.relative_entropy_oracle(rho, rho),
+            lambda rho: fo.relative_entropy_oracle(
+                fo.BlockedDensityMatrix.from_thermal_product([1.0], 6), rho
+            ),
+        ],
+        ids=["evolve_density", "weyl_expectation", "von_neumann_entropy",
+             "relative_entropy_oracle", "relative_entropy_oracle_reference"],
+    )
+    def test_rejects_dense_state(self, call):
+        rho, _ = fo.gibbs_density(1.0, 6)
+        with pytest.raises(ValueError, match="BlockedDensityMatrix"):
+            call(rho)
+
+    def test_imports_no_closed_form(self):
+        # agreement with the closed forms is evidence only while the oracle
+        # is built without them
+        tree = ast.parse(pathlib.Path(fo.__file__).read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported.append("." * node.level + (node.module or ""))
+        assert imported
+        assert not [name for name in imported if name.startswith((".", "richain"))]

@@ -276,7 +276,6 @@ class TestHypotheses:
         assert rep.h4_stable
         assert rep.h5_sufficient
         assert rep.h5_operative
-        assert rep.convergence_valid
 
     def test_sufficient_implies_operative(self):
         # resonant full swap: t*Omega = pi/2 makes |w| = 1
