@@ -23,7 +23,7 @@ rho2 = fock_oracle.evolve_density(rho0, p, [1, 2])
 
 rng = np.random.default_rng(9)
 dev = 0.0
-state = evolve_state(p, 2).state
+state = evolve_state(p, 2)
 for _ in range(20):
     zeta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     zeta *= 0.4 / np.linalg.norm(zeta)

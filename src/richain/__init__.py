@@ -12,8 +12,6 @@ from .kernel import (
     HypothesisReport,
     MatrixExpCheck,
     ModelParams,
-    PropagatedVector,
-    StepMatrix,
     StepScalars,
     matrix_exponential_check,
     normal_modes,
@@ -23,38 +21,32 @@ from .kernel import (
     validate_hypotheses,
 )
 from .quasifree import (
-    EntropyReport,
     RankOneQuasiFreeState,
-    beta_from_x,
     char_fn,
     gibbs_x,
     mode_entropy,
     occupation,
-    partition_function,
     sigma,
     state_entropy,
 )
 from .dynamics import (
-    EvolvedState,
-    SubsystemSelector,
     effective_beta_S,
     effective_beta_Sm,
     entropy_production_limit,
     evolve_state,
     reduced_char_fn,
+    reduced_state,
     relative_entropy,
+    subsystem_slots,
     total_entropy,
     window_entropy,
     window_overlap_norm_sq,
-    window_state,
-    xi_coefficients,
 )
 from .experiments import (
     ChainStateSpec,
     LimitSchedule,
     MomentReport,
     RunRecord,
-    convergence_study,
     moment_hypothesis_check,
     short_time_limit_run,
     sweep,
@@ -63,19 +55,16 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "StepScalars", "StepMatrix", "PropagatedVector",
-    "MatrixExpCheck", "HypothesisReport", "step_scalars", "step_matrix",
-    "normal_modes", "matrix_exponential_check", "propagate_vector",
-    "validate_hypotheses",
-    "RankOneQuasiFreeState", "EntropyReport", "gibbs_x", "beta_from_x",
-    "sigma", "mode_entropy", "occupation", "char_fn", "state_entropy",
-    "partition_function",
-    "EvolvedState", "SubsystemSelector", "evolve_state", "reduced_char_fn",
+    "ModelParams", "StepScalars", "MatrixExpCheck", "HypothesisReport",
+    "step_scalars", "step_matrix", "normal_modes", "matrix_exponential_check",
+    "propagate_vector", "validate_hypotheses",
+    "RankOneQuasiFreeState", "gibbs_x", "sigma", "mode_entropy", "occupation",
+    "char_fn", "state_entropy",
+    "subsystem_slots", "reduced_state", "evolve_state", "reduced_char_fn",
     "effective_beta_S", "effective_beta_Sm", "total_entropy",
-    "relative_entropy", "entropy_production_limit", "window_state",
-    "window_overlap_norm_sq", "window_entropy", "xi_coefficients",
+    "relative_entropy", "entropy_production_limit",
+    "window_overlap_norm_sq", "window_entropy",
     "LimitSchedule", "ChainStateSpec", "MomentReport", "RunRecord",
-    "moment_hypothesis_check", "short_time_limit_run", "convergence_study",
-    "sweep",
+    "moment_hypothesis_check", "short_time_limit_run", "sweep",
     "__version__",
 ]

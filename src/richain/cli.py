@@ -27,7 +27,6 @@ from .experiments import (
     ChainStateSpec,
     LimitSchedule,
     RunRecord,
-    convergence_study,
     oracle_deltas,
     short_time_limit_run,
     sweep,
@@ -41,7 +40,7 @@ from .kernel import (
     step_scalars,
     validate_hypotheses,
 )
-from .quasifree import beta_from_x, char_fn, gibbs_x
+from .quasifree import char_fn, gibbs_x
 
 __all__ = ["main", "run_verification", "VerifyCheck"]
 
@@ -302,9 +301,7 @@ def cmd_simulate(config: dict, params: ModelParams, use_oracle: bool, cutoff: in
                 dynamics.relative_entropy(params, m) if finite else float("nan")
             ),
             "total_entropy": dynamics.total_entropy(params, m),
-            "char_S": dynamics.reduced_char_fn(
-                params, dynamics.SubsystemSelector(kind="S", m=m), alpha
-            ),
+            "char_S": dynamics.reduced_char_fn(params, m, [0], alpha),
         }
         deltas = None
         if oracle_states is not None:
@@ -326,7 +323,7 @@ def cmd_subsystem(config: dict, params: ModelParams) -> list[RunRecord]:
     kind = section.get("kind", "S")
     m = int(section.get("m", params.N))
     n = section.get("n")
-    selector = dynamics.SubsystemSelector(kind=kind, m=m, n=None if n is None else int(n))
+    slots = dynamics.subsystem_slots(kind, m, None if n is None else int(n))
     if "alphas" in section:
         if not isinstance(section["alphas"], list) or not section["alphas"]:
             raise ConfigError("subsystem.alphas must be a nonempty list of argument tuples")
@@ -338,7 +335,7 @@ def cmd_subsystem(config: dict, params: ModelParams) -> list[RunRecord]:
             for i, entry in enumerate(section["alphas"])
         ]
     else:
-        tuples = [[complex(0.5, 0.0)] * selector.arity]
+        tuples = [[complex(0.5, 0.0)] * len(slots)]
 
     extras: dict = {}
     if kind == "S":
@@ -353,11 +350,11 @@ def cmd_subsystem(config: dict, params: ModelParams) -> list[RunRecord]:
 
     records = []
     for i, args in enumerate(tuples):
-        if len(args) != selector.arity:
+        if len(args) != len(slots):
             raise ConfigError(
-                f"subsystem.alphas[{i}] has {len(args)} entries, selector needs {selector.arity}"
+                f"subsystem.alphas[{i}] has {len(args)} entries, selector needs {len(slots)}"
             )
-        value = dynamics.reduced_char_fn(params, selector, args)
+        value = dynamics.reduced_char_fn(params, m, slots, args)
         outputs = {"value": value, **extras}
         for j, a in enumerate(args):
             outputs[f"alpha{j}"] = a
@@ -473,7 +470,7 @@ def run_verification(
         dev = max(dev, abs(abs(s.g) - 1.0))
         dev = max(dev, abs(abs(s.z) ** 2 + abs(s.w) ** 2 - 1.0))
         dev = max(dev, abs(s.w + np.conj(s.w)))
-        V = step_matrix(p, 1).entries
+        V = step_matrix(p, 1)
         dev = max(dev, float(np.max(np.abs(V.conj().T @ V - np.eye(4)))))
     checks.append(VerifyCheck("kernel_step_identities", dev, _tol(tolerance, 1e-12)))
 
@@ -484,11 +481,11 @@ def run_verification(
     for m in (1, 10, 20):
         product = np.eye(21, dtype=complex)
         for n in range(1, m + 1):
-            product = product @ (phase * step_matrix(p20, n).entries)
+            product = product @ (phase * step_matrix(p20, n))
         for _ in range(20):
             zeta = rng.standard_normal(21) + 1j * rng.standard_normal(21)
             direct = product @ zeta
-            closed = propagate_vector(p20, m, zeta).components
+            closed = propagate_vector(p20, m, zeta)
             dev = max(dev, float(np.max(np.abs(direct - closed))))
     checks.append(VerifyCheck("propagation_vs_matrix_product", dev, _tol(tolerance, 1e-10)))
 
@@ -498,30 +495,28 @@ def run_verification(
     checks.append(VerifyCheck("matrix_exponential", dev, _tol(tolerance, 1e-10)))
 
     # evolved characteristic function is the initial one composed with the step maps
-    initial = dynamics.evolve_state(params, 0).state
+    initial = dynamics.evolve_state(params, 0)
     m_half = max(1, params.N // 2)
-    evolved = dynamics.evolve_state(params, m_half).state
+    evolved = dynamics.evolve_state(params, m_half)
     dev = 0.0
     for _ in range(10):
         zeta = rng.standard_normal(params.N + 1) + 1j * rng.standard_normal(params.N + 1)
-        moved = propagate_vector(params, m_half, zeta).components
+        moved = propagate_vector(params, m_half, zeta)
         dev = max(dev, abs(char_fn(evolved, zeta) - char_fn(initial, moved)))
     checks.append(VerifyCheck("quasifree_composition", dev, _tol(tolerance, 1e-12)))
 
-    # marginalization consistency of the paired selectors
+    # marginalization consistency of the pair S + S_m
     dev = 0.0
     m_pair = max(2, min(params.N, 3))
+    pair, one, solo = (dynamics.subsystem_slots(kind, m_pair) for kind in ("S_plus_Sm", "S", "Sm"))
     for alpha in (0.5 + 0.0j, 0.2 - 0.4j):
-        pair = dynamics.SubsystemSelector(kind="S_plus_Sm", m=m_pair)
-        one = dynamics.SubsystemSelector(kind="S", m=m_pair)
         dev = max(dev, abs(
-            dynamics.reduced_char_fn(params, pair, [alpha, 0.0])
-            - dynamics.reduced_char_fn(params, one, alpha)
+            dynamics.reduced_char_fn(params, m_pair, pair, [alpha, 0.0])
+            - dynamics.reduced_char_fn(params, m_pair, one, alpha)
         ))
-        solo = dynamics.SubsystemSelector(kind="Sm", m=m_pair)
         dev = max(dev, abs(
-            dynamics.reduced_char_fn(params, pair, [0.0, alpha])
-            - dynamics.reduced_char_fn(params, solo, alpha)
+            dynamics.reduced_char_fn(params, m_pair, pair, [0.0, alpha])
+            - dynamics.reduced_char_fn(params, m_pair, solo, alpha)
         ))
     checks.append(VerifyCheck("marginalization_consistency", dev, _tol(tolerance, 1e-14)))
 
@@ -550,7 +545,7 @@ def run_verification(
                 for slot in slots:
                     e = np.zeros(11, dtype=complex)
                     e[slot] = 1.0
-                    total += abs(propagate_vector(p10, k, e).components[0]) ** 2
+                    total += abs(propagate_vector(p10, k, e)[0]) ** 2
             dev = max(dev, abs(total - dynamics.window_overlap_norm_sq(p10, n, k)))
     checks.append(VerifyCheck("window_norm_embedding", dev, _tol(tolerance, 1e-12)))
 
@@ -654,11 +649,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a JSON config document")
         p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--oracle", action="store_true",
-                       help="enable truncated-Fock cross-checks where supported")
-        p.add_argument("--cutoff", type=int, help="per-mode Fock cutoff for oracle paths")
-        p.add_argument("--tolerance", type=float,
-                       help="override every verification tolerance (verify only)")
+        if name in ("simulate", "sweep"):
+            p.add_argument("--oracle", action="store_true",
+                           help="add truncated-Fock cross-check deltas")
+        if name in ("simulate", "limit", "sweep", "verify"):
+            p.add_argument("--cutoff", type=int, help="per-mode Fock cutoff for oracle paths")
+        if name == "verify":
+            p.add_argument("--tolerance", type=float,
+                           help="override every verification tolerance")
     return parser
 
 

@@ -6,16 +6,19 @@ characteristic-function arguments by the one-step matrices of `kernel`,
 so the state never leaves the rank-one corrected quasi-free family: the
 only moving part is the coefficient vector xi_m picked up by the
 distinguished component.  Reduced states, effective temperatures and
-entropies all read off that vector.  A marginal keeps the same rank-one
-form with xi_m restricted to the kept slots, so a reduced state costs
-O(|slots|) and never builds the full (N+1)-vector.
+entropies all read off that vector.
+
+A subsystem is a list of full-chain slots (0 for the distinguished mode,
+j for chain mode j), and its reduced state keeps the same rank-one form
+with xi_m restricted to those slots, so it costs O(|slots|) and never
+builds the full (N+1)-vector.  `subsystem_slots` lists the slots of the
+subsystems the paper names.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +33,8 @@ from .quasifree import (
 )
 
 __all__ = [
-    "EvolvedState",
-    "SubsystemSelector",
-    "xi_coefficients",
+    "subsystem_slots",
+    "reduced_state",
     "evolve_state",
     "reduced_char_fn",
     "effective_beta_S",
@@ -40,20 +42,48 @@ __all__ = [
     "total_entropy",
     "relative_entropy",
     "entropy_production_limit",
-    "window_state",
     "window_overlap_norm_sq",
     "window_entropy",
 ]
 
 _NORM_TOL = 1e-12
+_SUBSYSTEM_KINDS = ("S", "S1", "Sm", "S_plus_Sm", "Smn_plus_Sm", "window")
 
 
-def xi_coefficients(params: ModelParams, m: int, slots) -> np.ndarray:
-    """Components of xi_m on the given full-chain slots, in the order given.
+def subsystem_slots(kind: str, m: int, n: int | None = None) -> list[int]:
+    """Full-chain slots of a subsystem the paper names, at step m, in local order.
 
-    xi_m is the conjugate of the first row of U_1...U_m: conj(phase (gz)^m)
-    at slot 0, conj(phase g w (gz)^(j-1)) at slots 1 <= j <= m and 0 on
-    the slots beyond m that no step has touched yet, with phase
+    kind "S" is the distinguished mode; "S1" and "Sm" are single chain
+    modes 1 and m; "S_plus_Sm" pairs the distinguished mode with mode m;
+    "Smn_plus_Sm" pairs modes m-n and m, in that order; "window" is the
+    distinguished mode plus the n most recently hit chain modes, oldest
+    first (modes m-n+1 ... m).
+    """
+    if kind not in _SUBSYSTEM_KINDS:
+        raise ValueError(f"unknown selector kind {kind!r}")
+    if kind == "window":
+        if n is None or not 0 <= n <= m:
+            raise ValueError(f"window requires 0 <= n <= m, got n={n}, m={m}")
+        return [0, *range(m - n + 1, m + 1)]
+    if kind == "Smn_plus_Sm":
+        if n is None or not 1 < m - n < m:
+            raise ValueError(f"Smn_plus_Sm requires 1 < m-n < m, got n={n}, m={m}")
+        return [m - n, m]
+    if n is not None:
+        raise ValueError(f"selector {kind} takes no n index")
+    floor = 0 if kind == "S" else 1
+    if m < floor:
+        raise ValueError(f"selector {kind} requires m >= {floor}")
+    return {"S": [0], "S1": [1], "Sm": [m], "S_plus_Sm": [0, m]}[kind]
+
+
+def reduced_state(params: ModelParams, m: int, slots) -> RankOneQuasiFreeState:
+    """Reduced state on the given full-chain slots after m steps, in the order given.
+
+    It is the rank-one form with xi_m restricted to the slots.  xi_m is
+    the conjugate of the first row of U_1...U_m: conj(phase (gz)^m) at
+    slot 0, conj(phase g w (gz)^(j-1)) at slots 1 <= j <= m and 0 on the
+    slots beyond m that no step has touched yet, with phase
     exp(i m tau eps).  Costs O(len(slots)).
     """
     if not 0 <= m <= params.N:
@@ -71,121 +101,37 @@ def xi_coefficients(params: ModelParams, m: int, slots) -> np.ndarray:
     coeff[live] = s.gz_power(np.where(slots == 0, m, slots - 1)[live])
     coeff[live & (slots >= 1)] *= s.g * s.w
     coeff *= cmath.exp(1j * m * params.tau * params.eps)
-    return np.conj(coeff)
-
-
-def _state_on_slots(params: ModelParams, m: int, slots) -> RankOneQuasiFreeState:
-    """Reduced state on `slots` after m steps: the rank-one form with xi_m restricted."""
-    xi = xi_coefficients(params, m, slots)
     x = gibbs_x(params.beta)
     return RankOneQuasiFreeState(
-        modes=xi.size, x=x, x0=gibbs_x(params.beta0) - x, xi=xi
+        modes=slots.size, x=x, x0=gibbs_x(params.beta0) - x, xi=np.conj(coeff)
     )
 
 
-@dataclass(frozen=True)
-class EvolvedState:
-    """State after m completed interaction steps."""
-
-    m: int
-    state: RankOneQuasiFreeState
-
-    def __post_init__(self):
-        norm = self.state.xi_norm_sq
-        if abs(norm - 1.0) > _NORM_TOL * max(1.0, math.sqrt(self.m)):
-            raise ValueError(
-                f"xi_m must stay a unit vector, got <xi,xi> = {norm!r} at m = {self.m}"
-            )
-
-
-@dataclass(frozen=True)
-class SubsystemSelector:
-    """Which marginal of the evolved state to take, and at which step.
-
-    kind "S" is the distinguished mode after m steps; "S1" and "Sm" are
-    single chain modes 1 and m; "S_plus_Sm" pairs the distinguished mode
-    with mode m; "Smn_plus_Sm" pairs modes m-n and m (alphas in that
-    order); "window" is the distinguished mode plus the n most recently
-    hit chain modes at step m, ordered oldest first (mode k-n+1 ... k
-    with k = m).
-    """
-
-    kind: str
-    m: int
-    n: int | None = None
-
-    _KINDS = ("S", "S1", "Sm", "S_plus_Sm", "Smn_plus_Sm", "window")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown selector kind {self.kind!r}")
-        if self.kind == "window":
-            if self.n is None or not 0 <= self.n <= self.m:
-                raise ValueError(f"window requires 0 <= n <= m, got n={self.n}, m={self.m}")
-        elif self.kind == "Smn_plus_Sm":
-            if self.n is None or not 1 < self.m - self.n < self.m:
-                raise ValueError(
-                    f"Smn_plus_Sm requires 1 < m-n < m, got n={self.n}, m={self.m}"
-                )
-        else:
-            if self.n is not None:
-                raise ValueError(f"selector {self.kind} takes no n index")
-            floor = 0 if self.kind == "S" else 1
-            if self.m < floor:
-                raise ValueError(f"selector {self.kind} requires m >= {floor}")
-
-    @property
-    def arity(self) -> int:
-        if self.kind in ("S", "S1", "Sm"):
-            return 1
-        if self.kind == "window":
-            return self.n + 1
-        return 2
-
-    def slots(self) -> list[int]:
-        """Full-chain slot indices of the marginal, in local order."""
-        if self.kind == "S":
-            return [0]
-        if self.kind == "S1":
-            return [1]
-        if self.kind == "Sm":
-            return [self.m]
-        if self.kind == "S_plus_Sm":
-            return [0, self.m]
-        if self.kind == "Smn_plus_Sm":
-            return [self.m - self.n, self.m]
-        return [0] + list(range(self.m - self.n + 1, self.m + 1))
-
-
-def evolve_state(params: ModelParams, m: int) -> EvolvedState:
-    """State after the first m interaction steps, in closed form.
+def evolve_state(params: ModelParams, m: int) -> RankOneQuasiFreeState:
+    """State of all N+1 modes after the first m interaction steps, in closed form.
 
     The characteristic function is exp[-(1/4)(x(beta)<zeta,zeta> +
     (x(beta0)-x(beta))|(U_1...U_m zeta)_0|^2)]; m = 0 gives back the
-    initial product.  Builds the full (N+1)-vector; marginals need only
-    their own slots (see `reduced_char_fn` and `window_state`).
+    initial product.  Builds the full (N+1)-vector and checks that it
+    stays a unit vector; marginals need only `reduced_state` on their
+    own slots.
     """
-    return EvolvedState(m=m, state=_state_on_slots(params, m, range(params.N + 1)))
+    state = reduced_state(params, m, range(params.N + 1))
+    norm = state.xi_norm_sq
+    if abs(norm - 1.0) > _NORM_TOL * max(1.0, math.sqrt(m)):
+        raise ValueError(f"xi_m must stay a unit vector, got <xi,xi> = {norm!r} at m = {m}")
+    return state
 
 
-def reduced_char_fn(params: ModelParams, selector: SubsystemSelector, alphas) -> complex:
-    """Characteristic function of the selected marginal at its local arguments.
+def reduced_char_fn(params: ModelParams, m: int, slots, alphas) -> complex:
+    """Characteristic function of the reduced state on `slots` after m steps.
 
-    The marginal on the selector's slots is the rank-one corrected state
-    with xi_m restricted to those slots, taken in the selector's local
-    order.  It is evaluated at the local arguments directly, in
-    O(arity) and without building the full chain.
+    `alphas` holds one argument per slot, in the order of `slots`; the
+    marginal is evaluated there directly, in O(len(slots)) and without
+    building the full chain.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    if alphas.shape != (selector.arity,):
-        raise ValueError(
-            f"selector {selector.kind} takes {selector.arity} argument(s), "
-            f"got shape {alphas.shape}"
-        )
-    if selector.m > params.N:
-        raise ValueError(f"selector step m={selector.m} exceeds N={params.N}")
-    state = _state_on_slots(params, selector.m, selector.slots())
-    return complex(char_fn(state, alphas))
+    return complex(char_fn(reduced_state(params, m, slots), alphas))
 
 
 def _zsq_power(L: float, m: int) -> float:
@@ -275,18 +221,6 @@ def entropy_production_limit(params: ModelParams) -> float:
     )
 
 
-def window_state(params: ModelParams, n: int, k: int) -> RankOneQuasiFreeState:
-    """Reduced state of the distinguished mode plus chain modes k-n+1..k at step k.
-
-    Local mode 0 is the distinguished mode; local modes 1..n are the
-    window chain modes oldest first.  The correction vector has
-    components conj(phase (gz)^k) and conj(phase g w (gz)^(k-n+i-1)).
-    """
-    if not 0 <= n <= k <= params.N:
-        raise ValueError(f"window needs 0 <= n <= k <= N, got n={n}, k={k}, N={params.N}")
-    return _state_on_slots(params, k, [0, *range(k - n + 1, k + 1)])
-
-
 def window_overlap_norm_sq(params: ModelParams, n: int, k: int) -> float:
     """Closed form of <xi_{n,k}, xi_{n,k}> for the window state.
 
@@ -308,4 +242,4 @@ def window_entropy(params: ModelParams, n: int, k: int) -> float:
     As k grows at fixed n this tends to (n+1) sigma(x(beta)), the entropy
     of an n+1-mode thermal block at beta.
     """
-    return state_entropy(window_state(params, n, k)).total
+    return state_entropy(reduced_state(params, k, subsystem_slots("window", k, n)))

@@ -10,9 +10,8 @@ and records the distance to the limit.  Each theta's error sequence is
 fitted to the bound c1 exp(-eta^2 tau^2 N/2) + c2 tau^3 N by a closed-form
 nonnegative least-squares fit over the two columns.
 
-Also here: the moment-hypothesis report backing that run, geometric
-convergence studies for the effective temperatures, relative entropy and
-window entropy, and a parameter sweep emitting one record per grid
+Also here: the moment-hypothesis report backing that run, the oracle
+cross-check helper, and a parameter sweep emitting one record per grid
 point.  Records are plain data; serialization lives in `cli`.
 """
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import dynamics, fock_oracle
 from .kernel import ModelParams, normal_modes, step_scalars, validate_hypotheses
-from .quasifree import char_fn, gibbs_x, sigma
+from .quasifree import char_fn, gibbs_x
 
 __all__ = [
     "LimitSchedule",
@@ -37,7 +36,6 @@ __all__ = [
     "RunRecord",
     "moment_hypothesis_check",
     "short_time_limit_run",
-    "convergence_study",
     "oracle_deltas",
     "sweep",
 ]
@@ -260,7 +258,7 @@ def _log1p_complex(d: np.ndarray) -> np.ndarray:
 
 def _chain_product_log(spec: ChainStateSpec, thetas_k: np.ndarray, cutoff: int) -> complex:
     """Sum over k of log C(theta_k), with C the spec's characteristic function."""
-    rho = fock_oracle.FockDensityMatrix(1, cutoff, spec.density(cutoff))
+    rho = fock_oracle.FockDensityMatrix(spec.density(cutoff))
     d = fock_oracle.weyl_expectation_batch(rho, thetas_k, minus_one=True)
     return complex(np.sum(_log1p_complex(d)))
 
@@ -408,83 +406,6 @@ def short_time_limit_run(
     return records
 
 
-_STUDY_QUANTITIES = (
-    "beta_star_gap",
-    "beta_star_star_gap",
-    "relative_entropy_gap",
-    "window_entropy_gap",
-)
-
-
-def convergence_study(
-    params: ModelParams, quantity: str, horizon: int, window_n: int = 2
-) -> list[RunRecord]:
-    """Sequence of a named convergent quantity plus its fitted geometric rate.
-
-    All four registered quantities contract by |z|^2 per step, so the
-    fitted ratio is compared against that reference in every record.
-    """
-    if quantity not in _STUDY_QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}; registered: {_STUDY_QUANTITIES}")
-    if not 2 <= horizon <= params.N:
-        raise ValueError(f"horizon must lie in 2..N={params.N}, got {horizon}")
-
-    x_bg = gibbs_x(params.beta)
-    if quantity == "beta_star_gap":
-        indices = list(range(0, horizon + 1))
-        values = [dynamics.effective_beta_S(params, m) for m in indices]
-        gaps = [abs(gibbs_x(b) - x_bg) if not math.isinf(b) else abs(1.0 - x_bg) for b in values]
-    elif quantity == "beta_star_star_gap":
-        indices = list(range(1, horizon + 1))
-        values = [dynamics.effective_beta_Sm(params, m) for m in indices]
-        gaps = [abs(gibbs_x(b) - x_bg) if not math.isinf(b) else abs(1.0 - x_bg) for b in values]
-    elif quantity == "relative_entropy_gap":
-        limit = dynamics.entropy_production_limit(params)
-        indices = list(range(0, horizon + 1))
-        values = [dynamics.relative_entropy(params, m) for m in indices]
-        gaps = [limit - v for v in values]
-    else:
-        limit = (window_n + 1) * sigma(x_bg)
-        indices = list(range(window_n, horizon + 1))
-        values = [dynamics.window_entropy(params, window_n, k) for k in indices]
-        gaps = [abs(v - limit) for v in values]
-
-    reference = abs(step_scalars(params).z) ** 2
-    positive = [(i, g) for i, g in zip(indices, gaps) if g > 0.0]
-    if len(positive) >= 2:
-        xs = np.array([i for i, _ in positive], dtype=float)
-        ys = np.log([g for _, g in positive])
-        slope = np.polyfit(xs, ys, 1)[0]
-        fitted = float(np.exp(slope))
-    else:
-        fitted = float("nan")
-    ratio_ok = math.isfinite(fitted) and abs(fitted - reference) <= 0.02 * reference
-
-    records = []
-    for idx, value, gap in zip(indices, values, gaps):
-        records.append(
-            RunRecord(
-                run_id=f"study-{quantity}-{idx:04d}",
-                inputs={
-                    "E": params.E, "eps": params.eps, "eta": params.eta,
-                    "tau": params.tau, "N": params.N,
-                    "beta0": params.beta0, "beta": params.beta,
-                    "quantity": quantity,
-                    "window_n": window_n if quantity == "window_entropy_gap" else None,
-                },
-                outputs={
-                    "index": idx,
-                    "value": value,
-                    "gap": gap,
-                    "fitted_ratio": fitted,
-                    "reference_ratio": reference,
-                    "ratio_ok": ratio_ok,
-                },
-            )
-        )
-    return records
-
-
 _GRID_KEYS = ("E", "eps", "eta", "tau", "beta0", "beta", "N")
 
 
@@ -499,7 +420,7 @@ def oracle_deltas(
     and |S(rho) - total_entropy| as "entropy".  With samples = 0 the
     generator is left untouched.
     """
-    state = dynamics.evolve_state(params, m).state
+    state = dynamics.evolve_state(params, m)
     worst = 0.0
     for _ in range(samples):
         zeta = rng.standard_normal(rho.modes) + 1j * rng.standard_normal(rho.modes)

@@ -146,24 +146,17 @@ def thermal_probabilities(beta: float, D: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockDensityMatrix:
-    """Dense one-mode density matrix at cutoff `cutoff`, the input of
-    `weyl_expectation_batch`; multi-mode states are `BlockedDensityMatrix`."""
+    """Dense one-mode density matrix, the input of `weyl_expectation_batch`;
+    its shape sets the cutoff.  Multi-mode states are `BlockedDensityMatrix`."""
 
-    modes: int
-    cutoff: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.modes != 1:
-            raise ValueError(
-                f"FockDensityMatrix holds one mode, got modes = {self.modes}; "
-                "use BlockedDensityMatrix"
-            )
-        D = self.cutoff
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
-        if mat.shape != (D, D):
-            raise ValueError(f"matrix must be {D}x{D}, got {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {mat.shape}")
+        D = self.cutoff
         herm = float(np.max(np.abs(mat - mat.conj().T))) if D else 0.0
         if herm > _HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian: max deviation {herm}")
@@ -174,6 +167,10 @@ class FockDensityMatrix:
             lo = float(np.linalg.eigvalsh(mat)[0])
             if lo < NEG_EIG_CLAMP:
                 raise ValueError(f"matrix not PSD: lowest eigenvalue {lo}")
+
+    @property
+    def cutoff(self) -> int:
+        return self.matrix.shape[0]
 
 
 class _SectorBasis:
@@ -378,11 +375,6 @@ class BlockedDensityMatrix:
             [thermal_probabilities(b, cutoff) for b in betas], cutoff
         )
 
-    def trace(self) -> float:
-        return float(sum(
-            np.trace(blocks, axis1=1, axis2=2).real.sum() for _, blocks in self._stacks()
-        ))
-
     def _diagonal(self) -> np.ndarray:
         """The diagonal, indexed by basis position."""
         out = np.empty(len(self._layout.basis.grid), dtype=complex)
@@ -390,15 +382,11 @@ class BlockedDensityMatrix:
             out[st.members] = np.diagonal(blocks, axis1=1, axis2=2)
         return out
 
-    def diagonal(self) -> list[np.ndarray]:
-        """The diagonal, one array per sector."""
-        return np.split(self._diagonal(), self._layout.basis.starts[1:-1])
-
 
 def gibbs_density(beta: float, D: int) -> tuple[FockDensityMatrix, CutoffReport]:
     """One-mode thermal state at cutoff D, renormalized, with its cutoff audit."""
     p = thermal_probabilities(beta, D)
-    rho = FockDensityMatrix(1, D, np.diag(p.astype(complex)))
+    rho = FockDensityMatrix(np.diag(p.astype(complex)))
     report = CutoffReport(tail_weight=float(p[-1]), recommendation=recommend_cutoff(beta))
     return rho, report
 
@@ -636,6 +624,8 @@ def weyl_expectation_batch(
     is Tr[rho*w(alpha)] - 1 evaluated without cancellation, which keeps
     million-term products of near-unit factors at full precision.
     """
+    if not isinstance(rho, FockDensityMatrix):
+        raise ValueError(f"expected a FockDensityMatrix, got {type(rho).__name__}")
     D = rho.cutoff
     alphas = np.asarray(alphas, dtype=complex).ravel()
     _check_weyl_headroom(alphas, D)

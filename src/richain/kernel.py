@@ -27,8 +27,6 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "StepScalars",
-    "StepMatrix",
-    "PropagatedVector",
     "MatrixExpCheck",
     "HypothesisReport",
     "step_scalars",
@@ -120,22 +118,6 @@ class StepScalars:
 
 
 @dataclass(frozen=True)
-class StepMatrix:
-    """One-step matrix V_n on C^(N+1); differs from identity only in rows/cols {0, n}."""
-
-    n: int
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class PropagatedVector:
-    """Image of a vector under m completed interaction steps."""
-
-    m: int
-    components: np.ndarray
-
-
-@dataclass(frozen=True)
 class MatrixExpCheck:
     """Deviation report for the generator identity exp(i*t*Y_n) = U_n(t)."""
 
@@ -174,10 +156,11 @@ def step_scalars(params: ModelParams, t: float | None = None) -> StepScalars:
     return StepScalars(g=g, w=w, z=z)
 
 
-def step_matrix(params: ModelParams, n: int, t: float | None = None) -> StepMatrix:
+def step_matrix(params: ModelParams, n: int, t: float | None = None) -> np.ndarray:
     """Matrix V_n(t) of the step where chain slot n interacts.
 
-    The unitary of the full step is exp(i*t*eps) * V_n(t); the global
+    V_n differs from the identity on C^(N+1) only in rows and columns
+    {0, n}.  The unitary of the full step is exp(i*t*eps) * V_n(t); the global
     phase is left to callers so that V stays a one-parameter group.
     """
     if not 1 <= n <= params.N:
@@ -189,7 +172,7 @@ def step_matrix(params: ModelParams, n: int, t: float | None = None) -> StepMatr
     V[0, n] = s.g * s.w
     V[n, 0] = s.g * s.w
     V[n, n] = s.g * s.z.conjugate()
-    return StepMatrix(n=n, entries=V)
+    return V
 
 
 def normal_modes(params: ModelParams) -> tuple[float, float]:
@@ -237,12 +220,12 @@ def matrix_exponential_check(
 
     vals, vecs = np.linalg.eigh(Y)
     expY = (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
-    U = cmath.exp(1j * t * eps) * step_matrix(params, n, t).entries
+    U = cmath.exp(1j * t * eps) * step_matrix(params, n, t)
     dev = float(np.max(np.abs(expY - U)))
     return MatrixExpCheck(deviation=dev, x_square_identity=x_sq_dev, jx_identity=jx_dev)
 
 
-def propagate_vector(params: ModelParams, m: int, zeta: np.ndarray) -> PropagatedVector:
+def propagate_vector(params: ModelParams, m: int, zeta: np.ndarray) -> np.ndarray:
     """Apply the first m interaction steps to a vector, in closed form.
 
     Returns U_1 ... U_m zeta, where U_j = exp(i*tau*eps) * V_j is the
@@ -284,7 +267,7 @@ def propagate_vector(params: ModelParams, m: int, zeta: np.ndarray) -> Propagate
     out[m] = g * w * zeta[0] + gzbar * zeta[m]
     out[m + 1 :] = zeta[m + 1 :]
     out *= phase
-    return PropagatedVector(m=m, components=out)
+    return out
 
 
 def validate_hypotheses(params: ModelParams) -> HypothesisReport:

@@ -23,15 +23,12 @@ import numpy as np
 
 __all__ = [
     "RankOneQuasiFreeState",
-    "EntropyReport",
     "gibbs_x",
-    "beta_from_x",
     "sigma",
     "mode_entropy",
     "occupation",
     "char_fn",
     "state_entropy",
-    "partition_function",
 ]
 
 _ADMISSIBILITY_SLACK = 1e-12
@@ -50,15 +47,6 @@ def gibbs_x(beta: float) -> float:
         return 1.0
     q = math.exp(-beta)
     return (1.0 + q) / (1.0 - q)
-
-
-def beta_from_x(x: float) -> float:
-    """Inverse of gibbs_x; x = 1 maps to +inf (vacuum)."""
-    if x < 1.0:
-        raise ValueError(f"inadmissible covariance scalar x = {x!r} < 1")
-    if x == 1.0:
-        return math.inf
-    return math.log((x + 1.0) / (x - 1.0))
 
 
 def sigma(x: float) -> float:
@@ -142,15 +130,6 @@ class RankOneQuasiFreeState:
         return self.x + self.x0 * self.xi_norm_sq
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """Entropy split of a rank-one corrected state: (M-1) background modes + 1 corrected."""
-
-    total: float
-    per_mode_background: float
-    corrected_mode: float
-
-
 def char_fn(state: RankOneQuasiFreeState, zeta: np.ndarray) -> float:
     """Characteristic function value at zeta; real and in (0, 1]."""
     zeta = np.asarray(zeta, dtype=complex)
@@ -163,31 +142,6 @@ def char_fn(state: RankOneQuasiFreeState, zeta: np.ndarray) -> float:
     return math.exp(-0.25 * (state.x * norm_sq + state.x0 * abs(overlap) ** 2))
 
 
-def state_entropy(state: RankOneQuasiFreeState) -> EntropyReport:
-    """Entropy (M-1)*sigma(x) + sigma(x + x0*<xi,xi>), reported by part."""
-    background = sigma(state.x)
-    corrected = sigma(max(state.corrected_x, 1.0))
-    total = (state.modes - 1) * background + corrected
-    return EntropyReport(
-        total=total, per_mode_background=background, corrected_mode=corrected
-    )
-
-
-def partition_function(beta: float, delta: float, xi: np.ndarray) -> float:
-    """Normalization of the thermal state perturbed by delta along xi.
-
-    For N+1 modes (N = len(xi) - 1):
-        Z = (1 - e^-beta)^(-N) * (1 - e^-(beta + delta*<xi,xi>))^(-1).
-    """
-    if not (beta > 0.0) or math.isinf(beta):
-        raise ValueError(f"beta must be a finite positive number, got {beta!r}")
-    xi = np.asarray(xi, dtype=complex)
-    if xi.ndim != 1 or xi.size < 1:
-        raise ValueError("xi must be a nonempty vector")
-    shifted = beta + delta * float(np.vdot(xi, xi).real)
-    if shifted <= 0.0:
-        raise ValueError(
-            f"beta + delta*<xi,xi> = {shifted!r} must be positive"
-        )
-    n_background = xi.size - 1
-    return (1.0 - math.exp(-beta)) ** (-n_background) / (1.0 - math.exp(-shifted))
+def state_entropy(state: RankOneQuasiFreeState) -> float:
+    """Entropy (M-1)*sigma(x) + sigma(x + x0*<xi,xi>) of M modes."""
+    return (state.modes - 1) * sigma(state.x) + sigma(max(state.corrected_x, 1.0))

@@ -105,6 +105,16 @@ def to_dense(rho):
     return mat
 
 
+def trace(rho):
+    """Trace of a blocked state, summed over its group blocks."""
+    return float(sum(np.trace(blocks, axis1=1, axis2=2).real.sum() for _, blocks in rho._stacks()))
+
+
+def diagonal(rho):
+    """Diagonal of a blocked state, one array per total-occupation sector."""
+    return np.split(rho._diagonal(), rho._layout.basis.starts[1:-1])
+
+
 def sector_blocks(rho):
     """Dense block of each total-occupation sector, in sector order.
 

@@ -16,11 +16,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from convergence import convergence_study
 from richain import cli, dynamics, fock_oracle
 from richain.experiments import (
     ChainStateSpec,
     LimitSchedule,
-    convergence_study,
     moment_hypothesis_check,
     short_time_limit_run,
 )
@@ -72,7 +72,7 @@ def test_criterion_01_kernel_identities():
         eta = rng.uniform(0.0, 0.999) * math.sqrt(E * eps)
         p = make_params(E=E, eps=eps, eta=eta, tau=rng.uniform(0.05, 3.0), N=4)
         s = step_scalars(p)
-        V = step_matrix(p, int(rng.integers(1, 5))).entries
+        V = step_matrix(p, int(rng.integers(1, 5)))
         devs["g"] = max(devs["g"], abs(abs(s.g) - 1.0))
         devs["zw"] = max(devs["zw"], abs(abs(s.z) ** 2 + abs(s.w) ** 2 - 1.0))
         devs["w_imag"] = max(devs["w_imag"], abs(s.w + s.w.conjugate()))
@@ -91,7 +91,7 @@ def test_criterion_02_closed_form_vs_matrix_product():
     U = np.eye(51, dtype=complex)
     prefix = {}
     for n in range(1, 51):
-        U = U @ (phase * step_matrix(p, n).entries)
+        U = U @ (phase * step_matrix(p, n))
         if n in (1, 25, 50):
             prefix[n] = U.copy()
     rng = np.random.default_rng(202)
@@ -100,7 +100,7 @@ def test_criterion_02_closed_form_vs_matrix_product():
     for m, P in prefix.items():
         explicit = P @ Z
         for i in range(100):
-            out = propagate_vector(p, m, Z[:, i]).components
+            out = propagate_vector(p, m, Z[:, i])
             dev = max(dev, float(np.max(np.abs(out - explicit[:, i]))))
     elapsed = time.perf_counter() - start
     criterion(2, "closed-form propagation vs explicit product, N=50, 100 vectors",
@@ -128,7 +128,7 @@ def test_criterion_03_matrix_exponential_equals_step():
 def test_criterion_04_oracle_characteristic_functions(oracle_states_d25):
     p2, rho_m = oracle_states_d25
     start = time.perf_counter()
-    state = dynamics.evolve_state(p2, 2).state
+    state = dynamics.evolve_state(p2, 2)
     rng = np.random.default_rng(404)
     dev = 0.0
     for _ in range(50):
@@ -204,7 +204,7 @@ def test_criterion_08_effective_temperature_convergence():
             dev = max(dev, abs(xs[m + 1] - (q * xs[m] + (1.0 - q) * x_bg)))
     p = make_params(E=1.0, N=100)
     q = abs(step_scalars(p).z) ** 2
-    fitted = convergence_study(p, "beta_star_gap", horizon=100)[0].outputs["fitted_ratio"]
+    fitted = convergence_study(p, "beta_star_gap", horizon=100).fitted_ratio
     ratio_err = abs(fitted - q) / q
     criterion(8, "x(beta*) affine identity and fitted geometric ratio |z|^2",
               dev < 1e-12 and ratio_err <= 0.02,
@@ -223,7 +223,7 @@ def test_criterion_09_window_subsystem():
                 for slot in [0] + list(range(k - n + 1, k + 1)):
                     e = np.zeros(17, dtype=complex)
                     e[slot] = 1.0
-                    embedded += abs(propagate_vector(p, k, e).components[0]) ** 2
+                    embedded += abs(propagate_vector(p, k, e)[0]) ** 2
             dev = max(dev, abs(embedded - dynamics.window_overlap_norm_sq(p, n, k)))
     x_bg = gibbs_x(p.beta)
     const = 0.5 * p.beta * abs(gibbs_x(p.beta0) - x_bg)

@@ -12,7 +12,9 @@ import pytest
 
 import richain
 from richain import dynamics
-from richain.cli import main
+from richain.cli import _build_parser, main
+
+REPO = Path(__file__).resolve().parents[1]
 
 STD_MODEL = {
     "E": 1.0, "eps": 1.0, "eta": 0.5, "tau": 1.0,
@@ -170,6 +172,22 @@ class TestSubsystemCommand:
         assert float(cells["window_norm_sq"]) > 0.0
         assert float(cells["window_entropy"]) > 0.0
 
+    @pytest.mark.parametrize("kind, n, arity", [
+        ("S", None, 1), ("S1", None, 1), ("Sm", None, 1), ("S_plus_Sm", None, 2),
+        ("Smn_plus_Sm", 3, 2), ("window", 3, 4),
+    ])
+    def test_every_kind(self, tmp_path, capsys, kind, n, arity):
+        cfg = write_config(tmp_path, {
+            "schema_version": 1, "subsystem": {"kind": kind, "m": 8, "n": n},
+        })
+        code, out, _ = run_cli(capsys, "subsystem", "--config", cfg)
+        assert code == 0
+        header, row = (line.split(",") for line in out.splitlines())
+        cells = dict(zip(header, row))
+        assert cells["kind"] == kind
+        assert [f"alpha{j}_re" in cells for j in range(arity + 1)] == [True] * arity + [False]
+        assert 0.0 < float(cells["value_re"]) <= 1.0
+
     def test_arity_mismatch_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "schema_version": 1,
@@ -286,6 +304,36 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""  # no check ever ran
         assert "unstable" in err
+
+
+class TestFlags:
+    """--oracle, --cutoff and --tolerance exist only where they are read."""
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--oracle"], ["kernel", "--cutoff", "8"], ["kernel", "--tolerance", "0"],
+        ["subsystem", "--oracle"], ["subsystem", "--cutoff", "8"],
+        ["subsystem", "--tolerance", "0"], ["limit", "--oracle"], ["limit", "--tolerance", "0"],
+        ["simulate", "--tolerance", "0"], ["sweep", "--tolerance", "0"], ["verify", "--oracle"],
+    ])
+    def test_unread_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_read_flags_parse(self):
+        parser = _build_parser()
+        for argv in (["simulate", "--oracle", "--cutoff", "8"],
+                     ["sweep", "--oracle", "--cutoff", "8"], ["limit", "--cutoff", "8"],
+                     ["verify", "--cutoff", "8", "--tolerance", "0.5"]):
+            parser.parse_args(argv)
+
+    def test_benchmark_argvs_parse(self):
+        workloads = json.loads((REPO / "bench" / "workloads.json").read_text(encoding="utf-8"))
+        parser = _build_parser()
+        for spec in workloads.values():
+            for argv in (spec["argv"], spec["tiny"]["argv"]):
+                parser.parse_args(argv)
 
 
 class TestConfigErrors:

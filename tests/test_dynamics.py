@@ -8,19 +8,19 @@ import pytest
 import fock_reference as ref
 from fock_reference import partial_trace
 from richain import fock_oracle as fo
+from richain import dynamics
 from richain.dynamics import (
-    SubsystemSelector,
     effective_beta_S,
     effective_beta_Sm,
     entropy_production_limit,
     evolve_state,
     reduced_char_fn,
+    reduced_state,
     relative_entropy,
+    subsystem_slots,
     total_entropy,
     window_entropy,
     window_overlap_norm_sq,
-    window_state,
-    xi_coefficients,
 )
 from richain.kernel import ModelParams, propagate_vector, step_scalars
 from richain.quasifree import char_fn, gibbs_x, mode_entropy, sigma, state_entropy
@@ -44,7 +44,7 @@ def std_params(N=2, **kwargs):
 class TestEvolveState:
     def test_initial_state(self):
         p = std_params(N=4)
-        st = evolve_state(p, 0).state
+        st = evolve_state(p, 0)
         assert st.modes == 5
         assert abs(st.x - 3.0) < 1e-15
         assert abs(st.x0 - (2.0 - 3.0)) < 1e-15
@@ -55,18 +55,18 @@ class TestEvolveState:
     def test_xi_stays_normalized(self):
         p = std_params(N=30, E=1.7, eta=0.4, tau=0.6)
         for m in (1, 7, 30):
-            assert abs(evolve_state(p, m).state.xi_norm_sq - 1.0) < 1e-12
+            assert abs(evolve_state(p, m).xi_norm_sq - 1.0) < 1e-12
 
     def test_composition_with_propagator(self):
         # evolved char fn == initial char fn after moving zeta through the steps
         p = std_params(N=6, E=2.0)
-        initial = evolve_state(p, 0).state
+        initial = evolve_state(p, 0)
         rng = np.random.default_rng(4)
         for m in (1, 3, 6):
-            st = evolve_state(p, m).state
+            st = evolve_state(p, m)
             for _ in range(5):
                 zeta = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-                moved = propagate_vector(p, m, zeta).components
+                moved = propagate_vector(p, m, zeta)
                 assert abs(char_fn(st, zeta) - char_fn(initial, moved)) < 1e-14
 
     def test_step_bounds(self):
@@ -98,7 +98,7 @@ class TestOracleAgreement:
         p, states = oracle_states
         rng = np.random.default_rng(12)
         for m in (0, 1, 2):
-            st = evolve_state(p, m).state
+            st = evolve_state(p, m)
             for _ in range(7):
                 zeta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
                 zeta *= 0.4 / np.linalg.norm(zeta)
@@ -107,20 +107,15 @@ class TestOracleAgreement:
 
     def test_reduced_char_fn_vs_partial_trace(self, oracle_states):
         p, states = oracle_states
-        cases = [
-            (SubsystemSelector(kind="S", m=2), [0]),
-            (SubsystemSelector(kind="Sm", m=2), [2]),
-            (SubsystemSelector(kind="S1", m=2), [1]),
-            (SubsystemSelector(kind="S_plus_Sm", m=2), [0, 2]),
-        ]
         rng = np.random.default_rng(3)
-        for selector, keep in cases:
+        for kind in ("S", "Sm", "S1", "S_plus_Sm"):
+            keep = subsystem_slots(kind, 2)
             reduced = partial_trace(states[2], keep)
             for _ in range(5):
                 alphas = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
                 alphas *= 0.35 / np.linalg.norm(alphas)
                 brute = ref.weyl_expectation(reduced, alphas, ORACLE_D)
-                mine = reduced_char_fn(p, selector, alphas if len(keep) > 1 else alphas[0])
+                mine = reduced_char_fn(p, 2, keep, alphas if len(keep) > 1 else alphas[0])
                 assert abs(mine - brute) < 1e-4
 
     def test_effective_temperature_of_Sm_marginal(self, oracle_states):
@@ -146,25 +141,25 @@ class TestReducedCharFn:
         for m in (0, 3, 10):
             xs = gibbs_x(effective_beta_S(p, m))
             for a in (0.3, 0.5 - 0.2j, 1.1j):
-                got = reduced_char_fn(p, SubsystemSelector(kind="S", m=m), a)
+                got = reduced_char_fn(p, m, subsystem_slots("S", m), a)
                 assert abs(got - math.exp(-0.25 * xs * abs(a) ** 2)) < 1e-14
 
     def test_Sm_is_thermal_at_beta_star_star(self):
         p = std_params(N=10, E=2.0)
         for m in (1, 4, 10):
             xs = gibbs_x(effective_beta_Sm(p, m))
-            got = reduced_char_fn(p, SubsystemSelector(kind="Sm", m=m), 0.7)
+            got = reduced_char_fn(p, m, subsystem_slots("Sm", m), 0.7)
             assert abs(got - math.exp(-0.25 * xs * 0.49)) < 1e-14
 
     def test_pair_marginalizes_to_singles(self):
         p = std_params(N=8, E=2.0)
-        pair = SubsystemSelector(kind="S_plus_Sm", m=5)
+        pair = subsystem_slots("S_plus_Sm", 5)
         for a in (0.4, 0.2 + 0.3j):
-            lhs = reduced_char_fn(p, pair, [a, 0.0])
-            rhs = reduced_char_fn(p, SubsystemSelector(kind="S", m=5), a)
+            lhs = reduced_char_fn(p, 5, pair, [a, 0.0])
+            rhs = reduced_char_fn(p, 5, subsystem_slots("S", 5), a)
             assert abs(lhs - rhs) < 1e-14
-            lhs = reduced_char_fn(p, pair, [0.0, a])
-            rhs = reduced_char_fn(p, SubsystemSelector(kind="Sm", m=5), a)
+            lhs = reduced_char_fn(p, 5, pair, [0.0, a])
+            rhs = reduced_char_fn(p, 5, subsystem_slots("Sm", 5), a)
             assert abs(lhs - rhs) < 1e-14
 
     def test_distant_pair_factorizes_asymptotically(self):
@@ -173,9 +168,10 @@ class TestReducedCharFn:
         a1, a2 = 0.5, 0.4 - 0.3j
 
         def correlation_defect(m):
-            sel = SubsystemSelector(kind="Smn_plus_Sm", m=m, n=5)
-            joint = reduced_char_fn(p, sel, [a1, a2])
-            split = reduced_char_fn(p, sel, [a1, 0.0]) * reduced_char_fn(p, sel, [0.0, a2])
+            slots = subsystem_slots("Smn_plus_Sm", m, 5)
+            joint = reduced_char_fn(p, m, slots, [a1, a2])
+            split = (reduced_char_fn(p, m, slots, [a1, 0.0])
+                     * reduced_char_fn(p, m, slots, [0.0, a2]))
             return abs(joint - split)
 
         assert correlation_defect(40) < 1e-3
@@ -185,23 +181,22 @@ class TestReducedCharFn:
     def test_arity_checks(self):
         p = std_params(N=4)
         with pytest.raises(ValueError):
-            reduced_char_fn(p, SubsystemSelector(kind="S_plus_Sm", m=2), [0.1])
+            reduced_char_fn(p, 2, subsystem_slots("S_plus_Sm", 2), [0.1])
         with pytest.raises(ValueError):
-            reduced_char_fn(p, SubsystemSelector(kind="window", m=3, n=2), [0.1, 0.2])
+            reduced_char_fn(p, 3, subsystem_slots("window", 3, 2), [0.1, 0.2])
 
 
-def _all_selectors(N):
-    """One selector of every kind at every step m in 0..N it admits."""
+def _all_subsystems(N):
+    """(kind, m, slots) of every named kind at every step m in 0..N it admits."""
     for m in range(N + 1):
-        yield SubsystemSelector(kind="S", m=m)
+        yield "S", m, subsystem_slots("S", m)
         if m >= 1:
-            yield SubsystemSelector(kind="S1", m=m)
-            yield SubsystemSelector(kind="Sm", m=m)
-            yield SubsystemSelector(kind="S_plus_Sm", m=m)
+            for kind in ("S1", "Sm", "S_plus_Sm"):
+                yield kind, m, subsystem_slots(kind, m)
         for n in range(1, m - 1):
-            yield SubsystemSelector(kind="Smn_plus_Sm", m=m, n=n)
+            yield "Smn_plus_Sm", m, subsystem_slots("Smn_plus_Sm", m, n)
         for n in range(m + 1):
-            yield SubsystemSelector(kind="window", m=m, n=n)
+            yield "window", m, subsystem_slots("window", m, n)
 
 
 class TestSlotPath:
@@ -211,26 +206,24 @@ class TestSlotPath:
         p = std_params(N=7, E=2.3, eta=0.6, tau=0.8)
         rng = np.random.default_rng(21)
         kinds = set()
-        for selector in _all_selectors(p.N):
-            kinds.add(selector.kind)
-            full_state = evolve_state(p, selector.m).state
+        for kind, m, slots in _all_subsystems(p.N):
+            kinds.add(kind)
+            full_state = evolve_state(p, m)
             for _ in range(3):
-                alphas = rng.standard_normal(selector.arity) + 1j * rng.standard_normal(
-                    selector.arity
-                )
+                alphas = rng.standard_normal(len(slots)) + 1j * rng.standard_normal(len(slots))
                 padded = np.zeros(p.N + 1, dtype=complex)
-                padded[selector.slots()] = alphas
+                padded[slots] = alphas
                 expect = char_fn(full_state, padded)
-                assert abs(reduced_char_fn(p, selector, alphas) - expect) < 1e-15
-        assert kinds == set(SubsystemSelector._KINDS)
+                assert abs(reduced_char_fn(p, m, slots, alphas) - expect) < 1e-15
+        assert kinds == set(dynamics._SUBSYSTEM_KINDS)
 
     def test_window_state_is_restricted_full_xi(self):
         p = std_params(N=9, E=2.0, tau=0.8)
         for k in range(p.N + 1):
-            full = evolve_state(p, k).state
+            full = evolve_state(p, k)
             for n in range(k + 1):
-                st = window_state(p, n, k)
                 slots = [0] + list(range(k - n + 1, k + 1))
+                st = reduced_state(p, k, subsystem_slots("window", k, n))
                 assert st.modes == n + 1
                 assert (st.x, st.x0) == (full.x, full.x0)
                 assert np.max(np.abs(st.xi - full.xi[slots])) < 1e-15
@@ -238,17 +231,17 @@ class TestSlotPath:
     def test_xi_coefficients_restrict_the_full_vector(self):
         p = std_params(N=6, E=1.4, eta=0.3, tau=1.3)
         for m in range(p.N + 1):
-            full = xi_coefficients(p, m, range(p.N + 1))
-            assert np.array_equal(full, evolve_state(p, m).state.xi)
+            full = reduced_state(p, m, range(p.N + 1)).xi
+            assert np.array_equal(full, evolve_state(p, m).xi)
             assert np.all(full[m + 1:] == 0)
             slots = [5, 0, 3]
-            assert np.array_equal(xi_coefficients(p, m, slots), full[slots])
+            assert np.array_equal(reduced_state(p, m, slots).xi, full[slots])
 
     def test_xi_coefficients_validation(self):
         p = std_params(N=4)
         for m, slots in ((5, [0]), (-1, [0]), (2, []), (2, [5]), (2, [-1]), (2, [1, 1])):
             with pytest.raises(ValueError):
-                xi_coefficients(p, m, slots)
+                reduced_state(p, m, slots)
 
     @pytest.mark.parametrize("beta0,beta", [
         (math.log(3), math.log(2)), (0.2, 3.0), (math.inf, math.log(2)), (math.inf, 0.1),
@@ -256,7 +249,7 @@ class TestSlotPath:
     def test_total_entropy_matches_full_state_entropy(self, beta0, beta):
         p = std_params(N=12, E=2.3, eta=0.8, tau=0.45, beta0=beta0, beta=beta)
         for m in range(p.N + 1):
-            full = state_entropy(evolve_state(p, m).state).total
+            full = state_entropy(evolve_state(p, m))
             assert abs(total_entropy(p, m) - full) < 1e-13
 
     def test_step_range_errors(self):
@@ -265,36 +258,36 @@ class TestSlotPath:
             with pytest.raises(ValueError):
                 total_entropy(p, m)
         with pytest.raises(ValueError):
-            reduced_char_fn(p, SubsystemSelector(kind="S", m=5), 0.1)
+            reduced_char_fn(p, 5, subsystem_slots("S", 5), 0.1)
         with pytest.raises(ValueError):
-            reduced_char_fn(p, SubsystemSelector(kind="S_plus_Sm", m=2), [0.1, 0.2, 0.3])
+            reduced_char_fn(p, 2, subsystem_slots("S_plus_Sm", 2), [0.1, 0.2, 0.3])
 
 
 class TestSelectors:
     def test_slot_layout(self):
-        assert SubsystemSelector(kind="S", m=0).slots() == [0]
-        assert SubsystemSelector(kind="S1", m=4).slots() == [1]
-        assert SubsystemSelector(kind="Sm", m=4).slots() == [4]
-        assert SubsystemSelector(kind="S_plus_Sm", m=4).slots() == [0, 4]
-        assert SubsystemSelector(kind="Smn_plus_Sm", m=9, n=3).slots() == [6, 9]
+        assert subsystem_slots("S", 0) == [0]
+        assert subsystem_slots("S1", 4) == [1]
+        assert subsystem_slots("Sm", 4) == [4]
+        assert subsystem_slots("S_plus_Sm", 4) == [0, 4]
+        assert subsystem_slots("Smn_plus_Sm", 9, 3) == [6, 9]
         # window: oldest first
-        assert SubsystemSelector(kind="window", m=7, n=3).slots() == [0, 5, 6, 7]
+        assert subsystem_slots("window", 7, 3) == [0, 5, 6, 7]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SubsystemSelector(kind="bogus", m=1)
+            subsystem_slots("bogus", 1)
         with pytest.raises(ValueError):
-            SubsystemSelector(kind="window", m=3, n=4)
+            subsystem_slots("window", 3, 4)
         with pytest.raises(ValueError):
-            SubsystemSelector(kind="window", m=3)
+            subsystem_slots("window", 3)
         with pytest.raises(ValueError):
-            SubsystemSelector(kind="Smn_plus_Sm", m=5, n=4)  # m-n = 1
+            subsystem_slots("Smn_plus_Sm", 5, 4)  # m-n = 1
         with pytest.raises(ValueError):
-            SubsystemSelector(kind="S", m=2, n=1)
+            subsystem_slots("S", 2, 1)
         with pytest.raises(ValueError):
-            SubsystemSelector(kind="Sm", m=0)
-        assert SubsystemSelector(kind="S", m=0).arity == 1
-        assert SubsystemSelector(kind="window", m=5, n=2).arity == 3
+            subsystem_slots("Sm", 0)
+        assert len(subsystem_slots("S", 0)) == 1
+        assert len(subsystem_slots("window", 5, 2)) == 3
 
 
 class TestEffectiveTemperatures:
@@ -461,7 +454,7 @@ class TestWindow:
             for slot in slots:
                 e = np.zeros(9, dtype=complex)
                 e[slot] = 1.0
-                total += abs(propagate_vector(p, k, e).components[0]) ** 2
+                total += abs(propagate_vector(p, k, e)[0]) ** 2
             assert abs(total - window_overlap_norm_sq(p, n, k)) < 1e-12
 
     def test_single_mode_window_is_beta_star(self):
@@ -498,13 +491,13 @@ class TestWindow:
         p = ModelParams(E=1.0, eps=1.0, eta=1.0, tau=math.pi / 2, N=6,
                         beta0=math.log(3), beta=math.log(2))
         assert window_overlap_norm_sq(p, 1, 4) < 1e-60
-        st = window_state(p, 1, 4)
+        st = reduced_state(p, 4, subsystem_slots("window", 4, 1))
         assert st.modes == 2
         assert abs(window_entropy(p, 1, 4) - 2.0 * mode_entropy(p.beta)) < 1e-13
 
     def test_window_state_norm_matches(self):
         p = std_params(N=9, E=2.0, tau=0.8)
-        st = window_state(p, 3, 7)
+        st = reduced_state(p, 7, subsystem_slots("window", 7, 3))
         assert abs(st.xi_norm_sq - window_overlap_norm_sq(p, 3, 7)) < 1e-13
 
     def test_bounds(self):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from convergence import convergence_study
 from richain import fock_oracle
 from richain.dynamics import effective_beta_S, evolve_state, total_entropy
 from richain.experiments import (
@@ -13,7 +14,6 @@ from richain.experiments import (
     LimitSchedule,
     RunRecord,
     _nnls_two_columns,
-    convergence_study,
     moment_hypothesis_check,
     oracle_deltas,
     short_time_limit_run,
@@ -222,15 +222,14 @@ class TestShortTimeLimitRun:
         psi[0] = psi[3] = 1.0 / math.sqrt(2)
         spec = ChainStateSpec(kind="custom", rho=np.outer(psi, psi.conj()))
         theta = 0.7 + 0.3j
-        rho = fock_oracle.FockDensityMatrix(1, 24, spec.density(24))
+        rho = fock_oracle.FockDensityMatrix(spec.density(24))
         recs = short_time_limit_run(template, LimitSchedule(checkpoints=(100, 1_000)), spec,
                                     [theta], cutoff=12)
         for rec in recs:
             n = rec.outputs["N"]
             e0 = np.zeros(n + 1, dtype=complex)
             e0[0] = theta
-            comps = propagate_vector(replace(template, tau=rec.outputs["tau"], N=n), n,
-                                     e0).components
+            comps = propagate_vector(replace(template, tau=rec.outputs["tau"], N=n), n, e0)
             expect = (math.exp(-0.25 * abs(comps[0]) ** 2 * gibbs_x(template.beta0))
                       * np.prod(fock_oracle.weyl_expectation_batch(rho, comps[1:])))
             assert abs(rec.outputs["value"] - expect) < 1e-11 * abs(expect)
@@ -387,17 +386,15 @@ class TestConvergenceStudy:
     def test_fitted_ratio_matches_z_squared(self, quantity):
         p = ModelParams(E=2.0, eps=1.0, eta=0.5, tau=1.0, N=80,
                         beta0=math.log(3), beta=math.log(2))
-        recs = convergence_study(p, quantity, horizon=50)
-        assert all(r.outputs["ratio_ok"] for r in recs)
-        ref = recs[0].outputs["reference_ratio"]
-        fitted = recs[0].outputs["fitted_ratio"]
+        study = convergence_study(p, quantity, horizon=50)
+        ref = study.reference_ratio
+        fitted = study.fitted_ratio
         assert abs(fitted - ref) <= 0.02 * ref
 
     def test_gaps_shrink(self):
         p = ModelParams(E=2.0, eps=1.0, eta=0.5, tau=1.0, N=40,
                         beta0=math.log(3), beta=math.log(2))
-        recs = convergence_study(p, "relative_entropy_gap", horizon=30)
-        gaps = [r.outputs["gap"] for r in recs]
+        gaps = convergence_study(p, "relative_entropy_gap", horizon=30).gaps
         assert gaps[-1] < gaps[0] * 1e-2
 
     def test_validation(self):
@@ -429,7 +426,7 @@ class TestOracleDeltas:
     def test_char_fn_max_matches_explicit_loop(self, N):
         p = std_params(N=N, tau=1.0, eta=0.5)
         rho = _oracle_state(p)
-        state = evolve_state(p, N).state
+        state = evolve_state(p, N)
         rng = np.random.default_rng([7, N])
         worst = 0.0
         for _ in range(6):

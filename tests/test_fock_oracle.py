@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 
 import fock_reference as ref
-from fock_reference import partial_trace, sector_blocks, to_dense
+from fock_reference import diagonal, partial_trace, sector_blocks, to_dense, trace
 from richain import fock_oracle as fo
 from richain.kernel import ModelParams
 
@@ -94,26 +94,27 @@ class TestDensityContainers:
         m[0, 1] = 0.5
         m /= m.trace()
         with pytest.raises(ValueError):
-            fo.FockDensityMatrix(modes=1, cutoff=4, matrix=m)
+            fo.FockDensityMatrix(m)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
-            fo.FockDensityMatrix(modes=1, cutoff=4, matrix=np.eye(4, dtype=complex))
+            fo.FockDensityMatrix(np.eye(4, dtype=complex))
 
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
-            fo.FockDensityMatrix(modes=1, cutoff=4, matrix=m)
+            fo.FockDensityMatrix(m)
 
-    def test_rejects_multi_mode(self):
-        with pytest.raises(ValueError, match="BlockedDensityMatrix"):
-            fo.FockDensityMatrix(modes=2, cutoff=2, matrix=np.eye(4, dtype=complex) / 4)
+    def test_cutoff_is_the_matrix_size(self):
+        assert fo.FockDensityMatrix(np.eye(5, dtype=complex) / 5).cutoff == 5
+        with pytest.raises(ValueError, match="square"):
+            fo.FockDensityMatrix(np.eye(4, dtype=complex)[:3] / 3)
 
     def test_blocked_matches_kron_product(self):
         betas = [math.log(3), math.log(2)]
         D = 6
         blocked = fo.BlockedDensityMatrix.from_thermal_product(betas, D)
-        assert abs(blocked.trace() - 1.0) < 1e-14
+        assert abs(trace(blocked) - 1.0) < 1e-14
         dense = to_dense(blocked)
         p0 = fo.thermal_probabilities(betas[0], D)
         p1 = fo.thermal_probabilities(betas[1], D)
@@ -122,9 +123,9 @@ class TestDensityContainers:
 
     def test_diagonal_roundtrip(self):
         blocked = fo.BlockedDensityMatrix.from_thermal_product([1.0, 2.0], 5)
-        diag = blocked.diagonal()
+        diag = diagonal(blocked)
         total = sum(float(d.sum().real) for d in diag)
-        assert abs(total - blocked.trace()) < 1e-14
+        assert abs(total - trace(blocked)) < 1e-14
 
     def test_blocks_are_read_only(self):
         # a cached spectrum stays valid only while no block can change
@@ -220,7 +221,7 @@ class TestHamiltonianAndStep:
             [p.beta0, p.beta, p.beta], 10
         )
         evolved = fo.evolve_density(blocked, p, [1, 2])
-        assert abs(evolved.trace() - 1.0) < 1e-12
+        assert abs(trace(evolved) - 1.0) < 1e-12
         assert abs(
             fo.von_neumann_entropy(evolved) - fo.von_neumann_entropy(blocked)
         ) < 1e-10
@@ -462,7 +463,7 @@ class TestWeyl:
         # odd D has a zero mode; a random rho fills every offset, odd ones included
         rng = np.random.default_rng(D)
         A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        rho = fo.FockDensityMatrix(1, D, A @ A.conj().T / np.trace(A @ A.conj().T).real)
+        rho = fo.FockDensityMatrix(A @ A.conj().T / np.trace(A @ A.conj().T).real)
         radius = 0.3 * math.sqrt(D) * rng.uniform(0.0, 1.0, 30)
         alphas = np.append(radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 30)), 0.0)
         vals = fo.weyl_expectation_batch(rho, alphas)
@@ -608,6 +609,12 @@ class TestInterface:
         rho, _ = fo.gibbs_density(1.0, 6)
         with pytest.raises(ValueError, match="BlockedDensityMatrix"):
             call(rho)
+
+    def test_batch_rejects_other_states(self):
+        for rho in (fo.BlockedDensityMatrix.from_thermal_product([1.0], 6),
+                    np.eye(6, dtype=complex) / 6):
+            with pytest.raises(ValueError, match="FockDensityMatrix"):
+                fo.weyl_expectation_batch(rho, np.array([0.1]))
 
     def test_imports_no_closed_form(self):
         # agreement with the closed forms is evidence only while the oracle

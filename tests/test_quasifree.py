@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from richain.dynamics import _beta_from_occupation
 from richain.quasifree import (
     RankOneQuasiFreeState,
-    beta_from_x,
     char_fn,
     gibbs_x,
     mode_entropy,
     occupation,
-    partition_function,
     sigma,
     state_entropy,
 )
@@ -40,30 +39,32 @@ class TestCovarianceScalar:
         assert abs(occupation(math.log(3)) - 0.5) < 1e-15
         assert occupation(math.inf) == 0.0
 
+    # the library's one temperature inverse is dynamics._beta_from_occupation,
+    # beta = log1p(1/n) with n = (x - 1)/2
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(1e-3, 12.0))
     def test_round_trip(self, beta):
-        assert abs(beta_from_x(gibbs_x(beta)) - beta) < 1e-10 * max(1.0, beta)
+        assert abs(_beta_from_occupation(occupation(beta)) - beta) < 1e-10 * max(1.0, beta)
 
     def test_round_trip_near_vacuum(self):
-        # x - 1 ~ 2 e^-beta eats absolute precision ~1e-16/(x-1); the round
-        # trip degrades gracefully instead of blowing up
+        # where x - 1 ~ 2 e^-beta ate the precision of an inverse of x, the
+        # occupation keeps it
         for beta, tol in ((18.0, 1e-7), (25.0, 1e-2)):
-            assert abs(beta_from_x(gibbs_x(beta)) - beta) < tol
+            assert abs(_beta_from_occupation(occupation(beta)) - beta) < tol
 
     def test_inverse_known_point(self):
-        assert abs(beta_from_x(1.5) - LN_5) < 1e-15
+        # x = 1.5, n = 1/4
+        assert abs(_beta_from_occupation(0.25) - LN_5) < 1e-15
 
     def test_vacuum_boundary(self):
-        assert beta_from_x(1.0) == math.inf
+        assert _beta_from_occupation(0.0) == math.inf
         with pytest.raises(ValueError):
-            beta_from_x(0.999)
+            _beta_from_occupation((0.999 - 1.0) / 2.0)
 
     def test_deep_vacuum_saturates(self):
         # below double resolution the scalar rounds to the vacuum exactly
-        # and the inverse map returns +inf instead of overflowing
         assert gibbs_x(700.0) == 1.0
-        assert beta_from_x(gibbs_x(700.0)) == math.inf
 
     def test_rejects_nonpositive_beta(self):
         for f in (gibbs_x, occupation, mode_entropy):
@@ -186,40 +187,17 @@ class TestCharFn:
 class TestStateEntropy:
     def test_uncorrected_is_extensive(self):
         s = make_state(modes=5, x=2.0, x0=0.0)
-        rep = state_entropy(s)
-        assert abs(rep.total - 5.0 * SIGMA_2) < 1e-14
-        assert abs(rep.per_mode_background - SIGMA_2) < 1e-15
+        assert abs(state_entropy(s) - 5.0 * SIGMA_2) < 1e-14
+        assert abs(sigma(s.x) - SIGMA_2) < 1e-15
 
     def test_split_adds_up(self):
         s = make_state(modes=4, x=3.0, x0=-1.0)
-        rep = state_entropy(s)
-        assert abs(rep.total - (3 * rep.per_mode_background + rep.corrected_mode)) < 1e-14
+        assert abs(state_entropy(s) - (3 * sigma(s.x) + sigma(s.corrected_x))) < 1e-14
         # corrected direction sits at x = 2 here
-        assert abs(rep.corrected_mode - SIGMA_2) < 1e-15
+        assert abs(sigma(s.corrected_x) - SIGMA_2) < 1e-15
 
     def test_pure_corrected_direction(self):
         # x0 drives the corrected mode down to the vacuum: zero entropy there
         s = make_state(modes=2, x=3.0, x0=-2.0)
-        rep = state_entropy(s)
-        assert rep.corrected_mode == 0.0
-
-
-class TestPartitionFunction:
-    def test_reduces_to_pure_thermal(self):
-        beta = math.log(2)
-        xi = np.array([1.0, 0.0, 0.0], dtype=complex)
-        # delta = 0: Z = (1 - e^-beta)^-(N+1)
-        direct = (1.0 - math.exp(-beta)) ** (-3)
-        assert abs(partition_function(beta, 0.0, xi) - direct) < 1e-13
-
-    def test_shift_along_unit_vector(self):
-        beta, delta = 1.0, 0.7
-        xi = np.array([0.6, 0.8], dtype=complex)
-        expect = (1.0 - math.exp(-beta)) ** (-1) / (1.0 - math.exp(-(beta + delta)))
-        assert abs(partition_function(beta, delta, xi) - expect) < 1e-13
-
-    def test_rejects_collapse(self):
-        with pytest.raises(ValueError):
-            partition_function(1.0, -2.0, np.array([1.0], dtype=complex))
-        with pytest.raises(ValueError):
-            partition_function(math.inf, 0.0, np.array([1.0], dtype=complex))
+        assert sigma(max(s.corrected_x, 1.0)) == 0.0
+        assert state_entropy(s) == sigma(s.x)
