@@ -4,16 +4,17 @@ After k steps the reduced state of that sliding window is an exactly
 quasi-free rank-one perturbation of the chain Gibbs state whose memory
 of the initial condition is the overlap <xi,xi>.  The overlap decays
 geometrically in k, so the window entropy converges to the fully
-thermalized value (n+1) sigma(x(beta)), with error asymptotically
-proportional to the overlap itself.
+thermalized value (n+1) s(n(beta)), with s the entropy of one mode of
+mean occupation n(beta), and with error asymptotically proportional to
+the overlap itself.
 """
 
 import math
 
 from richain import (
     ModelParams,
-    gibbs_x,
-    sigma,
+    occupation,
+    occupation_entropy,
     window_entropy,
     window_overlap_norm_sq,
 )
@@ -21,13 +22,12 @@ from richain import (
 p = ModelParams(E=1.0, eps=1.0, eta=0.5, tau=1.0, N=16,
                 beta0=math.log(3), beta=math.log(2))
 n = 2
-x = gibbs_x(p.beta)
-x0 = gibbs_x(p.beta0) - x
-thermal = (n + 1) * sigma(x)
-const = 0.5 * p.beta * abs(x0)
+n_beta = occupation(p.beta)
+thermal = (n + 1) * occupation_entropy(n_beta)
+const = p.beta * abs(occupation(p.beta0) - n_beta)
 
 print(f"window of n = {n} recent chain modes plus the distinguished mode")
-print(f"thermal entropy target (n+1) sigma(x(beta)) = {thermal:.10f}\n")
+print(f"thermal entropy target (n+1) s(n(beta)) = {thermal:.10f}\n")
 
 print(" k   <xi,xi>       S_window       error        error/<xi,xi>")
 for k in (2, 4, 6, 8, 10, 12, 14, 16):
@@ -36,4 +36,4 @@ for k in (2, 4, 6, 8, 10, 12, 14, 16):
     err = abs(s_w - thermal)
     print(f"{k:2d}   {overlap:.6e}  {s_w:.10f}  {err:.3e}    {err / overlap:.6f}")
 
-print(f"\nlimiting ratio (beta/2)|x(beta0) - x(beta)| = {const:.6f}")
+print(f"\nlimiting ratio beta |n(beta0) - n(beta)| = {const:.6f}")

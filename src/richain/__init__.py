@@ -23,10 +23,9 @@ from .kernel import (
 from .quasifree import (
     RankOneQuasiFreeState,
     char_fn,
-    gibbs_x,
     mode_entropy,
     occupation,
-    sigma,
+    occupation_entropy,
     state_entropy,
 )
 from .dynamics import (
@@ -58,7 +57,7 @@ __all__ = [
     "ModelParams", "StepScalars", "MatrixExpCheck", "HypothesisReport",
     "step_scalars", "step_matrix", "normal_modes", "matrix_exponential_check",
     "propagate_vector", "validate_hypotheses",
-    "RankOneQuasiFreeState", "gibbs_x", "sigma", "mode_entropy", "occupation",
+    "RankOneQuasiFreeState", "mode_entropy", "occupation", "occupation_entropy",
     "char_fn", "state_entropy",
     "subsystem_slots", "reduced_state", "evolve_state", "reduced_char_fn",
     "effective_beta_S", "effective_beta_Sm", "total_entropy",

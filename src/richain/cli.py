@@ -40,7 +40,7 @@ from .kernel import (
     step_scalars,
     validate_hypotheses,
 )
-from .quasifree import char_fn, gibbs_x
+from .quasifree import char_fn, occupation
 
 __all__ = ["main", "run_verification", "VerifyCheck"]
 
@@ -520,16 +520,17 @@ def run_verification(
         ))
     checks.append(VerifyCheck("marginalization_consistency", dev, _tol(tolerance, 1e-14)))
 
-    # effective-temperature affine identity in x-space; the weights |z|^2m
-    # and 1 - |z|^2m come from L = log|z|^2 = 2 log_abs_z, as in the closed forms
+    # effective-temperature affine identity in the occupations; the weights
+    # |z|^2m and 1 - |z|^2m come from L = log|z|^2 = 2 log_abs_z, as in the
+    # closed forms
     L = 2.0 * step_scalars(params).log_abs_z
-    x0 = gibbs_x(params.beta0)
-    xb = gibbs_x(params.beta)
+    n0 = occupation(params.beta0)
+    nb = occupation(params.beta)
     dev = 0.0
     for m in range(0, min(params.N, 50) + 1):
-        xm = gibbs_x(dynamics.effective_beta_S(params, m))
+        nm = occupation(dynamics.effective_beta_S(params, m))
         zsq_m, rest_m = (math.exp(m * L), -math.expm1(m * L)) if m else (1.0, 0.0)
-        dev = max(dev, abs(xm - (zsq_m * x0 + rest_m * xb)))
+        dev = max(dev, abs(nm - (zsq_m * n0 + rest_m * nb)))
     checks.append(VerifyCheck("effective_beta_affine", dev, _tol(tolerance, 1e-12)))
 
     # window overlap: closed form vs embedding through the propagator

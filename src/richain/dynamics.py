@@ -26,7 +26,6 @@ from .kernel import ModelParams, step_scalars
 from .quasifree import (
     RankOneQuasiFreeState,
     char_fn,
-    gibbs_x,
     mode_entropy,
     occupation,
     state_entropy,
@@ -88,9 +87,14 @@ def reduced_state(params: ModelParams, m: int, slots) -> RankOneQuasiFreeState:
     """
     if not 0 <= m <= params.N:
         raise ValueError(f"steps m must lie in 0..{params.N}, got {m}")
-    slots = np.asarray(slots, dtype=int)
-    if slots.ndim != 1 or slots.size == 0:
+    values = list(slots) if np.ndim(slots) == 1 else []
+    if not values:
         raise ValueError("slots must be a nonempty list of slot indices")
+    for v in values:
+        # bool is an int subclass, and a cast to int would truncate 1.7 to 1
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"slots must be integers, got {v!r}")
+    slots = np.array(values, dtype=int)
     if slots.min() < 0 or slots.max() > params.N:
         raise ValueError(f"slots must lie in 0..{params.N}, got {slots.tolist()}")
     if len(set(slots.tolist())) != slots.size:
@@ -101,17 +105,17 @@ def reduced_state(params: ModelParams, m: int, slots) -> RankOneQuasiFreeState:
     coeff[live] = s.gz_power(np.where(slots == 0, m, slots - 1)[live])
     coeff[live & (slots >= 1)] *= s.g * s.w
     coeff *= cmath.exp(1j * m * params.tau * params.eps)
-    x = gibbs_x(params.beta)
+    n = occupation(params.beta)
     return RankOneQuasiFreeState(
-        modes=slots.size, x=x, x0=gibbs_x(params.beta0) - x, xi=np.conj(coeff)
+        modes=slots.size, n=n, n0=occupation(params.beta0) - n, xi=np.conj(coeff)
     )
 
 
 def evolve_state(params: ModelParams, m: int) -> RankOneQuasiFreeState:
     """State of all N+1 modes after the first m interaction steps, in closed form.
 
-    The characteristic function is exp[-(1/4)(x(beta)<zeta,zeta> +
-    (x(beta0)-x(beta))|(U_1...U_m zeta)_0|^2)]; m = 0 gives back the
+    The characteristic function is exp[-(1/4)((2n(beta)+1)<zeta,zeta> +
+    2(n(beta0)-n(beta))|(U_1...U_m zeta)_0|^2)]; m = 0 gives back the
     initial product.  Builds the full (N+1)-vector and checks that it
     stays a unit vector; marginals need only `reduced_state` on their
     own slots.
@@ -155,8 +159,7 @@ def effective_beta_S(params: ModelParams, m: int) -> float:
     """Inverse temperature beta* of S after m steps.
 
     Its mean occupation is the mix n* = |z|^2m n(beta0) + (1-|z|^2m) n(beta),
-    the same affine mix as x(beta*) since x = 2n + 1.  Mixing occupations
-    keeps a cold S finite where x(beta0) has rounded to 1.  Both weights
+    which stays finite for a cold S, where n(beta0) is tiny.  Both weights
     come from log|z|^2 = log1p(-|w|^2), so they keep full precision at
     m = 1e6 and beyond.
     """
@@ -237,9 +240,11 @@ def window_overlap_norm_sq(params: ModelParams, n: int, k: int) -> float:
 
 
 def window_entropy(params: ModelParams, n: int, k: int) -> float:
-    """Entropy n sigma(x(beta)) + sigma(x(beta) + <xi,xi>(x(beta0)-x(beta))).
+    """Entropy of the window of S and its n latest chain partners after k steps.
 
-    As k grows at fixed n this tends to (n+1) sigma(x(beta)), the entropy
-    of an n+1-mode thermal block at beta.
+    With s the one-mode entropy of a mean occupation, it is
+    n s(n_beta) + s(n_beta + <xi,xi>(n_beta0 - n_beta)), <xi,xi> being
+    `window_overlap_norm_sq`.  As k grows at fixed n this tends to
+    (n+1) s(n_beta), the entropy of an n+1-mode thermal block at beta.
     """
     return state_entropy(reduced_state(params, k, subsystem_slots("window", k, n)))

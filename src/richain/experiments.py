@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dynamics, fock_oracle
 from .kernel import ModelParams, normal_modes, step_scalars, validate_hypotheses
-from .quasifree import char_fn, gibbs_x
+from .quasifree import char_fn, occupation
 
 __all__ = [
     "LimitSchedule",
@@ -122,6 +122,9 @@ class ChainStateSpec:
             rho = np.asarray(self.rho, dtype=complex)
             if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
                 raise ValueError(f"custom density matrix must be square (>= 2x2), got {rho.shape}")
+            # every check below is blind to NaN, and eigvalsh fails on inf
+            if not np.all(np.isfinite(rho)):
+                raise ValueError("custom density matrix has non-finite entries")
             if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
                 raise ValueError("custom density matrix must be Hermitian")
             if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
@@ -158,10 +161,10 @@ class ChainStateSpec:
     def symmetric_moment(self, cutoff: int) -> float:
         """Tr[rho_1 (a*a + a a*)] = 2 Tr[rho_1 a*a] + 1 entering the limit formula.
 
-        Exact (cutoff-free) for the gibbs kind, where it equals x(beta).
+        Exact (cutoff-free) for the gibbs kind, where Tr[rho_1 a*a] is n(beta).
         """
         if self.kind == "gibbs":
-            return gibbs_x(self.beta)
+            return 2.0 * occupation(self.beta) + 1.0
         diag = np.diagonal(self.density(cutoff)).real
         return 2.0 * float(diag @ np.arange(cutoff)) + 1.0
 
@@ -320,7 +323,7 @@ def short_time_limit_run(
     if spec.kind != "gibbs" and max(schedule.checkpoints) > _PRODUCT_TERM_CAP:
         raise ValueError(f"term-by-term product capped at {_PRODUCT_TERM_CAP} factors")
 
-    x0 = gibbs_x(template.beta0)
+    n0 = occupation(template.beta0)
     limit_moment = report.symmetric_moment
     eval_cutoff = report_cutoff
     if spec.kind != "gibbs":
@@ -340,9 +343,9 @@ def short_time_limit_run(
             t0 = time.perf_counter()
             limit = math.exp(-0.25 * abs(theta) ** 2 * limit_moment)
             if spec.kind == "gibbs":
-                # product collapses: |z|^2N-weighted mix of x(beta0) and x(beta)
-                xstar = zsq_n * x0 + (1.0 - zsq_n) * gibbs_x(spec.beta)
-                value = complex(math.exp(-0.25 * abs(theta) ** 2 * xstar))
+                # product collapses: |z|^2N-weighted mix of n(beta0) and n(beta)
+                nstar = zsq_n * n0 + (1.0 - zsq_n) * occupation(spec.beta)
+                value = complex(math.exp(-0.25 * abs(theta) ** 2 * (2.0 * nstar + 1.0)))
             elif theta == 0:
                 value = 1.0 + 0j
             else:
@@ -350,7 +353,7 @@ def short_time_limit_run(
                 phase = cmath.exp(1j * n_steps * tau * template.eps)
                 thetas_k = phase * s.g * s.w * theta * s.gz_power(np.arange(n_steps - 1, -1, -1))
                 log_chain = _chain_product_log(spec, thetas_k, eval_cutoff)
-                log_c0 = -0.25 * zsq_n * abs(theta) ** 2 * x0
+                log_c0 = -0.25 * zsq_n * abs(theta) ** 2 * (2.0 * n0 + 1.0)
                 value = complex(np.exp(log_c0 + log_chain))
             err = abs(value - limit)
             errors[i, j] = err

@@ -156,6 +156,9 @@ class FockDensityMatrix:
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
+        # every check below is blind to NaN, and eigvalsh fails on inf
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix has non-finite entries")
         D = self.cutoff
         herm = float(np.max(np.abs(mat - mat.conj().T))) if D else 0.0
         if herm > _HERMITICITY_TOL:

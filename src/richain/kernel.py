@@ -137,10 +137,9 @@ class HypothesisReport:
     abs_z: float
 
 
-def step_scalars(params: ModelParams, t: float | None = None) -> StepScalars:
-    """Evaluate (g, w, z) at time t (default: one step, t = tau)."""
-    if t is None:
-        t = params.tau
+def step_scalars(params: ModelParams) -> StepScalars:
+    """Evaluate (g, w, z) over one step, at time t = tau."""
+    t = params.tau
     E, eps, eta = params.E, params.eps, params.eta
     half = (E - eps) / 2.0
     omega = math.hypot(half, eta)
@@ -156,8 +155,8 @@ def step_scalars(params: ModelParams, t: float | None = None) -> StepScalars:
     return StepScalars(g=g, w=w, z=z)
 
 
-def step_matrix(params: ModelParams, n: int, t: float | None = None) -> np.ndarray:
-    """Matrix V_n(t) of the step where chain slot n interacts.
+def step_matrix(params: ModelParams, n: int) -> np.ndarray:
+    """Matrix V_n(t) of the step where chain slot n interacts, at t = tau.
 
     V_n differs from the identity on C^(N+1) only in rows and columns
     {0, n}.  The unitary of the full step is exp(i*t*eps) * V_n(t); the global
@@ -165,7 +164,7 @@ def step_matrix(params: ModelParams, n: int, t: float | None = None) -> np.ndarr
     """
     if not 1 <= n <= params.N:
         raise ValueError(f"slot index n must satisfy 1 <= n <= {params.N}, got {n}")
-    s = step_scalars(params, t)
+    s = step_scalars(params)
     dim = params.N + 1
     V = np.eye(dim, dtype=complex)
     V[0, 0] = s.g * s.z
@@ -185,20 +184,16 @@ def normal_modes(params: ModelParams) -> tuple[float, float]:
     return ((E + eps) + root) / 2.0, ((E + eps) - root) / 2.0
 
 
-def matrix_exponential_check(
-    params: ModelParams, n: int, t: float | None = None
-) -> MatrixExpCheck:
+def matrix_exponential_check(params: ModelParams, n: int) -> MatrixExpCheck:
     """Exponentiate the Hermitian step generator and compare with the closed form.
 
     Builds Y_n = eps*I + ((E-eps)/2)*J_n + X_n, where J_n marks the two
     interacting slots and X_n carries the detuning and coupling, then
-    computes exp(i*t*Y_n) by eigendecomposition and reports the largest
-    entrywise deviation from exp(i*t*eps)*V_n(t).  Also reports how well
+    computes exp(i*t*Y_n) at t = tau by eigendecomposition and reports the
+    largest entrywise deviation from exp(i*t*eps)*V_n(t).  Also reports how well
     the algebraic identities X_n^2 = ((E-eps)^2/4 + eta^2)*J_n and
     J_n X_n = X_n hold.
     """
-    if t is None:
-        t = params.tau
     if not 1 <= n <= params.N:
         raise ValueError(f"slot index n must satisfy 1 <= n <= {params.N}, got {n}")
     E, eps, eta = params.E, params.eps, params.eta
@@ -218,9 +213,10 @@ def matrix_exponential_check(
     x_sq_dev = float(np.max(np.abs(X @ X - (half**2 + eta**2) * J)))
     jx_dev = float(np.max(np.abs(J @ X - X)))
 
+    t = params.tau
     vals, vecs = np.linalg.eigh(Y)
     expY = (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
-    U = cmath.exp(1j * t * eps) * step_matrix(params, n, t)
+    U = cmath.exp(1j * t * eps) * step_matrix(params, n)
     dev = float(np.max(np.abs(expY - U)))
     return MatrixExpCheck(deviation=dev, x_square_identity=x_sq_dev, jx_identity=jx_dev)
 

@@ -3,13 +3,13 @@
 Every state this library ever produces (initial two-temperature product,
 evolved, reduced) has a characteristic function of the form
 
-    omega(W(zeta)) = exp[-(x <zeta,zeta> + x0 |<xi,zeta>|^2) / 4]
+    omega(W(zeta)) = exp[-((2n+1) <zeta,zeta> + 2 n0 |<xi,zeta>|^2) / 4]
 
-over M modes, i.e. a thermal background with covariance scalar x plus a
-rank-one perturbation of weight x0 along the direction xi.  The scalar
-x = (1+exp(-beta))/(1-exp(-beta)) = 2*n_beta + 1 parameterizes a thermal
-mode; x = 1 is the vacuum.  Inner products are conjugate-linear in the
-first argument (numpy.vdot convention).
+over M modes, i.e. a thermal background with mean occupation n per mode
+plus a rank-one perturbation that adds n0 quanta along the direction xi.
+A thermal mode at inverse temperature beta has n = 1/(e^beta - 1); n = 0
+is the vacuum.  Inner products are conjugate-linear in the first
+argument (numpy.vdot convention).
 
 Entropies are in nats throughout.
 """
@@ -23,10 +23,9 @@ import numpy as np
 
 __all__ = [
     "RankOneQuasiFreeState",
-    "gibbs_x",
-    "sigma",
     "mode_entropy",
     "occupation",
+    "occupation_entropy",
     "char_fn",
     "state_entropy",
 ]
@@ -37,32 +36,6 @@ _LN2 = math.log(2.0)
 # and e^-beta nears the subnormal range
 _DEEP_BETA = 700.0
 _EXP_MINUS_DEEP_BETA = math.exp(-_DEEP_BETA)
-
-
-def gibbs_x(beta: float) -> float:
-    """Covariance scalar x(beta) = (1+e^-beta)/(1-e^-beta) of a thermal mode."""
-    if not (beta > 0.0):
-        raise ValueError(f"beta must lie in (0, +inf], got {beta!r}")
-    if math.isinf(beta):
-        return 1.0
-    q = math.exp(-beta)
-    return (1.0 + q) / (1.0 - q)
-
-
-def sigma(x: float) -> float:
-    """Entropy of one thermal mode as a function of its covariance scalar.
-
-    sigma(x) = ((x+1)/2) ln((x+1)/2) - ((x-1)/2) ln((x-1)/2), with the
-    continuous extension sigma(1) = 0 (0*ln 0 := 0).  Strictly increasing
-    on (1, inf).
-    """
-    if x < 1.0:
-        raise ValueError(f"inadmissible covariance scalar x = {x!r} < 1")
-    if x == 1.0:
-        return 0.0
-    p = (x + 1.0) / 2.0
-    q = (x - 1.0) / 2.0
-    return p * math.log(p) - q * math.log(q)
 
 
 def mode_entropy(beta: float) -> float:
@@ -85,22 +58,36 @@ def mode_entropy(beta: float) -> float:
 
 
 def occupation(beta: float) -> float:
-    """Mean quanta n_beta = 1/(e^beta - 1) of a thermal mode."""
+    """Mean quanta n_beta = 1/(e^beta - 1) of a thermal mode; 0 at beta = +inf."""
     if not (beta > 0.0):
         raise ValueError(f"beta must lie in (0, +inf], got {beta!r}")
-    if math.isinf(beta):
+    # e^-beta / (1 - e^-beta), with 1 - e^-beta as -expm1(-beta), exact at
+    # small beta
+    return math.exp(-beta) / -math.expm1(-beta)
+
+
+def occupation_entropy(n: float) -> float:
+    """Entropy (n+1) ln(n+1) - n ln(n) of a thermal mode with mean occupation n.
+
+    The two terms nearly cancel at large n, so there it is written as
+    ln(1+n) + n ln(1+1/n); s(0) = 0 (0*ln 0 := 0).  Strictly increasing.
+    """
+    if not (n >= 0.0):
+        raise ValueError(f"inadmissible occupation n = {n!r} < 0")
+    if n == 0.0:
         return 0.0
-    q = math.exp(-beta)
-    return q / (1.0 - q)
+    if n <= 1.0:
+        return (n + 1.0) * math.log1p(n) - n * math.log(n)
+    return math.log1p(n) + n * math.log1p(1.0 / n)
 
 
 @dataclass(frozen=True)
 class RankOneQuasiFreeState:
-    """Background covariance x on `modes` modes, corrected by weight x0 along xi."""
+    """Background occupation n on `modes` modes, plus n0 quanta along xi."""
 
     modes: int
-    x: float
-    x0: float
+    n: float
+    n0: float
     xi: np.ndarray
 
     def __post_init__(self):
@@ -112,12 +99,12 @@ class RankOneQuasiFreeState:
             raise ValueError(
                 f"xi must have length modes = {self.modes}, got shape {xi.shape}"
             )
-        if self.x < 1.0 - _ADMISSIBILITY_SLACK:
-            raise ValueError(f"background covariance x = {self.x!r} < 1")
-        if self.corrected_x < 1.0 - _ADMISSIBILITY_SLACK:
+        if self.n < -_ADMISSIBILITY_SLACK:
+            raise ValueError(f"background occupation n = {self.n!r} < 0")
+        if self.corrected_n < -_ADMISSIBILITY_SLACK:
             raise ValueError(
-                "inadmissible correction: x + x0*<xi,xi> = "
-                f"{self.corrected_x!r} < 1"
+                "inadmissible correction: n + n0*<xi,xi> = "
+                f"{self.corrected_n!r} < 0"
             )
 
     @property
@@ -125,9 +112,9 @@ class RankOneQuasiFreeState:
         return float(np.vdot(self.xi, self.xi).real)
 
     @property
-    def corrected_x(self) -> float:
-        """Covariance scalar along the corrected direction, x + x0*<xi,xi>."""
-        return self.x + self.x0 * self.xi_norm_sq
+    def corrected_n(self) -> float:
+        """Mean occupation along the corrected direction, n + n0*<xi,xi>."""
+        return self.n + self.n0 * self.xi_norm_sq
 
 
 def char_fn(state: RankOneQuasiFreeState, zeta: np.ndarray) -> float:
@@ -139,9 +126,11 @@ def char_fn(state: RankOneQuasiFreeState, zeta: np.ndarray) -> float:
         )
     norm_sq = np.vdot(zeta, zeta).real
     overlap = np.vdot(state.xi, zeta)
-    return math.exp(-0.25 * (state.x * norm_sq + state.x0 * abs(overlap) ** 2))
+    x = 2.0 * state.n + 1.0
+    return math.exp(-0.25 * (x * norm_sq + 2.0 * state.n0 * abs(overlap) ** 2))
 
 
 def state_entropy(state: RankOneQuasiFreeState) -> float:
-    """Entropy (M-1)*sigma(x) + sigma(x + x0*<xi,xi>) of M modes."""
-    return (state.modes - 1) * sigma(state.x) + sigma(max(state.corrected_x, 1.0))
+    """Entropy (M-1) s(n) + s(n + n0*<xi,xi>) of M modes, s = occupation_entropy."""
+    return ((state.modes - 1) * occupation_entropy(max(state.n, 0.0))
+            + occupation_entropy(max(state.corrected_n, 0.0)))

@@ -5,14 +5,13 @@ Every quantity below approaches its limit by a factor |z|^2 per step;
 to the exact |z|^2.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from richain import dynamics
 from richain.kernel import step_scalars
-from richain.quasifree import gibbs_x, sigma
+from richain.quasifree import occupation, occupation_entropy
 
 QUANTITIES = (
     "beta_star_gap",
@@ -28,8 +27,8 @@ class Study(NamedTuple):
     reference_ratio: float
 
 
-def _x_gap(beta, x_bg):
-    return abs(gibbs_x(beta) - x_bg) if not math.isinf(beta) else abs(1.0 - x_bg)
+def _n_gap(beta, n_bg):
+    return abs(occupation(beta) - n_bg)
 
 
 def convergence_study(params, quantity, horizon, window_n=2):
@@ -40,22 +39,22 @@ def convergence_study(params, quantity, horizon, window_n=2):
     if not 2 <= horizon <= params.N:
         raise ValueError(f"horizon must lie in 2..N={params.N}, got {horizon}")
 
-    x_bg = gibbs_x(params.beta)
+    n_bg = occupation(params.beta)
     if quantity == "beta_star_gap":
         indices = list(range(0, horizon + 1))
         values = [dynamics.effective_beta_S(params, m) for m in indices]
-        gaps = [_x_gap(b, x_bg) for b in values]
+        gaps = [_n_gap(b, n_bg) for b in values]
     elif quantity == "beta_star_star_gap":
         indices = list(range(1, horizon + 1))
         values = [dynamics.effective_beta_Sm(params, m) for m in indices]
-        gaps = [_x_gap(b, x_bg) for b in values]
+        gaps = [_n_gap(b, n_bg) for b in values]
     elif quantity == "relative_entropy_gap":
         limit = dynamics.entropy_production_limit(params)
         indices = list(range(0, horizon + 1))
         values = [dynamics.relative_entropy(params, m) for m in indices]
         gaps = [limit - v for v in values]
     else:
-        limit = (window_n + 1) * sigma(x_bg)
+        limit = (window_n + 1) * occupation_entropy(n_bg)
         indices = list(range(window_n, horizon + 1))
         values = [dynamics.window_entropy(params, window_n, k) for k in indices]
         gaps = [abs(v - limit) for v in values]

@@ -31,7 +31,7 @@ from richain.kernel import (
     step_matrix,
     step_scalars,
 )
-from richain.quasifree import char_fn, gibbs_x, mode_entropy, sigma
+from richain.quasifree import char_fn, mode_entropy, occupation, occupation_entropy
 
 LN3 = math.log(3)
 LN2 = math.log(2)
@@ -198,15 +198,15 @@ def test_criterion_08_effective_temperature_convergence():
     dev = 0.0
     for p in (make_params(E=1.0, N=100), make_params(E=2.0, eta=0.9, N=100)):
         q = abs(step_scalars(p).z) ** 2
-        x_bg = gibbs_x(p.beta)
-        xs = [gibbs_x(dynamics.effective_beta_S(p, m)) for m in range(0, 101)]
+        n_bg = occupation(p.beta)
+        ns = [occupation(dynamics.effective_beta_S(p, m)) for m in range(0, 101)]
         for m in range(100):
-            dev = max(dev, abs(xs[m + 1] - (q * xs[m] + (1.0 - q) * x_bg)))
+            dev = max(dev, abs(ns[m + 1] - (q * ns[m] + (1.0 - q) * n_bg)))
     p = make_params(E=1.0, N=100)
     q = abs(step_scalars(p).z) ** 2
     fitted = convergence_study(p, "beta_star_gap", horizon=100).fitted_ratio
     ratio_err = abs(fitted - q) / q
-    criterion(8, "x(beta*) affine identity and fitted geometric ratio |z|^2",
+    criterion(8, "n(beta*) affine identity and fitted geometric ratio |z|^2",
               dev < 1e-12 and ratio_err <= 0.02,
               f"affine deviation {dev:.3e} < 1e-12, ratio off by {100 * ratio_err:.3f}% <= 2%")
 
@@ -225,15 +225,15 @@ def test_criterion_09_window_subsystem():
                     e[slot] = 1.0
                     embedded += abs(propagate_vector(p, k, e)[0]) ** 2
             dev = max(dev, abs(embedded - dynamics.window_overlap_norm_sq(p, n, k)))
-    x_bg = gibbs_x(p.beta)
-    const = 0.5 * p.beta * abs(gibbs_x(p.beta0) - x_bg)
+    n_bg = occupation(p.beta)
+    const = p.beta * abs(occupation(p.beta0) - n_bg)
     ratio_err = 0.0
     proportional = True
     for n in range(0, 5):
         ratios = []
         for k in (10, 13, 16):
             norm = dynamics.window_overlap_norm_sq(p, n, k)
-            err = abs(dynamics.window_entropy(p, n, k) - (n + 1) * sigma(x_bg))
+            err = abs(dynamics.window_entropy(p, n, k) - (n + 1) * occupation_entropy(n_bg))
             ratios.append(err / norm)
         ratio_err = max(ratio_err, abs(ratios[-1] / const - 1.0))
         # the ratio settles onto the constant as the overlap shrinks
@@ -252,15 +252,15 @@ def test_criterion_10_short_time_limit():
 
     gibbs = ChainStateSpec(kind="gibbs", beta=template.beta)
     grecs = short_time_limit_run(template, schedule, gibbs, [theta])
-    x0 = gibbs_x(template.beta0)
-    x_bg = gibbs_x(template.beta)
+    n0 = occupation(template.beta0)
+    n_bg = occupation(template.beta)
     gibbs_dev = 0.0
     gerrs = []
     for rec in grecs:
         n, tau = rec.outputs["N"], rec.outputs["tau"]
         q = abs(step_scalars(replace(template, tau=tau, N=n)).z) ** 2
-        target = math.exp(-0.25 * x_bg) * abs(
-            -math.expm1(-0.25 * q**n * (x0 - x_bg))
+        target = math.exp(-0.25 * (2.0 * n_bg + 1.0)) * abs(
+            -math.expm1(-0.5 * q**n * (n0 - n_bg))
         )
         gibbs_dev = max(gibbs_dev, abs(rec.outputs["abs_error"] - target))
         gerrs.append(rec.outputs["abs_error"])

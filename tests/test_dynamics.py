@@ -1,6 +1,7 @@
 """Closed-form evolution, reductions and entropies against the brute-force oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from richain.dynamics import (
     window_overlap_norm_sq,
 )
 from richain.kernel import ModelParams, propagate_vector, step_scalars
-from richain.quasifree import char_fn, gibbs_x, mode_entropy, sigma, state_entropy
+from richain.quasifree import (
+    char_fn,
+    mode_entropy,
+    occupation,
+    occupation_entropy,
+    state_entropy,
+)
 
 # reference values computed offline at 50-digit precision
 SIGMA_2 = 0.95477125244221922768
@@ -46,8 +53,8 @@ class TestEvolveState:
         p = std_params(N=4)
         st = evolve_state(p, 0)
         assert st.modes == 5
-        assert abs(st.x - 3.0) < 1e-15
-        assert abs(st.x0 - (2.0 - 3.0)) < 1e-15
+        assert abs(st.n - 1.0) < 1e-15
+        assert abs(st.n0 - (0.5 - 1.0)) < 1e-15
         expect = np.zeros(5)
         expect[0] = 1.0
         assert np.max(np.abs(st.xi - expect)) < 1e-15
@@ -139,17 +146,17 @@ class TestReducedCharFn:
     def test_S_is_thermal_at_beta_star(self):
         p = std_params(N=10, E=2.0)
         for m in (0, 3, 10):
-            xs = gibbs_x(effective_beta_S(p, m))
+            ns = occupation(effective_beta_S(p, m))
             for a in (0.3, 0.5 - 0.2j, 1.1j):
                 got = reduced_char_fn(p, m, subsystem_slots("S", m), a)
-                assert abs(got - math.exp(-0.25 * xs * abs(a) ** 2)) < 1e-14
+                assert abs(got - math.exp(-0.25 * (2.0 * ns + 1.0) * abs(a) ** 2)) < 1e-14
 
     def test_Sm_is_thermal_at_beta_star_star(self):
         p = std_params(N=10, E=2.0)
         for m in (1, 4, 10):
-            xs = gibbs_x(effective_beta_Sm(p, m))
+            nss = occupation(effective_beta_Sm(p, m))
             got = reduced_char_fn(p, m, subsystem_slots("Sm", m), 0.7)
-            assert abs(got - math.exp(-0.25 * xs * 0.49)) < 1e-14
+            assert abs(got - math.exp(-0.25 * (2.0 * nss + 1.0) * 0.49)) < 1e-14
 
     def test_pair_marginalizes_to_singles(self):
         p = std_params(N=8, E=2.0)
@@ -225,7 +232,7 @@ class TestSlotPath:
                 slots = [0] + list(range(k - n + 1, k + 1))
                 st = reduced_state(p, k, subsystem_slots("window", k, n))
                 assert st.modes == n + 1
-                assert (st.x, st.x0) == (full.x, full.x0)
+                assert (st.n, st.n0) == (full.n, full.n0)
                 assert np.max(np.abs(st.xi - full.xi[slots])) < 1e-15
 
     def test_xi_coefficients_restrict_the_full_vector(self):
@@ -239,9 +246,14 @@ class TestSlotPath:
 
     def test_xi_coefficients_validation(self):
         p = std_params(N=4)
-        for m, slots in ((5, [0]), (-1, [0]), (2, []), (2, [5]), (2, [-1]), (2, [1, 1])):
+        for m, slots in ((5, [0]), (-1, [0]), (2, []), (2, [5]), (2, [-1]), (2, [1, 1]),
+                         (2, [1.7]), (2, [0, True])):
             with pytest.raises(ValueError):
                 reduced_state(p, m, slots)
+        # a non-integer slot is named, not truncated or read as slot 1
+        for bad in (1.7, True, np.float64(2.0)):
+            with pytest.raises(ValueError, match=re.escape(f"integers, got {bad!r}")):
+                reduced_state(p, 2, [0, bad])
 
     @pytest.mark.parametrize("beta0,beta", [
         (math.log(3), math.log(2)), (0.2, 3.0), (math.inf, math.log(2)), (math.inf, 0.1),
@@ -304,23 +316,24 @@ class TestEffectiveTemperatures:
     def test_affine_identity(self):
         p = std_params(N=60, E=2.0, tau=0.7)
         zsq = abs(step_scalars(p).z) ** 2
-        x0, xb = gibbs_x(p.beta0), gibbs_x(p.beta)
+        n0, nb = occupation(p.beta0), occupation(p.beta)
         for m in (0, 1, 13, 60):
-            got = gibbs_x(effective_beta_S(p, m))
-            assert abs(got - (zsq**m * x0 + (1 - zsq**m) * xb)) < 1e-12
+            got = occupation(effective_beta_S(p, m))
+            assert abs(got - (zsq**m * n0 + (1 - zsq**m) * nb)) < 1e-12
 
     def test_chain_mode_weight(self):
         p = std_params(N=40, E=2.0)
         s = step_scalars(p)
         wsq, zsq = abs(s.w) ** 2, abs(s.z) ** 2
-        x0, xb = gibbs_x(p.beta0), gibbs_x(p.beta)
+        n0, nb = occupation(p.beta0), occupation(p.beta)
         for m in (1, 5, 40):
-            got = gibbs_x(effective_beta_Sm(p, m))
+            got = occupation(effective_beta_Sm(p, m))
             weight = wsq * zsq ** (m - 1)
-            assert abs(got - (weight * x0 + (1 - weight) * xb)) < 1e-12
+            assert abs(got - (weight * n0 + (1 - weight) * nb)) < 1e-12
 
     def test_cold_distinguished_mode_stays_finite(self):
-        # x(40) rounds to 1.0, so mixing covariance scalars lost S entirely
+        # 2n + 1 rounds to 1.0 at beta = 40, so mixing covariance scalars
+        # would lose S entirely
         p = std_params(N=3, E=2.0, beta0=40.0, beta=50.0)
         assert abs(effective_beta_S(p, 0) - 40.0) < 1e-12 * 40.0
         s = step_scalars(p)
@@ -468,13 +481,13 @@ class TestWindow:
     def test_entropy_approaches_background(self):
         p = std_params(N=64, E=2.0)
         n = 3
-        limit = (n + 1) * sigma(gibbs_x(p.beta))
+        limit = (n + 1) * occupation_entropy(occupation(p.beta))
         errs = [abs(window_entropy(p, n, k) - limit) for k in (10, 30, 64)]
         norms = [window_overlap_norm_sq(p, n, k) for k in (10, 30, 64)]
         assert errs[0] > errs[1] > errs[2]
-        # error tracks the overlap norm: ratio pinned near beta/2 * |x0|
+        # error tracks the overlap norm: ratio pinned near beta |n0 - n|
         ratio = errs[2] / norms[2]
-        expect = 0.5 * p.beta * abs(gibbs_x(p.beta0) - gibbs_x(p.beta))
+        expect = p.beta * abs(occupation(p.beta0) - occupation(p.beta))
         assert abs(ratio - expect) / expect < 0.05
 
     def test_decoupled_window_keeps_initial_entropy(self):
@@ -506,3 +519,45 @@ class TestWindow:
             window_overlap_norm_sq(p, 3, 2)
         with pytest.raises(ValueError):
             window_entropy(p, 1, 6)
+
+
+class TestDeepCold:
+    """beta0 = 40, beta = 45, where the covariance scalar 2n + 1 rounds to 1.
+
+    The entropies there are near 1e-16, but they are not zero, and the
+    occupations carry them to full relative precision.
+    """
+
+    @staticmethod
+    def params():
+        return ModelParams(E=2.0, eps=1.0, eta=0.5, tau=1.0, N=8, beta0=40.0, beta=45.0)
+
+    def test_state_is_not_the_vacuum(self):
+        p = self.params()
+        st = evolve_state(p, 3)
+        assert abs(st.n - math.exp(-45.0)) <= 1e-15 * st.n
+        assert st.n0 > 0.0
+        assert abs(state_entropy(st) - total_entropy(p, 3)) <= 1e-12 * total_entropy(p, 3)
+
+    def test_distinguished_mode_is_thermal_at_beta_star(self):
+        p = self.params()
+        got = state_entropy(reduced_state(p, 3, [0]))
+        expect = mode_entropy(effective_beta_S(p, 3))
+        assert got > 0.0
+        assert abs(got - expect) <= 1e-12 * expect
+
+    def test_window_entropy_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        p = self.params()
+        n, k = 2, 5
+        got = window_entropy(p, n, k)
+        wsq = abs(step_scalars(p).w) ** 2
+        with mp.workdps(50):
+            def s(occ):
+                return (occ + 1) * mp.log1p(occ) - occ * mp.log(occ)
+            nb, n0 = (1 / mp.expm1(mp.mpf(b)) for b in (p.beta, p.beta0))
+            zsq = 1 - mp.mpf(wsq)
+            overlap = zsq**k + wsq * zsq ** (k - n) * (1 - zsq**n) / (1 - zsq)
+            expect = float(n * s(nb) + s(nb + overlap * (n0 - nb)))
+        assert got > 0.0
+        assert abs(got - expect) <= 1e-12 * expect

@@ -20,7 +20,7 @@ from richain.experiments import (
     sweep,
 )
 from richain.kernel import ModelParams, propagate_vector, step_scalars
-from richain.quasifree import char_fn, gibbs_x
+from richain.quasifree import char_fn, occupation
 
 
 def std_params(N=10, **kwargs):
@@ -121,6 +121,13 @@ class TestChainStateSpec:
         neg = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError):
             ChainStateSpec(kind="custom", rho=neg)
+        # NaN passes every comparison-based check, and inf breaks eigvalsh
+        for bad in (math.nan, math.inf, -math.inf):
+            off = np.diag([0.5, 0.5]).astype(complex)
+            off[0, 1] = off[1, 0] = bad
+            for rho in (off, np.diag([bad, 0.5]).astype(complex)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    ChainStateSpec(kind="custom", rho=rho)
 
 
 class TestMomentHypothesisCheck:
@@ -179,8 +186,8 @@ class TestShortTimeLimitRun:
             n, tau = rec.outputs["N"], rec.outputs["tau"]
             p = ModelParams(E=1.0, eps=1.0, eta=1.0, tau=tau, N=n,
                             beta0=math.log(3), beta=math.log(2))
-            xstar = gibbs_x(effective_beta_S(p, n))
-            expect = abs(math.exp(-0.25 * xstar) - limit)
+            nstar = occupation(effective_beta_S(p, n))
+            expect = abs(math.exp(-0.25 * (2.0 * nstar + 1.0)) - limit)
             assert abs(rec.outputs["abs_error"] - expect) < 1e-15
             assert rec.outputs["monotone_ok"]
 
@@ -230,7 +237,8 @@ class TestShortTimeLimitRun:
             e0 = np.zeros(n + 1, dtype=complex)
             e0[0] = theta
             comps = propagate_vector(replace(template, tau=rec.outputs["tau"], N=n), n, e0)
-            expect = (math.exp(-0.25 * abs(comps[0]) ** 2 * gibbs_x(template.beta0))
+            x0 = 2.0 * occupation(template.beta0) + 1.0
+            expect = (math.exp(-0.25 * abs(comps[0]) ** 2 * x0)
                       * np.prod(fock_oracle.weyl_expectation_batch(rho, comps[1:])))
             assert abs(rec.outputs["value"] - expect) < 1e-11 * abs(expect)
 
@@ -258,7 +266,7 @@ class TestShortTimeLimitRun:
         template = std_params(E=2.0, eta=0.5)
         sched = LimitSchedule(checkpoints=(10_000, 100_000))
         spec = ChainStateSpec(kind="number_state", level=1)
-        x0 = gibbs_x(template.beta0)
+        x0 = 2.0 * occupation(template.beta0) + 1.0
         tsq = abs(theta) ** 2
         for rec in short_time_limit_run(template, sched, spec, [theta]):
             n = rec.outputs["N"]

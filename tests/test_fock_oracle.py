@@ -105,6 +105,16 @@ class TestDensityContainers:
         with pytest.raises(ValueError):
             fo.FockDensityMatrix(m)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN passes every comparison-based check, and inf breaks eigvalsh
+        off = np.eye(3, dtype=complex) / 3
+        off[0, 1] = off[1, 0] = bad
+        diag = np.diag([bad, 0.5, 0.5]).astype(complex)
+        for m in (off, diag):
+            with pytest.raises(ValueError, match="non-finite"):
+                fo.FockDensityMatrix(m)
+
     def test_cutoff_is_the_matrix_size(self):
         assert fo.FockDensityMatrix(np.eye(5, dtype=complex) / 5).cutoff == 5
         with pytest.raises(ValueError, match="square"):
@@ -400,14 +410,14 @@ class TestCompactLayout:
 
 class TestWeyl:
     def test_one_mode_thermal_expectation(self):
-        # Tr[rho_beta w(zeta)] = exp(-x(beta)|zeta|^2/4), textbook Gaussian
-        from richain.quasifree import gibbs_x
+        # Tr[rho_beta w(zeta)] = exp(-(2n(beta)+1)|zeta|^2/4), textbook Gaussian
+        from richain.quasifree import occupation
 
         beta = math.log(2)
         D = 50
         rho = fo.BlockedDensityMatrix.from_thermal_product([beta], D)
         for zeta in (0.3, 0.4 - 0.2j, 0.7j):
-            exact = math.exp(-0.25 * gibbs_x(beta) * abs(zeta) ** 2)
+            exact = math.exp(-0.25 * (2.0 * occupation(beta) + 1.0) * abs(zeta) ** 2)
             got = fo.weyl_expectation(rho, np.array([zeta]))
             assert abs(got - exact) < 1e-10
 

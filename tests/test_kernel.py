@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ class TestStepScalars:
 
     def test_time_argument(self):
         p = make_params()
-        s2 = step_scalars(p, t=2.0 * p.tau)
+        s2 = step_scalars(replace(p, tau=2.0 * p.tau))
         half = (p.E - p.eps) / 2.0
         omega = math.hypot(half, p.eta)
         assert abs(s2.z.real - math.cos(2.0 * p.tau * omega)) < 1e-15
@@ -146,9 +147,9 @@ class TestStepMatrix:
     def test_one_parameter_group(self):
         # V(t) V(s) = V(t+s) on the interacting pair
         p = make_params()
-        Vt = step_matrix(p, 1, t=0.7)
-        Vs = step_matrix(p, 1, t=0.4)
-        Vts = step_matrix(p, 1, t=1.1)
+        Vt = step_matrix(replace(p, tau=0.7), 1)
+        Vs = step_matrix(replace(p, tau=0.4), 1)
+        Vts = step_matrix(replace(p, tau=1.1), 1)
         assert np.max(np.abs(Vt @ Vs - Vts)) < 1e-14
 
 
@@ -182,7 +183,7 @@ class TestMatrixExponential:
 
     def test_custom_time(self):
         p = make_params()
-        assert matrix_exponential_check(p, 2, t=0.3).deviation < 1e-10
+        assert matrix_exponential_check(replace(p, tau=0.3), 2).deviation < 1e-10
 
 
 class TestPropagateVector:

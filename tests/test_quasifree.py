@@ -1,4 +1,4 @@
-"""Thermal covariance algebra and rank-one corrected quasi-free states."""
+"""Thermal occupations, one-mode entropies and rank-one corrected quasi-free states."""
 
 import math
 
@@ -11,28 +11,59 @@ from richain.dynamics import _beta_from_occupation
 from richain.quasifree import (
     RankOneQuasiFreeState,
     char_fn,
-    gibbs_x,
     mode_entropy,
     occupation,
-    sigma,
+    occupation_entropy,
     state_entropy,
 )
 
 # reference values computed offline at 50-digit precision
-SIGMA_2 = 0.95477125244221922768
+SIGMA_2 = 0.95477125244221922768  # s(n = 1/2), the entropy at beta = ln 3
 LN_5 = 1.6094379124341003746
+
+# 50-digit references agree with the double formulas to a few ulps
+EDGE_RTOL = 2e-15
+
+# beta over [1e-12, 700], log-uniform and as drawn by hypothesis, plus the vacuum
+betas = st.one_of(
+    st.floats(math.log(1e-12), math.log(700.0)).map(math.exp),
+    st.floats(1e-12, 700.0),
+    st.just(math.inf),
+)
+
+
+def close(got, expect):
+    """Within EDGE_RTOL of expect, relative; exact where expect is 0 or inf."""
+    return got == expect or abs(got - expect) <= EDGE_RTOL * abs(expect)
+
+
+def mp_occupation(mp, beta):
+    """50-digit n = 1/(e^beta - 1) from mp.expm1; a naive 1 - e^-b rounds
+    to 1 above b ~ 115."""
+    with mp.workdps(50):
+        return 1 / mp.expm1(mp.mpf(beta))
+
+
+def mp_entropy(mp, n):
+    """50-digit s(n) = (n+1) log1p(n) - n log n."""
+    with mp.workdps(50):
+        n = mp.mpf(n)
+        return (n + 1) * mp.log1p(n) - n * mp.log(n) if n else mp.mpf(0)
 
 
 class TestCovarianceScalar:
+    """The mean occupation n(beta), the one thermal coordinate; the covariance
+    scalar 2n + 1 appears only inside char_fn."""
+
     def test_known_points(self):
-        assert abs(gibbs_x(math.log(2)) - 3.0) < 1e-15
-        assert abs(gibbs_x(math.log(3)) - 2.0) < 1e-15
-        assert gibbs_x(math.inf) == 1.0
+        assert abs(occupation(math.log(3)) - 0.5) < 1e-15
+        assert abs(occupation(math.log(5)) - 0.25) < 1e-15
+        assert occupation(math.inf) == 0.0
 
     def test_occupation_relation(self):
-        # x = 2 n + 1
+        # 2 n + 1 = coth(beta / 2)
         for beta in (0.3, 1.0, math.log(2), 5.0):
-            assert abs(gibbs_x(beta) - (2.0 * occupation(beta) + 1.0)) < 1e-13
+            assert abs((2.0 * occupation(beta) + 1.0) - 1.0 / math.tanh(beta / 2.0)) < 1e-13
 
     def test_occupation_known_points(self):
         assert abs(occupation(math.log(2)) - 1.0) < 1e-15
@@ -40,21 +71,19 @@ class TestCovarianceScalar:
         assert occupation(math.inf) == 0.0
 
     # the library's one temperature inverse is dynamics._beta_from_occupation,
-    # beta = log1p(1/n) with n = (x - 1)/2
+    # beta = log1p(1/n)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(1e-3, 12.0))
+    @settings(max_examples=300, deadline=None)
+    @given(betas)
     def test_round_trip(self, beta):
-        assert abs(_beta_from_occupation(occupation(beta)) - beta) < 1e-10 * max(1.0, beta)
+        assert close(_beta_from_occupation(occupation(beta)), beta)
 
     def test_round_trip_near_vacuum(self):
-        # where x - 1 ~ 2 e^-beta ate the precision of an inverse of x, the
-        # occupation keeps it
-        for beta, tol in ((18.0, 1e-7), (25.0, 1e-2)):
-            assert abs(_beta_from_occupation(occupation(beta)) - beta) < tol
+        # 2n + 1 - 1 ~ 2 e^-beta would eat the precision here; n keeps it
+        for beta in (18.0, 25.0, 40.0, 700.0):
+            assert abs(_beta_from_occupation(occupation(beta)) - beta) <= EDGE_RTOL * beta
 
     def test_inverse_known_point(self):
-        # x = 1.5, n = 1/4
         assert abs(_beta_from_occupation(0.25) - LN_5) < 1e-15
 
     def test_vacuum_boundary(self):
@@ -63,27 +92,32 @@ class TestCovarianceScalar:
             _beta_from_occupation((0.999 - 1.0) / 2.0)
 
     def test_deep_vacuum_saturates(self):
-        # below double resolution the scalar rounds to the vacuum exactly
-        assert gibbs_x(700.0) == 1.0
+        # the covariance scalar 2n + 1 rounds to the vacuum exactly at
+        # beta = 700, while n = e^-700 (1 + e^-700) stays exact
+        n = occupation(700.0)
+        assert 2.0 * n + 1.0 == 1.0
+        assert abs(n - math.exp(-700.0)) <= 1e-15 * n
 
     def test_rejects_nonpositive_beta(self):
-        for f in (gibbs_x, occupation, mode_entropy):
+        for f in (occupation, mode_entropy):
             with pytest.raises(ValueError):
                 f(0.0)
 
 
 class TestSigma:
+    """The one-mode entropy s(n) = occupation_entropy(n), and s(beta) = mode_entropy."""
+
     def test_vacuum_is_zero(self):
-        assert sigma(1.0) == 0.0
+        assert occupation_entropy(0.0) == 0.0
 
     def test_known_values(self):
-        assert abs(sigma(2.0) - SIGMA_2) < 1e-15
-        # sigma(3) = 2 ln 2 exactly
-        assert abs(sigma(3.0) - 2.0 * math.log(2)) < 1e-15
+        assert abs(occupation_entropy(0.5) - SIGMA_2) < 1e-15
+        # s(1) = 2 ln 2 exactly
+        assert abs(occupation_entropy(1.0) - 2.0 * math.log(2)) < 1e-15
 
     def test_mode_entropy_consistency(self):
         for beta in (0.4, math.log(2), math.log(3), 2.5):
-            assert abs(mode_entropy(beta) - sigma(gibbs_x(beta))) < 1e-13
+            assert abs(mode_entropy(beta) - occupation_entropy(occupation(beta))) < 1e-15
         assert mode_entropy(math.inf) == 0.0
 
     @pytest.mark.parametrize("beta", [1e-12, 1e-8, 1e-4, math.log(2), 30.0, 700.0])
@@ -109,36 +143,81 @@ class TestSigma:
         assert abs(got - expect) <= 1e-14 * expect
 
     @settings(max_examples=200, deadline=None)
-    @given(st.floats(1.0, 1e4))
-    def test_nonnegative_and_monotone(self, x):
-        assert sigma(x) >= 0.0
-        assert sigma(x + 0.5) > sigma(x) - 1e-15
+    @given(st.floats(0.0, 5e3))
+    def test_nonnegative_and_monotone(self, n):
+        assert occupation_entropy(n) >= 0.0
+        assert occupation_entropy(n + 0.25) > occupation_entropy(n) - 1e-15
 
     def test_rejects_below_one(self):
-        with pytest.raises(ValueError):
-            sigma(0.5)
+        # n < 0, a covariance scalar 2n + 1 below one
+        for n in (-0.25, math.nan):
+            with pytest.raises(ValueError, match="inadmissible occupation"):
+                occupation_entropy(n)
 
 
-def make_state(modes=3, x=3.0, x0=-1.0, xi=None):
+class TestOccupationEdges:
+    """Hypothesis properties over beta in [1e-12, 700] and +inf, against 50-digit mpmath."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(betas)
+    def test_occupation_matches_mpmath(self, beta):
+        mp = pytest.importorskip("mpmath")
+        assert close(occupation(beta), float(mp_occupation(mp, beta)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(betas)
+    def test_entropy_of_occupation_is_mode_entropy(self, beta):
+        mp = pytest.importorskip("mpmath")
+        expect = float(mp_entropy(mp, mp_occupation(mp, beta)))
+        got = occupation_entropy(occupation(beta))
+        assert close(got, expect)
+        assert got == mode_entropy(beta) or abs(got - mode_entropy(beta)) <= 2 * EDGE_RTOL * expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(betas, betas, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_affine_mix_is_monotone(self, beta0, beta, u, v):
+        # n* = w n(beta0) + (1 - w) n(beta) is an occupation of a beta* between
+        # beta0 and beta, which moves towards beta0 as the weight w grows
+        mp = pytest.importorskip("mpmath")
+        n0, nb = occupation(beta0), occupation(beta)
+        lo, hi = sorted((u, v))
+        mixes = [w * n0 + (1.0 - w) * nb for w in (lo, hi)]
+        b_lo, b_hi = (_beta_from_occupation(n) for n in mixes)
+        assert min(beta0, beta) * (1 - EDGE_RTOL) <= b_lo <= max(beta0, beta) * (1 + EDGE_RTOL)
+        if beta0 >= beta:
+            assert b_hi >= b_lo * (1 - EDGE_RTOL)
+        else:
+            assert b_hi <= b_lo * (1 + EDGE_RTOL)
+        # the mix inverts to beta* to a few ulps, as at 50 digits, as long as
+        # beta* stays in the range where n is a normal float
+        if mixes[0] >= occupation(700.0):
+            with mp.workdps(50):
+                expect = float(mp.log1p(1 / mp.mpf(mixes[0])))
+            assert abs(b_lo - expect) <= EDGE_RTOL * expect
+
+
+def make_state(modes=3, n=1.0, n0=-0.5, xi=None):
     if xi is None:
         xi = np.zeros(modes, dtype=complex)
         xi[0] = 1.0
-    return RankOneQuasiFreeState(modes=modes, x=x, x0=x0, xi=xi)
+    return RankOneQuasiFreeState(modes=modes, n=n, n0=n0, xi=xi)
 
 
 class TestRankOneState:
     def test_admissibility(self):
-        # corrected covariance may not dip below the vacuum line
+        # the corrected occupation may not dip below the vacuum
         with pytest.raises(ValueError, match="inadmissible"):
-            make_state(x=3.0, x0=-2.5)
+            make_state(n=1.0, n0=-1.25)
         with pytest.raises(ValueError):
-            make_state(x=0.5, x0=0.0)
+            make_state(n=-0.25, n0=0.0)
+        # within the slack is still admissible
+        make_state(n=1.0, n0=-1.0 - 1e-13)
 
     def test_norm_and_correction(self):
         xi = np.array([0.6, 0.8j, 0.0])
-        s = make_state(x=2.0, x0=0.5, xi=xi)
+        s = make_state(n=0.5, n0=0.25, xi=xi)
         assert abs(s.xi_norm_sq - 1.0) < 1e-15
-        assert abs(s.corrected_x - 2.5) < 1e-15
+        assert abs(s.corrected_n - 0.75) < 1e-15
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -153,7 +232,8 @@ class TestCharFn:
     def test_matches_gaussian_formula(self):
         rng = np.random.default_rng(5)
         xi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        s = RankOneQuasiFreeState(modes=4, x=2.2, x0=0.7, xi=xi)
+        # x = 2n + 1 = 2.2 and x0 = 2 n0 = 0.7
+        s = RankOneQuasiFreeState(modes=4, n=0.6, n0=0.35, xi=xi)
         for _ in range(10):
             zeta = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             direct = math.exp(
@@ -168,12 +248,12 @@ class TestCharFn:
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
     def test_bounded(self, re, im):
-        s = make_state(x=1.7, x0=0.9)
+        s = make_state(n=0.35, n0=0.45)
         v = char_fn(s, np.array([complex(re, im), 0.1, 0.0]))
         assert 0.0 < v <= 1.0
 
     def test_gauge_invariance(self):
-        s = make_state(x=2.0, x0=-0.4)
+        s = make_state(n=0.5, n0=-0.2)
         zeta = np.array([0.3 + 0.1j, -0.2j, 0.5])
         a = char_fn(s, zeta)
         b = char_fn(s, np.exp(0.9j) * zeta)
@@ -186,18 +266,22 @@ class TestCharFn:
 
 class TestStateEntropy:
     def test_uncorrected_is_extensive(self):
-        s = make_state(modes=5, x=2.0, x0=0.0)
+        s = make_state(modes=5, n=0.5, n0=0.0)
         assert abs(state_entropy(s) - 5.0 * SIGMA_2) < 1e-14
-        assert abs(sigma(s.x) - SIGMA_2) < 1e-15
+        assert abs(occupation_entropy(s.n) - SIGMA_2) < 1e-15
 
     def test_split_adds_up(self):
-        s = make_state(modes=4, x=3.0, x0=-1.0)
-        assert abs(state_entropy(s) - (3 * sigma(s.x) + sigma(s.corrected_x))) < 1e-14
-        # corrected direction sits at x = 2 here
-        assert abs(sigma(s.corrected_x) - SIGMA_2) < 1e-15
+        s = make_state(modes=4, n=1.0, n0=-0.5)
+        expect = 3 * occupation_entropy(s.n) + occupation_entropy(s.corrected_n)
+        assert abs(state_entropy(s) - expect) < 1e-14
+        # corrected direction sits at n = 1/2 here
+        assert abs(occupation_entropy(s.corrected_n) - SIGMA_2) < 1e-15
 
     def test_pure_corrected_direction(self):
-        # x0 drives the corrected mode down to the vacuum: zero entropy there
-        s = make_state(modes=2, x=3.0, x0=-2.0)
-        assert sigma(max(s.corrected_x, 1.0)) == 0.0
-        assert state_entropy(s) == sigma(s.x)
+        # n0 drives the corrected mode down to the vacuum: zero entropy there
+        s = make_state(modes=2, n=1.0, n0=-1.0)
+        assert s.corrected_n == 0.0
+        assert state_entropy(s) == occupation_entropy(s.n)
+        # a corrected occupation just below 0, within the slack, reads as the vacuum
+        s = make_state(modes=2, n=1.0, n0=-1.0 - 1e-13)
+        assert state_entropy(s) == occupation_entropy(s.n)
