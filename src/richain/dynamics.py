@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -76,6 +77,11 @@ def subsystem_slots(kind: str, m: int, n: int | None = None) -> list[int]:
     return {"S": [0], "S1": [1], "Sm": [m], "S_plus_Sm": [0, m]}[kind]
 
 
+def _check_steps(params: ModelParams, m: int, first: int = 0) -> None:
+    if not first <= m <= params.N:
+        raise ValueError(f"steps m must lie in {first}..{params.N}, got {m}")
+
+
 def reduced_state(params: ModelParams, m: int, slots) -> RankOneQuasiFreeState:
     """Reduced state on the given full-chain slots after m steps, in the order given.
 
@@ -85,8 +91,7 @@ def reduced_state(params: ModelParams, m: int, slots) -> RankOneQuasiFreeState:
     slots beyond m that no step has touched yet, with phase
     exp(i m tau eps).  Costs O(len(slots)).
     """
-    if not 0 <= m <= params.N:
-        raise ValueError(f"steps m must lie in 0..{params.N}, got {m}")
+    _check_steps(params, m)
     values = list(slots) if np.ndim(slots) == 1 else []
     if not values:
         raise ValueError("slots must be a nonempty list of slot indices")
@@ -152,6 +157,9 @@ def _beta_from_occupation(n: float) -> float:
     """Inverse of the mean occupation n = 1/(e^beta - 1); n = 0 maps to +inf."""
     if n == 0.0:
         return math.inf
+    if n < sys.float_info.min:
+        # 1/n overflows for a subnormal n (beta above about 708)
+        return math.log1p(n) - math.log(n)
     return math.log1p(1.0 / n)
 
 
@@ -161,10 +169,10 @@ def effective_beta_S(params: ModelParams, m: int) -> float:
     Its mean occupation is the mix n* = |z|^2m n(beta0) + (1-|z|^2m) n(beta),
     which stays finite for a cold S, where n(beta0) is tiny.  Both weights
     come from log|z|^2 = log1p(-|w|^2), so they keep full precision at
-    m = 1e6 and beyond.
+    m = 1e6 and beyond.  Once n* underflows to 0 (both betas from about
+    745.1), beta* is +inf.
     """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    _check_steps(params, m)
     L = 2.0 * step_scalars(params).log_abs_z
     ns = (_zsq_power(L, m) * occupation(params.beta0)
           + _one_minus_zsq_power(L, m) * occupation(params.beta))
@@ -177,8 +185,7 @@ def effective_beta_Sm(params: ModelParams, m: int) -> float:
     n(beta**) mixes n(beta0) with weight |w|^2 |z|^(2(m-1)) into n(beta);
     equivalently it is the |w|^2-mix of n(beta*((m-1)tau)) and n(beta).
     """
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+    _check_steps(params, m, first=1)
     s = step_scalars(params)
     weight = abs(s.w) ** 2 * _zsq_power(2.0 * s.log_abs_z, m - 1)
     nss = weight * occupation(params.beta0) + (1.0 - weight) * occupation(params.beta)
@@ -191,8 +198,7 @@ def total_entropy(params: ModelParams, m: int) -> float:
     The steps are unitary, so this is the initial N s(beta) + s(beta0)
     at every m in 0..N, in O(1).
     """
-    if not 0 <= m <= params.N:
-        raise ValueError(f"steps m must lie in 0..{params.N}, got {m}")
+    _check_steps(params, m)
     return params.N * mode_entropy(params.beta) + mode_entropy(params.beta0)
 
 
@@ -202,8 +208,7 @@ def relative_entropy(params: ModelParams, n_steps: int) -> float:
     Closed form: (beta0-beta)(n_beta - n_beta0) (1 - |z|^(2 n_steps)),
     written with mean occupations so large beta cannot overflow.
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    _check_steps(params, n_steps)
     if math.isinf(params.beta0) or math.isinf(params.beta):
         raise ValueError("relative entropy needs finite beta0 and beta")
     prefactor = (params.beta0 - params.beta) * (

@@ -171,84 +171,34 @@ class ChainStateSpec:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Moment hypotheses of a chain state, checked at a finite cutoff.
+    """The vanishing-moment hypothesis of a chain state, checked at a finite cutoff.
 
-    The bound constants are the largest observed ratios Tr[rho |y a* +
-    conj(y) a|^p] / |y|^p over a deterministic grid of y; the scaling
-    flag records that the ratio was |y|-independent across the grid, the
-    numerical content of the bound.
+    h2_pass holds when |Tr[rho a]| and |Tr[rho aa]| are both at most 1e-12.
     """
 
     tr_a: complex
     tr_aa: complex
-    tr_num_sq: float
     symmetric_moment: float
     h2_pass: bool
-    h3_finite: bool
-    moment_bound_constants: dict
-    moment_bounds_scale_ok: bool
-    truncated_correlations: dict
 
 
 _H2_TOL = 1e-12
 
 
 def moment_hypothesis_check(spec: ChainStateSpec, cutoff: int) -> MomentReport:
-    """Evaluate the vanishing-moment and bounded-moment hypotheses at a cutoff.
+    """Evaluate the first and second gauge-breaking moments at a cutoff.
 
-    Failures never raise; they land in the report flags.
+    A failure never raises; it lands in h2_pass.
     """
     rho = spec.density(cutoff)
     a = fock_oracle.build_ladder(cutoff)
-    n_diag = np.arange(cutoff, dtype=float)
-    p_diag = np.diagonal(rho).real
-
     tr_a = complex(np.trace(rho @ a))
     tr_aa = complex(np.trace(rho @ a @ a))
-    tr_n = float(p_diag @ n_diag)
-    tr_num_sq = float(p_diag @ n_diag**2)
-    sym = spec.symmetric_moment(cutoff)
-
-    h2 = abs(tr_a) <= _H2_TOL and abs(tr_aa) <= _H2_TOL
-    h3 = math.isfinite(tr_num_sq)
-
-    constants: dict = {}
-    scale_ok = True
-    phases = np.pi * np.arange(8) / 8.0
-    magnitudes = (0.5, 1.0, 2.0)
-    for p in (2, 3, 4):
-        worst = 0.0
-        for phi in phases:
-            # |y a* + conj(y) a|^p scales exactly as |y|^p; check it does
-            ratios = []
-            for mag in magnitudes:
-                y = mag * np.exp(1j * phi)
-                A = y * a.conj().T + np.conj(y) * a
-                vals, vecs = np.linalg.eigh(A)
-                weights = np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs).real
-                ratios.append(float(np.abs(vals) ** p @ weights) / mag**p)
-            worst = max(worst, max(ratios))
-            spread = max(ratios) - min(ratios)
-            if spread > 1e-8 * max(1.0, max(ratios)):
-                scale_ok = False
-        constants[p] = worst
-
-    correlations = {
-        "a": tr_a,
-        "aa": tr_aa - tr_a**2,
-        "ada": complex(tr_n - abs(tr_a) ** 2),
-        "aad": complex(tr_n + 1.0 - abs(tr_a) ** 2),
-    }
     return MomentReport(
         tr_a=tr_a,
         tr_aa=tr_aa,
-        tr_num_sq=tr_num_sq,
-        symmetric_moment=sym,
-        h2_pass=h2,
-        h3_finite=h3,
-        moment_bound_constants=constants,
-        moment_bounds_scale_ok=scale_ok,
-        truncated_correlations=correlations,
+        symmetric_moment=spec.symmetric_moment(cutoff),
+        h2_pass=abs(tr_a) <= _H2_TOL and abs(tr_aa) <= _H2_TOL,
     )
 
 
@@ -315,7 +265,7 @@ def short_time_limit_run(
     thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
     report_cutoff = cutoff if cutoff is not None else max(16, spec.min_cutoff + 4)
     report = moment_hypothesis_check(spec, report_cutoff)
-    if not (report.h2_pass and report.h3_finite):
+    if not report.h2_pass:
         raise ValueError(
             "chain state violates the moment hypotheses: "
             f"Tr[rho a] = {report.tr_a}, Tr[rho aa] = {report.tr_aa}"

@@ -66,11 +66,8 @@ import numpy as np
 __all__ = [
     "FockDensityMatrix",
     "BlockedDensityMatrix",
-    "CutoffReport",
     "build_ladder",
-    "gibbs_density",
     "thermal_probabilities",
-    "recommend_cutoff",
     "evolve_density",
     "weyl_expectation",
     "weyl_expectation_batch",
@@ -106,30 +103,6 @@ def _one_mode_weyl(alpha: complex, D: int) -> np.ndarray:
     a = build_ladder(D)
     h = (np.conj(alpha) * a + alpha * a.conj().T) / math.sqrt(2.0)
     return _expi_hermitian(h, 1.0)
-
-
-@dataclass(frozen=True)
-class CutoffReport:
-    """Auditing record for a cutoff choice."""
-
-    tail_weight: float
-    recommendation: int
-
-
-def recommend_cutoff(beta: float, zeta_norm: float = 0.0, tol: float = 1e-10) -> int:
-    """Smallest cutoff with thermal tail weight < tol, plus displacement headroom.
-
-    The headroom is ceil(4*zeta_norm^2) extra levels, enough for the
-    Weyl arguments used at desk scale.
-    """
-    if not (beta > 0.0):
-        raise ValueError(f"beta must lie in (0, +inf], got {beta!r}")
-    headroom = math.ceil(4.0 * zeta_norm**2)
-    if math.isinf(beta):
-        return max(2, 2 + headroom)
-    # tail weight of levels >= D is exp(-beta*D)
-    base = math.ceil(-math.log(tol) / beta)
-    return max(2, base + headroom)
 
 
 def thermal_probabilities(beta: float, D: int) -> np.ndarray:
@@ -384,14 +357,6 @@ class BlockedDensityMatrix:
         for st, blocks in self._stacks():
             out[st.members] = np.diagonal(blocks, axis1=1, axis2=2)
         return out
-
-
-def gibbs_density(beta: float, D: int) -> tuple[FockDensityMatrix, CutoffReport]:
-    """One-mode thermal state at cutoff D, renormalized, with its cutoff audit."""
-    p = thermal_probabilities(beta, D)
-    rho = FockDensityMatrix(np.diag(p.astype(complex)))
-    report = CutoffReport(tail_weight=float(p[-1]), recommendation=recommend_cutoff(beta))
-    return rho, report
 
 
 def _pair_occupations(p: int, D: int) -> np.ndarray:

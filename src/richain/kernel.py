@@ -133,8 +133,6 @@ class HypothesisReport:
     h4_stable: bool
     h5_sufficient: bool
     h5_operative: bool
-    abs_w: float
-    abs_z: float
 
 
 def step_scalars(params: ModelParams) -> StepScalars:
@@ -283,6 +281,4 @@ def validate_hypotheses(params: ModelParams) -> HypothesisReport:
         h4_stable=params.eta**2 <= params.E * params.eps,
         h5_sufficient=params.tau * omega < math.pi / 2.0,
         h5_operative=abs(s.w) < 1.0 and abs(s.z) < 1.0,
-        abs_w=abs(s.w),
-        abs_z=abs(s.z),
     )

@@ -39,7 +39,11 @@ _EXP_MINUS_DEEP_BETA = math.exp(-_DEEP_BETA)
 
 
 def mode_entropy(beta: float) -> float:
-    """Entropy s(beta) = beta/(e^beta - 1) - ln(1 - e^-beta) of one thermal mode."""
+    """Entropy s(beta) = beta/(e^beta - 1) - ln(1 - e^-beta) of one thermal mode.
+
+    Full precision up to about beta = 751.8; from there the value is below
+    the smallest subnormal float and this returns 0.
+    """
     if not (beta > 0.0):
         raise ValueError(f"beta must lie in (0, +inf], got {beta!r}")
     if math.isinf(beta):
@@ -58,7 +62,11 @@ def mode_entropy(beta: float) -> float:
 
 
 def occupation(beta: float) -> float:
-    """Mean quanta n_beta = 1/(e^beta - 1) of a thermal mode; 0 at beta = +inf."""
+    """Mean quanta n_beta = 1/(e^beta - 1) of a thermal mode; 0 at beta = +inf.
+
+    n is subnormal, with fewer significant bits, from about beta = 708, and
+    underflows to 0 from about beta = 745.1.
+    """
     if not (beta > 0.0):
         raise ValueError(f"beta must lie in (0, +inf], got {beta!r}")
     # e^-beta / (1 - e^-beta), with 1 - e^-beta as -expm1(-beta), exact at
@@ -131,6 +139,12 @@ def char_fn(state: RankOneQuasiFreeState, zeta: np.ndarray) -> float:
 
 
 def state_entropy(state: RankOneQuasiFreeState) -> float:
-    """Entropy (M-1) s(n) + s(n + n0*<xi,xi>) of M modes, s = occupation_entropy."""
+    """Entropy (M-1) s(n) + s(n + n0*<xi,xi>) of M modes, s = occupation_entropy.
+
+    About 1e-14 relative while the occupations are normal floats (beta
+    below about 708).  Past that they have lost bits that no formula in n
+    recovers, so the entropy is accurate in absolute terms only, and it is
+    0 once they underflow (beta from about 745.1).
+    """
     return ((state.modes - 1) * occupation_entropy(max(state.n, 0.0))
             + occupation_entropy(max(state.corrected_n, 0.0)))

@@ -266,9 +266,13 @@ class TestSlotPath:
 
     def test_step_range_errors(self):
         p = std_params(N=4)
-        for m in (-1, 5):
-            with pytest.raises(ValueError):
-                total_entropy(p, m)
+        # one domain for m, and one message, across the closed forms
+        for f, first in ((effective_beta_S, 0), (effective_beta_Sm, 1),
+                         (relative_entropy, 0), (total_entropy, 0)):
+            for m in (first - 1, 5):
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"steps m must lie in {first}..4, got {m}")):
+                    f(p, m)
         with pytest.raises(ValueError):
             reduced_char_fn(p, 5, subsystem_slots("S", 5), 0.1)
         with pytest.raises(ValueError):
@@ -561,3 +565,50 @@ class TestDeepCold:
             expect = float(n * s(nb) + s(nb + overlap * (n0 - nb)))
         assert got > 0.0
         assert abs(got - expect) <= 1e-12 * expect
+
+
+class TestSubnormalOccupations:
+    """Past beta = 708 the mean occupations are subnormal floats.
+
+    Their inverse must not overflow to +inf, and the entropies they carry
+    keep their relative accuracy only while n is a normal float.
+    """
+
+    @staticmethod
+    def params(beta0, beta):
+        return ModelParams(E=2.0, eps=1.0, eta=0.5, tau=1.0, N=8, beta0=beta0, beta=beta)
+
+    def test_beta_from_subnormal_occupation_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        for n in (1e-310, 5e-324, math.exp(-720.0)):
+            with mp.workdps(50):
+                expect = float(mp.log1p(1 / mp.mpf(n)))
+            assert abs(dynamics._beta_from_occupation(n) - expect) <= 1e-15 * expect
+        # a normal n keeps the direct form
+        assert dynamics._beta_from_occupation(1e-300) == math.log1p(1e300)
+
+    def test_effective_betas_stay_finite_past_709(self):
+        mp = pytest.importorskip("mpmath")
+        p = self.params(720.0, 730.0)
+        wsq = abs(step_scalars(p).w) ** 2
+        assert abs(effective_beta_S(p, 0) - 720.0) <= 1e-14 * 720.0
+        with mp.workdps(50):
+            n0, nb = (1 / mp.expm1(mp.mpf(b)) for b in (p.beta0, p.beta))
+            zsq = 1 - mp.mpf(wsq)
+            for m in range(1, p.N + 1):
+                for got, weight in ((effective_beta_S(p, m), zsq**m),
+                                    (effective_beta_Sm(p, m), wsq * zsq ** (m - 1))):
+                    expect = float(mp.log1p(1 / (weight * n0 + (1 - weight) * nb)))
+                    # n(720) keeps about 40 bits, so about 1e-13 relative
+                    assert abs(got - expect) <= 1e-12 * expect
+
+    def test_entropy_accuracy_domain(self):
+        # one mode at beta0 = beta is thermal at beta: relative accuracy while
+        # n(beta) is normal, then an absolute error of beta times a few
+        # subnormal spacings
+        for beta, rel in ((712.0, 1e-14), (720.0, 1e-11), (730.0, 1e-6)):
+            got = state_entropy(reduced_state(self.params(beta, beta), 3, [0]))
+            expect = mode_entropy(beta)
+            assert got > 0.0
+            assert abs(got - expect) <= rel * expect
+            assert abs(got - expect) <= 1e-320

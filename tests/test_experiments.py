@@ -130,27 +130,36 @@ class TestChainStateSpec:
                     ChainStateSpec(kind="custom", rho=rho)
 
 
+def _expectation(spec, cutoff, op):
+    """Tr[rho op] for the spec's density at the cutoff, op built from the ladder a."""
+    a = fock_oracle.build_ladder(cutoff)
+    return complex(np.trace(spec.density(cutoff) @ op(a, a.conj().T)))
+
+
 class TestMomentHypothesisCheck:
     def test_gibbs_reference(self):
-        rep = moment_hypothesis_check(ChainStateSpec(kind="gibbs", beta=math.log(2)), 45)
+        spec = ChainStateSpec(kind="gibbs", beta=math.log(2))
+        rep = moment_hypothesis_check(spec, 45)
         assert abs(rep.tr_a) < 1e-14
         assert abs(rep.tr_aa) < 1e-14
-        assert abs(rep.tr_num_sq - 3.0) < 1e-10
-        assert rep.h2_pass and rep.h3_finite
-        # second absolute moment of the field equals the covariance scalar
-        assert abs(rep.moment_bound_constants[2] - 3.0) < 1e-10
-        assert rep.moment_bounds_scale_ok
-        assert abs(rep.truncated_correlations["a"]) < 1e-14
-        assert abs(rep.truncated_correlations["aa"]) < 1e-14
-        assert abs(rep.truncated_correlations["ada"] - 1.0) < 1e-10
-        assert abs(rep.truncated_correlations["aad"] - 2.0) < 1e-10
+        assert rep.h2_pass
+        # moments of the untruncated state, read off the truncated density
+        number_sq = _expectation(spec, 45, lambda a, ad: (ad @ a) @ (ad @ a))
+        assert abs(number_sq - 3.0) < 1e-10
+        # second moment of the field equals the symmetric moment 2n + 1
+        field_sq = _expectation(spec, 45, lambda a, ad: (a + ad) @ (a + ad))
+        assert abs(field_sq - 3.0) < 1e-10
+        assert abs(_expectation(spec, 45, lambda a, ad: ad @ a) - 1.0) < 1e-10
+        assert abs(_expectation(spec, 45, lambda a, ad: a @ ad) - 2.0) < 1e-10
 
     def test_number_state(self):
-        rep = moment_hypothesis_check(ChainStateSpec(kind="number_state", level=1), 12)
-        assert rep.h2_pass and rep.h3_finite
+        spec = ChainStateSpec(kind="number_state", level=1)
+        rep = moment_hypothesis_check(spec, 12)
+        assert rep.h2_pass
         assert abs(rep.symmetric_moment - 3.0) < 1e-14
-        assert abs(rep.tr_num_sq - 1.0) < 1e-14
-        assert abs(rep.truncated_correlations["ada"] - 1.0) < 1e-14
+        number_sq = _expectation(spec, 12, lambda a, ad: (ad @ a) @ (ad @ a))
+        assert abs(number_sq - 1.0) < 1e-14
+        assert abs(_expectation(spec, 12, lambda a, ad: ad @ a) - 1.0) < 1e-14
 
     def test_gauge_breaking_states_flagged(self):
         psi01 = np.zeros(4, dtype=complex)
@@ -158,21 +167,14 @@ class TestMomentHypothesisCheck:
         coherent_like = ChainStateSpec(kind="custom", rho=np.outer(psi01, psi01.conj()))
         rep = moment_hypothesis_check(coherent_like, 8)
         assert not rep.h2_pass
-        assert abs(rep.truncated_correlations["a"] - 0.5) < 1e-14
+        assert abs(rep.tr_a - 0.5) < 1e-14
 
         psi02 = np.zeros(4, dtype=complex)
         psi02[0] = psi02[2] = 1.0 / math.sqrt(2)
         squeezed_like = ChainStateSpec(kind="custom", rho=np.outer(psi02, psi02.conj()))
         rep = moment_hypothesis_check(squeezed_like, 8)
         assert not rep.h2_pass
-        assert abs(rep.truncated_correlations["aa"] - math.sqrt(2) / 2.0) < 1e-14
-
-    def test_moment_bounds_scale(self):
-        # C_p ratios must be magnitude-independent for p = 2, 3, 4
-        rep = moment_hypothesis_check(ChainStateSpec(kind="gibbs", beta=1.0), 40)
-        assert set(rep.moment_bound_constants) == {2, 3, 4}
-        assert all(v > 0 for v in rep.moment_bound_constants.values())
-        assert rep.moment_bounds_scale_ok
+        assert abs(rep.tr_aa - math.sqrt(2) / 2.0) < 1e-14
 
 
 class TestShortTimeLimitRun:

@@ -72,20 +72,13 @@ class TestThermal:
         assert abs((p * n * n).sum() - 3.0) < 1e-12
 
     def test_gibbs_density_entropy(self):
-        rho, report = fo.gibbs_density(math.log(3), 40)
+        p = fo.thermal_probabilities(math.log(3), 40)
+        rho = fo.FockDensityMatrix(np.diag(p))
         assert abs(rho.matrix.trace().real - 1.0) < 1e-14
-        assert report.tail_weight < 1e-15
+        assert p[-1] < 1e-15
         from richain.quasifree import mode_entropy
 
         assert abs(ref.entropy(rho.matrix) - mode_entropy(math.log(3))) < 1e-12
-
-    def test_recommend_cutoff(self):
-        loose = fo.recommend_cutoff(math.log(2), tol=1e-6)
-        tight = fo.recommend_cutoff(math.log(2), tol=1e-12)
-        assert 2 <= loose <= tight
-        assert fo.recommend_cutoff(math.inf) >= 2
-        # displacement headroom grows with the argument
-        assert fo.recommend_cutoff(1.0, zeta_norm=3.0) > fo.recommend_cutoff(1.0)
 
 
 class TestDensityContainers:
@@ -451,7 +444,7 @@ class TestWeyl:
             assert abs(vb - vd) < 1e-12
 
     def test_batch_matches_single(self):
-        rho, _ = fo.gibbs_density(math.log(2), 24)
+        rho = fo.FockDensityMatrix(np.diag(fo.thermal_probabilities(math.log(2), 24)))
         blocked = fo.BlockedDensityMatrix.from_thermal_product([math.log(2)], 24)
         rng = np.random.default_rng(9)
         alphas = 0.5 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
@@ -461,7 +454,7 @@ class TestWeyl:
             assert abs(batch[i] - single) < 1e-12
 
     def test_batch_minus_one(self):
-        rho, _ = fo.gibbs_density(math.log(3), 24)
+        rho = fo.FockDensityMatrix(np.diag(fo.thermal_probabilities(math.log(3), 24)))
         alphas = np.array([0.0, 0.05j, 0.2 - 0.1j])
         vals = fo.weyl_expectation_batch(rho, alphas)
         shifted = fo.weyl_expectation_batch(rho, alphas, minus_one=True)
@@ -616,7 +609,7 @@ class TestInterface:
              "relative_entropy_oracle", "relative_entropy_oracle_reference"],
     )
     def test_rejects_dense_state(self, call):
-        rho, _ = fo.gibbs_density(1.0, 6)
+        rho = fo.FockDensityMatrix(np.diag(fo.thermal_probabilities(1.0, 6)))
         with pytest.raises(ValueError, match="BlockedDensityMatrix"):
             call(rho)
 

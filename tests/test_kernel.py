@@ -284,7 +284,7 @@ class TestHypotheses:
         rep = validate_hypotheses(p)
         assert not rep.h5_sufficient
         assert not rep.h5_operative
-        assert abs(rep.abs_w - 1.0) < 1e-12
+        assert abs(abs(step_scalars(p).w) - 1.0) < 1e-12
 
     def test_operative_without_sufficient(self):
         # past the sufficient bound but still strictly mixing

@@ -12,9 +12,7 @@ import richain
 
 SRC = pathlib.Path(richain.__file__).parent
 
-# ROADMAP item 4 decides whether gibbs_density becomes the source of the
-# oracle's reported truncation part or is deleted
-ALLOWED_UNUSED = {"fock_oracle.gibbs_density"}
+ALLOWED_UNUSED = set()
 
 
 def _public_names(tree):
