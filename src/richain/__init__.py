@@ -10,7 +10,6 @@ oracle cross-checks the closed forms on small chains.
 
 from .kernel import (
     HypothesisReport,
-    MatrixExpCheck,
     ModelParams,
     StepScalars,
     matrix_exponential_check,
@@ -54,7 +53,7 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "StepScalars", "MatrixExpCheck", "HypothesisReport",
+    "ModelParams", "StepScalars", "HypothesisReport",
     "step_scalars", "step_matrix", "normal_modes", "matrix_exponential_check",
     "propagate_vector", "validate_hypotheses",
     "RankOneQuasiFreeState", "mode_entropy", "occupation", "occupation_entropy",

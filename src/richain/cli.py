@@ -27,6 +27,7 @@ from .experiments import (
     ChainStateSpec,
     LimitSchedule,
     RunRecord,
+    kernel_outputs,
     oracle_deltas,
     short_time_limit_run,
     sweep,
@@ -34,11 +35,9 @@ from .experiments import (
 from .kernel import (
     ModelParams,
     matrix_exponential_check,
-    normal_modes,
     propagate_vector,
     step_matrix,
     step_scalars,
-    validate_hypotheses,
 )
 from .quasifree import char_fn, occupation
 
@@ -167,11 +166,8 @@ def _record_cells(record: RunRecord) -> dict[str, str]:
 
 def _records_csv(records: list[RunRecord]) -> str:
     rows = [_record_cells(r) for r in records]
-    columns: list[str] = []
-    for row in rows:
-        for col in row:
-            if col not in columns:
-                columns.append(col)
+    # dict keys keep first-seen order
+    columns = list(dict.fromkeys(col for row in rows for col in row))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -238,24 +234,10 @@ def _emit(records: list[RunRecord], command: str, output: str | None, fmt: str) 
 
 def cmd_kernel(config: dict, params: ModelParams) -> list[RunRecord]:
     """One record with the step scalars, coupled-mode energies and flags."""
-    s = step_scalars(params)
-    hyp = validate_hypotheses(params)
-    eps0, eps1 = normal_modes(params)
     slots = range(1, min(params.N, 8) + 1)
-    checks = [matrix_exponential_check(params, n) for n in slots]
     outputs = {
-        "g": s.g,
-        "w": s.w,
-        "z": s.z,
-        "abs_z_sq": abs(s.z) ** 2,
-        "eps0": eps0,
-        "eps1": eps1,
-        "h4_stable": hyp.h4_stable,
-        "h5_sufficient": hyp.h5_sufficient,
-        "h5_operative": hyp.h5_operative,
-        "matexp_deviation_max": max(c.deviation for c in checks),
-        "x_square_identity_max": max(c.x_square_identity for c in checks),
-        "jx_identity_max": max(c.jx_identity for c in checks),
+        **kernel_outputs(params),
+        "matexp_deviation_max": max(matrix_exponential_check(params, n) for n in slots),
     }
     return [RunRecord(run_id="kernel-0000", inputs=_echo_model(params), outputs=outputs)]
 
@@ -491,7 +473,7 @@ def run_verification(
 
     # generator exponential equals the closed-form step
     p6 = replace(params, N=6)
-    dev = max(matrix_exponential_check(p6, n).deviation for n in range(1, 7))
+    dev = max(matrix_exponential_check(p6, n) for n in range(1, 7))
     checks.append(VerifyCheck("matrix_exponential", dev, _tol(tolerance, 1e-10)))
 
     # evolved characteristic function is the initial one composed with the step maps
@@ -691,10 +673,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown command {args.command!r}")
         _emit(records, args.command, args.output, args.format)
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,6 +37,7 @@ __all__ = [
     "moment_hypothesis_check",
     "short_time_limit_run",
     "oracle_deltas",
+    "kernel_outputs",
     "sweep",
 ]
 
@@ -212,7 +213,7 @@ def _log1p_complex(d: np.ndarray) -> np.ndarray:
 def _chain_product_log(spec: ChainStateSpec, thetas_k: np.ndarray, cutoff: int) -> complex:
     """Sum over k of log C(theta_k), with C the spec's characteristic function."""
     rho = fock_oracle.FockDensityMatrix(spec.density(cutoff))
-    d = fock_oracle.weyl_expectation_batch(rho, thetas_k, minus_one=True)
+    d = fock_oracle.weyl_expectation_batch(rho, thetas_k)
     return complex(np.sum(_log1p_complex(d)))
 
 
@@ -359,6 +360,24 @@ def short_time_limit_run(
     return records
 
 
+def kernel_outputs(params: ModelParams) -> dict:
+    """The step scalars, coupled-mode energies and contraction flags: the
+    columns that `kernel` and every `sweep` row share, in their order."""
+    s = step_scalars(params)
+    hyp = validate_hypotheses(params)
+    eps0, eps1 = normal_modes(params)
+    return {
+        "g": s.g,
+        "w": s.w,
+        "z": s.z,
+        "abs_z_sq": abs(s.z) ** 2,
+        "eps0": eps0,
+        "eps1": eps1,
+        "h5_sufficient": hyp.h5_sufficient,
+        "h5_operative": hyp.h5_operative,
+    }
+
+
 _GRID_KEYS = ("E", "eps", "eta", "tau", "beta0", "beta", "N")
 
 
@@ -434,18 +453,10 @@ def sweep(config: dict) -> list[RunRecord]:
                           wall_time=time.perf_counter() - t0)
             )
             continue
-        s = step_scalars(params)
-        hyp = validate_hypotheses(params)
-        eps0, eps1 = normal_modes(params)
+        outputs = kernel_outputs(params)
         finite = not (math.isinf(params.beta0) or math.isinf(params.beta))
-        contracting = abs(s.z) < 1.0
-        outputs = {
-            "g": s.g, "w": s.w, "z": s.z,
-            "abs_z_sq": abs(s.z) ** 2,
-            "eps0": eps0, "eps1": eps1,
-            "h4_stable": hyp.h4_stable,
-            "h5_sufficient": hyp.h5_sufficient,
-            "h5_operative": hyp.h5_operative,
+        contracting = outputs["abs_z_sq"] < 1.0  # |z| < 1
+        outputs.update({
             "total_entropy": dynamics.total_entropy(params, params.N),
             "relative_entropy_N": (
                 dynamics.relative_entropy(params, params.N) if finite else float("nan")
@@ -456,7 +467,7 @@ def sweep(config: dict) -> list[RunRecord]:
             ),
             "beta_star_N": dynamics.effective_beta_S(params, params.N),
             "beta_star_star_N": dynamics.effective_beta_Sm(params, params.N),
-        }
+        })
         deltas = None
         if use_oracle and params.N + 1 <= 3:
             rho = fock_oracle.BlockedDensityMatrix.from_thermal_product(

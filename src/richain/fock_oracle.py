@@ -26,9 +26,12 @@ store:
 - after step 2, every mode coupled: the groups are the sectors,
   4,382,904 entries (66.9 MiB), where the dense matrix takes 2.8 GiB.
 
-The public constructor takes sector blocks and counts every mode as
-coupled.  `evolve_density`, `weyl_expectation`, `von_neumann_entropy`
-and `relative_entropy_oracle` take blocked states only.
+States are born only as products, `from_diagonal_product` and
+`from_thermal_product`, which `evolve_density` then steps; no public
+call builds a state from caller-supplied blocks.  `evolve_density`,
+`weyl_expectation`, `von_neumann_entropy` and `relative_entropy_oracle`
+take blocked states only, and the reference of `relative_entropy_oracle`
+must be a diagonal product.
 `FockDensityMatrix` is the dense one-mode container that
 `weyl_expectation_batch` reads.
 
@@ -163,10 +166,6 @@ class _SectorBasis:
         order = np.argsort(grid.sum(axis=1), kind="stable")
         self.grid = _read_only(np.ascontiguousarray(grid[order]))
         self.totals = _read_only(self.grid.sum(axis=1))
-        # sector s is grid[starts[s]:starts[s + 1]]
-        self.starts = np.searchsorted(self.totals, np.arange(modes * (cutoff - 1) + 2))
-        # row-major ravel index of each basis tuple
-        self.ravel = _read_only(self.grid @ (cutoff ** np.arange(modes - 1, -1, -1)))
 
     @classmethod
     @functools.lru_cache(maxsize=16)
@@ -278,37 +277,15 @@ class BlockedDensityMatrix:
     uncoupled-mode occupations inside each total-occupation sector.
 
     Valid only for states with no coherences between sectors, which is
-    preserved by every operation in this module that returns one.  The
-    constructor takes one block per sector, counts every mode as coupled
-    and copies the blocks into a buffer of its own, so the spectrum
-    computed from them once stays valid whatever the caller later does
-    with its own arrays.  States built by `from_diagonal_product` or by
-    `evolve_density` know which modes have exchanged quanta and store
-    only the groups of `_GroupLayout`.  Every block is a read-only view
-    into the state's one buffer.
+    preserved by every operation in this module that returns one.  States
+    are born as products, by `from_diagonal_product`, and `evolve_density`
+    steps them; each knows which modes have exchanged quanta and stores
+    only the groups of its `_GroupLayout`.  The constructor takes over a
+    fresh buffer that nothing else holds, uncopied, and makes it
+    read-only, so the spectrum computed once stays valid.
     """
 
-    def __init__(self, modes: int, cutoff: int, blocks: list[np.ndarray]):
-        layout = _GroupLayout.get(modes, cutoff, frozenset(range(modes)))
-        if len(blocks) != len(layout.sizes):
-            raise ValueError(f"expected {len(layout.sizes)} sector blocks, got {len(blocks)}")
-        buffer = np.empty(layout.size, dtype=complex)
-        # with every mode coupled, group s is sector s
-        for s, (k, offset, block) in enumerate(zip(layout.sizes, layout.offsets, blocks)):
-            block = np.asarray(block)
-            if block.shape != (k, k):
-                raise ValueError(f"sector {s} block must be {k}x{k}, got {block.shape}")
-            buffer[offset : offset + k * k] = block.ravel()
-        self._set(layout, buffer)
-
-    @classmethod
-    def _from_buffer(cls, layout: _GroupLayout, buffer: np.ndarray) -> "BlockedDensityMatrix":
-        """Take over a fresh complex buffer that nothing else holds, uncopied."""
-        rho = cls.__new__(cls)
-        rho._set(layout, buffer)
-        return rho
-
-    def _set(self, layout: _GroupLayout, buffer: np.ndarray) -> None:
+    def __init__(self, layout: _GroupLayout, buffer: np.ndarray):
         self.modes = layout.modes
         self.cutoff = layout.cutoff
         self._layout = layout
@@ -321,27 +298,28 @@ class BlockedDensityMatrix:
             n, k = len(st.members), st.size
             yield st, self._buffer[st.offset : st.offset + n * k * k].reshape(n, k, k)
 
-    @functools.cached_property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """One read-only block per group, by sector and then by uncoupled occupations."""
-        return tuple(
-            self._buffer[offset : offset + k * k].reshape(k, k)
-            for k, offset in zip(self._layout.sizes.tolist(), self._layout.offsets.tolist())
-        )
-
     @classmethod
     def from_diagonal_product(
         cls, prob_vectors: list[np.ndarray], cutoff: int
     ) -> "BlockedDensityMatrix":
-        """Product of diagonal one-mode states given by probability vectors."""
+        """Product of diagonal one-mode states given by probability vectors,
+        each of length `cutoff`, nonnegative and summing to 1."""
         modes = len(prob_vectors)
         layout = _GroupLayout.get(modes, cutoff, frozenset())
         grid = layout.basis.grid
         diag = np.ones(len(grid))
-        for m in range(modes):
-            diag = diag * np.asarray(prob_vectors[m])[grid[:, m]]
+        for m, p in enumerate(prob_vectors):
+            p = np.asarray(p, dtype=float)
+            if p.shape != (cutoff,):
+                raise ValueError(
+                    f"probability vector {m} must have length {cutoff}, got shape {p.shape}"
+                )
+            # NaN fails both comparisons, and inf the second
+            if not (p.min() >= 0.0 and abs(p.sum() - 1.0) <= _TRACE_TOL):
+                raise ValueError(f"probability vector {m} must be nonnegative and sum to 1")
+            diag = diag * p[grid[:, m]]
         # with no mode coupled each group is one basis tuple, in basis order
-        return cls._from_buffer(layout, diag.astype(complex))
+        return cls(layout, diag.astype(complex))
 
     @classmethod
     def from_thermal_product(
@@ -446,17 +424,6 @@ def _embed_range(embedding, start: int, length: int):
     return src[lo:hi], _read_only(dst[lo:hi] - start)
 
 
-def _regroup(rho: BlockedDensityMatrix, coupled: frozenset[int]) -> BlockedDensityMatrix:
-    """`rho` in the coarser layout of the modes `coupled`."""
-    layout = _GroupLayout.get(rho.modes, rho.cutoff, coupled)
-    if layout is rho._layout:
-        return rho
-    src, dst = _embedding(rho._layout, layout)
-    buffer = np.zeros(layout.size, dtype=complex)
-    buffer[dst] = rho._buffer[src]
-    return BlockedDensityMatrix._from_buffer(layout, buffer)
-
-
 def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMatrix:
     D, modes = rho.cutoff, rho.modes
     layout, plan = _step_plan(modes, D, rho._layout.coupled, n)
@@ -502,7 +469,7 @@ def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMa
             for lo, hi, Us in steps:
                 np.matmul(Us, R[lo:hi], out=A[lo:hi])
             np.take(A, inverse, axis=0, out=R, mode="clip")
-    return BlockedDensityMatrix._from_buffer(layout, buffer)
+    return BlockedDensityMatrix(layout, buffer)
 
 
 def _check_blocked(*states) -> None:
@@ -569,10 +536,12 @@ def weyl_expectation(rho: BlockedDensityMatrix, zeta) -> complex:
     return complex(total)
 
 
-def weyl_expectation_batch(
-    rho: FockDensityMatrix, alphas: np.ndarray, minus_one: bool = False
-) -> np.ndarray:
-    """Tr[rho * w(alpha)] for a one-mode state and a whole array of alphas.
+def weyl_expectation_batch(rho: FockDensityMatrix, alphas: np.ndarray) -> np.ndarray:
+    """Tr[rho * w(alpha)] - 1 for a one-mode state and a whole array of alphas.
+
+    The shift by one is evaluated without cancellation, which keeps
+    million-term products of near-unit factors at full precision; add 1
+    for the expectation itself.
 
     Writing alpha = |alpha|*exp(i*phi), the one-mode Weyl operator is the
     phase rotation exp(i*phi*num) conjugating exp(i*|alpha|*X) with
@@ -588,9 +557,9 @@ def weyl_expectation_batch(
     reads 2*Re(e) @ T+ when d is even and 2i*Im(e) @ T+ when d is odd,
     e = exp(i*|alpha|*lam).  This holds for every rho and halves the
     transcendentals per alpha; a diagonal rho needs no sines of odd
-    offsets and no phase factors.  With minus_one=True the returned array
-    is Tr[rho*w(alpha)] - 1 evaluated without cancellation, which keeps
-    million-term products of near-unit factors at full precision.
+    offsets and no phase factors.  The even offsets take cos(x) - 1 in
+    place of cos(x): summed over the weighted positive half, T is Tr[rho]
+    at d = 0 and zero at every other even d, so this subtracts Tr[rho] = 1.
     """
     if not isinstance(rho, FockDensityMatrix):
         raise ValueError(f"expected a FockDensityMatrix, got {type(rho).__name__}")
@@ -635,7 +604,7 @@ def weyl_expectation_batch(
         hi = min(lo + chunk, len(alphas))
         arg = np.outer(r[lo:hi], lam_pos)
         # cos(x) - 1 = -2*sin^2(x/2), no cancellation
-        re = -2.0 * np.sin(arg / 2.0) ** 2 if minus_one else np.cos(arg)
+        re = -2.0 * np.sin(arg / 2.0) ** 2
         C = np.empty((hi - lo, len(ds)), dtype=complex)
         C[:, even] = real_times(re, T[:, even])
         if not even.all():
@@ -674,35 +643,20 @@ def von_neumann_entropy(rho: BlockedDensityMatrix) -> float:
 _SUPPORT_TOL = 1e-10
 
 
-def _relative_entropy_spectral(rho_mat: np.ndarray, ref_mat: np.ndarray) -> float:
-    lam, U = np.linalg.eigh(rho_mat)
-    mu, V = np.linalg.eigh(ref_mat)
-    lam = np.clip(lam, 0.0, None)
-    mu = np.clip(mu, 0.0, None)
-    overlap = np.abs(U.conj().T @ V) ** 2  # overlap[i, j] = |<u_i|v_j>|^2
-    weight_on_ref = lam @ overlap
-    dead = mu <= EIG_FLOOR
-    if np.any(weight_on_ref[dead] > _SUPPORT_TOL):
-        raise ValueError("support of rho is not contained in support of rho0")
-    term_rho = float((lam[lam > EIG_FLOOR] * np.log(lam[lam > EIG_FLOOR])).sum())
-    live = ~dead
-    term_ref = float((weight_on_ref[live] * np.log(mu[live])).sum())
-    return term_rho - term_ref
-
-
 def relative_entropy_oracle(rho: BlockedDensityMatrix, rho0: BlockedDensityMatrix) -> float:
-    """Tr[rho (ln rho - ln rho0)], nonnegative up to numerical slack."""
+    """Tr[rho (ln rho - ln rho0)] against a product reference, nonnegative
+    up to numerical slack.
+
+    rho0 must store only 1 x 1 blocks, as a product of diagonal one-mode
+    states does; then ln rho0 is diagonal, and the formula is the cached
+    spectrum of rho plus the diagonal of rho against the log of rho0's
+    diagonal.  A reference with a coupled mode raises ValueError.
+    """
     _check_blocked(rho, rho0)
     if (rho.modes, rho.cutoff) != (rho0.modes, rho0.cutoff):
         raise ValueError("states must share modes and cutoff")
     if any(st.size > 1 for st in rho0._layout.stacks):
-        # both states are block-diagonal in the groups of their joint
-        # coupled modes
-        coupled = rho._layout.coupled | rho0._layout.coupled
-        return sum(
-            _relative_entropy_spectral(b, b0)
-            for b, b0 in zip(_regroup(rho, coupled).blocks, _regroup(rho0, coupled).blocks)
-        )
+        raise ValueError("reference state must be a diagonal product, with no coupled mode")
     lam = np.clip(_spectrum(rho), 0.0, None)
     keep = lam > EIG_FLOOR
     total = float((lam[keep] * np.log(lam[keep])).sum())

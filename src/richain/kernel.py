@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "StepScalars",
-    "MatrixExpCheck",
     "HypothesisReport",
     "step_scalars",
     "step_matrix",
@@ -118,19 +117,13 @@ class StepScalars:
 
 
 @dataclass(frozen=True)
-class MatrixExpCheck:
-    """Deviation report for the generator identity exp(i*t*Y_n) = U_n(t)."""
-
-    deviation: float
-    x_square_identity: float
-    jx_identity: float
-
-
-@dataclass(frozen=True)
 class HypothesisReport:
-    """Pass/fail record for the stability and contraction hypotheses."""
+    """Pass/fail record for the contraction hypothesis, in both forms.
 
-    h4_stable: bool
+    The stability condition eta^2 <= E*eps needs no record: `ModelParams`
+    raises when it fails.
+    """
+
     h5_sufficient: bool
     h5_operative: bool
 
@@ -182,15 +175,13 @@ def normal_modes(params: ModelParams) -> tuple[float, float]:
     return ((E + eps) + root) / 2.0, ((E + eps) - root) / 2.0
 
 
-def matrix_exponential_check(params: ModelParams, n: int) -> MatrixExpCheck:
+def matrix_exponential_check(params: ModelParams, n: int) -> float:
     """Exponentiate the Hermitian step generator and compare with the closed form.
 
     Builds Y_n = eps*I + ((E-eps)/2)*J_n + X_n, where J_n marks the two
     interacting slots and X_n carries the detuning and coupling, then
-    computes exp(i*t*Y_n) at t = tau by eigendecomposition and reports the
-    largest entrywise deviation from exp(i*t*eps)*V_n(t).  Also reports how well
-    the algebraic identities X_n^2 = ((E-eps)^2/4 + eta^2)*J_n and
-    J_n X_n = X_n hold.
+    computes exp(i*t*Y_n) at t = tau by eigendecomposition and returns the
+    largest entrywise deviation from exp(i*t*eps)*V_n(t).
     """
     if not 1 <= n <= params.N:
         raise ValueError(f"slot index n must satisfy 1 <= n <= {params.N}, got {n}")
@@ -208,15 +199,11 @@ def matrix_exponential_check(params: ModelParams, n: int) -> MatrixExpCheck:
     X[n, 0] = eta
     Y = eps * np.eye(dim) + half * J + X
 
-    x_sq_dev = float(np.max(np.abs(X @ X - (half**2 + eta**2) * J)))
-    jx_dev = float(np.max(np.abs(J @ X - X)))
-
     t = params.tau
     vals, vecs = np.linalg.eigh(Y)
     expY = (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
     U = cmath.exp(1j * t * eps) * step_matrix(params, n)
-    dev = float(np.max(np.abs(expY - U)))
-    return MatrixExpCheck(deviation=dev, x_square_identity=x_sq_dev, jx_identity=jx_dev)
+    return float(np.max(np.abs(expY - U)))
 
 
 def propagate_vector(params: ModelParams, m: int, zeta: np.ndarray) -> np.ndarray:
@@ -265,9 +252,8 @@ def propagate_vector(params: ModelParams, m: int, zeta: np.ndarray) -> np.ndarra
 
 
 def validate_hypotheses(params: ModelParams) -> HypothesisReport:
-    """Report the stability condition and both forms of the contraction condition.
+    """Report both forms of the contraction condition.
 
-    h4_stable:     eta^2 <= E*eps (guaranteed by construction, re-measured here)
     h5_sufficient: tau * sqrt((E-eps)^2/4 + eta^2) < pi/2, a sufficient
                    criterion for the operative one
     h5_operative:  |w| < 1 and |z| < 1, what convergence statements use
@@ -278,7 +264,6 @@ def validate_hypotheses(params: ModelParams) -> HypothesisReport:
     s = step_scalars(params)
     omega = math.hypot((params.E - params.eps) / 2.0, params.eta)
     return HypothesisReport(
-        h4_stable=params.eta**2 <= params.E * params.eps,
         h5_sufficient=params.tau * omega < math.pi / 2.0,
         h5_operative=abs(s.w) < 1.0 and abs(s.z) < 1.0,
     )

@@ -98,7 +98,8 @@ def to_dense(rho):
     dim = rho.cutoff**rho.modes
     _check_dim(dim)
     mat = np.zeros((dim, dim), dtype=complex)
-    ravel = rho._layout.basis.ravel
+    # row-major ravel index of each basis tuple
+    ravel = rho._layout.basis.grid @ (rho.cutoff ** np.arange(rho.modes - 1, -1, -1))
     for st, blocks in rho._stacks():
         idx = ravel[st.members]
         mat[idx[:, :, None], idx[:, None, :]] = blocks
@@ -110,9 +111,25 @@ def trace(rho):
     return float(sum(np.trace(blocks, axis1=1, axis2=2).real.sum() for _, blocks in rho._stacks()))
 
 
+def sector_starts(modes, cutoff):
+    """Basis position where each total-occupation sector starts, then the
+    basis size: sector s is grid[starts[s]:starts[s + 1]]."""
+    totals = fo._SectorBasis.get(modes, cutoff).totals
+    return np.searchsorted(totals, np.arange(modes * (cutoff - 1) + 2))
+
+
 def diagonal(rho):
     """Diagonal of a blocked state, one array per total-occupation sector."""
-    return np.split(rho._diagonal(), rho._layout.basis.starts[1:-1])
+    return np.split(rho._diagonal(), sector_starts(rho.modes, rho.cutoff)[1:-1])
+
+
+def blocks(rho):
+    """One read-only block per group, by sector and then by uncoupled occupations."""
+    layout = rho._layout
+    return tuple(
+        rho._buffer[offset : offset + k * k].reshape(k, k)
+        for k, offset in zip(layout.sizes.tolist(), layout.offsets.tolist())
+    )
 
 
 def sector_blocks(rho):
@@ -121,16 +138,36 @@ def sector_blocks(rho):
     Each group block lands on its basis positions inside its sector; no
     D^M x D^M matrix is built.
     """
-    basis = fo._SectorBasis.get(rho.modes, rho.cutoff)
-    starts = basis.starts
+    totals = rho._layout.basis.totals
+    starts = sector_starts(rho.modes, rho.cutoff)
     out = [np.zeros((hi - lo, hi - lo), dtype=complex) for lo, hi in zip(starts[:-1], starts[1:])]
-    group_of = rho._layout.group_of
-    members = np.split(np.argsort(group_of, kind="stable"), np.cumsum([len(b) for b in rho.blocks])[:-1])
-    for block, positions in zip(rho.blocks, members):
-        s = basis.totals[positions[0]]
+    group_blocks = blocks(rho)
+    bounds = np.cumsum([len(b) for b in group_blocks])[:-1]
+    members = np.split(np.argsort(rho._layout.group_of, kind="stable"), bounds)
+    for block, positions in zip(group_blocks, members):
+        s = totals[positions[0]]
         local = positions - starts[s]
         out[s][np.ix_(local, local)] = block
     return out
+
+
+def from_sector_blocks(modes, cutoff, blocks):
+    """Blocked state with one given block per total-occupation sector.
+
+    The blocks are copied into the buffer of the layout where every mode
+    is coupled, whose groups are the sectors; only their shapes are
+    checked.
+    """
+    layout = fo._GroupLayout.get(modes, cutoff, frozenset(range(modes)))
+    if len(blocks) != len(layout.sizes):
+        raise ValueError(f"expected {len(layout.sizes)} sector blocks, got {len(blocks)}")
+    buffer = np.empty(layout.size, dtype=complex)
+    for s, (k, offset, block) in enumerate(zip(layout.sizes, layout.offsets, blocks)):
+        block = np.asarray(block)
+        if block.shape != (k, k):
+            raise ValueError(f"sector {s} block must be {k}x{k}, got {block.shape}")
+        buffer[offset : offset + k * k] = block.ravel()
+    return fo.BlockedDensityMatrix(layout, buffer)
 
 
 def _check_keep(keep, modes):
@@ -156,8 +193,8 @@ def partial_trace(rho, keep):
     out = np.zeros((out_dim, out_dim), dtype=complex)
     keep_radix = D ** np.arange(len(keep) - 1, -1, -1)
     traced_radix = D ** np.arange(len(traced) - 1, -1, -1)
-    basis = fo._SectorBasis.get(rho.modes, D)
-    sectors = np.split(basis.grid, basis.starts[1:-1])
+    grid = rho._layout.basis.grid
+    sectors = np.split(grid, sector_starts(rho.modes, D)[1:-1])
     for B, block in zip(sectors, sector_blocks(rho)):
         kept_idx = B[:, keep] @ keep_radix
         traced_key = B[:, traced] @ traced_radix

@@ -120,7 +120,7 @@ def test_criterion_03_matrix_exponential_equals_step():
         for N in range(1, 11):
             p = replace(base, N=N)
             for n in range(1, N + 1):
-                dev = max(dev, matrix_exponential_check(p, n).deviation)
+                dev = max(dev, matrix_exponential_check(p, n))
     criterion(3, "eigendecomposition exponential equals closed-form step, N <= 10",
               dev < 1e-10, f"max deviation {dev:.3e} < 1e-10")
 

@@ -47,7 +47,6 @@ class TestKernelCommand:
         assert "wall_time" not in header
         row = dict(zip(header, lines[1].split(",")))
         assert row["run_id"] == "kernel-0000"
-        assert row["h4_stable"] == "true"
         # default model: E=2, eps=1, eta=0.5, tau=1
         assert abs(float(row["g_re"]) - math.cos(0.5)) < 1e-15
         assert row["w_re"] == "0"

@@ -241,7 +241,7 @@ class TestShortTimeLimitRun:
             comps = propagate_vector(replace(template, tau=rec.outputs["tau"], N=n), n, e0)
             x0 = 2.0 * occupation(template.beta0) + 1.0
             expect = (math.exp(-0.25 * abs(comps[0]) ** 2 * x0)
-                      * np.prod(fock_oracle.weyl_expectation_batch(rho, comps[1:])))
+                      * np.prod(1.0 + fock_oracle.weyl_expectation_batch(rho, comps[1:])))
             assert abs(rec.outputs["value"] - expect) < 1e-11 * abs(expect)
 
     def test_gibbs_xstar_matches_mpmath_at_1e6(self):

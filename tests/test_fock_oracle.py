@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 
 import fock_reference as ref
-from fock_reference import diagonal, partial_trace, sector_blocks, to_dense, trace
+from fock_reference import blocks, diagonal, partial_trace, sector_blocks, to_dense, trace
 from richain import fock_oracle as fo
 from richain.kernel import ModelParams
 
@@ -25,14 +25,14 @@ def make_params(E=1.0, eps=1.0, eta=0.5, tau=1.0, N=2, beta0=math.log(3), beta=m
 
 
 def _generic_blocked_state(modes, D, rng):
-    """Constructor-built state whose sector blocks are generic positive Hermitian matrices."""
-    sizes = np.diff(fo._SectorBasis.get(modes, D).starts).tolist()
-    blocks = []
+    """State whose sector blocks are generic positive Hermitian matrices."""
+    sizes = np.diff(ref.sector_starts(modes, D)).tolist()
+    mats = []
     for k in sizes:
         A = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        blocks.append(A @ A.conj().T)
-    trace = sum(np.trace(b).real for b in blocks)
-    return fo.BlockedDensityMatrix(modes, D, [(b + b.conj().T) / (2 * trace) for b in blocks])
+        mats.append(A @ A.conj().T)
+    trace = sum(np.trace(b).real for b in mats)
+    return ref.from_sector_blocks(modes, D, [(b + b.conj().T) / (2 * trace) for b in mats])
 
 
 class TestLadder:
@@ -108,6 +108,15 @@ class TestDensityContainers:
             with pytest.raises(ValueError, match="non-finite"):
                 fo.FockDensityMatrix(m)
 
+    @pytest.mark.parametrize(
+        "probs, match",
+        [([0.5, 0.5, 0.0], "length"), ([3.0, 3.0], "sum to 1"), ([2.0, -1.0], "sum to 1"),
+         ([math.nan, 1.0], "sum to 1"), ([math.inf, 0.0], "sum to 1")],
+    )
+    def test_product_rejects_bad_probabilities(self, probs, match):
+        with pytest.raises(ValueError, match=match):
+            fo.BlockedDensityMatrix.from_diagonal_product([[1.0, 0.0], probs], 2)
+
     def test_cutoff_is_the_matrix_size(self):
         assert fo.FockDensityMatrix(np.eye(5, dtype=complex) / 5).cutoff == 5
         with pytest.raises(ValueError, match="square"):
@@ -135,35 +144,10 @@ class TestDensityContainers:
         p = make_params(N=1)
         blocked = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta], 5)
         evolved = fo.evolve_density(blocked, p, [1])
-        direct = fo.BlockedDensityMatrix(2, 5, [np.asarray(b).copy() for b in evolved.blocks])
+        direct = ref.from_sector_blocks(2, 5, sector_blocks(evolved))
         for rho in (blocked, evolved, direct):
-            assert isinstance(rho.blocks, tuple)
             with pytest.raises(ValueError, match="read-only"):
-                rho.blocks[3][0, 0] = 0.5
-
-    def test_constructor_copies_caller_arrays(self):
-        # blocks handed in as views of one writable buffer: the caller keeps
-        # its buffer writable, and later edits to it reach neither the
-        # blocks nor the spectrum computed from them
-        p = make_params(N=1)
-        evolved = fo.evolve_density(
-            fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta], 5), p, [1]
-        )
-        sizes = [len(b) for b in evolved.blocks]
-        buffer = np.zeros((len(sizes), max(sizes), max(sizes)), dtype=complex)
-        views = []
-        for s, b in enumerate(evolved.blocks):
-            buffer[s, : len(b), : len(b)] = b
-            views.append(buffer[s, : len(b), : len(b)])
-        direct = fo.BlockedDensityMatrix(2, 5, views)
-        entropy = fo.von_neumann_entropy(direct)
-        assert buffer.flags.writeable and all(v.flags.writeable for v in views)
-        buffer[:] = 0.0
-        assert all(np.array_equal(d, b) for d, b in zip(direct.blocks, evolved.blocks))
-        assert fo.von_neumann_entropy(direct) == entropy
-        assert entropy == fo.von_neumann_entropy(
-            fo.BlockedDensityMatrix(2, 5, [np.asarray(b).copy() for b in evolved.blocks])
-        )
+                blocks(rho)[3][0, 0] = 0.5
 
 
 class TestHamiltonianAndStep:
@@ -252,10 +236,10 @@ class TestPairUnitary:
         ],
     )
     def test_blocks_match_expm(self, D, E, eps, eta, tau):
-        blocks = fo._pair_blocks(E, eps, eta, tau, D)
-        assert len(blocks) == 2 * D - 1
+        pair_blocks = fo._pair_blocks(E, eps, eta, tau, D)
+        assert len(pair_blocks) == 2 * D - 1
         U2 = np.zeros((D * D, D * D), dtype=complex)
-        for p, block in enumerate(blocks):
+        for p, block in enumerate(pair_blocks):
             assert not block.flags.writeable
             n0 = np.arange(max(0, p - D + 1), min(p, D - 1) + 1)
             idx = n0 * D + (p - n0)
@@ -323,7 +307,7 @@ class TestGroupedSpectra:
         p = make_params()
         rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta, p.beta], 9)
         evolved = fo.evolve_density(rho0, p, [1, 2])
-        direct = fo.BlockedDensityMatrix(3, 9, sector_blocks(evolved))
+        direct = ref.from_sector_blocks(3, 9, sector_blocks(evolved))
         assert direct._layout.coupled == frozenset(range(3))
         self._assert_matches_full_block(direct, rho0)
         assert abs(fo.von_neumann_entropy(direct) - fo.von_neumann_entropy(rho0)) < 1e-12
@@ -358,23 +342,23 @@ class TestCompactLayout:
         rho1 = fo.evolve_density(rho0, p, [1])
         rho2 = fo.evolve_density(rho1, p, [2])
         pair_sizes = [len(fo._pair_occupations(q, D)) for q in range(2 * D - 1)]
-        sector_sizes = np.diff(fo._SectorBasis.get(3, D).starts).tolist()
+        sector_sizes = np.diff(ref.sector_starts(3, D)).tolist()
         expect = [D**3, D * sum(k * k for k in pair_sizes), sum(k * k for k in sector_sizes)]
         assert expect == [729, 4401, 32661]
         for rho, count in zip((rho0, rho1, rho2), expect):
-            assert sum(b.size for b in rho.blocks) == count
-            assert rho.blocks[0].base.size == count
-        assert all(b.shape == (1, 1) for b in rho0.blocks)
-        assert max(len(b) for b in rho1.blocks) == D
+            assert sum(b.size for b in blocks(rho)) == count
+            assert blocks(rho)[0].base.size == count
+        assert all(b.shape == (1, 1) for b in blocks(rho0))
+        assert max(len(b) for b in blocks(rho1)) == D
 
     def test_blocks_share_one_buffer(self):
         p = make_params()
         rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta, p.beta], 7)
         evolved = [fo.evolve_density(rho0, p, s) for s in ([1], [1, 2], [1, 2, 1])]
-        direct = fo.BlockedDensityMatrix(3, 7, sector_blocks(evolved[1]))
+        direct = ref.from_sector_blocks(3, 7, sector_blocks(evolved[1]))
         for rho in [rho0, direct] + evolved:
-            base = rho.blocks[0].base
-            assert all(b.base is base for b in rho.blocks)
+            base = blocks(rho)[0].base
+            assert all(b.base is base for b in blocks(rho))
             assert not base.flags.writeable
 
     @pytest.mark.parametrize(
@@ -385,16 +369,15 @@ class TestCompactLayout:
         betas = [p.beta0] + [p.beta, 1.0, 0.8][: modes - 1]
         rho0 = fo.BlockedDensityMatrix.from_thermal_product(betas, D)
         compact = fo.evolve_density(rho0, p, schedule)
-        copy = fo.BlockedDensityMatrix(modes, D, sector_blocks(compact))
-        ref_copy = fo.BlockedDensityMatrix(modes, D, sector_blocks(rho0))
+        copy = ref.from_sector_blocks(modes, D, sector_blocks(compact))
         rng = np.random.default_rng(modes * 10 + len(schedule))
         for _ in range(3):
             zeta = 0.3 * (rng.standard_normal(modes) + 1j * rng.standard_normal(modes))
             assert abs(fo.weyl_expectation(compact, zeta) - fo.weyl_expectation(copy, zeta)) < 1e-13
         assert abs(fo.von_neumann_entropy(compact) - fo.von_neumann_entropy(copy)) < 1e-13
-        expect = fo.relative_entropy_oracle(copy, ref_copy)
-        for rho, ref in ((compact, rho0), (copy, rho0), (compact, ref_copy)):
-            assert abs(fo.relative_entropy_oracle(rho, ref) - expect) < 1e-13
+        expect = ref.relative_entropy(to_dense(compact), to_dense(rho0))
+        for rho in (compact, copy):
+            assert abs(fo.relative_entropy_oracle(rho, rho0) - expect) < 1e-13
         assert np.max(np.abs(to_dense(compact) - to_dense(copy))) < 1e-13
         nxt_compact = fo.evolve_density(compact, p, [modes - 1])
         nxt_copy = fo.evolve_density(copy, p, [modes - 1])
@@ -448,18 +431,27 @@ class TestWeyl:
         blocked = fo.BlockedDensityMatrix.from_thermal_product([math.log(2)], 24)
         rng = np.random.default_rng(9)
         alphas = 0.5 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
-        batch = fo.weyl_expectation_batch(rho, alphas)
+        batch = 1.0 + fo.weyl_expectation_batch(rho, alphas)
         for i, a in enumerate(alphas):
             single = fo.weyl_expectation(blocked, np.array([a]))
             assert abs(batch[i] - single) < 1e-12
 
     def test_batch_minus_one(self):
-        rho = fo.FockDensityMatrix(np.diag(fo.thermal_probabilities(math.log(3), 24)))
+        # the batch returns Tr[rho w(alpha)] - 1, exact at alpha = 0
+        p = fo.thermal_probabilities(math.log(3), 24)
+        rho = fo.FockDensityMatrix(np.diag(p))
+        blocked = fo.BlockedDensityMatrix.from_thermal_product([math.log(3)], 24)
         alphas = np.array([0.0, 0.05j, 0.2 - 0.1j])
-        vals = fo.weyl_expectation_batch(rho, alphas)
-        shifted = fo.weyl_expectation_batch(rho, alphas, minus_one=True)
+        shifted = fo.weyl_expectation_batch(rho, alphas)
+        vals = np.array([fo.weyl_expectation(blocked, np.array([a])) for a in alphas])
         assert shifted[0] == 0.0
         assert np.max(np.abs(shifted - (vals - 1.0))) < 1e-13
+        # no cancellation: at |alpha| = 1e-6 the shift is -|alpha|^2 Tr[rho (a a^dag
+        # + a^dag a)]/4 to relative O(|alpha|^2); a a^dag is 0 on the top level
+        n = np.arange(24)
+        second = float(p @ (2 * n + 1)) - 24 * p[-1]
+        tiny = fo.weyl_expectation_batch(rho, np.array([1e-6j]))[0]
+        assert abs(tiny - (-0.25e-12 * second)) < 1e-9 * 0.25e-12 * second
 
     @pytest.mark.parametrize("D", [15, 24])
     def test_batch_general_state(self, D):
@@ -469,12 +461,9 @@ class TestWeyl:
         rho = fo.FockDensityMatrix(A @ A.conj().T / np.trace(A @ A.conj().T).real)
         radius = 0.3 * math.sqrt(D) * rng.uniform(0.0, 1.0, 30)
         alphas = np.append(radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 30)), 0.0)
-        vals = fo.weyl_expectation_batch(rho, alphas)
-        shifted = fo.weyl_expectation_batch(rho, alphas, minus_one=True)
+        shifted = fo.weyl_expectation_batch(rho, alphas)
         single = np.array([ref.weyl_expectation(rho.matrix, [a], D) for a in alphas])
-        assert np.max(np.abs(vals - single)) < 1e-12
-        assert np.max(np.abs(shifted - (single - 1.0))) < 1e-12
-        assert np.max(np.abs(shifted - (vals - 1.0))) < 1e-13
+        assert np.max(np.abs(1.0 + shifted - single)) < 1e-12
 
     @pytest.mark.parametrize("modes, D", [(2, 9), (2, 10), (3, 7), (3, 8), (4, 5), (4, 6)])
     def test_blocked_equals_dense_on_generic_states(self, modes, D):
@@ -584,6 +573,14 @@ class TestEntropies:
         dense = ref.relative_entropy(to_dense(evolved), to_dense(rho0))
         assert got >= 0.0
         assert abs(got - dense) < 1e-10
+
+    def test_coupled_reference_raises(self):
+        # ln rho0 is read off the diagonal, which needs a product reference
+        p = make_params(N=1)
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta], 6)
+        evolved = fo.evolve_density(rho0, p, [1])
+        with pytest.raises(ValueError, match="coupled mode"):
+            fo.relative_entropy_oracle(rho0, evolved)
 
     def test_support_violation_raises(self):
         # reference supported on the vacuum only cannot dominate a thermal state
