@@ -11,8 +11,9 @@ fitted to the bound c1 exp(-eta^2 tau^2 N/2) + c2 tau^3 N by a closed-form
 nonnegative least-squares fit over the two columns.
 
 Also here: the moment-hypothesis report backing that run, the oracle
-cross-check helper, and a parameter sweep emitting one record per grid
-point.  Records are plain data; serialization lives in `cli`.
+trajectory and cross-check helper, and a parameter sweep emitting one
+record per grid point.  Records are plain data; serialization lives in
+`cli`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ __all__ = [
     "RunRecord",
     "moment_hypothesis_check",
     "short_time_limit_run",
+    "ORACLE_MAX_N",
+    "oracle_states",
     "oracle_deltas",
     "kernel_outputs",
     "sweep",
@@ -380,6 +383,27 @@ def kernel_outputs(params: ModelParams) -> dict:
 
 _GRID_KEYS = ("E", "eps", "eta", "tau", "beta0", "beta", "N")
 
+# the longest chain the oracle checks: N + 1 = 3 modes
+ORACLE_MAX_N = 2
+
+
+def oracle_states(params: ModelParams, cutoff: int):
+    """The oracle states after m = 0..N steps: the thermal product
+    [beta0] + [beta]*N at `cutoff`, then one step per slot 1..N.
+
+    A generator, so a caller that keeps only the current state holds at
+    most two.  Raises ValueError, on the first state, for N > ORACLE_MAX_N.
+    """
+    if params.N > ORACLE_MAX_N:
+        raise ValueError(f"oracle cross-checks need N <= {ORACLE_MAX_N}, got N = {params.N}")
+    rho = fock_oracle.BlockedDensityMatrix.from_thermal_product(
+        [params.beta0] + [params.beta] * params.N, cutoff
+    )
+    yield rho
+    for n in range(1, params.N + 1):
+        rho = fock_oracle.evolve_density(rho, params, [n])
+        yield rho
+
 
 def oracle_deltas(
     params: ModelParams, m: int, rho: fock_oracle.BlockedDensityMatrix,
@@ -405,31 +429,32 @@ def oracle_deltas(
     return {"char_fn_max": worst, "entropy": entropy}
 
 
-def sweep(config: dict) -> list[RunRecord]:
-    """One record per grid point, ordered by grid index.
+def sweep(grid: dict, cutoff: int | None = None, seed: int = 0) -> list[RunRecord]:
+    """One record per point of `grid`, ordered by grid index.  The grid
+    holds one nonempty list for each of E, eps, eta, tau, beta0, beta, N.
 
     Points that fail parameter validation (the stability condition
     included) become error records rather than aborting the sweep.  With
-    oracle enabled, points with at most three modes also carry
-    truncated-Fock deltas; the zeta sample generator is seeded from the
-    config and echoed in each record.
+    a cutoff the oracle runs: points with at most ORACLE_MAX_N chain
+    modes also carry truncated-Fock deltas from 5 zeta samples, drawn
+    from a generator seeded by (seed, grid index); the cutoff and seed
+    are echoed in each record.
     """
-    if not isinstance(config, dict) or "grid" not in config:
-        raise ValueError("sweep config must be a dict with a 'grid' section")
-    grid = config["grid"]
+    if not isinstance(grid, dict):
+        raise ValueError("sweep grid must be a dict with one list per axis")
     missing = [k for k in _GRID_KEYS if k not in grid]
     if missing:
         raise ValueError(f"sweep grid missing axes: {missing}")
+    unknown = sorted(set(grid) - set(_GRID_KEYS))
+    if unknown:
+        raise ValueError(f"unknown sweep grid axes: {unknown}")
     axes = []
     for key in _GRID_KEYS:
         vals = grid[key]
         if not isinstance(vals, (list, tuple)) or len(vals) == 0:
             raise ValueError(f"grid axis {key!r} must be a nonempty list")
         axes.append(list(vals))
-    use_oracle = bool(config.get("oracle", False))
-    cutoff = int(config.get("cutoff", 16))
-    seed = int(config.get("seed", 0))
-    n_zeta = int(config.get("zeta_samples", 5))
+    use_oracle = cutoff is not None
 
     records = []
     for idx, point in enumerate(itertools.product(*axes)):
@@ -438,7 +463,7 @@ def sweep(config: dict) -> list[RunRecord]:
         inputs = {
             "grid_index": idx, "E": E, "eps": eps, "eta": eta, "tau": tau,
             "beta0": beta0, "beta": beta, "N": int(n_modes),
-            "oracle": use_oracle, "cutoff": cutoff if use_oracle else None,
+            "oracle": use_oracle, "cutoff": cutoff,
             "seed": seed if use_oracle else None,
         }
         run_id = f"sweep-{idx:05d}"
@@ -469,13 +494,11 @@ def sweep(config: dict) -> list[RunRecord]:
             "beta_star_star_N": dynamics.effective_beta_Sm(params, params.N),
         })
         deltas = None
-        if use_oracle and params.N + 1 <= 3:
-            rho = fock_oracle.BlockedDensityMatrix.from_thermal_product(
-                [params.beta0] + [params.beta] * params.N, cutoff
-            )
-            evolved = fock_oracle.evolve_density(rho, params, range(1, params.N + 1))
+        if use_oracle and params.N <= ORACLE_MAX_N:
+            for rho in oracle_states(params, cutoff):  # one state at a time
+                pass
             deltas = oracle_deltas(
-                params, params.N, evolved, np.random.default_rng([seed, idx]), n_zeta
+                params, params.N, rho, np.random.default_rng([seed, idx]), 5
             )
         records.append(
             RunRecord(run_id=run_id, inputs=inputs, outputs=outputs,

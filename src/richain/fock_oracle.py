@@ -305,6 +305,8 @@ class BlockedDensityMatrix:
         """Product of diagonal one-mode states given by probability vectors,
         each of length `cutoff`, nonnegative and summing to 1."""
         modes = len(prob_vectors)
+        if modes == 0:
+            raise ValueError("need at least one mode")
         layout = _GroupLayout.get(modes, cutoff, frozenset())
         grid = layout.basis.grid
         diag = np.ones(len(grid))
@@ -648,22 +650,20 @@ def relative_entropy_oracle(rho: BlockedDensityMatrix, rho0: BlockedDensityMatri
     up to numerical slack.
 
     rho0 must store only 1 x 1 blocks, as a product of diagonal one-mode
-    states does; then ln rho0 is diagonal, and the formula is the cached
-    spectrum of rho plus the diagonal of rho against the log of rho0's
-    diagonal.  A reference with a coupled mode raises ValueError.
+    states does; then ln rho0 is diagonal, and the formula is minus the
+    entropy of rho, from its cached spectrum, less the diagonal of rho
+    against the log of rho0's diagonal.  A reference with a coupled mode
+    raises ValueError.
     """
     _check_blocked(rho, rho0)
     if (rho.modes, rho.cutoff) != (rho0.modes, rho0.cutoff):
         raise ValueError("states must share modes and cutoff")
     if any(st.size > 1 for st in rho0._layout.stacks):
         raise ValueError("reference state must be a diagonal product, with no coupled mode")
-    lam = np.clip(_spectrum(rho), 0.0, None)
-    keep = lam > EIG_FLOOR
-    total = float((lam[keep] * np.log(lam[keep])).sum())
     p0 = rho0._diagonal().real
     diag = rho._diagonal().real
     dead = p0 <= EIG_FLOOR
     if np.any(diag[dead] > _SUPPORT_TOL):
         raise ValueError("support of rho is not contained in support of rho0")
     live = ~dead
-    return total - float((diag[live] * np.log(p0[live])).sum())
+    return -von_neumann_entropy(rho) - float((diag[live] * np.log(p0[live])).sum())

@@ -1,5 +1,7 @@
 """Config handling, deterministic emission and exit codes of the CLI."""
 
+import copy
+import csv
 import json
 import math
 import os
@@ -8,11 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import richain
 from richain import dynamics
-from richain.cli import _build_parser, main
+from richain.cli import _build_parser, _records_csv, _records_json, cmd_sweep, main
+from richain.experiments import RunRecord
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -93,6 +97,45 @@ class TestJsonFormat:
         assert rec["oracle_deltas"] is None
         assert "w_re" in rec["outputs"] and "w_im" in rec["outputs"]
         assert "wall_time" not in rec
+
+
+class TestRecordEncoding:
+    """CSV and JSON encode one split form of every value a record holds."""
+
+    RECORD = RunRecord(
+        run_id="r-0000",
+        inputs={"flag": True, "np_flag": np.bool_(False), "count": 3, "np_count": np.int64(-4)},
+        outputs={
+            "x": 0.1, "nan": math.nan, "up": math.inf, "down": -math.inf,
+            "c": complex(1.5, -0.25), "np_c": np.complex128(2.0 - 1.0j),
+            "none": None, "label": "a,b",
+        },
+        oracle_deltas={"gap": np.float64(1.0) / 3.0},
+    )
+    EXPECTED = {
+        "run_id": ("r-0000", "r-0000"),
+        "flag": ("true", True), "np_flag": ("false", False),
+        "count": ("3", 3), "np_count": ("-4", -4),
+        "x": ("0.10000000000000001", 0.1), "nan": ("nan", "nan"),
+        "up": ("inf", "inf"), "down": ("-inf", "-inf"),
+        "c_re": ("1.5", 1.5), "c_im": ("-0.25", -0.25),
+        "np_c_re": ("2", 2.0), "np_c_im": ("-1", -1.0),
+        "none": ("", None), "label": ("a,b", "a,b"),
+        "delta_gap": ("0.33333333333333331", 1.0 / 3.0),
+    }
+
+    def test_csv_cells(self):
+        header, row = csv.reader(_records_csv([self.RECORD]).splitlines())
+        assert header == list(self.EXPECTED)
+        assert row == [csv_cell for csv_cell, _ in self.EXPECTED.values()]
+
+    def test_json_values(self):
+        rec = json.loads(_records_json([self.RECORD], "test"))["records"][0]
+        values = {"run_id": rec["run_id"], **rec["inputs"], **rec["outputs"],
+                  **{"delta_" + k: v for k, v in rec["oracle_deltas"].items()}}
+        assert values == {key: json_value for key, (_, json_value) in self.EXPECTED.items()}
+        for key, (_, json_value) in self.EXPECTED.items():
+            assert type(values[key]) is type(json_value), key
 
 
 class TestSimulateCommand:
@@ -269,6 +312,13 @@ class TestSweepCommand:
         assert code == 2
         assert "sweep" in err
 
+    def test_leaves_the_callers_config_unmodified(self, tmp_path):
+        config = json.loads(Path(self.sweep_config(tmp_path)).read_text(encoding="utf-8"))
+        before = copy.deepcopy(config)
+        records = cmd_sweep(config, True, 8)
+        assert config == before
+        assert records[0].inputs["beta0"] == math.inf
+
     def test_output_file_determinism(self, tmp_path, capsys):
         cfg = self.sweep_config(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -294,6 +344,22 @@ class TestVerifyCommand:
         assert "FAIL" in out
         header = out_path.read_text(encoding="utf-8").splitlines()[0].split(",")
         assert {"check", "deviation", "tolerance", "passed"} <= set(header)
+
+    def test_json_output_parses(self, tmp_path, capsys):
+        # window_norm_embedding's deviation is a numpy float
+        out_path = tmp_path / "verify.json"
+        code, _, _ = run_cli(capsys, "verify", "--cutoff", "8", "--tolerance", "1",
+                             "--format", "json", "--output", str(out_path))
+        assert code == 0
+        records = json.loads(out_path.read_text(encoding="utf-8"))["records"]
+        assert [r["outputs"]["passed"] for r in records] == [True] * len(records)
+
+    def test_csv_passed_cells_are_lowercase(self, tmp_path, capsys):
+        out_path = tmp_path / "verify.csv"
+        run_cli(capsys, "verify", "--cutoff", "8", "--output", str(out_path))
+        rows = list(csv.DictReader(out_path.read_text(encoding="utf-8").splitlines()))
+        assert len(rows) == 12
+        assert {row["passed"] for row in rows} <= {"true", "false"}
 
     def test_unstable_config_rejected_before_suites(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -368,6 +434,27 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, "limit", "--config", cfg)
         assert code == 2
         assert "re, im" in err
+
+    @pytest.mark.parametrize("command, payload, key", [
+        ("sweep", {"sweep": {"grid": {}, "oracle": True}}, "oracle"),
+        ("sweep", {"sweep": {"grid": {}, "cutoff": 8}}, "cutoff"),
+        ("sweep", {"sweep": {"grid": {}, "zeta_samples": 3}}, "zeta_samples"),
+        ("verify", {"verify": {"tolerance": 1.0}}, "tolerance"),
+        ("sweep", {"sweep": {"grid": {}, "orcale": True}}, "orcale"),
+        ("simulate", {"simulate": {"alpha": [0.5, 0.0]}}, "alpha"),
+        ("subsystem", {"subsystem": {"kind": "S", "alpha": [0.5, 0.0]}}, "alpha"),
+        ("limit", {"limit": {"theta": [[1.0, 0.0]]}}, "theta"),
+        ("kernel", {"kernel": {}}, "kernel"),
+        ("kernel", {"modle": {"N": 2}}, "modle"),
+        ("limit", {"limit": {"spec": {"kind": "number_state", "levle": 2}}}, "levle"),
+        ("limit", {"limit": {"spec": {"kind": "gibbs", "level": 1}}}, "level"),
+    ])
+    def test_unread_key_exits_2_and_names_it(self, tmp_path, capsys, command, payload, key):
+        cfg = write_config(tmp_path, {"schema_version": 1, **payload})
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert f"'{key}'" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "kernel", "--config", "/nonexistent/x.json")

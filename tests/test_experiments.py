@@ -10,12 +10,14 @@ from convergence import convergence_study
 from richain import fock_oracle
 from richain.dynamics import effective_beta_S, evolve_state, total_entropy
 from richain.experiments import (
+    ORACLE_MAX_N,
     ChainStateSpec,
     LimitSchedule,
     RunRecord,
     _nnls_two_columns,
     moment_hypothesis_check,
     oracle_deltas,
+    oracle_states,
     short_time_limit_run,
     sweep,
 )
@@ -462,50 +464,47 @@ class TestOracleDeltas:
 
 
 class TestSweep:
-    def base_config(self, **extra):
-        cfg = {
-            "grid": {
-                "E": [1.0, 2.0], "eps": [1.0], "eta": [0.5], "tau": [1.0],
-                "beta0": [math.log(3)], "beta": [math.log(2)], "N": [2],
-            },
+    def base_grid(self):
+        return {
+            "E": [1.0, 2.0], "eps": [1.0], "eta": [0.5], "tau": [1.0],
+            "beta0": [math.log(3)], "beta": [math.log(2)], "N": [2],
         }
-        cfg.update(extra)
-        return cfg
 
     def test_grid_order_and_outputs(self):
-        recs = sweep(self.base_config())
+        recs = sweep(self.base_grid())
         assert [r.run_id for r in recs] == ["sweep-00000", "sweep-00001"]
         assert recs[0].inputs["E"] == 1.0 and recs[1].inputs["E"] == 2.0
         for r in recs:
             assert {"g", "w", "z", "abs_z_sq", "total_entropy"} <= set(r.outputs)
             assert r.oracle_deltas is None
+            assert (r.inputs["oracle"], r.inputs["cutoff"], r.inputs["seed"]) == (False, None, None)
 
     def test_invalid_point_becomes_error_record(self):
-        cfg = self.base_config()
-        cfg["grid"]["eta"] = [0.5, 9.0]
-        recs = sweep(cfg)
+        grid = self.base_grid()
+        grid["eta"] = [0.5, 9.0]
+        recs = sweep(grid)
         assert len(recs) == 4
         errors = [r for r in recs if "error" in r.outputs]
         assert len(errors) == 2
         assert all("unstable" in r.outputs["error"] for r in errors)
 
     def test_oracle_deltas_small(self):
-        recs = sweep(self.base_config(oracle=True, cutoff=16, zeta_samples=3))
+        recs = sweep(self.base_grid(), cutoff=16)
         for r in recs:
+            assert (r.inputs["oracle"], r.inputs["cutoff"], r.inputs["seed"]) == (True, 16, 0)
             assert r.oracle_deltas is not None
             assert r.oracle_deltas["char_fn_max"] < 1e-4
             assert r.oracle_deltas["entropy"] < 1e-3
 
     def test_oracle_skipped_beyond_three_modes(self):
-        cfg = self.base_config(oracle=True, cutoff=12)
-        cfg["grid"]["N"] = [5]
-        recs = sweep(cfg)
+        grid = self.base_grid()
+        grid["N"] = [ORACLE_MAX_N + 1]
+        recs = sweep(grid, cutoff=12)
         assert recs[0].oracle_deltas is None
 
     def test_deterministic(self):
-        cfg = self.base_config(oracle=True, cutoff=12, seed=3)
-        a = sweep(cfg)
-        b = sweep(cfg)
+        a = sweep(self.base_grid(), cutoff=12, seed=3)
+        b = sweep(self.base_grid(), cutoff=12, seed=3)
         for ra, rb in zip(a, b):
             assert ra.run_id == rb.run_id
             assert ra.outputs == rb.outputs
@@ -513,15 +512,39 @@ class TestSweep:
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="grid"):
-            sweep({})
-        cfg = self.base_config()
-        del cfg["grid"]["tau"]
+            sweep(None)
         with pytest.raises(ValueError, match="missing axes"):
-            sweep(cfg)
-        cfg = self.base_config()
-        cfg["grid"]["E"] = []
+            sweep({})
+        grid = self.base_grid()
+        del grid["tau"]
+        with pytest.raises(ValueError, match="missing axes"):
+            sweep(grid)
+        grid = self.base_grid()
+        grid["E"] = []
         with pytest.raises(ValueError, match="nonempty"):
-            sweep(cfg)
+            sweep(grid)
+        grid = self.base_grid()
+        grid["cutoff"] = [8]
+        with pytest.raises(ValueError, match="unknown sweep grid axes: \\['cutoff'\\]"):
+            sweep(grid)
+
+
+class TestOracleStates:
+    def test_steps_one_slot_at_a_time(self):
+        p = std_params(N=2, tau=1.0, eta=0.5)
+        states = list(oracle_states(p, 6))
+        assert len(states) == 3
+        product = fock_oracle.BlockedDensityMatrix.from_thermal_product(
+            [p.beta0, p.beta, p.beta], 6
+        )
+        for m, rho in enumerate(states):
+            want = fock_oracle.evolve_density(product, p, range(1, m + 1))
+            assert np.array_equal(rho._buffer, want._buffer)
+
+    def test_chain_above_the_limit_raises(self):
+        p = std_params(N=ORACLE_MAX_N + 1)
+        with pytest.raises(ValueError, match=f"N <= {ORACLE_MAX_N}"):
+            next(oracle_states(p, 6))
 
 
 class TestRunRecord:

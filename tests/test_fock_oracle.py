@@ -117,6 +117,12 @@ class TestDensityContainers:
         with pytest.raises(ValueError, match=match):
             fo.BlockedDensityMatrix.from_diagonal_product([[1.0, 0.0], probs], 2)
 
+    def test_product_needs_a_mode(self):
+        with pytest.raises(ValueError, match="need at least one mode"):
+            fo.BlockedDensityMatrix.from_diagonal_product([], 4)
+        with pytest.raises(ValueError, match="need at least one mode"):
+            fo.BlockedDensityMatrix.from_thermal_product([], 4)
+
     def test_cutoff_is_the_matrix_size(self):
         assert fo.FockDensityMatrix(np.eye(5, dtype=complex) / 5).cutoff == 5
         with pytest.raises(ValueError, match="square"):
@@ -573,6 +579,16 @@ class TestEntropies:
         dense = ref.relative_entropy(to_dense(evolved), to_dense(rho0))
         assert got >= 0.0
         assert abs(got - dense) < 1e-10
+
+    def test_relative_entropy_rejects_negative_eigenvalue(self):
+        # the Tr[rho ln rho] term is minus the von Neumann entropy, with its
+        # eigenvalue check
+        ref_state = fo.BlockedDensityMatrix.from_thermal_product([1.0, 2.0], 4)
+        buffer = ref_state._buffer.copy()
+        buffer[:2] += [1e-6, -buffer[1] - 1e-6]
+        bad = fo.BlockedDensityMatrix(ref_state._layout, buffer)
+        with pytest.raises(ValueError, match="clamp tolerance"):
+            fo.relative_entropy_oracle(bad, ref_state)
 
     def test_coupled_reference_raises(self):
         # ln rho0 is read off the diagonal, which needs a product reference
