@@ -8,8 +8,10 @@ with the shortest repr that round-trips.  Identical config must produce
 byte-identical output, so nothing time- or environment-dependent is ever
 serialized.
 
-Flags alone set --oracle, --cutoff and --tolerance; a config key that
-nothing reads (top level, command section or limit.spec) is an error.
+Flags alone set --oracle, --cutoff and --tolerance; --cutoff sets the
+oracle's cutoff, so on `simulate` and `sweep` it needs --oracle.  A config
+key that nothing reads (top level, command section or limit.spec) is an
+error, and so is a value of the wrong JSON type.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or usage
 error.
@@ -72,6 +74,20 @@ def _parse_beta(value) -> float:
             return math.inf
         raise ConfigError(f"beta values must be numbers or the string \"inf\", got {value!r}")
     return float(value)
+
+
+def _number(value, convert, where: str):
+    """convert(value), or a ConfigError naming `where` when that fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{where}' must be a number, got {value!r}") from exc
+
+
+def _numbers(values, convert, where: str) -> list:
+    if not isinstance(values, list):
+        raise ConfigError(f"'{where}' must be a list, got {values!r}")
+    return [_number(v, convert, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
 # the config's top-level keys; each command reads its own section
@@ -251,15 +267,16 @@ def _echo_model(params: ModelParams) -> dict:
     return {name: getattr(params, name) for name in _DEFAULT_MODEL}
 
 
-def cmd_simulate(config: dict, params: ModelParams, use_oracle: bool, cutoff: int) -> list[RunRecord]:
-    """Per-step rows of the dynamical quantities, optionally oracle-checked."""
+def cmd_simulate(config: dict, params: ModelParams, cutoff: int | None) -> list[RunRecord]:
+    """Per-step rows of the dynamical quantities, oracle-checked at `cutoff`
+    unless it is None."""
     section = _section(config, "simulate", ("alpha_sample", "seed"))
     alpha = complex(0.5, 0.0)
     if "alpha_sample" in section:
         alpha = _parse_complex_pair(section["alpha_sample"], "simulate.alpha_sample")
     finite = not (math.isinf(params.beta0) or math.isinf(params.beta))
-    seed = int(section.get("seed", 0))
-    states = oracle_states(params, cutoff) if use_oracle else itertools.repeat(None)
+    seed = _number(section.get("seed", 0), int, "simulate.seed")
+    states = itertools.repeat(None) if cutoff is None else oracle_states(params, cutoff)
 
     records = []
     for m, rho in zip(range(params.N + 1), states):
@@ -293,9 +310,11 @@ def cmd_subsystem(config: dict, params: ModelParams) -> list[RunRecord]:
     """Reduced characteristic-function samples for one configured selector."""
     section = _section(config, "subsystem", ("kind", "m", "n", "alphas"))
     kind = section.get("kind", "S")
-    m = int(section.get("m", params.N))
+    m = _number(section.get("m", params.N), int, "subsystem.m")
     n = section.get("n")
-    slots = dynamics.subsystem_slots(kind, m, None if n is None else int(n))
+    if n is not None:
+        n = _number(n, int, "subsystem.n")
+    slots = dynamics.subsystem_slots(kind, m, n)
     if "alphas" in section:
         if not isinstance(section["alphas"], list) or not section["alphas"]:
             raise ConfigError("subsystem.alphas must be a nonempty list of argument tuples")
@@ -317,8 +336,8 @@ def cmd_subsystem(config: dict, params: ModelParams) -> list[RunRecord]:
             params, 1 if kind == "S1" else m
         )
     elif kind == "window":
-        extras["window_norm_sq"] = dynamics.window_overlap_norm_sq(params, int(n), m)
-        extras["window_entropy"] = dynamics.window_entropy(params, int(n), m)
+        extras["window_norm_sq"] = dynamics.window_overlap_norm_sq(params, n, m)
+        extras["window_entropy"] = dynamics.window_entropy(params, n, m)
 
     records = []
     for i, args in enumerate(tuples):
@@ -351,7 +370,8 @@ def _spec_from_config(section: dict) -> ChainStateSpec:
             return ChainStateSpec(kind="gibbs", beta=_parse_beta(raw.get("beta", _DEFAULT_MODEL["beta"])))
         if kind == "number_state":
             _check_keys(raw, "limit.spec", ("kind", "level"))
-            return ChainStateSpec(kind="number_state", level=int(raw.get("level", 1)))
+            level = _number(raw.get("level", 1), int, "limit.spec.level")
+            return ChainStateSpec(kind="number_state", level=level)
         if kind == "custom":
             raise ConfigError("custom chain states are a library-level feature, not a config one")
         raise ConfigError(f"unknown chain-state kind {kind!r}")
@@ -359,39 +379,50 @@ def _spec_from_config(section: dict) -> ChainStateSpec:
         raise ConfigError(f"invalid chain-state spec: {exc}") from exc
 
 
-def cmd_limit(config: dict, params: ModelParams, cutoff: int | None) -> list[RunRecord]:
+def cmd_limit(config: dict, params: ModelParams) -> list[RunRecord]:
     section = _section(config, "limit", ("exponent", "multiplier", "checkpoints", "spec", "thetas"))
+    exponent = _number(section.get("exponent", 0.4), float, "limit.exponent")
+    multiplier = _number(section.get("multiplier", 2.0), float, "limit.multiplier")
+    checkpoints = LimitSchedule().checkpoints
+    if "checkpoints" in section:
+        checkpoints = tuple(_numbers(section["checkpoints"], int, "limit.checkpoints"))
     try:
-        schedule = LimitSchedule(
-            exponent=float(section.get("exponent", 0.4)),
-            multiplier=float(section.get("multiplier", 2.0)),
-            checkpoints=tuple(section.get("checkpoints", LimitSchedule().checkpoints)),
-        )
+        schedule = LimitSchedule(exponent=exponent, multiplier=multiplier, checkpoints=checkpoints)
     except ValueError as exc:
         raise ConfigError(f"invalid schedule: {exc}") from exc
     spec = _spec_from_config(section)
     thetas = [complex(1.0, 0.0)]
     if "thetas" in section:
+        if not isinstance(section["thetas"], list):
+            raise ConfigError(f"'limit.thetas' must be a list, got {section['thetas']!r}")
         thetas = [
             _parse_complex_pair(pair, f"limit.thetas[{i}]")
             for i, pair in enumerate(section["thetas"])
         ]
-    return short_time_limit_run(params, schedule, spec, thetas, cutoff=cutoff)
+    return short_time_limit_run(params, schedule, spec, thetas)
 
 
-def cmd_sweep(config: dict, use_oracle: bool, cutoff: int | None) -> list[RunRecord]:
+# how each sweep grid axis is read; `sweep` checks the grid's shape
+_GRID_PARSERS = {
+    "E": float, "eps": float, "eta": float, "tau": float,
+    "beta0": _parse_beta, "beta": _parse_beta, "N": int,
+}
+
+
+def cmd_sweep(config: dict, cutoff: int | None) -> list[RunRecord]:
+    """The sweep over the config's grid, oracle-checked at `cutoff` unless
+    it is None."""
     if "sweep" not in config:
         raise ConfigError("sweep requires a \"sweep\" section in the config")
     section = _section(config, "sweep", ("grid", "seed"))
     grid = section.get("grid")
     if isinstance(grid, dict):  # `sweep` validates the grid
-        grid = dict(grid)  # the caller's config stays as it was
-        for key in ("beta0", "beta"):
-            if isinstance(grid.get(key), list):
-                grid[key] = [_parse_beta(v) for v in grid[key]]
-    return sweep(
-        grid, cutoff=(cutoff or 16) if use_oracle else None, seed=int(section.get("seed", 0))
-    )
+        grid = {  # a copy: the caller's config stays as it was
+            key: _numbers(values, _GRID_PARSERS[key], f"sweep.grid.{key}")
+            if key in _GRID_PARSERS and isinstance(values, list) else values
+            for key, values in grid.items()
+        }
+    return sweep(grid, cutoff=cutoff, seed=_number(section.get("seed", 0), int, "sweep.seed"))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +590,8 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
 
 def cmd_verify(config: dict, params: ModelParams, tolerance: float | None, cutoff: int) -> tuple[int, str, list[RunRecord]]:
     section = _section(config, "verify", ("seed",))
-    checks = run_verification(params, cutoff=cutoff, seed=int(section.get("seed", 0)))
+    seed = _number(section.get("seed", 0), int, "verify.seed")
+    checks = run_verification(params, cutoff=cutoff, seed=seed)
     if tolerance is not None:
         checks = [replace(check, tolerance=tolerance) for check in checks]
     lines = []
@@ -613,7 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("simulate", "sweep"):
             p.add_argument("--oracle", action="store_true",
                            help="add truncated-Fock cross-check deltas")
-        if name in ("simulate", "limit", "sweep", "verify"):
+        if name in ("simulate", "sweep", "verify"):
             p.add_argument("--cutoff", type=int, help="per-mode Fock cutoff for oracle paths")
         if name == "verify":
             p.add_argument("--tolerance", type=float,
@@ -624,20 +656,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command in ("simulate", "sweep"):
+            if args.cutoff is not None and not args.oracle:
+                raise ConfigError("--cutoff sets the oracle's cutoff; it needs --oracle")
+            oracle_cutoff = (args.cutoff or 16) if args.oracle else None
         config = _load_config(args.config)
         if args.command == "sweep":
-            records = cmd_sweep(config, args.oracle, args.cutoff)
+            records = cmd_sweep(config, oracle_cutoff)
             _emit(records, args.command, args.output, args.format)
             return 0
         params = _model_from_config(config)
         if args.command == "kernel":
             records = cmd_kernel(params)
         elif args.command == "simulate":
-            records = cmd_simulate(config, params, args.oracle, args.cutoff or 16)
+            records = cmd_simulate(config, params, oracle_cutoff)
         elif args.command == "subsystem":
             records = cmd_subsystem(config, params)
         elif args.command == "limit":
-            records = cmd_limit(config, params, args.cutoff)
+            records = cmd_limit(config, params)
         elif args.command == "verify":
             code, report, records = cmd_verify(config, params, args.tolerance, args.cutoff or 24)
             sys.stdout.write(report)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,17 +46,12 @@ __all__ = [
 
 @dataclass
 class RunRecord:
-    """One observation row: echoed inputs, named outputs, optional oracle deltas.
-
-    wall_time is bookkeeping only and is excluded from serialized output,
-    which must be byte-identical across reruns.
-    """
+    """One observation row: echoed inputs, named outputs, optional oracle deltas."""
 
     run_id: str
     inputs: dict
     outputs: dict
     oracle_deltas: dict | None = None
-    wall_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,8 @@ class ChainStateSpec:
 
     kind "gibbs" carries beta; "number_state" carries the level; "custom"
     carries an explicit one-mode density matrix whose size fixes its
-    native cutoff (evaluation at a larger cutoff zero-pads it).
+    native cutoff (evaluation at a larger cutoff zero-pads it).  This is
+    the one place a one-mode density is validated.
     """
 
     kind: str
@@ -162,20 +157,21 @@ class ChainStateSpec:
         out[:native, :native] = self.rho
         return out
 
-    def symmetric_moment(self, cutoff: int) -> float:
+    def symmetric_moment(self) -> float:
         """Tr[rho_1 (a*a + a a*)] = 2 Tr[rho_1 a*a] + 1 entering the limit formula.
 
-        Exact (cutoff-free) for the gibbs kind, where Tr[rho_1 a*a] is n(beta).
+        Exact: n(beta) for the gibbs kind, and the native density's
+        diagonal against the level for the others.
         """
         if self.kind == "gibbs":
             return 2.0 * occupation(self.beta) + 1.0
-        diag = np.diagonal(self.density(cutoff)).real
-        return 2.0 * float(diag @ np.arange(cutoff)) + 1.0
+        diag = np.diagonal(self.density(self.min_cutoff)).real
+        return 2.0 * float(diag @ np.arange(self.min_cutoff)) + 1.0
 
 
 @dataclass(frozen=True)
 class MomentReport:
-    """The vanishing-moment hypothesis of a chain state, checked at a finite cutoff.
+    """The vanishing-moment hypothesis of a chain state.
 
     h2_pass holds when |Tr[rho a]| and |Tr[rho aa]| are both at most 1e-12.
     """
@@ -189,11 +185,15 @@ class MomentReport:
 _H2_TOL = 1e-12
 
 
-def moment_hypothesis_check(spec: ChainStateSpec, cutoff: int) -> MomentReport:
-    """Evaluate the first and second gauge-breaking moments at a cutoff.
+def moment_hypothesis_check(spec: ChainStateSpec) -> MomentReport:
+    """Evaluate the first and second gauge-breaking moments of the spec.
 
-    A failure never raises; it lands in h2_pass.
+    They are exact at the spec's native size, `min_cutoff`: Tr[rho a]
+    and Tr[rho aa] read only entries of rho inside it, and the truncated
+    ladder keeps every one of them.  A failure never raises; it lands in
+    h2_pass.
     """
+    cutoff = spec.min_cutoff
     rho = spec.density(cutoff)
     a = fock_oracle.build_ladder(cutoff)
     tr_a = complex(np.trace(rho @ a))
@@ -201,7 +201,7 @@ def moment_hypothesis_check(spec: ChainStateSpec, cutoff: int) -> MomentReport:
     return MomentReport(
         tr_a=tr_a,
         tr_aa=tr_aa,
-        symmetric_moment=spec.symmetric_moment(cutoff),
+        symmetric_moment=spec.symmetric_moment(),
         h2_pass=abs(tr_a) <= _H2_TOL and abs(tr_aa) <= _H2_TOL,
     )
 
@@ -213,9 +213,8 @@ def _log1p_complex(d: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def _chain_product_log(spec: ChainStateSpec, thetas_k: np.ndarray, cutoff: int) -> complex:
-    """Sum over k of log C(theta_k), with C the spec's characteristic function."""
-    rho = fock_oracle.FockDensityMatrix(spec.density(cutoff))
+def _chain_product_log(rho: np.ndarray, thetas_k: np.ndarray) -> complex:
+    """Sum over k of log C(theta_k), with C the characteristic function of rho."""
     d = fock_oracle.weyl_expectation_batch(rho, thetas_k)
     return complex(np.sum(_log1p_complex(d)))
 
@@ -251,7 +250,6 @@ def short_time_limit_run(
     schedule: LimitSchedule,
     spec: ChainStateSpec,
     thetas,
-    cutoff: int | None = None,
 ) -> list[RunRecord]:
     """Evaluate the exact product representation along the schedule.
 
@@ -264,11 +262,13 @@ def short_time_limit_run(
     checkpoint with tau^2*N >= 1, or the run fails.
 
     The gibbs chain collapses to a closed form at any N; other specs
-    evaluate the product term by term, capped at 1e6 terms.
+    evaluate the product term by term, capped at 1e6 terms, on the
+    spec's density at the cutoff max(16, min_cutoff + 4,
+    ceil(8 max|theta|^2) + min_cutoff), which leaves headroom for the
+    largest Weyl displacement the product sees.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
-    report_cutoff = cutoff if cutoff is not None else max(16, spec.min_cutoff + 4)
-    report = moment_hypothesis_check(spec, report_cutoff)
+    report = moment_hypothesis_check(spec)
     if not report.h2_pass:
         raise ValueError(
             "chain state violates the moment hypotheses: "
@@ -279,11 +279,11 @@ def short_time_limit_run(
 
     n0 = occupation(template.beta0)
     limit_moment = report.symmetric_moment
-    eval_cutoff = report_cutoff
     if spec.kind != "gibbs":
-        # headroom for the largest Weyl displacement the batch will see
         max_disp = float(np.max(np.abs(thetas)))
-        eval_cutoff = max(report_cutoff, math.ceil(8.0 * max_disp**2) + spec.min_cutoff)
+        rho = spec.density(max(
+            16, spec.min_cutoff + 4, math.ceil(8.0 * max_disp**2) + spec.min_cutoff
+        ))
 
     records: list[RunRecord] = []
     errors = np.zeros((len(thetas), len(schedule.checkpoints)))
@@ -294,7 +294,6 @@ def short_time_limit_run(
         s = step_scalars(params)
         zsq_n = abs(s.gz_power(n_steps)) ** 2
         for i, theta in enumerate(thetas):
-            t0 = time.perf_counter()
             limit = math.exp(-0.25 * abs(theta) ** 2 * limit_moment)
             if spec.kind == "gibbs":
                 # product collapses: |z|^2N-weighted mix of n(beta0) and n(beta)
@@ -306,7 +305,7 @@ def short_time_limit_run(
                 # slots 1..N of U_1 ... U_N (theta e0); slot 0 is (gz)^N phase theta
                 phase = cmath.exp(1j * n_steps * tau * template.eps)
                 thetas_k = phase * s.g * s.w * theta * s.gz_power(np.arange(n_steps - 1, -1, -1))
-                log_chain = _chain_product_log(spec, thetas_k, eval_cutoff)
+                log_chain = _chain_product_log(rho, thetas_k)
                 log_c0 = -0.25 * zsq_n * abs(theta) ** 2 * (2.0 * n0 + 1.0)
                 value = complex(np.exp(log_c0 + log_chain))
             err = abs(value - limit)
@@ -330,7 +329,6 @@ def short_time_limit_run(
                         "limit": limit,
                         "abs_error": err,
                     },
-                    wall_time=time.perf_counter() - t0,
                 )
             )
 
@@ -458,7 +456,6 @@ def sweep(grid: dict, cutoff: int | None = None, seed: int = 0) -> list[RunRecor
 
     records = []
     for idx, point in enumerate(itertools.product(*axes)):
-        t0 = time.perf_counter()
         E, eps, eta, tau, beta0, beta, n_modes = point
         inputs = {
             "grid_index": idx, "E": E, "eps": eps, "eta": eta, "tau": tau,
@@ -473,10 +470,7 @@ def sweep(grid: dict, cutoff: int | None = None, seed: int = 0) -> list[RunRecor
                 N=int(n_modes), beta0=float(beta0), beta=float(beta),
             )
         except ValueError as exc:
-            records.append(
-                RunRecord(run_id=run_id, inputs=inputs, outputs={"error": str(exc)},
-                          wall_time=time.perf_counter() - t0)
-            )
+            records.append(RunRecord(run_id=run_id, inputs=inputs, outputs={"error": str(exc)}))
             continue
         outputs = kernel_outputs(params)
         finite = not (math.isinf(params.beta0) or math.isinf(params.beta))
@@ -501,7 +495,6 @@ def sweep(grid: dict, cutoff: int | None = None, seed: int = 0) -> list[RunRecor
                 params, params.N, rho, np.random.default_rng([seed, idx]), 5
             )
         records.append(
-            RunRecord(run_id=run_id, inputs=inputs, outputs=outputs,
-                      oracle_deltas=deltas, wall_time=time.perf_counter() - t0)
+            RunRecord(run_id=run_id, inputs=inputs, outputs=outputs, oracle_deltas=deltas)
         )
     return records

@@ -31,9 +31,9 @@ States are born only as products, `from_diagonal_product` and
 call builds a state from caller-supplied blocks.  `evolve_density`,
 `weyl_expectation`, `von_neumann_entropy` and `relative_entropy_oracle`
 take blocked states only, and the reference of `relative_entropy_oracle`
-must be a diagonal product.
-`FockDensityMatrix` is the dense one-mode container that
-`weyl_expectation_batch` reads.
+must be a diagonal product.  `weyl_expectation_batch` reads a one-mode
+state as a plain square matrix, whose size is its cutoff; the caller
+validates it.
 
 The steps and spectra split further wherever the physics guarantees it:
 
@@ -61,13 +61,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "FockDensityMatrix",
     "BlockedDensityMatrix",
     "build_ladder",
     "thermal_probabilities",
@@ -80,10 +78,7 @@ __all__ = [
 
 EIG_FLOOR = 1e-300
 NEG_EIG_CLAMP = -1e-12
-_HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
-# full spectra are only checked on construction below this dimension
-_EIG_CHECK_DIM = 1200
 # largest Weyl-matrix gather of `weyl_expectation` on a blocked state
 _GATHER_ENTRIES = 1 << 17
 
@@ -118,38 +113,6 @@ def thermal_probabilities(beta: float, D: int) -> np.ndarray:
         return p
     weights = np.exp(-beta * np.arange(D))
     return weights / weights.sum()
-
-
-@dataclass(frozen=True)
-class FockDensityMatrix:
-    """Dense one-mode density matrix, the input of `weyl_expectation_batch`;
-    its shape sets the cutoff.  Multi-mode states are `BlockedDensityMatrix`."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {mat.shape}")
-        # every check below is blind to NaN, and eigvalsh fails on inf
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix has non-finite entries")
-        D = self.cutoff
-        herm = float(np.max(np.abs(mat - mat.conj().T))) if D else 0.0
-        if herm > _HERMITICITY_TOL:
-            raise ValueError(f"matrix not Hermitian: max deviation {herm}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {tr}")
-        if D <= _EIG_CHECK_DIM:
-            lo = float(np.linalg.eigvalsh(mat)[0])
-            if lo < NEG_EIG_CLAMP:
-                raise ValueError(f"matrix not PSD: lowest eigenvalue {lo}")
-
-    @property
-    def cutoff(self) -> int:
-        return self.matrix.shape[0]
 
 
 class _SectorBasis:
@@ -538,8 +501,9 @@ def weyl_expectation(rho: BlockedDensityMatrix, zeta) -> complex:
     return complex(total)
 
 
-def weyl_expectation_batch(rho: FockDensityMatrix, alphas: np.ndarray) -> np.ndarray:
-    """Tr[rho * w(alpha)] - 1 for a one-mode state and a whole array of alphas.
+def weyl_expectation_batch(rho: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Tr[rho * w(alpha)] - 1 for a one-mode density matrix and a whole
+    array of alphas; the matrix size is the cutoff.
 
     The shift by one is evaluated without cancellation, which keeps
     million-term products of near-unit factors at full precision; add 1
@@ -563,9 +527,10 @@ def weyl_expectation_batch(rho: FockDensityMatrix, alphas: np.ndarray) -> np.nda
     place of cos(x): summed over the weighted positive half, T is Tr[rho]
     at d = 0 and zero at every other even d, so this subtracts Tr[rho] = 1.
     """
-    if not isinstance(rho, FockDensityMatrix):
-        raise ValueError(f"expected a FockDensityMatrix, got {type(rho).__name__}")
-    D = rho.cutoff
+    rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"one-mode density matrix must be square, got shape {rho.shape}")
+    D = rho.shape[0]
     alphas = np.asarray(alphas, dtype=complex).ravel()
     _check_weyl_headroom(alphas, D)
     a = build_ladder(D)
@@ -584,7 +549,7 @@ def weyl_expectation_batch(rho: FockDensityMatrix, alphas: np.ndarray) -> np.nda
     offsets = []
     cols = []
     for d in range(-(D - 1), D):
-        diag = np.diagonal(rho.matrix, offset=d)
+        diag = np.diagonal(rho, offset=d)
         if not np.any(diag):
             continue
         rows = np.arange(max(0, -d), D - max(0, d))

@@ -315,7 +315,7 @@ class TestSweepCommand:
     def test_leaves_the_callers_config_unmodified(self, tmp_path):
         config = json.loads(Path(self.sweep_config(tmp_path)).read_text(encoding="utf-8"))
         before = copy.deepcopy(config)
-        records = cmd_sweep(config, True, 8)
+        records = cmd_sweep(config, 8)
         assert config == before
         assert records[0].inputs["beta0"] == math.inf
 
@@ -379,6 +379,7 @@ class TestFlags:
         ["subsystem", "--oracle"], ["subsystem", "--cutoff", "8"],
         ["subsystem", "--tolerance", "0"], ["limit", "--oracle"], ["limit", "--tolerance", "0"],
         ["simulate", "--tolerance", "0"], ["sweep", "--tolerance", "0"], ["verify", "--oracle"],
+        ["limit", "--cutoff", "8"],
     ])
     def test_unread_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -389,9 +390,16 @@ class TestFlags:
     def test_read_flags_parse(self):
         parser = _build_parser()
         for argv in (["simulate", "--oracle", "--cutoff", "8"],
-                     ["sweep", "--oracle", "--cutoff", "8"], ["limit", "--cutoff", "8"],
+                     ["sweep", "--oracle", "--cutoff", "8"],
                      ["verify", "--cutoff", "8", "--tolerance", "0.5"]):
             parser.parse_args(argv)
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_cutoff_needs_oracle(self, command, capsys):
+        code, out, err = run_cli(capsys, command, "--cutoff", "8")
+        assert code == 2
+        assert out == ""
+        assert "--oracle" in err
 
     def test_benchmark_argvs_parse(self):
         workloads = json.loads((REPO / "bench" / "workloads.json").read_text(encoding="utf-8"))
@@ -448,6 +456,19 @@ class TestConfigErrors:
         ("kernel", {"modle": {"N": 2}}, "modle"),
         ("limit", {"limit": {"spec": {"kind": "number_state", "levle": 2}}}, "levle"),
         ("limit", {"limit": {"spec": {"kind": "gibbs", "level": 1}}}, "level"),
+        # values of the wrong JSON type
+        ("verify", {"verify": {"seed": [1]}}, "verify.seed"),
+        ("simulate", {"model": {"N": 2}, "simulate": {"seed": [1]}}, "simulate.seed"),
+        ("subsystem", {"subsystem": {"m": [1]}}, "subsystem.m"),
+        ("subsystem", {"subsystem": {"kind": "window", "n": [1]}}, "subsystem.n"),
+        ("limit", {"limit": {"exponent": [0.4]}}, "limit.exponent"),
+        ("limit", {"limit": {"checkpoints": 5}}, "limit.checkpoints"),
+        ("limit", {"limit": {"thetas": 5}}, "limit.thetas"),
+        ("limit", {"limit": {"spec": {"kind": "number_state", "level": [1]}}},
+         "limit.spec.level"),
+        ("sweep", {"sweep": {"grid": {"E": [2.0], "eps": [1.0], "eta": [0.5], "tau": [1.0],
+                                      "beta0": [1.0], "beta": [1.5], "N": [[2]]}}},
+         "sweep.grid.N[0]"),
     ])
     def test_unread_key_exits_2_and_names_it(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path, {"schema_version": 1, **payload})
