@@ -656,10 +656,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        cutoff = getattr(args, "cutoff", None)
+        if cutoff is not None and cutoff < 2:
+            raise ConfigError(f"--cutoff must be at least 2, got {cutoff}")
         if args.command in ("simulate", "sweep"):
-            if args.cutoff is not None and not args.oracle:
+            if cutoff is not None and not args.oracle:
                 raise ConfigError("--cutoff sets the oracle's cutoff; it needs --oracle")
-            oracle_cutoff = (args.cutoff or 16) if args.oracle else None
+            oracle_cutoff = (16 if cutoff is None else cutoff) if args.oracle else None
         config = _load_config(args.config)
         if args.command == "sweep":
             records = cmd_sweep(config, oracle_cutoff)
@@ -675,7 +678,9 @@ def main(argv=None) -> int:
         elif args.command == "limit":
             records = cmd_limit(config, params)
         elif args.command == "verify":
-            code, report, records = cmd_verify(config, params, args.tolerance, args.cutoff or 24)
+            code, report, records = cmd_verify(
+                config, params, args.tolerance, 24 if cutoff is None else cutoff
+            )
             sys.stdout.write(report)
             if args.output is not None:
                 _emit(records, args.command, args.output, args.format)

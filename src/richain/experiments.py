@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dynamics, fock_oracle
-from .kernel import ModelParams, normal_modes, step_scalars, validate_hypotheses
+from .kernel import ModelParams, StepScalars, normal_modes, step_scalars, validate_hypotheses
 from .quasifree import char_fn, occupation
 
 __all__ = [
@@ -206,20 +206,43 @@ def moment_hypothesis_check(spec: ChainStateSpec) -> MomentReport:
     )
 
 
-def _log1p_complex(d: np.ndarray) -> np.ndarray:
-    """log(1 + d) for complex d without cancellation when |d| is tiny."""
-    re = 0.5 * np.log1p(2.0 * d.real + d.real**2 + d.imag**2)
-    im = np.arctan2(d.imag, 1.0 + d.real)
-    return re + 1j * im
+def _chain_product_log(
+    shift: fock_oracle._WeylShift, s: StepScalars, scale: complex, n_steps: int
+) -> complex:
+    """Sum over k < n_steps of log C(scale (gz)^k), with C - 1 the one-mode
+    evaluator `shift`.
+
+    The terms run in chunks of the evaluator's size through buffers
+    allocated once per call, so memory does not grow with n_steps; each
+    chunk is summed by numpy and the chunk sums by math.fsum.  log(1 + d)
+    is taken as log1p(2 Re d + |d|^2)/2 + i arg(1 + d), without
+    cancellation when |d| is tiny.
+    """
+    size = min(n_steps, fock_oracle._CHUNK)
+    k = np.arange(size, dtype=float)  # the exponents of the current chunk
+    alpha = np.empty(size, dtype=complex)
+    t, u = np.empty(size), np.empty(size)
+    re_sums, im_sums = [], []
+    for lo in range(0, n_steps, size):
+        m = min(size, n_steps - lo)
+        a, tm, um = alpha[:m], t[:m], u[:m]
+        s.gz_power(k[:m], out=a)
+        a *= scale
+        d = shift(a)
+        x = d.real
+        # |1 + d|^2 - 1 = (2x + x^2) + y^2
+        np.square(x, out=tm)
+        tm += np.multiply(x, 2.0, out=um)
+        if np.iscomplexobj(d):
+            y = d.imag
+            tm += np.square(y, out=um)
+            im_sums.append(float(np.arctan2(y, np.add(x, 1.0, out=um), out=um).sum()))
+        re_sums.append(0.5 * float(np.log1p(tm, out=tm).sum()))
+        k += size
+    return complex(math.fsum(re_sums), math.fsum(im_sums))
 
 
-def _chain_product_log(rho: np.ndarray, thetas_k: np.ndarray) -> complex:
-    """Sum over k of log C(theta_k), with C the characteristic function of rho."""
-    d = fock_oracle.weyl_expectation_batch(rho, thetas_k)
-    return complex(np.sum(_log1p_complex(d)))
-
-
-_PRODUCT_TERM_CAP = 1_000_000
+_PRODUCT_TERM_CAP = 100_000_000
 
 
 def _nnls_two_columns(design: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -262,10 +285,12 @@ def short_time_limit_run(
     checkpoint with tau^2*N >= 1, or the run fails.
 
     The gibbs chain collapses to a closed form at any N; other specs
-    evaluate the product term by term, capped at 1e6 terms, on the
+    evaluate the product term by term, capped at 1e8 terms, on the
     spec's density at the cutoff max(16, min_cutoff + 4,
     ceil(8 max|theta|^2) + min_cutoff), which leaves headroom for the
-    largest Weyl displacement the product sees.
+    largest Weyl displacement the product sees.  One evaluator of that
+    density serves the whole run, and the terms stream through it in
+    fixed chunks, so memory does not grow with N.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
     report = moment_hypothesis_check(spec)
@@ -281,9 +306,9 @@ def short_time_limit_run(
     limit_moment = report.symmetric_moment
     if spec.kind != "gibbs":
         max_disp = float(np.max(np.abs(thetas)))
-        rho = spec.density(max(
+        shift = fock_oracle._WeylShift(spec.density(max(
             16, spec.min_cutoff + 4, math.ceil(8.0 * max_disp**2) + spec.min_cutoff
-        ))
+        )))
 
     records: list[RunRecord] = []
     errors = np.zeros((len(thetas), len(schedule.checkpoints)))
@@ -302,10 +327,10 @@ def short_time_limit_run(
             elif theta == 0:
                 value = 1.0 + 0j
             else:
-                # slots 1..N of U_1 ... U_N (theta e0); slot 0 is (gz)^N phase theta
+                # slots 1..N of U_1 ... U_N (theta e0), phase g w (gz)^(N-k) theta
+                # at slot k; slot 0 is (gz)^N phase theta
                 phase = cmath.exp(1j * n_steps * tau * template.eps)
-                thetas_k = phase * s.g * s.w * theta * s.gz_power(np.arange(n_steps - 1, -1, -1))
-                log_chain = _chain_product_log(rho, thetas_k)
+                log_chain = _chain_product_log(shift, s, phase * s.g * s.w * theta, n_steps)
                 log_c0 = -0.25 * zsq_n * abs(theta) ** 2 * (2.0 * n0 + 1.0)
                 value = complex(np.exp(log_c0 + log_chain))
             err = abs(value - limit)
@@ -432,11 +457,12 @@ def sweep(grid: dict, cutoff: int | None = None, seed: int = 0) -> list[RunRecor
     holds one nonempty list for each of E, eps, eta, tau, beta0, beta, N.
 
     Points that fail parameter validation (the stability condition
-    included) become error records rather than aborting the sweep.  With
-    a cutoff the oracle runs: points with at most ORACLE_MAX_N chain
-    modes also carry truncated-Fock deltas from 5 zeta samples, drawn
-    from a generator seeded by (seed, grid index); the cutoff and seed
-    are echoed in each record.
+    included) or hold a value of the wrong type become error records
+    rather than aborting the sweep; an N that int() rejects is echoed as
+    given.  With a cutoff the oracle runs: points with at most
+    ORACLE_MAX_N chain modes also carry truncated-Fock deltas from 5 zeta
+    samples, drawn from a generator seeded by (seed, grid index); the
+    cutoff and seed are echoed in each record.
     """
     if not isinstance(grid, dict):
         raise ValueError("sweep grid must be a dict with one list per axis")
@@ -459,17 +485,18 @@ def sweep(grid: dict, cutoff: int | None = None, seed: int = 0) -> list[RunRecor
         E, eps, eta, tau, beta0, beta, n_modes = point
         inputs = {
             "grid_index": idx, "E": E, "eps": eps, "eta": eta, "tau": tau,
-            "beta0": beta0, "beta": beta, "N": int(n_modes),
+            "beta0": beta0, "beta": beta, "N": n_modes,
             "oracle": use_oracle, "cutoff": cutoff,
             "seed": seed if use_oracle else None,
         }
         run_id = f"sweep-{idx:05d}"
         try:
+            inputs["N"] = int(n_modes)
             params = ModelParams(
                 E=float(E), eps=float(eps), eta=float(eta), tau=float(tau),
-                N=int(n_modes), beta0=float(beta0), beta=float(beta),
+                N=inputs["N"], beta0=float(beta0), beta=float(beta),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             records.append(RunRecord(run_id=run_id, inputs=inputs, outputs={"error": str(exc)}))
             continue
         outputs = kernel_outputs(params)

@@ -31,9 +31,9 @@ States are born only as products, `from_diagonal_product` and
 call builds a state from caller-supplied blocks.  `evolve_density`,
 `weyl_expectation`, `von_neumann_entropy` and `relative_entropy_oracle`
 take blocked states only, and the reference of `relative_entropy_oracle`
-must be a diagonal product.  `weyl_expectation_batch` reads a one-mode
-state as a plain square matrix, whose size is its cutoff; the caller
-validates it.
+must be a diagonal product.  The limit run's one-mode evaluator,
+`_WeylShift`, reads a one-mode state as a plain square matrix, whose
+size is its cutoff; the caller validates it.
 
 The steps and spectra split further wherever the physics guarantees it:
 
@@ -71,7 +71,6 @@ __all__ = [
     "thermal_probabilities",
     "evolve_density",
     "weyl_expectation",
-    "weyl_expectation_batch",
     "von_neumann_entropy",
     "relative_entropy_oracle",
 ]
@@ -462,8 +461,9 @@ def evolve_density(rho: BlockedDensityMatrix, params, schedule) -> BlockedDensit
     return rho
 
 
-def _check_weyl_headroom(zeta: np.ndarray, D: int) -> None:
-    disp = float(np.max(np.abs(zeta))) / math.sqrt(2.0)
+def _check_weyl_headroom(largest: float, D: int) -> None:
+    """Raise unless the largest |zeta| leaves the cutoff D headroom."""
+    disp = largest / math.sqrt(2.0)
     if disp > math.sqrt(D) / 4.0:
         raise ValueError(
             f"displacement {disp:.3g} exceeds cutoff headroom sqrt(D)/4 = "
@@ -482,7 +482,7 @@ def weyl_expectation(rho: BlockedDensityMatrix, zeta) -> complex:
     if zeta.shape != (rho.modes,):
         raise ValueError(f"zeta must have length modes = {rho.modes}")
     D = rho.cutoff
-    _check_weyl_headroom(zeta, D)
+    _check_weyl_headroom(float(np.max(np.abs(zeta))), D)
     # W[I, J] = prod_m w_m[J_m, I_m], gathered flat from the transposed
     # factors for a run of one stack's groups, so sum_{I,J} rho[I,J] *
     # W[I,J] is one dot of the ravels; a run holds at most
@@ -501,13 +501,19 @@ def weyl_expectation(rho: BlockedDensityMatrix, zeta) -> complex:
     return complex(total)
 
 
-def weyl_expectation_batch(rho: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Tr[rho * w(alpha)] - 1 for a one-mode density matrix and a whole
-    array of alphas; the matrix size is the cutoff.
+# alphas per call of a `_WeylShift`: its scratch is near 1 MiB at D = 16
+_CHUNK = 1 << 14
 
-    The shift by one is evaluated without cancellation, which keeps
-    million-term products of near-unit factors at full precision; add 1
-    for the expectation itself.
+
+class _WeylShift:
+    """Tr[rho * w(alpha)] - 1 for one one-mode density matrix, up to _CHUNK
+    alphas per call; the matrix size is the cutoff.
+
+    The rho-dependent set-up (the eigendecomposition and the projection
+    T below) is computed once, and every call fills the same scratch
+    buffers, so a stream of chunks allocates nothing per chunk.  A call
+    returns a view of the scratch, valid until the next call: real when
+    rho is diagonal with a real diagonal, complex otherwise.
 
     Writing alpha = |alpha|*exp(i*phi), the one-mode Weyl operator is the
     phase rotation exp(i*phi*num) conjugating exp(i*|alpha|*X) with
@@ -526,60 +532,84 @@ def weyl_expectation_batch(rho: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     offsets and no phase factors.  The even offsets take cos(x) - 1 in
     place of cos(x): summed over the weighted positive half, T is Tr[rho]
     at d = 0 and zero at every other even d, so this subtracts Tr[rho] = 1.
+    cos(x) - 1 is taken as -2*sin^2(x/2), without cancellation, and the
+    -2 is folded into T.
     """
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"one-mode density matrix must be square, got shape {rho.shape}")
-    D = rho.shape[0]
-    alphas = np.asarray(alphas, dtype=complex).ravel()
-    _check_weyl_headroom(alphas, D)
-    a = build_ladder(D)
-    lam, Q = np.linalg.eigh((a + a.conj().T) / math.sqrt(2.0))
-    # positive half of the spectrum, then the zero mode at half weight
-    half = D // 2
-    lam_pos = lam[D - half :]
-    Q_pos = Q[:, D - half :]
-    weight = np.full(half, 2.0)
-    if D % 2:
-        lam_pos = np.append(lam_pos, 0.0)
-        Q_pos = np.column_stack([Q_pos, Q[:, half]])
-        weight = np.append(weight, 1.0)
 
-    # T[j, d] = weight_j * sum_r conj(Q[r, j]) rho[r, r+d] Q[r+d, j]
-    offsets = []
-    cols = []
-    for d in range(-(D - 1), D):
-        diag = np.diagonal(rho, offset=d)
-        if not np.any(diag):
-            continue
-        rows = np.arange(max(0, -d), D - max(0, d))
-        offsets.append(d)
-        cols.append(weight * (Q_pos[rows].conj() * diag[:, None] * Q_pos[rows + d]).sum(axis=0))
-    ds = np.array(offsets)
-    T = np.stack(cols, axis=1)  # (len(lam_pos), nd)
-    even = ds % 2 == 0
+    def __init__(self, rho: np.ndarray):
+        rho = np.asarray(rho)
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+            raise ValueError(f"one-mode density matrix must be square, got shape {rho.shape}")
+        self.cutoff = D = rho.shape[0]
+        a = build_ladder(D)
+        lam, Q = np.linalg.eigh((a + a.conj().T) / math.sqrt(2.0))
+        # positive half of the spectrum, then the zero mode at half weight
+        half = D // 2
+        lam_pos = lam[D - half :]
+        Q_pos = Q[:, D - half :]
+        weight = np.full(half, 2.0)
+        if D % 2:
+            lam_pos = np.append(lam_pos, 0.0)
+            Q_pos = np.column_stack([Q_pos, Q[:, half]])
+            weight = np.append(weight, 1.0)
 
-    def real_times(A, B):
-        # real A times complex B without a complex copy of A
-        return A @ B.real + 1j * (A @ B.imag)
+        # T[j, d] = weight_j * sum_r conj(Q[r, j]) rho[r, r+d] Q[r+d, j]
+        offsets = []
+        cols = []
+        for d in range(-(D - 1), D):
+            diag = np.diagonal(rho, offset=d)
+            if not np.any(diag):
+                continue
+            rows = np.arange(max(0, -d), D - max(0, d))
+            offsets.append(d)
+            cols.append(weight * (Q_pos[rows].conj() * diag[:, None] * Q_pos[rows + d]).sum(axis=0))
+        ds = np.array(offsets)
+        T = np.stack(cols, axis=1)  # (len(lam_pos), nd)
+        even = ds % 2 == 0
+        h = len(lam_pos)
+        # the trig columns are sin^2(|alpha| lam/2), then sin(|alpha| lam) when
+        # an odd offset needs them; M maps them to each offset's term
+        odd = not even.all()
+        M = np.zeros((2 * h if odd else h, len(ds)), dtype=complex)
+        M[:h, even] = -2.0 * T[:, even]
+        if odd:
+            M[h:, ~even] = 1j * T[:, ~even]
+        # a diagonal rho with a real diagonal makes M one real column and
+        # needs no phases; otherwise M's float view interleaves real and
+        # imaginary parts, so the real matmul into `_terms` writes complex
+        # numbers
+        self._real = not (np.any(ds) or np.any(M.imag))
+        self._M = np.ascontiguousarray(M.real if self._real else M.view(float))
+        self._lam = lam_pos
+        self._half_lam = lam_pos / 2.0
+        self._r = np.empty(_CHUNK)
+        self._trig = np.empty((_CHUNK, len(M)))
+        self._terms = np.empty((_CHUNK, self._M.shape[1]))
+        if not self._real:
+            self._i_ds = 1j * ds
+            self._phi = np.empty(_CHUNK)
+            self._phase = np.empty((_CHUNK, len(ds)), dtype=complex)
+            self._out = np.empty(_CHUNK, dtype=complex)
 
-    r = np.abs(alphas)
-    phi = np.angle(alphas) if np.any(ds) else None
-    out = np.empty(len(alphas), dtype=complex)
-    chunk = 200_000
-    for lo in range(0, len(alphas), chunk):
-        hi = min(lo + chunk, len(alphas))
-        arg = np.outer(r[lo:hi], lam_pos)
-        # cos(x) - 1 = -2*sin^2(x/2), no cancellation
-        re = -2.0 * np.sin(arg / 2.0) ** 2
-        C = np.empty((hi - lo, len(ds)), dtype=complex)
-        C[:, even] = real_times(re, T[:, even])
-        if not even.all():
-            C[:, ~even] = 1j * real_times(np.sin(arg), T[:, ~even])
-        if phi is not None:
-            C *= np.exp(1j * np.outer(phi[lo:hi], ds))
-        out[lo:hi] = C.sum(axis=1)
-    return out
+    def __call__(self, alphas: np.ndarray) -> np.ndarray:
+        m, h = len(alphas), len(self._lam)
+        r = np.abs(alphas, out=self._r[:m])
+        _check_weyl_headroom(float(r.max()), self.cutoff)
+        trig = self._trig[:m]
+        half = trig[:, :h]
+        np.multiply(r[:, None], self._half_lam, out=half)
+        np.square(np.sin(half, out=half), out=half)
+        if trig.shape[1] > h:
+            full = trig[:, h:]
+            np.sin(np.multiply(r[:, None], self._lam, out=full), out=full)
+        terms = np.matmul(trig, self._M, out=self._terms[:m])
+        if self._real:
+            return terms[:, 0]
+        phi = np.arctan2(alphas.imag, alphas.real, out=self._phi[:m])
+        phase = np.multiply(phi[:, None], self._i_ds, out=self._phase[:m])
+        np.exp(phase, out=phase)
+        np.multiply(terms.view(complex), phase, out=phase)
+        return np.sum(phase, axis=1, out=self._out[:m])
 
 
 def _entropy_from_eigs(vals: np.ndarray) -> float:

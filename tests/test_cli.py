@@ -401,6 +401,15 @@ class TestFlags:
         assert out == ""
         assert "--oracle" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [["simulate", "--oracle"], ["sweep", "--oracle"], ["verify"]],
+                             ids=["simulate", "sweep", "verify"])
+    def test_cutoff_below_2_exits_2(self, argv, value, capsys):
+        code, out, err = run_cli(capsys, *argv, "--cutoff", value)
+        assert code == 2
+        assert out == ""
+        assert f"--cutoff must be at least 2, got {value}" in err
+
     def test_benchmark_argvs_parse(self):
         workloads = json.loads((REPO / "bench" / "workloads.json").read_text(encoding="utf-8"))
         parser = _build_parser()

@@ -1,11 +1,13 @@
 """Schedules, chain-state specs, limit runs, convergence studies and sweeps."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fock_reference as ref
 from convergence import convergence_study
 from richain import fock_oracle
 from richain.dynamics import effective_beta_S, evolve_state, total_entropy
@@ -13,6 +15,7 @@ from richain.experiments import (
     ORACLE_MAX_N,
     ChainStateSpec,
     LimitSchedule,
+    _chain_product_log,
     _nnls_two_columns,
     moment_hypothesis_check,
     oracle_deltas,
@@ -249,7 +252,7 @@ class TestShortTimeLimitRun:
             comps = propagate_vector(replace(template, tau=rec.outputs["tau"], N=n), n, e0)
             x0 = 2.0 * occupation(template.beta0) + 1.0
             expect = (math.exp(-0.25 * abs(comps[0]) ** 2 * x0)
-                      * np.prod(1.0 + fock_oracle.weyl_expectation_batch(rho, comps[1:])))
+                      * np.prod(1.0 + ref.weyl_expectation_batch(rho, comps[1:])))
             assert abs(rec.outputs["value"] - expect) < 1e-13 * abs(expect)
 
     def test_gibbs_xstar_matches_mpmath_at_1e6(self):
@@ -306,7 +309,7 @@ class TestShortTimeLimitRun:
             )
 
     def test_product_term_cap(self):
-        sched = LimitSchedule(checkpoints=(1_000_000, 10_000_000))
+        sched = LimitSchedule(checkpoints=(1_000_000, 100_000_001))
         with pytest.raises(ValueError, match="capped"):
             short_time_limit_run(
                 std_params(), sched, ChainStateSpec(kind="number_state", level=1), [1.0]
@@ -316,6 +319,45 @@ class TestShortTimeLimitRun:
             std_params(), sched, ChainStateSpec(kind="gibbs", beta=1.0), [1.0]
         )
         assert len(recs) == 2
+
+    @staticmethod
+    def product_setup(spec, n_steps):
+        # the run's evaluator and its terms' scale at checkpoint n_steps, theta 0.7 + 0.3j
+        template = std_params(E=2.0, eta=0.5)
+        params = replace(template, tau=LimitSchedule().tau(n_steps), N=n_steps)
+        s = step_scalars(params)
+        rho = spec.density(16)
+        return rho, fock_oracle._WeylShift(rho), s, s.g * s.w * (0.7 + 0.3j)
+
+    @pytest.mark.parametrize("spec", [
+        ChainStateSpec(kind="number_state", level=1),
+        ChainStateSpec(kind="custom", rho=np.outer(_PSI03, _PSI03.conj())),
+    ], ids=["level1", "superposition03"])
+    def test_chunked_product_equals_whole_array_sum(self, spec):
+        # the streamed chunk sums against one numpy sum of log(1 + d) over all
+        # 1e6 terms; the superposition walks the odd-offset and phase path
+        n = 1_000_000
+        rho, shift, s, scale = self.product_setup(spec, n)
+        d = ref.weyl_expectation_batch(rho, scale * s.gz_power(np.arange(n)))
+        whole = np.sum(0.5 * np.log1p(2.0 * d.real + d.real**2 + d.imag**2)
+                       + 1j * np.arctan2(d.imag, 1.0 + d.real))
+        chunked = _chain_product_log(shift, s, scale, n)
+        assert abs(chunked - whole) <= 1e-14 * abs(whole)
+
+    def test_product_memory_flat_in_n(self):
+        # one product's tracemalloc peak does not grow from 1e5 to 1e6 terms,
+        # where whole arrays of 1e6 complex terms alone take 15 MiB
+        peaks = []
+        for n in (100_000, 1_000_000):
+            _, shift, s, scale = self.product_setup(ChainStateSpec(kind="number_state", level=1), n)
+            tracemalloc.start()
+            try:
+                _chain_product_log(shift, s, scale, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 2**20
+        assert peaks[1] <= 2 * 2**20
 
     def test_record_grid_ids(self):
         recs = short_time_limit_run(
@@ -515,6 +557,17 @@ class TestSweep:
             assert ra.run_id == rb.run_id
             assert ra.outputs == rb.outputs
             assert ra.oracle_deltas == rb.oracle_deltas
+
+    def test_wrongly_typed_value_becomes_error_record(self):
+        grid = self.base_grid()
+        grid["E"] = [[2.0], 2.0]
+        grid["N"] = [2, [2]]
+        recs = sweep(grid)
+        assert len(recs) == 4
+        assert ["error" in r.outputs for r in recs] == [True, True, False, True]
+        assert "float() argument" in recs[0].outputs["error"]
+        assert "int() argument" in recs[3].outputs["error"]
+        assert recs[1].inputs["N"] == [2]
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="grid"):
