@@ -207,18 +207,18 @@ def moment_hypothesis_check(spec: ChainStateSpec) -> MomentReport:
 
 
 def _chain_product_log(
-    shift: fock_oracle._WeylShift, s: StepScalars, scale: complex, n_steps: int
+    weyl: fock_oracle.OneModeWeyl, s: StepScalars, scale: complex, n_steps: int
 ) -> complex:
-    """Sum over k < n_steps of log C(scale (gz)^k), with C - 1 the one-mode
-    evaluator `shift`.
+    """Sum over k < n_steps of log C(scale (gz)^k), with C the characteristic
+    function of the one-mode density prepared in `weyl`.
 
-    The terms run in chunks of the evaluator's size through buffers
-    allocated once per call, so memory does not grow with n_steps; each
-    chunk is summed by numpy and the chunk sums by math.fsum.  log(1 + d)
-    is taken as log1p(2 Re d + |d|^2)/2 + i arg(1 + d), without
-    cancellation when |d| is tiny.
+    The terms run in chunks of `weyl.capacity` through buffers allocated
+    once per call, so memory does not grow with n_steps; each chunk is
+    summed by numpy and the chunk sums by math.fsum.  With d = C - 1,
+    log(1 + d) is taken as log1p(2 Re d + |d|^2)/2 + i arg(1 + d), without
+    cancellation when |d| is tiny; arg is pi where 1 + d is negative.
     """
-    size = min(n_steps, fock_oracle._CHUNK)
+    size = min(n_steps, weyl.capacity)
     k = np.arange(size, dtype=float)  # the exponents of the current chunk
     alpha = np.empty(size, dtype=complex)
     t, u = np.empty(size), np.empty(size)
@@ -228,16 +228,14 @@ def _chain_product_log(
         a, tm, um = alpha[:m], t[:m], u[:m]
         s.gz_power(k[:m], out=a)
         a *= scale
-        d = shift(a)
-        x = d.real
+        d = fock_oracle.weyl_expectation_batch(weyl, a)
+        x, y = d.real, d.imag
         # |1 + d|^2 - 1 = (2x + x^2) + y^2
         np.square(x, out=tm)
         tm += np.multiply(x, 2.0, out=um)
-        if np.iscomplexobj(d):
-            y = d.imag
-            tm += np.square(y, out=um)
-            im_sums.append(float(np.arctan2(y, np.add(x, 1.0, out=um), out=um).sum()))
+        tm += np.square(y, out=um)
         re_sums.append(0.5 * float(np.log1p(tm, out=tm).sum()))
+        im_sums.append(float(np.arctan2(y, np.add(x, 1.0, out=um), out=um).sum()))
         k += size
     return complex(math.fsum(re_sums), math.fsum(im_sums))
 
@@ -288,9 +286,10 @@ def short_time_limit_run(
     evaluate the product term by term, capped at 1e8 terms, on the
     spec's density at the cutoff max(16, min_cutoff + 4,
     ceil(8 max|theta|^2) + min_cutoff), which leaves headroom for the
-    largest Weyl displacement the product sees.  One evaluator of that
-    density serves the whole run, and the terms stream through it in
-    fixed chunks, so memory does not grow with N.
+    largest Weyl displacement the product sees.  That density is prepared
+    once per run as a `fock_oracle.OneModeWeyl`, and the terms stream
+    through `fock_oracle.weyl_expectation_batch` in fixed chunks, so
+    memory does not grow with N.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
     report = moment_hypothesis_check(spec)
@@ -306,7 +305,7 @@ def short_time_limit_run(
     limit_moment = report.symmetric_moment
     if spec.kind != "gibbs":
         max_disp = float(np.max(np.abs(thetas)))
-        shift = fock_oracle._WeylShift(spec.density(max(
+        weyl = fock_oracle.OneModeWeyl(spec.density(max(
             16, spec.min_cutoff + 4, math.ceil(8.0 * max_disp**2) + spec.min_cutoff
         )))
 
@@ -330,7 +329,7 @@ def short_time_limit_run(
                 # slots 1..N of U_1 ... U_N (theta e0), phase g w (gz)^(N-k) theta
                 # at slot k; slot 0 is (gz)^N phase theta
                 phase = cmath.exp(1j * n_steps * tau * template.eps)
-                log_chain = _chain_product_log(shift, s, phase * s.g * s.w * theta, n_steps)
+                log_chain = _chain_product_log(weyl, s, phase * s.g * s.w * theta, n_steps)
                 log_c0 = -0.25 * zsq_n * abs(theta) ** 2 * (2.0 * n0 + 1.0)
                 value = complex(np.exp(log_c0 + log_chain))
             err = abs(value - limit)

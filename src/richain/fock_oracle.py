@@ -31,9 +31,9 @@ States are born only as products, `from_diagonal_product` and
 call builds a state from caller-supplied blocks.  `evolve_density`,
 `weyl_expectation`, `von_neumann_entropy` and `relative_entropy_oracle`
 take blocked states only, and the reference of `relative_entropy_oracle`
-must be a diagonal product.  The limit run's one-mode evaluator,
-`_WeylShift`, reads a one-mode state as a plain square matrix, whose
-size is its cutoff; the caller validates it.
+must be a diagonal product.  `OneModeWeyl` reads a one-mode state as
+a plain square matrix, whose size is its cutoff, and prepares it for
+`weyl_expectation_batch`; the caller validates it.
 
 The steps and spectra split further wherever the physics guarantees it:
 
@@ -71,6 +71,8 @@ __all__ = [
     "thermal_probabilities",
     "evolve_density",
     "weyl_expectation",
+    "OneModeWeyl",
+    "weyl_expectation_batch",
     "von_neumann_entropy",
     "relative_entropy_oracle",
 ]
@@ -501,40 +503,22 @@ def weyl_expectation(rho: BlockedDensityMatrix, zeta) -> complex:
     return complex(total)
 
 
-# alphas per call of a `_WeylShift`: its scratch is near 1 MiB at D = 16
+# alphas per call of `weyl_expectation_batch`: a `OneModeWeyl`'s scratch is
+# near 1 MiB at D = 16
 _CHUNK = 1 << 14
 
 
-class _WeylShift:
-    """Tr[rho * w(alpha)] - 1 for one one-mode density matrix, up to _CHUNK
-    alphas per call; the matrix size is the cutoff.
+class OneModeWeyl:
+    """One one-mode density matrix prepared for `weyl_expectation_batch`;
+    the matrix size is the cutoff.
 
-    The rho-dependent set-up (the eigendecomposition and the projection
-    T below) is computed once, and every call fills the same scratch
-    buffers, so a stream of chunks allocates nothing per chunk.  A call
-    returns a view of the scratch, valid until the next call: real when
-    rho is diagonal with a real diagonal, complex otherwise.
-
-    Writing alpha = |alpha|*exp(i*phi), the one-mode Weyl operator is the
-    phase rotation exp(i*phi*num) conjugating exp(i*|alpha|*X) with
-    X = (a + a^dag)/sqrt(2); that identity is exact at the cutoff because
-    the rotation is diagonal.  A single eigendecomposition of X therefore
-    serves every alpha.
-
-    X has a zero diagonal, so the parity S = (-1)^num maps its
-    eigenvector for lam to one for -lam: the spectrum is symmetric.  Only
-    the D//2 positive eigenvalues (and, for odd D, the zero mode) enter.
-    With T+ collecting the positive eigenvectors' overlaps with offset d
-    of rho, the mirrored overlaps are exactly (-1)^d T+, so offset d
-    reads 2*Re(e) @ T+ when d is even and 2i*Im(e) @ T+ when d is odd,
-    e = exp(i*|alpha|*lam).  This holds for every rho and halves the
-    transcendentals per alpha; a diagonal rho needs no sines of odd
-    offsets and no phase factors.  The even offsets take cos(x) - 1 in
-    place of cos(x): summed over the weighted positive half, T is Tr[rho]
-    at d = 0 and zero at every other even d, so this subtracts Tr[rho] = 1.
-    cos(x) - 1 is taken as -2*sin^2(x/2), without cancellation, and the
-    -2 is folded into T.
+    Holds the rho-dependent set-up, the eigendecomposition and the
+    projection T that `weyl_expectation_batch` describes, and the scratch
+    buffers of one call of up to `capacity` alphas.  Every call fills the
+    same buffers, so a stream of chunks allocates nothing per chunk.
     """
+
+    capacity = _CHUNK
 
     def __init__(self, rho: np.ndarray):
         rho = np.asarray(rho)
@@ -568,48 +552,77 @@ class _WeylShift:
         even = ds % 2 == 0
         h = len(lam_pos)
         # the trig columns are sin^2(|alpha| lam/2), then sin(|alpha| lam) when
-        # an odd offset needs them; M maps them to each offset's term
+        # an odd offset needs them; M maps them to each offset's term.  M's
+        # float view interleaves real and imaginary parts, so the real matmul
+        # into `_terms` writes complex numbers.
         odd = not even.all()
         M = np.zeros((2 * h if odd else h, len(ds)), dtype=complex)
         M[:h, even] = -2.0 * T[:, even]
         if odd:
             M[h:, ~even] = 1j * T[:, ~even]
-        # a diagonal rho with a real diagonal makes M one real column and
-        # needs no phases; otherwise M's float view interleaves real and
-        # imaginary parts, so the real matmul into `_terms` writes complex
-        # numbers
-        self._real = not (np.any(ds) or np.any(M.imag))
-        self._M = np.ascontiguousarray(M.real if self._real else M.view(float))
+        self._M = M.view(float)
         self._lam = lam_pos
         self._half_lam = lam_pos / 2.0
+        # the phases exp(i phi d); a diagonal rho has offset 0 alone and none
+        self._i_ds = 1j * ds if np.any(ds) else None
         self._r = np.empty(_CHUNK)
         self._trig = np.empty((_CHUNK, len(M)))
-        self._terms = np.empty((_CHUNK, self._M.shape[1]))
-        if not self._real:
-            self._i_ds = 1j * ds
+        self._terms = np.empty((_CHUNK, 2 * len(ds)))
+        if self._i_ds is not None:
             self._phi = np.empty(_CHUNK)
             self._phase = np.empty((_CHUNK, len(ds)), dtype=complex)
             self._out = np.empty(_CHUNK, dtype=complex)
 
-    def __call__(self, alphas: np.ndarray) -> np.ndarray:
-        m, h = len(alphas), len(self._lam)
-        r = np.abs(alphas, out=self._r[:m])
-        _check_weyl_headroom(float(r.max()), self.cutoff)
-        trig = self._trig[:m]
-        half = trig[:, :h]
-        np.multiply(r[:, None], self._half_lam, out=half)
-        np.square(np.sin(half, out=half), out=half)
-        if trig.shape[1] > h:
-            full = trig[:, h:]
-            np.sin(np.multiply(r[:, None], self._lam, out=full), out=full)
-        terms = np.matmul(trig, self._M, out=self._terms[:m])
-        if self._real:
-            return terms[:, 0]
-        phi = np.arctan2(alphas.imag, alphas.real, out=self._phi[:m])
-        phase = np.multiply(phi[:, None], self._i_ds, out=self._phase[:m])
-        np.exp(phase, out=phase)
-        np.multiply(terms.view(complex), phase, out=phase)
-        return np.sum(phase, axis=1, out=self._out[:m])
+
+def weyl_expectation_batch(weyl: OneModeWeyl, alphas: np.ndarray) -> np.ndarray:
+    """Tr[rho * w(alpha)] - 1 for the one-mode density prepared in `weyl`
+    and a complex array of at most `weyl.capacity` alphas.
+
+    Returns a complex view of `weyl`'s scratch, valid until its next call.
+    The shift by one is evaluated without cancellation, which keeps
+    products of many near-unit factors at full precision; add 1 for the
+    expectation itself.
+
+    Writing alpha = |alpha|*exp(i*phi), the one-mode Weyl operator is the
+    phase rotation exp(i*phi*num) conjugating exp(i*|alpha|*X) with
+    X = (a + a^dag)/sqrt(2); that identity is exact at the cutoff because
+    the rotation is diagonal.  A single eigendecomposition of X therefore
+    serves every alpha.
+
+    X has a zero diagonal, so the parity S = (-1)^num maps its
+    eigenvector for lam to one for -lam: the spectrum is symmetric.  Only
+    the D//2 positive eigenvalues (and, for odd D, the zero mode) enter.
+    With T+ collecting the positive eigenvectors' overlaps with offset d
+    of rho, the mirrored overlaps are exactly (-1)^d T+, so offset d
+    reads 2*Re(e) @ T+ when d is even and 2i*Im(e) @ T+ when d is odd,
+    e = exp(i*|alpha|*lam).  This holds for every rho and halves the
+    transcendentals per alpha; a diagonal rho needs no sines of odd
+    offsets and no phase factors.  The even offsets take cos(x) - 1 in
+    place of cos(x): summed over the weighted positive half, T is Tr[rho]
+    at d = 0 and zero at every other even d, so this subtracts Tr[rho] = 1.
+    cos(x) - 1 is taken as -2*sin^2(x/2), without cancellation, and the
+    -2 is folded into T.
+    """
+    m, h = len(alphas), len(weyl._lam)
+    if m > weyl.capacity:
+        raise ValueError(f"at most {weyl.capacity} alphas per call, got {m}")
+    r = np.abs(alphas, out=weyl._r[:m])
+    _check_weyl_headroom(float(r.max()), weyl.cutoff)
+    trig = weyl._trig[:m]
+    half = trig[:, :h]
+    np.multiply(r[:, None], weyl._half_lam, out=half)
+    np.square(np.sin(half, out=half), out=half)
+    if trig.shape[1] > h:
+        full = trig[:, h:]
+        np.sin(np.multiply(r[:, None], weyl._lam, out=full), out=full)
+    terms = np.matmul(trig, weyl._M, out=weyl._terms[:m]).view(complex)
+    if weyl._i_ds is None:
+        return terms[:, 0]
+    phi = np.arctan2(alphas.imag, alphas.real, out=weyl._phi[:m])
+    phase = np.multiply(phi[:, None], weyl._i_ds, out=weyl._phase[:m])
+    np.exp(phase, out=phase)
+    np.multiply(terms, phase, out=phase)
+    return np.sum(phase, axis=1, out=weyl._out[:m])
 
 
 def _entropy_from_eigs(vals: np.ndarray) -> float:

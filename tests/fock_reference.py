@@ -4,9 +4,6 @@ The step is the kron-embedded step Hamiltonian exponentiated by scipy's
 expm, the Weyl expectation an einsum over expm'd one-mode factors, and
 the entropies come from full-matrix eigendecompositions.  Nothing here
 shares code with the blocked oracle's pair blocks, steps or spectra.
-`weyl_expectation_batch` alone is no reference: it collects the
-oracle's chunked one-mode evaluator into one array, the whole-array form
-the limit run's streamed product is checked against.
 """
 
 import math
@@ -78,16 +75,6 @@ def weyl_expectation(mat, zeta, cutoff):
         operands.extend([w, [M + m, m]])
     operands.append([])
     return complex(np.einsum(*operands, optimize=True))
-
-
-def weyl_expectation_batch(rho, alphas):
-    """Tr[rho * w(alpha)] - 1 for a one-mode matrix and a whole array of alphas."""
-    shift = fo._WeylShift(rho)
-    alphas = np.asarray(alphas, dtype=complex).ravel()
-    out = np.empty(len(alphas), dtype=complex)
-    for lo in range(0, len(alphas), fo._CHUNK):
-        out[lo : lo + fo._CHUNK] = shift(alphas[lo : lo + fo._CHUNK])
-    return out
 
 
 def entropy(mat):

@@ -232,19 +232,23 @@ class TestShortTimeLimitRun:
         assert errs[0] > errs[1] > errs[2]
         assert recs[-1].outputs["fitted_bound"] >= 0.0
 
-    @pytest.mark.parametrize("spec, theta", [
-        (ChainStateSpec(kind="number_state", level=1), 1.5 + 0.0j),
-        (ChainStateSpec(kind="number_state", level=3), 1.5 + 0.0j),
-        (ChainStateSpec(kind="custom", rho=np.outer(_PSI03, _PSI03.conj())), 0.7 + 0.3j),
-    ], ids=["level1", "level3", "superposition03"])
-    def test_product_terms_match_propagated_vector(self, spec, theta):
+    @pytest.mark.parametrize("spec, theta, template, multiplier", [
+        (ChainStateSpec(kind="number_state", level=1), 1.5 + 0.0j, std_params(E=2.0, eta=0.5), 2.0),
+        (ChainStateSpec(kind="number_state", level=3), 1.5 + 0.0j, std_params(E=2.0, eta=0.5), 2.0),
+        (ChainStateSpec(kind="custom", rho=np.outer(_PSI03, _PSI03.conj())), 0.7 + 0.3j,
+         std_params(E=2.0, eta=0.5), 2.0),
+        (ChainStateSpec(kind="number_state", level=1), 2.0 + 0.0j, std_params(), 10.0),
+    ], ids=["level1", "level3", "superposition03", "level1_negative_factor"])
+    def test_product_terms_match_propagated_vector(self, spec, theta, template, multiplier):
         # (|0> + |3>)/sqrt(2) passes the moment hypotheses, but its C(t) depends on
         # arg t, so the run's terms must carry the step phases of U_1 ... U_N e0.
-        # The reference at D = 60 pins the run's own cutoff as converged.
-        template = std_params(E=2.0, eta=0.5)
+        # The reference at D = 60 pins the run's own cutoff as converged.  At
+        # E = eps = eta = 1 and tau(100) = 1.58, |w| is near 1, so the last
+        # term of N = 100 has |theta_k| near 2, where C(a) = exp(-|a|^2/4) (1 -
+        # |a|^2/2) of |1> is negative: the product must keep that sign.
         rho = spec.density(60)
-        recs = short_time_limit_run(template, LimitSchedule(checkpoints=(100, 1_000)), spec,
-                                    [theta])
+        sched = LimitSchedule(multiplier=multiplier, checkpoints=(100, 1_000))
+        recs = short_time_limit_run(template, sched, spec, [theta])
         for rec in recs:
             n = rec.outputs["N"]
             e0 = np.zeros(n + 1, dtype=complex)
@@ -252,8 +256,11 @@ class TestShortTimeLimitRun:
             comps = propagate_vector(replace(template, tau=rec.outputs["tau"], N=n), n, e0)
             x0 = 2.0 * occupation(template.beta0) + 1.0
             expect = (math.exp(-0.25 * abs(comps[0]) ** 2 * x0)
-                      * np.prod(1.0 + ref.weyl_expectation_batch(rho, comps[1:])))
+                      * np.prod(1.0 + fock_oracle.weyl_expectation_batch(
+                          fock_oracle.OneModeWeyl(rho), comps[1:])))
             assert abs(rec.outputs["value"] - expect) < 1e-13 * abs(expect)
+        if multiplier == 10.0:
+            assert recs[0].outputs["value"].real < 0.0
 
     def test_gibbs_xstar_matches_mpmath_at_1e6(self):
         mp = pytest.importorskip("mpmath")
@@ -322,12 +329,13 @@ class TestShortTimeLimitRun:
 
     @staticmethod
     def product_setup(spec, n_steps):
-        # the run's evaluator and its terms' scale at checkpoint n_steps, theta 0.7 + 0.3j
+        # the run's prepared density and its terms' scale at checkpoint n_steps,
+        # theta 0.7 + 0.3j
         template = std_params(E=2.0, eta=0.5)
         params = replace(template, tau=LimitSchedule().tau(n_steps), N=n_steps)
         s = step_scalars(params)
         rho = spec.density(16)
-        return rho, fock_oracle._WeylShift(rho), s, s.g * s.w * (0.7 + 0.3j)
+        return rho, fock_oracle.OneModeWeyl(rho), s, s.g * s.w * (0.7 + 0.3j)
 
     @pytest.mark.parametrize("spec", [
         ChainStateSpec(kind="number_state", level=1),
@@ -335,13 +343,21 @@ class TestShortTimeLimitRun:
     ], ids=["level1", "superposition03"])
     def test_chunked_product_equals_whole_array_sum(self, spec):
         # the streamed chunk sums against one numpy sum of log(1 + d) over all
-        # 1e6 terms; the superposition walks the odd-offset and phase path
+        # 1e6 terms, whose arguments come from one whole-array gz_power; the
+        # superposition walks the odd-offset and phase path.  Terms on both
+        # sides of chunk boundaries are checked against the dense reference.
         n = 1_000_000
-        rho, shift, s, scale = self.product_setup(spec, n)
-        d = ref.weyl_expectation_batch(rho, scale * s.gz_power(np.arange(n)))
+        rho, weyl, s, scale = self.product_setup(spec, n)
+        alphas = scale * s.gz_power(np.arange(n))
+        d = np.concatenate([
+            fock_oracle.weyl_expectation_batch(weyl, alphas[lo : lo + weyl.capacity]).copy()
+            for lo in range(0, n, weyl.capacity)
+        ])
+        for k in (0, weyl.capacity - 1, weyl.capacity, 3 * weyl.capacity + 1, n - 1):
+            assert abs(1.0 + d[k] - ref.weyl_expectation(rho, [alphas[k]], 16)) < 1e-13
         whole = np.sum(0.5 * np.log1p(2.0 * d.real + d.real**2 + d.imag**2)
                        + 1j * np.arctan2(d.imag, 1.0 + d.real))
-        chunked = _chain_product_log(shift, s, scale, n)
+        chunked = _chain_product_log(weyl, s, scale, n)
         assert abs(chunked - whole) <= 1e-14 * abs(whole)
 
     def test_product_memory_flat_in_n(self):
@@ -349,10 +365,10 @@ class TestShortTimeLimitRun:
         # where whole arrays of 1e6 complex terms alone take 15 MiB
         peaks = []
         for n in (100_000, 1_000_000):
-            _, shift, s, scale = self.product_setup(ChainStateSpec(kind="number_state", level=1), n)
+            _, weyl, s, scale = self.product_setup(ChainStateSpec(kind="number_state", level=1), n)
             tracemalloc.start()
             try:
-                _chain_product_log(shift, s, scale, n)
+                _chain_product_log(weyl, s, scale, n)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -101,11 +101,11 @@ class TestDensityContainers:
         # the batch reads its cutoff off the one-mode matrix: the displacement
         # headroom sqrt(D)/4 is the one of D = 5
         rho = np.diag(fo.thermal_probabilities(1.0, 5)).astype(complex)
-        ref.weyl_expectation_batch(rho, np.array([0.75]))
+        fo.weyl_expectation_batch(fo.OneModeWeyl(rho), np.array([0.75]))
         with pytest.raises(ValueError, match="sqrt\\(D\\)/4 = 0.559"):
-            ref.weyl_expectation_batch(rho, np.array([0.8]))
+            fo.weyl_expectation_batch(fo.OneModeWeyl(rho), np.array([0.8]))
         with pytest.raises(ValueError, match="square"):
-            ref.weyl_expectation_batch(rho[:3], np.array([0.1]))
+            fo.weyl_expectation_batch(fo.OneModeWeyl(rho[:3]), np.array([0.1]))
 
     def test_blocked_matches_kron_product(self):
         betas = [math.log(3), math.log(2)]
@@ -416,7 +416,7 @@ class TestWeyl:
         blocked = fo.BlockedDensityMatrix.from_thermal_product([math.log(2)], 24)
         rng = np.random.default_rng(9)
         alphas = 0.5 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
-        batch = 1.0 + ref.weyl_expectation_batch(rho, alphas)
+        batch = 1.0 + fo.weyl_expectation_batch(fo.OneModeWeyl(rho), alphas)
         for i, a in enumerate(alphas):
             single = fo.weyl_expectation(blocked, np.array([a]))
             assert abs(batch[i] - single) < 1e-12
@@ -427,7 +427,7 @@ class TestWeyl:
         rho = np.diag(p)
         blocked = fo.BlockedDensityMatrix.from_thermal_product([math.log(3)], 24)
         alphas = np.array([0.0, 0.05j, 0.2 - 0.1j])
-        shifted = ref.weyl_expectation_batch(rho, alphas)
+        shifted = fo.weyl_expectation_batch(fo.OneModeWeyl(rho), alphas)
         vals = np.array([fo.weyl_expectation(blocked, np.array([a])) for a in alphas])
         assert shifted[0] == 0.0
         assert np.max(np.abs(shifted - (vals - 1.0))) < 1e-13
@@ -435,8 +435,18 @@ class TestWeyl:
         # + a^dag a)]/4 to relative O(|alpha|^2); a a^dag is 0 on the top level
         n = np.arange(24)
         second = float(p @ (2 * n + 1)) - 24 * p[-1]
-        tiny = ref.weyl_expectation_batch(rho, np.array([1e-6j]))[0]
+        tiny = fo.weyl_expectation_batch(fo.OneModeWeyl(rho), np.array([1e-6j]))[0]
         assert abs(tiny - (-0.25e-12 * second)) < 1e-9 * 0.25e-12 * second
+
+    def test_batch_capacity(self):
+        # one call takes up to `capacity` alphas, and no more
+        weyl = fo.OneModeWeyl(np.diag(fo.thermal_probabilities(1.0, 16)))
+        alphas = np.full(weyl.capacity + 1, 0.3 - 0.2j)
+        one = complex(fo.weyl_expectation_batch(weyl, alphas[:1])[0])
+        full = fo.weyl_expectation_batch(weyl, alphas[:-1])
+        assert np.all(full == one)
+        with pytest.raises(ValueError, match=f"at most {weyl.capacity} alphas"):
+            fo.weyl_expectation_batch(weyl, alphas)
 
     @pytest.mark.parametrize("D", [15, 24])
     def test_batch_general_state(self, D):
@@ -446,7 +456,7 @@ class TestWeyl:
         rho = A @ A.conj().T / np.trace(A @ A.conj().T).real
         radius = 0.3 * math.sqrt(D) * rng.uniform(0.0, 1.0, 30)
         alphas = np.append(radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 30)), 0.0)
-        shifted = ref.weyl_expectation_batch(rho, alphas)
+        shifted = fo.weyl_expectation_batch(fo.OneModeWeyl(rho), alphas)
         single = np.array([ref.weyl_expectation(rho, [a], D) for a in alphas])
         assert np.max(np.abs(1.0 + shifted - single)) < 1e-12
 
@@ -610,7 +620,7 @@ class TestInterface:
         for rho in (fo.BlockedDensityMatrix.from_thermal_product([1.0], 6),
                     np.full(6, 1 / 6, dtype=complex)):
             with pytest.raises(ValueError, match="square"):
-                ref.weyl_expectation_batch(rho, np.array([0.1]))
+                fo.weyl_expectation_batch(fo.OneModeWeyl(rho), np.array([0.1]))
 
     def test_imports_no_closed_form(self):
         # agreement with the closed forms is evidence only while the oracle
