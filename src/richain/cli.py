@@ -58,13 +58,8 @@ class ConfigError(Exception):
 
 
 _DEFAULT_MODEL = {
-    "E": 2.0,
-    "eps": 1.0,
-    "eta": 0.5,
-    "tau": 1.0,
-    "N": 8,
-    "beta0": math.log(3.0),
-    "beta": math.log(2.0),
+    "E": 2.0, "eps": 1.0, "eta": 0.5, "tau": 1.0, "N": 8,
+    "beta0": math.log(3.0), "beta": math.log(2.0),
 }
 
 
@@ -127,18 +122,17 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
+# how each model key is read, in a model section or a sweep grid axis
+_MODEL_PARSERS = {
+    "E": float, "eps": float, "eta": float, "tau": float,
+    "beta0": _parse_beta, "beta": _parse_beta, "N": int,
+}
+
+
 def _model_from_config(config: dict) -> ModelParams:
     section = {**_DEFAULT_MODEL, **_section(config, "model", _DEFAULT_MODEL)}
     try:
-        return ModelParams(
-            E=float(section["E"]),
-            eps=float(section["eps"]),
-            eta=float(section["eta"]),
-            tau=float(section["tau"]),
-            N=int(section["N"]),
-            beta0=_parse_beta(section["beta0"]),
-            beta=_parse_beta(section["beta"]),
-        )
+        return ModelParams(**{key: _MODEL_PARSERS[key](value) for key, value in section.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
 
@@ -402,13 +396,6 @@ def cmd_limit(config: dict, params: ModelParams) -> list[RunRecord]:
     return short_time_limit_run(params, schedule, spec, thetas)
 
 
-# how each sweep grid axis is read; `sweep` checks the grid's shape
-_GRID_PARSERS = {
-    "E": float, "eps": float, "eta": float, "tau": float,
-    "beta0": _parse_beta, "beta": _parse_beta, "N": int,
-}
-
-
 def cmd_sweep(config: dict, cutoff: int | None) -> list[RunRecord]:
     """The sweep over the config's grid, oracle-checked at `cutoff` unless
     it is None."""
@@ -416,10 +403,10 @@ def cmd_sweep(config: dict, cutoff: int | None) -> list[RunRecord]:
         raise ConfigError("sweep requires a \"sweep\" section in the config")
     section = _section(config, "sweep", ("grid", "seed"))
     grid = section.get("grid")
-    if isinstance(grid, dict):  # `sweep` validates the grid
+    if isinstance(grid, dict):  # `sweep` checks the grid's shape
         grid = {  # a copy: the caller's config stays as it was
-            key: _numbers(values, _GRID_PARSERS[key], f"sweep.grid.{key}")
-            if key in _GRID_PARSERS and isinstance(values, list) else values
+            key: _numbers(values, _MODEL_PARSERS[key], f"sweep.grid.{key}")
+            if key in _MODEL_PARSERS and isinstance(values, list) else values
             for key, values in grid.items()
         }
     return sweep(grid, cutoff=cutoff, seed=_number(section.get("seed", 0), int, "sweep.seed"))
@@ -559,6 +546,17 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
             dev = max(dev, max(0.0, gap - bound))
         checks.append(VerifyCheck("entropy_production_tail", dev, 1e-15))
 
+    # the |1> chain's term-by-term product against its error law, which X = |w|^2/2
+    # <= 1/2 keeps available; run before the oracle states, it adds nothing to their peak
+    try:
+        records = short_time_limit_run(params, LimitSchedule(checkpoints=(100, 1_000, 10_000)),
+                                       ChainStateSpec(kind="number_state", level=1), [1.0])
+        dev = max(max(0.0, abs(r.outputs["abs_error"] - r.outputs["predicted_error"])
+                      - r.outputs["law_remainder"]) for r in records)
+    except RuntimeError:
+        dev = math.inf
+    checks.append(VerifyCheck("limit_law", dev, 1e-14))
+
     # truncated-Fock oracle cross-checks on the three-mode chain
     p2 = replace(params, N=2)
     rho_m = list(oracle_states(p2, cutoff))
@@ -579,8 +577,7 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
     if finite:
         schedule = LimitSchedule(checkpoints=(100, 1_000, 10_000))
         spec = ChainStateSpec(kind="gibbs", beta=params.beta)
-        template = replace(params, eta=min(params.eta, math.sqrt(params.E * params.eps)))
-        records = short_time_limit_run(template, schedule, spec, [1.0 + 0.0j])
+        records = short_time_limit_run(params, schedule, spec, [1.0 + 0.0j])
         errs = [r.outputs["abs_error"] for r in records]
         dev = max(0.0, max(b - a for a, b in zip(errs, errs[1:])))
         checks.append(VerifyCheck("short_time_error_decreasing", dev, 1e-15))

@@ -6,9 +6,9 @@ function converges to the universal Gaussian exp(-|theta|^2 Tr[rho_1
 (a*a + a a*)]/4) regardless of the chain state's details, provided the
 chain state has vanishing first and second gauge-breaking moments.  The
 driver evaluates the exact product representation at every checkpoint
-and records the distance to the limit.  Each theta's error sequence is
-fitted to the bound c1 exp(-eta^2 tau^2 N/2) + c2 tau^3 N by a closed-form
-nonnegative least-squares fit over the two columns.
+and records the distance to the limit.  For a diagonal chain density an
+exact series in the chain's factorial moments predicts that distance, and
+a rigorous bound on the series' tail gates the run.
 
 Also here: the moment-hypothesis report backing that run, the oracle
 trajectory and cross-check helper, and a parameter sweep emitting one
@@ -157,16 +157,28 @@ class ChainStateSpec:
         out[:native, :native] = self.rho
         return out
 
-    def symmetric_moment(self) -> float:
-        """Tr[rho_1 (a*a + a a*)] = 2 Tr[rho_1 a*a] + 1 entering the limit formula.
+    def gauge_moments(self) -> tuple[complex, complex]:
+        """Tr[rho a] = sum_n sqrt(n+1) rho[n+1, n] and Tr[rho aa] = sum_n
+        sqrt((n+1)(n+2)) rho[n+2, n], exact on the native matrix."""
+        rho = self.density(self.min_cutoff)
+        n = np.sqrt(np.arange(1.0, self.min_cutoff))
+        return complex(n @ np.diagonal(rho, -1)), complex((n[:-1] * n[1:]) @ np.diagonal(rho, -2))
 
-        Exact: n(beta) for the gibbs kind, and the native density's
-        diagonal against the level for the others.
-        """
+    def factorial_series(self) -> np.ndarray:
+        """The coefficients (-1)^k f_k / (k!)^2 of P(x) = Tr[rho L_num(x)], f_k
+        the factorial moments, as (-1)^k / k! sum_n rho[n, n] C(n, k) off the
+        native diagonal: f_k and (k!)^2 alone overflow.  Not for the gibbs kind."""
+        if self.kind == "gibbs":
+            raise ValueError("the gibbs kind has no finite factorial series")
+        p = np.diagonal(self.density(self.min_cutoff)).real
+        return np.array([(-1) ** k * sum(p[n] * (math.comb(n, k) / math.factorial(k))
+                                         for n in range(k, len(p))) for k in range(len(p))])
+
+    def symmetric_moment(self) -> float:
+        """Tr[rho_1 (a*a + a a*)] = 2 f_1 + 1 entering the limit formula."""
         if self.kind == "gibbs":
             return 2.0 * occupation(self.beta) + 1.0
-        diag = np.diagonal(self.density(self.min_cutoff)).real
-        return 2.0 * float(diag @ np.arange(self.min_cutoff)) + 1.0
+        return 1.0 - 2.0 * float(self.factorial_series()[1])
 
 
 @dataclass(frozen=True)
@@ -186,24 +198,11 @@ _H2_TOL = 1e-12
 
 
 def moment_hypothesis_check(spec: ChainStateSpec) -> MomentReport:
-    """Evaluate the first and second gauge-breaking moments of the spec.
-
-    They are exact at the spec's native size, `min_cutoff`: Tr[rho a]
-    and Tr[rho aa] read only entries of rho inside it, and the truncated
-    ladder keeps every one of them.  A failure never raises; it lands in
-    h2_pass.
-    """
-    cutoff = spec.min_cutoff
-    rho = spec.density(cutoff)
-    a = fock_oracle.build_ladder(cutoff)
-    tr_a = complex(np.trace(rho @ a))
-    tr_aa = complex(np.trace(rho @ a @ a))
-    return MomentReport(
-        tr_a=tr_a,
-        tr_aa=tr_aa,
-        symmetric_moment=spec.symmetric_moment(),
-        h2_pass=abs(tr_a) <= _H2_TOL and abs(tr_aa) <= _H2_TOL,
-    )
+    """The spec's first and second gauge-breaking moments, exact off its native
+    matrix (`ChainStateSpec.gauge_moments`); a failure lands in h2_pass, never raises."""
+    tr_a, tr_aa = spec.gauge_moments()
+    h2_pass = abs(tr_a) <= _H2_TOL and abs(tr_aa) <= _H2_TOL
+    return MomentReport(tr_a, tr_aa, spec.symmetric_moment(), h2_pass)
 
 
 def _chain_product_log(
@@ -243,27 +242,22 @@ def _chain_product_log(
 _PRODUCT_TERM_CAP = 100_000_000
 
 
-def _nnls_two_columns(design: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """argmin |design c - data| over c >= 0 for a design with two columns.
-
-    The problem is convex, so its optimum lies on an active-set face: one
-    column alone (skipping a zero column; its fit clamped at 0 gives c = 0),
-    or the unconstrained fit when that is nonnegative.  The feasible
-    candidate of least residual is that optimum.  A rank-deficient design
-    has many optima; any one is returned.
-    """
-    candidates = []
-    for k in range(2):
-        column = design[:, k]
-        norm_sq = column @ column
-        if norm_sq > 0.0:
-            face = np.zeros(2)
-            face[k] = max(column @ data / norm_sq, 0.0)
-            candidates.append(face)
-    free = np.linalg.lstsq(design, data, rcond=None)[0]
-    if np.all(free >= 0.0):
-        candidates.append(free)
-    return min(candidates, key=lambda c: np.linalg.norm(design @ c - data))
+def _log_series(spec: ChainStateSpec, order: int) -> tuple[np.ndarray, float, int] | None:
+    """a_1 .. a_order of log P = sum_j a_j x^j, the radius min|root of P| and
+    deg P, where a diagonal chain density has C(r) = exp(-r^2/4) P(r^2/2);
+    None for any other density.  Over the roots x_r, a_j = -(1/j) sum_r
+    x_r^(-j).  The gibbs kind has P(x) = exp(-n x) and no root."""
+    if spec.kind == "gibbs":
+        return np.r_[-occupation(spec.beta), np.zeros(order - 1)], math.inf, 0
+    rho = spec.density(spec.min_cutoff)
+    if np.count_nonzero(rho - np.diag(np.diagonal(rho))):
+        return None
+    c = np.trim_zeros(spec.factorial_series(), "b")
+    radius, degree = float(np.min(np.abs(np.roots(c[::-1])), initial=math.inf)), len(c) - 1
+    a, c = np.zeros(order + 1), np.r_[c, np.zeros(order)]
+    for j in range(1, order + 1):  # x P' = P x (log P)', with c_0 = 1
+        a[j] = c[j] - np.arange(1, j) * a[1:j] @ c[j - 1 : 0 : -1] / j
+    return a[1:], radius, degree
 
 
 def short_time_limit_run(
@@ -282,9 +276,23 @@ def short_time_limit_run(
     theta must be monotone nonincreasing (5% slack) from the first
     checkpoint with tau^2*N >= 1, or the run fails.
 
-    The gibbs chain collapses to a closed form at any N; other specs
-    evaluate the product term by term, capped at 1e8 terms, on the
-    spec's density at the cutoff max(16, min_cutoff + 4,
+    A diagonal chain density, with log P = sum_j a_j x^j from
+    `_log_series`, has the error law
+
+        log(value / limit) = -(|theta|^2 / 4) |z|^(2N) (2 n0 + 1 - m2)
+                             + sum_{j>=2} a_j X^j G_j,
+
+    m2 = Tr[rho (a*a + a a*)], X = |w|^2 |theta|^2 / 2, G_j = sum_{k<N}
+    |z|^(2jk) by expm1 from `StepScalars.log_abs_z`.  With L its terms to
+    j = 2, predicted_error = |limit expm1(L)|.  As G_j <= G_3 for j >= 3,
+    the tail is at most T = (deg/3) r^3 G_3 / (1 - r), r = X/radius, so
+    law_remainder = |limit exp(L)| expm1(T) bounds |abs_error -
+    predicted_error|, and the run fails past law_remainder + 1e-14 |limit|.
+    Both are NaN for other densities and from X = radius on.
+
+    The gibbs law stops at its first term, so its value is limit exp(L)
+    at any N.  Other specs evaluate the product term by term, capped at
+    1e8 terms, on the spec's density at the cutoff max(16, min_cutoff + 4,
     ceil(8 max|theta|^2) + min_cutoff), which leaves headroom for the
     largest Weyl displacement the product sees.  That density is prepared
     once per run as a `fock_oracle.OneModeWeyl`, and the terms stream
@@ -301,8 +309,8 @@ def short_time_limit_run(
     if spec.kind != "gibbs" and max(schedule.checkpoints) > _PRODUCT_TERM_CAP:
         raise ValueError(f"term-by-term product capped at {_PRODUCT_TERM_CAP} factors")
 
-    n0 = occupation(template.beta0)
-    limit_moment = report.symmetric_moment
+    n0, moment = occupation(template.beta0), report.symmetric_moment
+    a, radius, degree = _log_series(spec, 2) or (None, 0.0, 0)  # radius 0: no law
     if spec.kind != "gibbs":
         max_disp = float(np.max(np.abs(thetas)))
         weyl = fock_oracle.OneModeWeyl(spec.density(max(
@@ -310,19 +318,23 @@ def short_time_limit_run(
         )))
 
     records: list[RunRecord] = []
-    errors = np.zeros((len(thetas), len(schedule.checkpoints)))
-    taus = [schedule.tau(n) for n in schedule.checkpoints]
-
-    for j, (n_steps, tau) in enumerate(zip(schedule.checkpoints, taus)):
-        params = replace(template, tau=tau, N=n_steps)
-        s = step_scalars(params)
-        zsq_n = abs(s.gz_power(n_steps)) ** 2
+    for j, n_steps in enumerate(schedule.checkpoints):
+        tau = schedule.tau(n_steps)
+        s = step_scalars(replace(template, tau=tau, N=n_steps))
+        log_z = s.log_abs_z
+        zsq_n = math.exp(2.0 * n_steps * log_z)
+        g2, g3 = (n_steps if log_z == 0.0 else math.expm1(2 * p * n_steps * log_z)
+                  / math.expm1(2 * p * log_z) for p in (2, 3))
         for i, theta in enumerate(thetas):
-            limit = math.exp(-0.25 * abs(theta) ** 2 * limit_moment)
+            theta_sq = abs(theta) ** 2
+            limit = math.exp(-0.25 * theta_sq * moment)
+            x = abs(s.w) ** 2 * theta_sq / 2.0
+            log_law = tail = math.nan  # NaN, and no gate, where the law is not available
+            if x < radius:
+                log_law = -0.25 * theta_sq * zsq_n * (2.0 * n0 + 1.0 - moment) + a[1] * x**2 * g2
+                tail = degree / 3.0 * (x / radius) ** 3 * g3 / (1.0 - x / radius)
             if spec.kind == "gibbs":
-                # product collapses: |z|^2N-weighted mix of n(beta0) and n(beta)
-                nstar = zsq_n * n0 + (1.0 - zsq_n) * occupation(spec.beta)
-                value = complex(math.exp(-0.25 * abs(theta) ** 2 * (2.0 * nstar + 1.0)))
+                value = complex(limit * math.exp(log_law))
             elif theta == 0:
                 value = 1.0 + 0j
             else:
@@ -330,10 +342,15 @@ def short_time_limit_run(
                 # at slot k; slot 0 is (gz)^N phase theta
                 phase = cmath.exp(1j * n_steps * tau * template.eps)
                 log_chain = _chain_product_log(weyl, s, phase * s.g * s.w * theta, n_steps)
-                log_c0 = -0.25 * zsq_n * abs(theta) ** 2 * (2.0 * n0 + 1.0)
+                log_c0 = -0.25 * zsq_n * theta_sq * (2.0 * n0 + 1.0)
                 value = complex(np.exp(log_c0 + log_chain))
             err = abs(value - limit)
-            errors[i, j] = err
+            predicted = abs(limit * math.expm1(log_law))
+            # expm1 raises past 709.78; a tail that large leaves no bound
+            remainder = abs(limit * math.exp(log_law)) * math.expm1(min(tail, 709.0))
+            if abs(err - predicted) > remainder + 1e-14 * limit:
+                raise RuntimeError(f"limit-run error {err!r} off its law {predicted!r} "
+                                   f"by more than {remainder!r}, theta={theta}, N={n_steps}")
             records.append(
                 RunRecord(
                     run_id=f"limit-{i:03d}-{j:02d}",
@@ -345,43 +362,23 @@ def short_time_limit_run(
                         "theta": theta,
                     },
                     outputs={
-                        "N": n_steps,
-                        "tau": tau,
-                        "tau_sq_N": tau**2 * n_steps,
-                        "tau_cub_N": tau**3 * n_steps,
-                        "value": value,
-                        "limit": limit,
-                        "abs_error": err,
+                        "N": n_steps, "tau": tau, "tau_sq_N": tau**2 * n_steps,
+                        "tau_cub_N": tau**3 * n_steps, "value": value, "limit": limit,
+                        "abs_error": err, "predicted_error": predicted, "law_remainder": remainder,
                     },
                 )
             )
 
-    # bound fit per theta, then the monotonicity gate
-    tsq = np.array([t**2 * n for t, n in zip(taus, schedule.checkpoints)])
-    tcb = np.array([t**3 * n for t, n in zip(taus, schedule.checkpoints)])
-    design = np.column_stack([np.exp(-template.eta**2 * tsq / 2.0), tcb])
-    n_cp = len(schedule.checkpoints)
-    for i in range(len(thetas)):
-        errs = errors[i]
-        if errs.max() > 0.0:
-            coef = _nnls_two_columns(design, errs)
-        else:
-            coef = np.zeros(2)
-        bounds = design @ coef
-        start = next((k for k in range(n_cp) if tsq[k] >= 1.0), n_cp)
-        monotone = all(
-            errs[k + 1] <= errs[k] * 1.05 for k in range(start, n_cp - 1)
-        )
-        for j in range(n_cp):
-            rec = records[j * len(thetas) + i]
-            rec.outputs["fitted_c1"] = float(coef[0])
-            rec.outputs["fitted_c2"] = float(coef[1])
-            rec.outputs["fitted_bound"] = float(bounds[j])
+    start = next((j for j, rec in enumerate(records[:: len(thetas)])
+                  if rec.outputs["tau_sq_N"] >= 1.0), len(schedule.checkpoints))
+    for i, theta in enumerate(thetas):
+        rows = records[i :: len(thetas)]
+        errs = [rec.outputs["abs_error"] for rec in rows]
+        monotone = all(b <= a * 1.05 for a, b in zip(errs[start:], errs[start + 1 :]))
+        for rec in rows:
             rec.outputs["monotone_ok"] = monotone
         if not monotone:
-            raise RuntimeError(
-                f"limit-run error sequence not monotone for theta={thetas[i]}: {errs.tolist()}"
-            )
+            raise RuntimeError(f"limit-run error sequence not monotone for theta={theta}: {errs}")
     return records
 
 

@@ -142,6 +142,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _indices(arr: np.ndarray) -> np.ndarray:
+    """Read-only indices for the plans `_step_plan` caches: int32, half of intp, if they fit."""
+    return _read_only(arr.astype(np.int32 if arr.size == 0 or arr.max() < 2**31 else np.intp))
+
+
 def _occupation_groups(
     B: np.ndarray, cols: list[int], cutoff: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +238,7 @@ def _embedding(fine: _GroupLayout, coarse: _GroupLayout) -> tuple[np.ndarray, np
         srcs.append(st.offset + np.arange(dst.size))
     dst = np.concatenate(dsts)
     order = np.argsort(dst)
-    return _read_only(np.concatenate(srcs)[order]), _read_only(dst[order])
+    return _indices(np.concatenate(srcs)[order]), _indices(dst[order])
 
 
 class BlockedDensityMatrix:
@@ -375,8 +380,8 @@ def _step_plan(modes: int, D: int, coupled: frozenset[int], n: int) -> tuple:
             embed = _embed_range(embedding, st.offset + i * k * k, k * k)
             if embed is not None:
                 rows, cols = np.divmod(embed[1], k)
-                embed = (embed[0], _read_only(inverse[rows] * k + cols))
-            groups.append((_read_only(order), _read_only(inverse), tuple(runs), embed))
+                embed = (embed[0], _indices(inverse[rows] * k + cols))
+            groups.append((_indices(order), _indices(inverse), tuple(runs), embed))
         plan.append((None, None, tuple(groups)))
     return out, tuple(plan)
 
@@ -387,7 +392,7 @@ def _embed_range(embedding, start: int, length: int):
         return None
     src, dst = embedding
     lo, hi = np.searchsorted(dst, [start, start + length])
-    return src[lo:hi], _read_only(dst[lo:hi] - start)
+    return src[lo:hi], _indices(dst[lo:hi] - start)
 
 
 def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMatrix:

@@ -261,7 +261,7 @@ class TestLimitCommand:
         assert len(lines) == 3
         header = lines[0].split(",")
         assert {"N", "tau", "tau_sq_N", "tau_cub_N", "value_re", "value_im",
-                "limit", "abs_error", "fitted_c1", "fitted_c2", "fitted_bound",
+                "limit", "abs_error", "predicted_error", "law_remainder",
                 "monotone_ok"} <= set(header)
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
         assert float(rows[1]["abs_error"]) < float(rows[0]["abs_error"])
@@ -358,7 +358,7 @@ class TestVerifyCommand:
         out_path = tmp_path / "verify.csv"
         run_cli(capsys, "verify", "--cutoff", "8", "--output", str(out_path))
         rows = list(csv.DictReader(out_path.read_text(encoding="utf-8").splitlines()))
-        assert len(rows) == 12
+        assert len(rows) == 13
         assert {row["passed"] for row in rows} <= {"true", "false"}
 
     def test_unstable_config_rejected_before_suites(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ from richain.experiments import (
     ChainStateSpec,
     LimitSchedule,
     _chain_product_log,
-    _nnls_two_columns,
+    _log_series,
     moment_hypothesis_check,
     oracle_deltas,
     oracle_states,
@@ -167,6 +167,27 @@ class TestMomentHypothesisCheck:
         assert abs(number_sq - 1.0) < 1e-14
         assert abs(_expectation(spec, 12, lambda a, ad: ad @ a) - 1.0) < 1e-14
 
+    def test_moments_read_the_native_matrix(self):
+        # every moment of a random 6 x 6 density against dense ladder products
+        rng = np.random.default_rng(16)
+        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        rho = m @ m.conj().T
+        spec = ChainStateSpec(kind="custom", rho=rho / np.trace(rho))
+        tr_a, tr_aa = spec.gauge_moments()
+        assert abs(tr_a - _expectation(spec, 6, lambda a, ad: a)) < 1e-14
+        assert abs(tr_aa - _expectation(spec, 6, lambda a, ad: a @ a)) < 1e-14
+        # (-1)^k f_k / (k!)^2 over the factorial moments f_k = Tr[rho a*^k a^k]
+        c = spec.factorial_series()
+        assert abs(c[0] - 1.0) < 1e-14
+        assert abs(c[1] + _expectation(spec, 6, lambda a, ad: ad @ a)) < 1e-14
+        assert abs(c[2] - _expectation(spec, 6, lambda a, ad: ad @ ad @ a @ a) / 4.0) < 1e-14
+        assert abs(spec.symmetric_moment() - (1.0 - 2.0 * c[1])) < 1e-14
+        # |3> gives the Laguerre polynomial L_3(x) = 1 - 3x + 3x^2/2 - x^3/6
+        level3 = ChainStateSpec(kind="number_state", level=3).factorial_series()
+        assert np.max(np.abs(level3 - [1.0, -3.0, 1.5, -1.0 / 6.0, 0.0])) < 1e-15
+        with pytest.raises(ValueError, match="gibbs"):
+            ChainStateSpec(kind="gibbs", beta=1.0).factorial_series()
+
     def test_gauge_breaking_states_flagged(self):
         psi01 = np.zeros(4, dtype=complex)
         psi01[0] = psi01[1] = 1.0 / math.sqrt(2)
@@ -230,7 +251,9 @@ class TestShortTimeLimitRun:
             errs.append(rec.outputs["abs_error"])
             assert rec.outputs["monotone_ok"]
         assert errs[0] > errs[1] > errs[2]
-        assert recs[-1].outputs["fitted_bound"] >= 0.0
+        for rec in recs:
+            gap = abs(rec.outputs["abs_error"] - rec.outputs["predicted_error"])
+            assert 0.0 < gap <= rec.outputs["law_remainder"]
 
     @pytest.mark.parametrize("spec, theta, template, multiplier", [
         (ChainStateSpec(kind="number_state", level=1), 1.5 + 0.0j, std_params(E=2.0, eta=0.5), 2.0),
@@ -384,75 +407,104 @@ class TestShortTimeLimitRun:
             "limit-000-00", "limit-001-00", "limit-000-01", "limit-001-01"
         ]
 
-    def test_limit_workload_fit_is_pinned(self):
+    def test_limit_workload_law_is_pinned(self):
         # the benchmark's limit workload: CLI default model, default schedule
-        # 1e2..1e6, number_state level 1; the tau^3 N column is clamped to 0
+        # 1e2..1e6, number_state level 1.  The law's j >= 3 tail is -X^3 G_3 / 3
+        # to leading order, nearly all of its bound, so every row sits just
+        # inside it, and the prediction meets the error to 5e-4 relative.
         template = ModelParams(E=2.0, eps=1.0, eta=0.5, tau=1.0, N=8,
                                beta0=math.log(3.0), beta=math.log(2.0))
         recs = short_time_limit_run(template, LimitSchedule(),
                                     ChainStateSpec(kind="number_state", level=1),
                                     [1.0, 0.5 + 0.5j])
-        for rec, c1 in zip(recs[:2], (0.028204373115714988, 0.021250797327484944)):
-            assert abs(rec.outputs["fitted_c1"] - c1) <= 1e-14 * c1
-            assert rec.outputs["fitted_c2"] == 0.0
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            omega = mp.sqrt(mp.mpf(0.5) ** 2 + mp.mpf(0.5) ** 2)
+            excess = 2 / mp.expm1(mp.log(3)) + 1 - 3  # 2 n0 + 1 - m2
+            for rec in recs:
+                n, theta_sq = rec.outputs["N"], abs(rec.inputs["theta"]) ** 2
+                wsq = (mp.mpf(0.5) / omega * mp.sin(mp.mpf(rec.outputs["tau"]) * omega)) ** 2
+                x, zsq = wsq * theta_sq / 2, 1 - wsq
+                g2, g3 = ((1 - zsq ** (j * n)) / (1 - zsq**j) for j in (2, 3))
+                log_pred = -theta_sq / 4 * zsq**n * excess - x**2 * g2 / 2
+                limit = mp.exp(-3 * theta_sq / mp.mpf(4))
+                predicted = abs(limit * mp.expm1(log_pred))
+                remainder = limit * mp.exp(log_pred) * mp.expm1(x**3 * g3 / (3 * (1 - x)))
+                assert abs(rec.outputs["predicted_error"] - predicted) <= 1e-12 * predicted
+                assert abs(rec.outputs["law_remainder"] - remainder) <= 1e-12 * remainder
+        for rec in recs:
+            o = rec.outputs
+            gap = abs(o["abs_error"] - o["predicted_error"])
+            assert gap <= o["law_remainder"] + 1e-14 * o["limit"]
+            assert gap <= 5e-4 * o["abs_error"]
+            assert gap >= 0.99 * o["law_remainder"]
+
+    def test_law_unavailable_is_nan(self):
+        # a chain density with off-diagonal entries has no law at all
+        recs = short_time_limit_run(
+            std_params(E=2.0, eta=0.5), LimitSchedule(checkpoints=(100, 1_000)),
+            ChainStateSpec(kind="custom", rho=np.outer(_PSI03, _PSI03.conj())), [0.7 + 0.3j],
+        )
+        for rec in recs:
+            assert math.isnan(rec.outputs["predicted_error"])
+            assert math.isnan(rec.outputs["law_remainder"])
+        # |1> at theta = 2 and tau(100) = 1.58: X = |w|^2 |theta|^2 / 2 = 1.9 lies
+        # past the radius 1 at N = 100, and 0.70 inside it at N = 1000
+        recs = short_time_limit_run(
+            std_params(), LimitSchedule(multiplier=10.0, checkpoints=(100, 1_000)),
+            ChainStateSpec(kind="number_state", level=1), [2.0],
+        )
+        assert math.isnan(recs[0].outputs["predicted_error"])
+        assert math.isnan(recs[0].outputs["law_remainder"])
+        assert recs[1].outputs["law_remainder"] > 0.0
+
+    def test_value_off_the_law_fails_the_run(self, monkeypatch):
+        # a product 1e-6 off in relative terms passes the monotone gate but
+        # moves abs_error by 4.7e-7, past the law's remainder of 1.0e-7 at N = 1e3
+        from richain import experiments
+
+        exact = experiments._chain_product_log
+        monkeypatch.setattr(experiments, "_chain_product_log",
+                            lambda *args: exact(*args) + math.log1p(1e-6))
+        with pytest.raises(RuntimeError, match="law"):
+            short_time_limit_run(
+                std_params(E=2.0, eta=0.5), LimitSchedule(checkpoints=(1_000, 10_000)),
+                ChainStateSpec(kind="number_state", level=1), [1.0],
+            )
 
 
-class TestNnlsTwoColumns:
-    """The limit run's closed-form bound fit against scipy's active-set NNLS."""
+class TestLogSeries:
+    def test_number_state_one(self):
+        # P(x) = 1 - x: log P = -sum_j x^j / j, one root at 1
+        a, radius, degree = _log_series(ChainStateSpec(kind="number_state", level=1), 8)
+        assert np.max(np.abs(a + 1.0 / np.arange(1, 9))) < 1e-15
+        assert radius == 1.0 and degree == 1
 
-    @staticmethod
-    def check(design, data):
-        optimize = pytest.importorskip("scipy.optimize")
-        ref, ref_residual = optimize.nnls(design, data)
-        coef = _nnls_two_columns(design, data)
-        assert np.all(coef >= 0.0)
-        assert abs(np.linalg.norm(design @ coef - data) - ref_residual) < 1e-12
-        return coef, ref
+    def test_gibbs_has_no_term_past_the_first(self):
+        a, radius, degree = _log_series(ChainStateSpec(kind="gibbs", beta=math.log(2)), 6)
+        assert a[0] == -1.0 and np.all(a[1:] == 0.0)
+        assert radius == math.inf and degree == 0
+        # the same recursion on a thermal state cut at D = 30: its factorial
+        # moments are k! n^k up to the 2^-30 tail, so log P = -n x up to it
+        probs = 0.5 ** np.arange(30)
+        spec = ChainStateSpec(kind="custom", rho=np.diag(probs / probs.sum()).astype(complex))
+        a, radius, degree = _log_series(spec, 6)
+        assert abs(a[0] + 1.0) < 1e-7
+        assert np.max(np.abs(a[1:])) < 1e-6
+        assert degree == 29 and radius > 1.0
 
-    def test_random_tall_designs(self):
-        rng = np.random.default_rng(20)
-        for _ in range(200):
-            rows = int(rng.integers(8, 40))
-            coef, ref = self.check(rng.standard_normal((rows, 2)), rng.standard_normal(rows))
-            assert np.max(np.abs(coef - ref)) < 1e-12
+    def test_number_state_three(self):
+        # P is the Laguerre polynomial L_3, whose smallest root is 0.4158
+        a, radius, degree = _log_series(ChainStateSpec(kind="number_state", level=3), 4)
+        roots = np.polynomial.laguerre.lagroots([0, 0, 0, 1])
+        assert abs(radius - roots.min()) < 1e-12
+        for j in range(1, 5):
+            assert abs(a[j - 1] + np.sum(roots ** -float(j)) / j) < 1e-12 * abs(a[j - 1])
+        assert degree == 3
 
-    def test_equal_columns(self):
-        # rank 1: every split of c1 + c2 is optimal, so only the sum is unique
-        column = np.linspace(0.1, 1.0, 6)
-        coef, ref = self.check(np.column_stack([column, column]), 1.0 + np.cos(np.arange(6.0)))
-        assert abs(coef.sum() - ref.sum()) < 1e-12
-        assert ref.sum() > 0.0
-
-    def test_zero_column(self):
-        column = np.linspace(0.1, 1.0, 6)
-        data = 1.0 + np.cos(np.arange(6.0))
-        for k in range(2):
-            design = np.zeros((6, 2))
-            design[:, k] = column
-            coef, ref = self.check(design, data)
-            assert np.max(np.abs(coef - ref)) < 1e-12
-            assert ref[1 - k] == 0.0 and ref[k] > 0.0
-        coef, ref = self.check(np.zeros((6, 2)), data)
-        assert np.all(coef == 0.0) and np.all(ref == 0.0)
-
-    def test_all_zero_data(self):
-        design = np.column_stack([np.linspace(0.1, 1.0, 6), np.linspace(1.0, 2.0, 6)])
-        coef, ref = self.check(design, np.zeros(6))
-        assert np.all(coef == 0.0) and np.all(ref == 0.0)
-
-    @pytest.mark.parametrize("free, clamped", [
-        ((-1.0, 2.0), (True, False)),
-        ((2.0, -1.0), (False, True)),
-        ((-1.0, -1.0), (True, True)),
-    ])
-    def test_clamped_faces(self, free, clamped):
-        t = np.linspace(0.0, 0.5 * math.pi, 10)
-        design = np.column_stack([np.cos(t), np.sin(t)])
-        data = design @ np.array(free) + 0.01 * np.cos(7.0 * t)
-        coef, ref = self.check(design, data)
-        assert np.max(np.abs(coef - ref)) < 1e-12
-        assert tuple(ref == 0.0) == clamped
-        assert tuple(coef == 0.0) == clamped
+    def test_off_diagonal_density_has_none(self):
+        spec = ChainStateSpec(kind="custom", rho=np.outer(_PSI03, _PSI03.conj()))
+        assert _log_series(spec, 2) is None
 
 
 class TestConvergenceStudy:
