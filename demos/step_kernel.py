@@ -18,7 +18,6 @@ from richain import (
     propagate_vector,
     step_matrix,
     step_scalars,
-    validate_hypotheses,
 )
 
 p = ModelParams(E=2.0, eps=1.0, eta=0.5, tau=1.0, N=12,
@@ -33,9 +32,8 @@ print(f"  z = {s.z:.6f}   |z|^2+|w|^2-1 = {abs(s.z)**2 + abs(s.w)**2 - 1:+.2e}")
 e0, e1 = normal_modes(p)
 print(f"  two-mode normal frequencies: {e0:.6f}, {e1:.6f}")
 
-report = validate_hypotheses(p)
 print(f"  stability eta^2 <= E*eps (ModelParams enforces it): {p.eta**2:g} <= {p.E * p.eps:g};"
-      f" strict contraction |z| < 1: {report.h5_operative}")
+      f" strict contraction |z| < 1: {s.contracting}")
 
 # the eigendecomposition route and the closed form agree slot by slot
 dev = max(matrix_exponential_check(p, n) for n in range(1, p.N + 1))

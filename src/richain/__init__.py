@@ -9,7 +9,6 @@ oracle cross-checks the closed forms on small chains.
 """
 
 from .kernel import (
-    HypothesisReport,
     ModelParams,
     StepScalars,
     matrix_exponential_check,
@@ -17,7 +16,6 @@ from .kernel import (
     propagate_vector,
     step_matrix,
     step_scalars,
-    validate_hypotheses,
 )
 from .quasifree import (
     RankOneQuasiFreeState,
@@ -53,9 +51,9 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "StepScalars", "HypothesisReport",
+    "ModelParams", "StepScalars",
     "step_scalars", "step_matrix", "normal_modes", "matrix_exponential_check",
-    "propagate_vector", "validate_hypotheses",
+    "propagate_vector",
     "RankOneQuasiFreeState", "mode_entropy", "occupation", "occupation_entropy",
     "char_fn", "state_entropy",
     "subsystem_slots", "reduced_state", "evolve_state", "reduced_char_fn",

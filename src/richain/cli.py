@@ -72,11 +72,16 @@ def _parse_beta(value) -> float:
 
 
 def _number(value, convert, where: str):
-    """convert(value), or a ConfigError naming `where` when that fails."""
+    """convert(value), or a ConfigError naming `where` when that fails.  A bool
+    is not a number; with convert = int, the one integer reader, nor is 3.9."""
+    kind = "an integer" if convert is int else "a number"
+    fraction = convert is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fraction:
+        raise ConfigError(f"'{where}' must be {kind}, got {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{where}' must be a number, got {value!r}") from exc
+        raise ConfigError(f"'{where}' must be {kind}, got {value!r}") from exc
 
 
 def _numbers(values, convert, where: str) -> list:
@@ -132,7 +137,8 @@ _MODEL_PARSERS = {
 def _model_from_config(config: dict) -> ModelParams:
     section = {**_DEFAULT_MODEL, **_section(config, "model", _DEFAULT_MODEL)}
     try:
-        return ModelParams(**{key: _MODEL_PARSERS[key](value) for key, value in section.items()})
+        return ModelParams(**{key: _number(value, _MODEL_PARSERS[key], f"model.{key}")
+                              for key, value in section.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
 
@@ -141,7 +147,7 @@ def _parse_complex_pair(value, where: str) -> complex:
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
         return complex(float(value[0]), float(value[1]))
     raise ConfigError(f"{where} must be a [re, im] pair, got {value!r}")
@@ -536,7 +542,7 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
     # N does not enter the closed form, so a 100-mode chain gives room for
     # 100 steps
     finite = not (math.isinf(params.beta0) or math.isinf(params.beta))
-    if finite and abs(step_scalars(params).z) < 1.0:
+    if finite and step_scalars(params).contracting:
         limit = dynamics.entropy_production_limit(params)
         p100 = replace(params, N=100)
         dev = 0.0

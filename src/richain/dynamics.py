@@ -143,16 +143,6 @@ def reduced_char_fn(params: ModelParams, m: int, slots, alphas) -> complex:
     return complex(char_fn(reduced_state(params, m, slots), alphas))
 
 
-def _zsq_power(L: float, m: int) -> float:
-    """|z|^(2m) = exp(m L) with L = log|z|^2 = 2 log_abs_z, exactly 1 at m = 0."""
-    return math.exp(m * L) if m else 1.0
-
-
-def _one_minus_zsq_power(L: float, m: int) -> float:
-    """1 - |z|^(2m) = -expm1(m L) without cancellation, exactly 0 at m = 0."""
-    return -math.expm1(m * L) if m else 0.0
-
-
 def _beta_from_occupation(n: float) -> float:
     """Inverse of the mean occupation n = 1/(e^beta - 1); n = 0 maps to +inf."""
     if n == 0.0:
@@ -168,14 +158,13 @@ def effective_beta_S(params: ModelParams, m: int) -> float:
 
     Its mean occupation is the mix n* = |z|^2m n(beta0) + (1-|z|^2m) n(beta),
     which stays finite for a cold S, where n(beta0) is tiny.  Both weights
-    come from log|z|^2 = log1p(-|w|^2), so they keep full precision at
-    m = 1e6 and beyond.  Once n* underflows to 0 (both betas from about
-    745.1), beta* is +inf.
+    come from `StepScalars.zsq_power` and `zsq_complement`, so they keep
+    full precision at m = 1e6 and beyond.  Once n* underflows to 0 (both
+    betas from about 745.1), beta* is +inf.
     """
     _check_steps(params, m)
-    L = 2.0 * step_scalars(params).log_abs_z
-    ns = (_zsq_power(L, m) * occupation(params.beta0)
-          + _one_minus_zsq_power(L, m) * occupation(params.beta))
+    s = step_scalars(params)
+    ns = s.zsq_power(m) * occupation(params.beta0) + s.zsq_complement(m) * occupation(params.beta)
     return _beta_from_occupation(ns)
 
 
@@ -187,7 +176,7 @@ def effective_beta_Sm(params: ModelParams, m: int) -> float:
     """
     _check_steps(params, m, first=1)
     s = step_scalars(params)
-    weight = abs(s.w) ** 2 * _zsq_power(2.0 * s.log_abs_z, m - 1)
+    weight = abs(s.w) ** 2 * s.zsq_power(m - 1)
     nss = weight * occupation(params.beta0) + (1.0 - weight) * occupation(params.beta)
     return _beta_from_occupation(nss)
 
@@ -214,15 +203,14 @@ def relative_entropy(params: ModelParams, n_steps: int) -> float:
     prefactor = (params.beta0 - params.beta) * (
         occupation(params.beta) - occupation(params.beta0)
     )
-    L = 2.0 * step_scalars(params).log_abs_z
-    return prefactor * _one_minus_zsq_power(L, n_steps)
+    return prefactor * step_scalars(params).zsq_complement(n_steps)
 
 
 def entropy_production_limit(params: ModelParams) -> float:
     """Asymptotic entropy production (beta-beta0)(n_beta0 - n_beta) as steps grow."""
     if math.isinf(params.beta0) or math.isinf(params.beta):
         raise ValueError("entropy production limit needs finite beta0 and beta")
-    if abs(step_scalars(params).z) >= 1.0:
+    if not step_scalars(params).contracting:
         raise ValueError("no convergence: |z| must be strictly below 1")
     return (params.beta - params.beta0) * (
         occupation(params.beta0) - occupation(params.beta)
@@ -232,16 +220,13 @@ def entropy_production_limit(params: ModelParams) -> float:
 def window_overlap_norm_sq(params: ModelParams, n: int, k: int) -> float:
     """Closed form of <xi_{n,k}, xi_{n,k}> for the window state.
 
-    |z|^2k + |w|^2 |z|^(2(k-n)) (1-|z|^2n)/(1-|z|^2).  With L = log|z|^2
-    the geometric sum is expm1(n L)/expm1(L), which stays accurate as |z|
-    approaches 1 and is exactly n at w = 0.
+    |z|^2k + |w|^2 |z|^(2(k-n)) (1-|z|^2n)/(1-|z|^2), the geometric sum
+    from `StepScalars.zsq_geometric`.
     """
     if not 0 <= n <= k <= params.N:
         raise ValueError(f"window needs 0 <= n <= k <= N, got n={n}, k={k}, N={params.N}")
     s = step_scalars(params)
-    L = 2.0 * s.log_abs_z
-    geom = float(n) if n == 0 or L == 0.0 else math.expm1(n * L) / math.expm1(L)
-    return _zsq_power(L, k) + abs(s.w) ** 2 * _zsq_power(L, k - n) * geom
+    return s.zsq_power(k) + abs(s.w) ** 2 * s.zsq_power(k - n) * s.zsq_geometric(n)
 
 
 def window_entropy(params: ModelParams, n: int, k: int) -> float:

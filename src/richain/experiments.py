@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dynamics, fock_oracle
-from .kernel import ModelParams, StepScalars, normal_modes, step_scalars, validate_hypotheses
+from .kernel import ModelParams, StepScalars, normal_modes, step_scalars
 from .quasifree import char_fn, occupation
 
 __all__ = [
@@ -283,7 +283,7 @@ def short_time_limit_run(
                              + sum_{j>=2} a_j X^j G_j,
 
     m2 = Tr[rho (a*a + a a*)], X = |w|^2 |theta|^2 / 2, G_j = sum_{k<N}
-    |z|^(2jk) by expm1 from `StepScalars.log_abs_z`.  With L its terms to
+    |z|^(2jk) from `StepScalars.zsq_geometric`.  With L its terms to
     j = 2, predicted_error = |limit expm1(L)|.  As G_j <= G_3 for j >= 3,
     the tail is at most T = (deg/3) r^3 G_3 / (1 - r), r = X/radius, so
     law_remainder = |limit exp(L)| expm1(T) bounds |abs_error -
@@ -291,10 +291,11 @@ def short_time_limit_run(
     Both are NaN for other densities and from X = radius on.
 
     The gibbs law stops at its first term, so its value is limit exp(L)
-    at any N.  Other specs evaluate the product term by term, capped at
-    1e8 terms, on the spec's density at the cutoff max(16, min_cutoff + 4,
-    ceil(8 max|theta|^2) + min_cutoff), which leaves headroom for the
-    largest Weyl displacement the product sees.  That density is prepared
+    at any N and its abs_error is exactly predicted_error.  Other specs
+    evaluate the product term by term, capped at 1e8 terms, on the spec's
+    density at the cutoff max(16, min_cutoff + 4, ceil(8 max|theta|^2) +
+    min_cutoff), which leaves headroom for the largest Weyl displacement
+    the product sees.  That density is prepared
     once per run as a `fock_oracle.OneModeWeyl`, and the terms stream
     through `fock_oracle.weyl_expectation_batch` in fixed chunks, so
     memory does not grow with N.
@@ -321,10 +322,8 @@ def short_time_limit_run(
     for j, n_steps in enumerate(schedule.checkpoints):
         tau = schedule.tau(n_steps)
         s = step_scalars(replace(template, tau=tau, N=n_steps))
-        log_z = s.log_abs_z
-        zsq_n = math.exp(2.0 * n_steps * log_z)
-        g2, g3 = (n_steps if log_z == 0.0 else math.expm1(2 * p * n_steps * log_z)
-                  / math.expm1(2 * p * log_z) for p in (2, 3))
+        zsq_n = s.zsq_power(n_steps)
+        g2, g3 = (s.zsq_geometric(n_steps, p) for p in (2, 3))
         for i, theta in enumerate(thetas):
             theta_sq = abs(theta) ** 2
             limit = math.exp(-0.25 * theta_sq * moment)
@@ -344,8 +343,9 @@ def short_time_limit_run(
                 log_chain = _chain_product_log(weyl, s, phase * s.g * s.w * theta, n_steps)
                 log_c0 = -0.25 * zsq_n * theta_sq * (2.0 * n0 + 1.0)
                 value = complex(np.exp(log_c0 + log_chain))
-            err = abs(value - limit)
             predicted = abs(limit * math.expm1(log_law))
+            # limit - limit exp(L) by subtraction would read 0 below 1e-16 |limit|
+            err = predicted if spec.kind == "gibbs" else abs(value - limit)
             # expm1 raises past 709.78; a tail that large leaves no bound
             remainder = abs(limit * math.exp(log_law)) * math.expm1(min(tail, 709.0))
             if abs(err - predicted) > remainder + 1e-14 * limit:
@@ -384,10 +384,12 @@ def short_time_limit_run(
 
 def kernel_outputs(params: ModelParams) -> dict:
     """The step scalars, coupled-mode energies and contraction flags: the
-    columns that `kernel` and every `sweep` row share, in their order."""
+    columns that `kernel` and every `sweep` row share, in their order.  h5_operative
+    is |w| < 1 and `StepScalars.contracting`; tau sqrt((E-eps)^2/4 + eta^2) < pi/2,
+    h5_sufficient, implies it."""
     s = step_scalars(params)
-    hyp = validate_hypotheses(params)
     eps0, eps1 = normal_modes(params)
+    omega = math.hypot((params.E - params.eps) / 2.0, params.eta)
     return {
         "g": s.g,
         "w": s.w,
@@ -395,8 +397,8 @@ def kernel_outputs(params: ModelParams) -> dict:
         "abs_z_sq": abs(s.z) ** 2,
         "eps0": eps0,
         "eps1": eps1,
-        "h5_sufficient": hyp.h5_sufficient,
-        "h5_operative": hyp.h5_operative,
+        "h5_sufficient": params.tau * omega < math.pi / 2.0,
+        "h5_operative": abs(s.w) < 1.0 and s.contracting,
     }
 
 
@@ -454,11 +456,12 @@ def sweep(grid: dict, cutoff: int | None = None, seed: int = 0) -> list[RunRecor
 
     Points that fail parameter validation (the stability condition
     included) or hold a value of the wrong type become error records
-    rather than aborting the sweep; an N that int() rejects is echoed as
-    given.  With a cutoff the oracle runs: points with at most
-    ORACLE_MAX_N chain modes also carry truncated-Fock deltas from 5 zeta
-    samples, drawn from a generator seeded by (seed, grid index); the
-    cutoff and seed are echoed in each record.
+    rather than aborting the sweep, as does an N that is a bool or a
+    fraction; such an N is echoed as given.  With a cutoff the oracle
+    runs: points with at most ORACLE_MAX_N chain modes also carry
+    truncated-Fock deltas from 5 zeta samples, drawn from a generator
+    seeded by (seed, grid index); the cutoff and seed are echoed in each
+    record.
     """
     if not isinstance(grid, dict):
         raise ValueError("sweep grid must be a dict with one list per axis")
@@ -487,6 +490,9 @@ def sweep(grid: dict, cutoff: int | None = None, seed: int = 0) -> list[RunRecor
         }
         run_id = f"sweep-{idx:05d}"
         try:
+            # int() would read 2.5 as 2 and True as 1; inf % 1 is NaN
+            if isinstance(n_modes, (bool, np.bool_)) or isinstance(n_modes, float) and n_modes % 1:
+                raise ValueError(f"N must be a whole number, got {n_modes!r}")
             inputs["N"] = int(n_modes)
             params = ModelParams(
                 E=float(E), eps=float(eps), eta=float(eta), tau=float(tau),
@@ -497,7 +503,6 @@ def sweep(grid: dict, cutoff: int | None = None, seed: int = 0) -> list[RunRecor
             continue
         outputs = kernel_outputs(params)
         finite = not (math.isinf(params.beta0) or math.isinf(params.beta))
-        contracting = outputs["abs_z_sq"] < 1.0  # |z| < 1
         outputs.update({
             "total_entropy": dynamics.total_entropy(params, params.N),
             "relative_entropy_N": (
@@ -505,7 +510,7 @@ def sweep(grid: dict, cutoff: int | None = None, seed: int = 0) -> list[RunRecor
             ),
             "entropy_production_limit": (
                 dynamics.entropy_production_limit(params)
-                if finite and contracting else float("nan")
+                if finite and step_scalars(params).contracting else float("nan")
             ),
             "beta_star_N": dynamics.effective_beta_S(params, params.N),
             "beta_star_star_N": dynamics.effective_beta_Sm(params, params.N),

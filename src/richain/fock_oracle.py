@@ -340,8 +340,7 @@ def _step_plan(modes: int, D: int, coupled: frozenset[int], n: int) -> tuple:
     """How the step on slot n maps a state of layout `coupled` to its successor.
 
     Returns the output layout, for coupled | {0, n}, and per output stack
-    (pairs, embed, groups).  No embed is needed where the input layout is
-    the output layout; otherwise an embed is the part (src, dst) of
+    (pairs, embed, groups).  An embed is the part (src, dst) of
     `_embedding` that lands in the stack or group, dst counted from its
     start.
 
@@ -357,7 +356,7 @@ def _step_plan(modes: int, D: int, coupled: frozenset[int], n: int) -> tuple:
     """
     fine = _GroupLayout.get(modes, D, coupled)
     out = _GroupLayout.get(modes, D, coupled | {0, n})
-    embedding = None if fine is out else _embedding(fine, out)
+    embedding = _embedding(fine, out)
     grid = out.basis.grid
     rest = [c for c in range(modes) if c not in (0, n)]
     plan = []
@@ -377,10 +376,9 @@ def _step_plan(modes: int, D: int, coupled: frozenset[int], n: int) -> tuple:
             for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
                 p = int(B[order[lo], 0] + B[order[lo], n])
                 runs.append((lo, hi, p, int(B[0].sum()) - p))
-            embed = _embed_range(embedding, st.offset + i * k * k, k * k)
-            if embed is not None:
-                rows, cols = np.divmod(embed[1], k)
-                embed = (embed[0], _indices(inverse[rows] * k + cols))
+            src, dst = _embed_range(embedding, st.offset + i * k * k, k * k)
+            rows, cols = np.divmod(dst, k)
+            embed = (src, _indices(inverse[rows] * k + cols))
             groups.append((_indices(order), _indices(inverse), tuple(runs), embed))
         plan.append((None, None, tuple(groups)))
     return out, tuple(plan)
@@ -388,8 +386,6 @@ def _step_plan(modes: int, D: int, coupled: frozenset[int], n: int) -> tuple:
 
 def _embed_range(embedding, start: int, length: int):
     """The pairs of `embedding` with dst in [start, start + length), dst - start."""
-    if embedding is None:
-        return None
     src, dst = embedding
     lo, hi = np.searchsorted(dst, [start, start + length])
     return src[lo:hi], _indices(dst[lo:hi] - start)
@@ -407,12 +403,9 @@ def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMa
         stack = slice(st.offset, st.offset + count * k * k)
         out = buffer[stack].reshape(count, k, k)
         if pairs is not None:
-            if embed is None:
-                X = source[stack].reshape(count, k, k)
-            else:
-                X = np.zeros(count * k * k, dtype=complex)
-                X[embed[1]] = source[embed[0]]
-                X = X.reshape(count, k, k)
+            X = np.zeros(count * k * k, dtype=complex)
+            X[embed[1]] = source[embed[0]]
+            X = X.reshape(count, k, k)
             # one spectator phase multiplies both sides of a pair block, so
             # it cancels
             Ug = np.stack([U[p] for p in pairs])
@@ -425,13 +418,9 @@ def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMa
         # spares the copy that take(..., out=) makes by default.
         for i, (R, (order, inverse, runs, embed)) in enumerate(zip(out, groups)):
             steps = [(lo, hi, phase[rest_total] * U[p]) for lo, hi, p, rest_total in runs]
-            if embed is None:
-                start = st.offset + i * k * k
-                A = source[start : start + k * k].reshape(k, k).take(order, axis=0)
-            else:
-                A = np.zeros(k * k, dtype=complex)
-                A[embed[1]] = source[embed[0]]
-                A = A.reshape(k, k)
+            A = np.zeros(k * k, dtype=complex)
+            A[embed[1]] = source[embed[0]]
+            A = A.reshape(k, k)
             for lo, hi, Us in steps:
                 np.matmul(Us, A[lo:hi], out=R[lo:hi])
             np.take(R, inverse, axis=0, out=A, mode="clip")  # A = Us @ block

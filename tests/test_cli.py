@@ -478,6 +478,25 @@ class TestConfigErrors:
         ("sweep", {"sweep": {"grid": {"E": [2.0], "eps": [1.0], "eta": [0.5], "tau": [1.0],
                                       "beta0": [1.0], "beta": [1.5], "N": [[2]]}}},
          "sweep.grid.N[0]"),
+        # integer keys take whole numbers only, and no key takes a bool
+        ("kernel", {"model": {"N": 3.9}}, "model.N"),
+        ("kernel", {"model": {"N": True}}, "model.N"),
+        ("kernel", {"model": {"E": True}}, "model.E"),
+        ("kernel", {"model": {"beta": False}}, "model.beta"),
+        ("sweep", {"sweep": {"grid": {"E": [2.0], "eps": [1.0], "eta": [0.5], "tau": [1.0],
+                                      "beta0": [1.0], "beta": [1.5], "N": [2.5, True]}}},
+         "sweep.grid.N[0]"),
+        ("sweep", {"sweep": {"grid": {"E": [2.0], "eps": [1.0], "eta": [0.5], "tau": [1.0],
+                                      "beta0": [1.0], "beta": [1.5], "N": [2, True]}}},
+         "sweep.grid.N[1]"),
+        ("limit", {"limit": {"checkpoints": [100.9, 1000.2]}}, "limit.checkpoints[0]"),
+        ("limit", {"limit": {"spec": {"kind": "number_state", "level": 1.7}}},
+         "limit.spec.level"),
+        ("subsystem", {"subsystem": {"m": 8.5}}, "subsystem.m"),
+        ("subsystem", {"subsystem": {"kind": "window", "n": 1e999}}, "subsystem.n"),
+        ("verify", {"verify": {"seed": 0.5}}, "verify.seed"),
+        ("sweep", {"sweep": {"grid": {}, "seed": False}}, "sweep.seed"),
+        ("simulate", {"model": {"N": 2}, "simulate": {"seed": True}}, "simulate.seed"),
     ])
     def test_unread_key_exits_2_and_names_it(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path, {"schema_version": 1, **payload})
@@ -485,6 +504,22 @@ class TestConfigErrors:
         assert code == 2
         assert out == ""
         assert f"'{key}'" in err
+
+    def test_whole_floats_still_read_as_integers(self, tmp_path, capsys):
+        outs = []
+        for n in (3, 3.0):
+            cfg = write_config(tmp_path, {"schema_version": 1, "model": {"N": n}})
+            code, out, _ = run_cli(capsys, "kernel", "--config", cfg)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_bool_in_complex_pair(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schema_version": 1, "model": {"N": 2},
+                                      "simulate": {"alpha_sample": [True, 0.0]}})
+        code, _, err = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 2
+        assert "re, im" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "kernel", "--config", "/nonexistent/x.json")

@@ -461,6 +461,13 @@ class TestEntropyProductionLimit:
         with pytest.raises(ValueError):
             entropy_production_limit(std_params(eta=0.0))
 
+    def test_limit_at_tiny_tau(self):
+        # |z| rounds to 1.0 at tau = 1e-8, but log|z| < 0: the limit exists
+        # and does not depend on tau
+        p = std_params(E=2.0, tau=1e-8)
+        assert abs(step_scalars(p).z) == 1.0
+        assert entropy_production_limit(p) == entropy_production_limit(std_params(E=2.0))
+
 
 class TestWindow:
     def test_norm_closed_vs_embedding(self):

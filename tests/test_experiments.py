@@ -285,6 +285,16 @@ class TestShortTimeLimitRun:
         if multiplier == 10.0:
             assert recs[0].outputs["value"].real < 0.0
 
+    def test_gibbs_error_is_not_rounded_to_zero(self):
+        # limit exp(L) rounds to limit from N = 1e5 on; abs_error is |limit expm1(L)|
+        sched = LimitSchedule(checkpoints=(100_000, 1_000_000))
+        spec = ChainStateSpec(kind="gibbs", beta=math.log(2))
+        recs = short_time_limit_run(std_params(), sched, spec, [1.0])
+        for rec, law in zip(recs, (5.0036e-19, 3.4635e-29)):
+            assert rec.outputs["value"] == rec.outputs["limit"]
+            assert rec.outputs["abs_error"] == rec.outputs["predicted_error"]
+            assert abs(rec.outputs["abs_error"] - law) < 1e-4 * law
+
     def test_gibbs_xstar_matches_mpmath_at_1e6(self):
         mp = pytest.importorskip("mpmath")
         # eta = 0.1 leaves |z|^(2N) near 0.5 at N = 1e6, so both temperatures weigh in
@@ -636,6 +646,22 @@ class TestSweep:
         assert "float() argument" in recs[0].outputs["error"]
         assert "int() argument" in recs[3].outputs["error"]
         assert recs[1].inputs["N"] == [2]
+
+    def test_fractional_or_bool_n_becomes_error_record(self):
+        grid = self.base_grid()
+        grid["N"] = [2.5, True, 2.0, math.inf]
+        recs = sweep(grid)
+        assert ["error" in r.outputs for r in recs[:4]] == [True, True, False, True]
+        assert [r.inputs["N"] for r in recs[:4]] == [2.5, True, 2, math.inf]
+        assert "whole number" in recs[0].outputs["error"]
+
+    def test_tiny_tau_row_has_a_finite_limit(self):
+        grid = self.base_grid()
+        grid.update(E=[2.0], tau=[1e-8])
+        (rec,) = sweep(grid)
+        assert rec.outputs["abs_z_sq"] == 1.0
+        assert rec.outputs["h5_operative"]
+        assert math.isfinite(rec.outputs["entropy_production_limit"])
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="grid"):

@@ -17,8 +17,8 @@ from richain.kernel import (
     propagate_vector,
     step_matrix,
     step_scalars,
-    validate_hypotheses,
 )
+from richain.experiments import kernel_outputs
 
 
 def make_params(E=2.0, eps=1.0, eta=0.5, tau=1.0, N=8, beta0=math.log(3), beta=math.log(2)):
@@ -269,22 +269,86 @@ class TestPropagateVector:
 
 
 class TestHypotheses:
+    # the contraction flags are `kernel_outputs` columns
     def test_flags_on_reference_point(self):
-        rep = validate_hypotheses(make_params())
-        assert rep.h5_sufficient
-        assert rep.h5_operative
+        out = kernel_outputs(make_params())
+        assert out["h5_sufficient"]
+        assert out["h5_operative"]
 
     def test_sufficient_implies_operative(self):
         # resonant full swap: t*Omega = pi/2 makes |w| = 1
         p = make_params(E=1.0, eps=1.0, eta=1.0, tau=math.pi / 2)
-        rep = validate_hypotheses(p)
-        assert not rep.h5_sufficient
-        assert not rep.h5_operative
+        out = kernel_outputs(p)
+        assert not out["h5_sufficient"]
+        assert not out["h5_operative"]
         assert abs(abs(step_scalars(p).w) - 1.0) < 1e-12
 
     def test_operative_without_sufficient(self):
         # past the sufficient bound but still strictly mixing
         p = make_params(E=1.0, eps=1.0, eta=1.0, tau=2.0)
-        rep = validate_hypotheses(p)
-        assert not rep.h5_sufficient
-        assert rep.h5_operative
+        out = kernel_outputs(p)
+        assert not out["h5_sufficient"]
+        assert out["h5_operative"]
+
+    def test_operative_at_tiny_tau(self):
+        # |z| rounds to 1.0 at tau = 1e-8, yet log|z| is about -1.25e-17
+        p = make_params(tau=1e-8)
+        s = step_scalars(p)
+        assert abs(s.z) == 1.0 and s.log_abs_z < 0.0
+        assert s.contracting
+        assert kernel_outputs(p)["h5_operative"]
+
+
+class TestZsqPowers:
+    def test_zero_steps_are_exact(self):
+        for s in (step_scalars(make_params()), StepScalars(g=1.0 + 0j, w=1j, z=0j),
+                  step_scalars(make_params(eta=0.0))):
+            assert s.zsq_power(0) == 1.0
+            assert s.zsq_complement(0) == 0.0
+            assert s.zsq_geometric(0) == 0.0
+            assert s.zsq_geometric(0, 3) == 0.0
+
+    def test_full_swap(self):
+        # z = 0: log|z| = -inf, and no 0 * inf reaches a NaN
+        s = StepScalars(g=1.0 + 0j, w=1j, z=0j)
+        assert s.log_abs_z == -math.inf
+        assert s.contracting
+        for m in (1, 2, 10**8):
+            assert s.zsq_power(m) == 0.0
+            assert s.zsq_complement(m) == 1.0
+            for p in (1, 2, 3):
+                assert s.zsq_geometric(m, p) == 1.0  # only the k = 0 term
+
+    def test_decoupled(self):
+        # w = 0: log|z| = 0 exactly, so every power is 1 and the sum is n
+        s = step_scalars(make_params(eta=0.0))
+        assert s.log_abs_z == 0.0
+        assert not s.contracting
+        for m in (1, 7, 10**8):
+            assert s.zsq_power(m) == 1.0
+            assert s.zsq_complement(m) == 0.0
+            for p in (1, 2, 3):
+                assert s.zsq_geometric(m, p) == float(m)
+
+    def test_match_float_powers_at_small_m(self):
+        s = step_scalars(make_params())
+        zsq = abs(s.z) ** 2
+        for m in range(1, 30):
+            assert abs(s.zsq_power(m) - zsq**m) < 1e-14
+            assert abs(s.zsq_complement(m) - (1.0 - zsq**m)) < 1e-14
+            for p in (1, 2, 3):
+                direct = sum(zsq ** (p * k) for k in range(m))
+                assert abs(s.zsq_geometric(m, p) - direct) < 1e-14 * direct
+
+    def test_geometric_matches_mpmath_at_1e8(self):
+        # |w|^2 about 1e-6: 1 - |z|^2 by subtraction would keep ten digits
+        mp = pytest.importorskip("mpmath")
+        s = step_scalars(make_params(E=1.0, eps=1.0, eta=1e-3, tau=1.0, N=1))
+        with mp.workdps(50):
+            zsq = 1 - mp.mpf(s.w.imag) ** 2
+            assert abs(float(1 - zsq) - 1e-6) < 1e-9
+            for n in (10**5, 10**8):
+                for p in (1, 2, 3):
+                    expect = (1 - zsq ** (p * n)) / (1 - zsq**p)
+                    got = s.zsq_geometric(n, p)
+                    assert abs(got - expect) < 1e-14 * expect
