@@ -10,6 +10,7 @@ oracle cross-checks the closed forms on small chains.
 
 from .kernel import (
     ModelParams,
+    as_integer,
     StepScalars,
     matrix_exponential_check,
     normal_modes,
@@ -23,7 +24,6 @@ from .quasifree import (
     mode_entropy,
     occupation,
     occupation_entropy,
-    state_entropy,
 )
 from .dynamics import (
     effective_beta_S,
@@ -51,11 +51,11 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "StepScalars",
+    "ModelParams", "StepScalars", "as_integer",
     "step_scalars", "step_matrix", "normal_modes", "matrix_exponential_check",
     "propagate_vector",
     "RankOneQuasiFreeState", "mode_entropy", "occupation", "occupation_entropy",
-    "char_fn", "state_entropy",
+    "char_fn",
     "subsystem_slots", "reduced_state", "evolve_state", "reduced_char_fn",
     "effective_beta_S", "effective_beta_Sm", "total_entropy",
     "relative_entropy", "entropy_production_limit",

@@ -43,6 +43,7 @@ from .experiments import (
 )
 from .kernel import (
     ModelParams,
+    as_integer,
     matrix_exponential_check,
     propagate_vector,
     step_matrix,
@@ -73,13 +74,12 @@ def _parse_beta(value) -> float:
 
 def _number(value, convert, where: str):
     """convert(value), or a ConfigError naming `where` when that fails.  A bool
-    is not a number; with convert = int, the one integer reader, nor is 3.9."""
+    is not a number; convert = int reads by `as_integer`, so 3.9 is no integer."""
     kind = "an integer" if convert is int else "a number"
-    fraction = convert is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) or fraction:
-        raise ConfigError(f"'{where}' must be {kind}, got {value!r}")
     try:
-        return convert(value)
+        if isinstance(value, bool):
+            raise TypeError("a bool is not a number")
+        return as_integer(value, where) if convert is int else convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'{where}' must be {kind}, got {value!r}") from exc
 

@@ -12,7 +12,10 @@ A subsystem is a list of full-chain slots (0 for the distinguished mode,
 j for chain mode j), and its reduced state keeps the same rank-one form
 with xi_m restricted to those slots, so it costs O(|slots|) and never
 builds the full (N+1)-vector.  `subsystem_slots` lists the slots of the
-subsystems the paper names.
+subsystems the paper names.  beta*, beta**, the window entropy and the
+entropy production combine n(beta0) and n(beta) only through `_mix` and
+`_production_prefactor`, which never subtract one from the other: that
+cancels for a cold S, near a full swap and at nearly equal temperatures.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ import sys
 
 import numpy as np
 
-from .kernel import ModelParams, step_scalars
+from .kernel import ModelParams, as_integer, step_scalars
 from .quasifree import (
     RankOneQuasiFreeState,
     char_fn,
     mode_entropy,
     occupation,
-    state_entropy,
+    occupation_entropy,
 )
 
 __all__ = [
@@ -61,6 +64,7 @@ def subsystem_slots(kind: str, m: int, n: int | None = None) -> list[int]:
     """
     if kind not in _SUBSYSTEM_KINDS:
         raise ValueError(f"unknown selector kind {kind!r}")
+    m, n = as_integer(m, "m"), None if n is None else as_integer(n, "n")
     if kind == "window":
         if n is None or not 0 <= n <= m:
             raise ValueError(f"window requires 0 <= n <= m, got n={n}, m={m}")
@@ -77,9 +81,11 @@ def subsystem_slots(kind: str, m: int, n: int | None = None) -> list[int]:
     return {"S": [0], "S1": [1], "Sm": [m], "S_plus_Sm": [0, m]}[kind]
 
 
-def _check_steps(params: ModelParams, m: int, first: int = 0) -> None:
+def _check_steps(params: ModelParams, m: int, first: int = 0) -> int:
+    m = as_integer(m, "steps m")
     if not first <= m <= params.N:
         raise ValueError(f"steps m must lie in {first}..{params.N}, got {m}")
+    return m
 
 
 def reduced_state(params: ModelParams, m: int, slots) -> RankOneQuasiFreeState:
@@ -91,7 +97,7 @@ def reduced_state(params: ModelParams, m: int, slots) -> RankOneQuasiFreeState:
     slots beyond m that no step has touched yet, with phase
     exp(i m tau eps).  Costs O(len(slots)).
     """
-    _check_steps(params, m)
+    m = _check_steps(params, m)
     values = list(slots) if np.ndim(slots) == 1 else []
     if not values:
         raise ValueError("slots must be a nonempty list of slot indices")
@@ -153,6 +159,21 @@ def _beta_from_occupation(n: float) -> float:
     return math.log1p(1.0 / n)
 
 
+def _mix(params: ModelParams, share: float, rest: float) -> float:
+    """share n(beta0) + rest n(beta): share + rest = 1, but neither is formed as 1 - the other."""
+    return share * occupation(params.beta0) + rest * occupation(params.beta)
+
+
+def _production_prefactor(params: ModelParams) -> float:
+    """(beta0 - beta)(n(beta) - n(beta0)) for finite betas.  Within |beta0 - beta|
+    <= 1 the difference is expm1(beta0 - beta) n(beta0) / (1 - e^-beta); beyond,
+    the occupations differ by a factor above e, and expm1 could overflow."""
+    d = params.beta0 - params.beta
+    if abs(d) <= 1.0:
+        return d * math.expm1(d) * occupation(params.beta0) / -math.expm1(-params.beta)
+    return d * (occupation(params.beta) - occupation(params.beta0))
+
+
 def effective_beta_S(params: ModelParams, m: int) -> float:
     """Inverse temperature beta* of S after m steps.
 
@@ -162,23 +183,23 @@ def effective_beta_S(params: ModelParams, m: int) -> float:
     full precision at m = 1e6 and beyond.  Once n* underflows to 0 (both
     betas from about 745.1), beta* is +inf.
     """
-    _check_steps(params, m)
+    m = _check_steps(params, m)
     s = step_scalars(params)
-    ns = s.zsq_power(m) * occupation(params.beta0) + s.zsq_complement(m) * occupation(params.beta)
-    return _beta_from_occupation(ns)
+    return _beta_from_occupation(_mix(params, s.zsq_power(m), s.zsq_complement(m)))
 
 
 def effective_beta_Sm(params: ModelParams, m: int) -> float:
     """Inverse temperature beta** of chain mode m after its interaction step.
 
-    n(beta**) mixes n(beta0) with weight |w|^2 |z|^(2(m-1)) into n(beta);
-    equivalently it is the |w|^2-mix of n(beta*((m-1)tau)) and n(beta).
+    n(beta**) mixes n(beta0) with share |w|^2 |z|^(2(m-1)) into n(beta);
+    equivalently it is the |w|^2-mix of n(beta*((m-1)tau)) and n(beta).  The
+    rest |z|^2 + |w|^2 (1 - |z|^(2(m-1))) keeps full precision near a full swap.
     """
-    _check_steps(params, m, first=1)
+    m = _check_steps(params, m, first=1)
     s = step_scalars(params)
-    weight = abs(s.w) ** 2 * s.zsq_power(m - 1)
-    nss = weight * occupation(params.beta0) + (1.0 - weight) * occupation(params.beta)
-    return _beta_from_occupation(nss)
+    wsq = abs(s.w) ** 2
+    rest = abs(s.z) ** 2 + wsq * s.zsq_complement(m - 1)
+    return _beta_from_occupation(_mix(params, wsq * s.zsq_power(m - 1), rest))
 
 
 def total_entropy(params: ModelParams, m: int) -> float:
@@ -195,26 +216,21 @@ def relative_entropy(params: ModelParams, n_steps: int) -> float:
     """Entropy production Ent(rho(N tau)|rho) after n_steps interactions.
 
     Closed form: (beta0-beta)(n_beta - n_beta0) (1 - |z|^(2 n_steps)),
-    written with mean occupations so large beta cannot overflow.
+    with the prefactor of `entropy_production_limit`.
     """
-    _check_steps(params, n_steps)
+    n_steps = _check_steps(params, n_steps)
     if math.isinf(params.beta0) or math.isinf(params.beta):
         raise ValueError("relative entropy needs finite beta0 and beta")
-    prefactor = (params.beta0 - params.beta) * (
-        occupation(params.beta) - occupation(params.beta0)
-    )
-    return prefactor * step_scalars(params).zsq_complement(n_steps)
+    return _production_prefactor(params) * step_scalars(params).zsq_complement(n_steps)
 
 
 def entropy_production_limit(params: ModelParams) -> float:
-    """Asymptotic entropy production (beta-beta0)(n_beta0 - n_beta) as steps grow."""
+    """Asymptotic entropy production (beta0-beta)(n_beta - n_beta0) as steps grow."""
     if math.isinf(params.beta0) or math.isinf(params.beta):
         raise ValueError("entropy production limit needs finite beta0 and beta")
     if not step_scalars(params).contracting:
         raise ValueError("no convergence: |z| must be strictly below 1")
-    return (params.beta - params.beta0) * (
-        occupation(params.beta0) - occupation(params.beta)
-    )
+    return _production_prefactor(params)
 
 
 def window_overlap_norm_sq(params: ModelParams, n: int, k: int) -> float:
@@ -223,6 +239,7 @@ def window_overlap_norm_sq(params: ModelParams, n: int, k: int) -> float:
     |z|^2k + |w|^2 |z|^(2(k-n)) (1-|z|^2n)/(1-|z|^2), the geometric sum
     from `StepScalars.zsq_geometric`.
     """
+    n, k = as_integer(n, "window n"), as_integer(k, "window k")
     if not 0 <= n <= k <= params.N:
         raise ValueError(f"window needs 0 <= n <= k <= N, got n={n}, k={k}, N={params.N}")
     s = step_scalars(params)
@@ -232,9 +249,12 @@ def window_overlap_norm_sq(params: ModelParams, n: int, k: int) -> float:
 def window_entropy(params: ModelParams, n: int, k: int) -> float:
     """Entropy of the window of S and its n latest chain partners after k steps.
 
-    With s the one-mode entropy of a mean occupation, it is
-    n s(n_beta) + s(n_beta + <xi,xi>(n_beta0 - n_beta)), <xi,xi> being
-    `window_overlap_norm_sq`.  As k grows at fixed n this tends to
-    (n+1) s(n_beta), the entropy of an n+1-mode thermal block at beta.
+    With s the one-mode entropy of a mean occupation, it is n s(n_beta) +
+    s(<xi,xi> n_beta0 + (1 - <xi,xi>) n_beta) in O(1), <xi,xi> being
+    `window_overlap_norm_sq` and 1 - <xi,xi> the weight |w|^2 sum_{j<k-n} |z|^2j
+    of the slots 1..k-n the window misses.  As k grows at fixed n this tends
+    to (n+1) s(n_beta), the entropy of an n+1-mode thermal block at beta.
     """
-    return state_entropy(reduced_state(params, k, subsystem_slots("window", k, n)))
+    s = step_scalars(params)
+    mix = _mix(params, window_overlap_norm_sq(params, n, k), abs(s.w) ** 2 * s.zsq_geometric(k - n))
+    return n * occupation_entropy(occupation(params.beta)) + occupation_entropy(mix)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dynamics, fock_oracle
-from .kernel import ModelParams, StepScalars, normal_modes, step_scalars
+from .kernel import ModelParams, StepScalars, as_integer, normal_modes, step_scalars
 from .quasifree import char_fn, occupation
 
 __all__ = [
@@ -72,7 +72,7 @@ class LimitSchedule:
             raise ValueError(f"exponent must lie in (1/3, 1/2), got {self.exponent}")
         if not self.multiplier > 0.0:
             raise ValueError(f"multiplier must be positive, got {self.multiplier}")
-        cps = tuple(int(n) for n in self.checkpoints)
+        cps = tuple(as_integer(n, f"checkpoints[{i}]") for i, n in enumerate(self.checkpoints))
         object.__setattr__(self, "checkpoints", cps)
         if len(cps) < 2 or any(n < 1 for n in cps):
             raise ValueError("need at least two checkpoints, all >= 1")
@@ -113,8 +113,9 @@ class ChainStateSpec:
             if self.beta is None or not self.beta > 0.0:
                 raise ValueError(f"gibbs spec needs beta in (0, +inf], got {self.beta!r}")
         elif self.kind == "number_state":
-            if self.level is None or self.level < 0:
+            if self.level is None or as_integer(self.level, "level") < 0:
                 raise ValueError(f"number_state spec needs level >= 0, got {self.level!r}")
+            object.__setattr__(self, "level", int(self.level))
         elif self.kind == "custom":
             if self.rho is None:
                 raise ValueError("custom spec needs a density matrix")
@@ -490,17 +491,14 @@ def sweep(grid: dict, cutoff: int | None = None, seed: int = 0) -> list[RunRecor
         }
         run_id = f"sweep-{idx:05d}"
         try:
-            # int() would read 2.5 as 2 and True as 1; inf % 1 is NaN
-            if isinstance(n_modes, (bool, np.bool_)) or isinstance(n_modes, float) and n_modes % 1:
-                raise ValueError(f"N must be a whole number, got {n_modes!r}")
-            inputs["N"] = int(n_modes)
             params = ModelParams(
                 E=float(E), eps=float(eps), eta=float(eta), tau=float(tau),
-                N=inputs["N"], beta0=float(beta0), beta=float(beta),
+                N=n_modes, beta0=float(beta0), beta=float(beta),
             )
         except (TypeError, ValueError) as exc:
             records.append(RunRecord(run_id=run_id, inputs=inputs, outputs={"error": str(exc)}))
             continue
+        inputs["N"] = params.N
         outputs = kernel_outputs(params)
         finite = not (math.isinf(params.beta0) or math.isinf(params.beta))
         outputs.update({

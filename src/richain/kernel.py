@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "as_integer",
     "ModelParams",
     "StepScalars",
     "step_scalars",
@@ -37,6 +38,15 @@ __all__ = [
     "normal_modes",
     "propagate_vector",
 ]
+
+
+def as_integer(value, name: str) -> int:
+    """`value` as an int: an integer, or a float with no fractional part.  A bool,
+    a fraction, inf, NaN or any other type raises ValueError naming the argument."""
+    whole = isinstance(value, (float, np.floating)) and float(value).is_integer()
+    if whole or isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def _check_beta(name: str, value: float) -> None:
@@ -73,7 +83,8 @@ class ModelParams:
             raise ValueError(f"eta must be >= 0, got {self.eta!r}")
         if not (self.tau > 0.0):
             raise ValueError(f"tau must be > 0, got {self.tau!r}")
-        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
+        object.__setattr__(self, "N", as_integer(self.N, "N"))
+        if self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N!r}")
         _check_beta("beta0", self.beta0)
         _check_beta("beta", self.beta)
@@ -168,6 +179,7 @@ def step_matrix(params: ModelParams, n: int) -> np.ndarray:
     {0, n}.  The unitary of the full step is exp(i*t*eps) * V_n(t); the global
     phase is left to callers so that V stays a one-parameter group.
     """
+    n = as_integer(n, "slot index n")
     if not 1 <= n <= params.N:
         raise ValueError(f"slot index n must satisfy 1 <= n <= {params.N}, got {n}")
     s = step_scalars(params)
@@ -198,8 +210,8 @@ def matrix_exponential_check(params: ModelParams, n: int) -> float:
     computes exp(i*t*Y_n) at t = tau by eigendecomposition and returns the
     largest entrywise deviation from exp(i*t*eps)*V_n(t).
     """
-    if not 1 <= n <= params.N:
-        raise ValueError(f"slot index n must satisfy 1 <= n <= {params.N}, got {n}")
+    n = as_integer(n, "slot index n")
+    U = cmath.exp(1j * params.tau * params.eps) * step_matrix(params, n)  # checks n's range
     E, eps, eta = params.E, params.eps, params.eta
     dim = params.N + 1
     half = (E - eps) / 2.0
@@ -217,7 +229,6 @@ def matrix_exponential_check(params: ModelParams, n: int) -> float:
     t = params.tau
     vals, vecs = np.linalg.eigh(Y)
     expY = (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
-    U = cmath.exp(1j * t * eps) * step_matrix(params, n)
     return float(np.max(np.abs(expY - U)))
 
 
@@ -234,6 +245,7 @@ def propagate_vector(params: ModelParams, m: int, zeta: np.ndarray) -> np.ndarra
     the m visited slots, so a call is O(N) numpy work plus m scalar
     steps.  Powers of gz come from `StepScalars.gz_power`.
     """
+    m = as_integer(m, "step count m")
     if not 1 <= m <= params.N:
         raise ValueError(f"step count m must satisfy 1 <= m <= {params.N}, got {m}")
     zeta = np.asarray(zeta, dtype=complex)

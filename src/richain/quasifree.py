@@ -11,7 +11,8 @@ A thermal mode at inverse temperature beta has n = 1/(e^beta - 1); n = 0
 is the vacuum.  Inner products are conjugate-linear in the first
 argument (numpy.vdot convention).
 
-Entropies are in nats throughout.
+Entropies are in nats throughout.  `dynamics` forms a state's entropy,
+(M-1) s(n) + s(n + n0 <xi,xi>), from n(beta0) and n(beta): n0 cancels.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "occupation",
     "occupation_entropy",
     "char_fn",
-    "state_entropy",
 ]
 
 _ADMISSIBILITY_SLACK = 1e-12
@@ -136,15 +136,3 @@ def char_fn(state: RankOneQuasiFreeState, zeta: np.ndarray) -> float:
     overlap = np.vdot(state.xi, zeta)
     x = 2.0 * state.n + 1.0
     return math.exp(-0.25 * (x * norm_sq + 2.0 * state.n0 * abs(overlap) ** 2))
-
-
-def state_entropy(state: RankOneQuasiFreeState) -> float:
-    """Entropy (M-1) s(n) + s(n + n0*<xi,xi>) of M modes, s = occupation_entropy.
-
-    About 1e-14 relative while the occupations are normal floats (beta
-    below about 708).  Past that they have lost bits that no formula in n
-    recovers, so the entropy is accurate in absolute terms only, and it is
-    0 once they underflow (beta from about 745.1).
-    """
-    return ((state.modes - 1) * occupation_entropy(max(state.n, 0.0))
-            + occupation_entropy(max(state.corrected_n, 0.0)))

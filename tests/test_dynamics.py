@@ -5,9 +5,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fock_reference as ref
 from fock_reference import partial_trace
+from mp_reference import (
+    mp_beta_star_star,
+    mp_entropy,
+    mp_occupation,
+    mp_production,
+    mp_step_sq,
+    mp_window_entropy,
+    state_entropy,
+)
 from richain import fock_oracle as fo
 from richain import dynamics
 from richain.dynamics import (
@@ -29,7 +40,6 @@ from richain.quasifree import (
     mode_entropy,
     occupation,
     occupation_entropy,
-    state_entropy,
 )
 
 # reference values computed offline at 50-digit precision
@@ -370,11 +380,8 @@ class TestContractionPowers:
         N, n = 1_000_000, 1000
         p = std_params(N=N, E=2.0, eps=1.0, eta=0.1, tau=2.0 * float(N) ** -0.4)
         with mp.workdps(50):
-            E, eps, eta, tau = (mp.mpf(v) for v in (p.E, p.eps, p.eta, p.tau))
-            omega = mp.sqrt(((E - eps) / 2) ** 2 + eta**2)
-            wsq = (eta / omega * mp.sin(tau * omega)) ** 2
-            zsq = 1 - wsq
-            n0, nb = (1 / mp.expm1(mp.mpf(b)) for b in (p.beta0, p.beta))
+            wsq, zsq = mp_step_sq(mp, p)
+            n0, nb = (mp_occupation(mp, b) for b in (p.beta0, p.beta))
             weight_S, weight_Sm = zsq**N, wsq * zsq ** (N - 1)
             expect = [
                 mp.log1p(1 / (weight_S * n0 + (1 - weight_S) * nb)),
@@ -564,12 +571,10 @@ class TestDeepCold:
         got = window_entropy(p, n, k)
         wsq = abs(step_scalars(p).w) ** 2
         with mp.workdps(50):
-            def s(occ):
-                return (occ + 1) * mp.log1p(occ) - occ * mp.log(occ)
-            nb, n0 = (1 / mp.expm1(mp.mpf(b)) for b in (p.beta, p.beta0))
+            nb, n0 = (mp_occupation(mp, b) for b in (p.beta, p.beta0))
             zsq = 1 - mp.mpf(wsq)
             overlap = zsq**k + wsq * zsq ** (k - n) * (1 - zsq**n) / (1 - zsq)
-            expect = float(n * s(nb) + s(nb + overlap * (n0 - nb)))
+            expect = float(n * mp_entropy(mp, nb) + mp_entropy(mp, nb + overlap * (n0 - nb)))
         assert got > 0.0
         assert abs(got - expect) <= 1e-12 * expect
 
@@ -600,7 +605,7 @@ class TestSubnormalOccupations:
         wsq = abs(step_scalars(p).w) ** 2
         assert abs(effective_beta_S(p, 0) - 720.0) <= 1e-14 * 720.0
         with mp.workdps(50):
-            n0, nb = (1 / mp.expm1(mp.mpf(b)) for b in (p.beta0, p.beta))
+            n0, nb = (mp_occupation(mp, b) for b in (p.beta0, p.beta))
             zsq = 1 - mp.mpf(wsq)
             for m in range(1, p.N + 1):
                 for got, weight in ((effective_beta_S(p, m), zsq**m),
@@ -619,3 +624,92 @@ class TestSubnormalOccupations:
             assert got > 0.0
             assert abs(got - expect) <= rel * expect
             assert abs(got - expect) <= 1e-320
+
+
+def within(got, expect, rtol=1e-15):
+    """|got - expect| <= rtol |expect|, plus two subnormal spacings for a value
+    that itself lies below the normal range."""
+    return abs(got - float(expect)) <= rtol * abs(expect) + 1e-323
+
+
+class TestOccupationMixEdges:
+    """beta**, the window entropy and the production against 50-digit mpmath
+    where one occupation dwarfs the other or the two nearly cancel."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_beta_star_star_near_full_swap(self, m):
+        mp = pytest.importorskip("mpmath")
+        p = ModelParams(E=1.0, eps=1.0, eta=0.5, tau=math.pi - 2e-5, N=3,
+                        beta0=700.0, beta=math.log(2))
+        assert within(effective_beta_Sm(p, m), mp_beta_star_star(mp, p, m))
+
+    @pytest.mark.parametrize("beta0", [30.0, 50.0, 300.0])
+    @pytest.mark.parametrize("n,k", [(0, 0), (0, 3), (2, 5), (3, 3)])
+    def test_window_entropy_of_a_cold_s(self, beta0, n, k):
+        mp = pytest.importorskip("mpmath")
+        p = std_params(N=8, E=2.0, beta0=beta0)
+        got = window_entropy(p, n, k)
+        assert got > 0.0
+        assert within(got, mp_window_entropy(mp, p, n, k))
+
+    @pytest.mark.parametrize("beta", [1e-6, 0.1, math.log(2), 5.0, 50.0, 300.0])
+    @pytest.mark.parametrize("r", [1e-3, 1e-6, 1e-9, 1e-12, -1e-7, 0.5, -0.5, 3.0])
+    def test_production_at_nearly_equal_temperatures(self, beta, r):
+        mp = pytest.importorskip("mpmath")
+        p = std_params(E=2.0, beta0=beta * (1.0 + r), beta=beta)
+        assert within(entropy_production_limit(p), mp_production(mp, p))
+
+    def test_production_far_apart_is_finite(self):
+        # beta0 - beta = 999.9: expm1 would overflow, and n(beta0) is 0
+        got = entropy_production_limit(std_params(E=2.0, beta0=1000.0, beta=0.1))
+        assert math.isfinite(got)
+        assert abs(got - 999.9 * occupation(0.1)) <= 1e-15 * got
+
+    def test_window_entropy_matches_reduced_state_entropy(self):
+        # the O(1) closed form and the entropy of the (n+1)-slot reduced state
+        p = std_params(N=8, E=2.0)
+        for n in range(4):
+            for k in range(n, p.N + 1):
+                expect = state_entropy(reduced_state(p, k, subsystem_slots("window", k, n)))
+                assert within(window_entropy(p, n, k), expect)
+
+    betas = st.floats(math.log(1e-12), math.log(700.0)).map(math.exp)
+
+    @settings(max_examples=40, deadline=None)
+    @given(betas, betas, st.sampled_from([None, 1e-3, -1e-7, 1e-12]),
+           st.integers(1, 8), st.integers(0, 8), st.integers(0, 8))
+    def test_mix_and_production_match_mpmath(self, beta0, beta, offset, m, n, k):
+        # with an offset, beta0 sits that close to beta, where the occupations cancel
+        mp = pytest.importorskip("mpmath")
+        if offset is not None:
+            beta0 = beta * (1.0 + offset)
+        n, k = min(n, k), max(n, k)
+        p = std_params(N=8, E=2.0, beta0=beta0, beta=beta)
+        assert within(effective_beta_Sm(p, m), mp_beta_star_star(mp, p, m))
+        assert within(window_entropy(p, n, k), mp_window_entropy(mp, p, n, k))
+        assert within(entropy_production_limit(p), mp_production(mp, p))
+
+
+class TestIntegerArguments:
+    """Step and slot counts are whole numbers: a bool or a fraction is named,
+    not truncated or read as 1, and a whole float reads as its integer."""
+
+    def test_bool_or_fraction_is_named(self):
+        p = std_params(N=4)
+        for call, name in (
+            (lambda: effective_beta_S(p, 2.5), "steps m"),
+            (lambda: relative_entropy(p, True), "steps m"),
+            (lambda: reduced_char_fn(p, 2.5, [0], 0.5), "steps m"),
+            (lambda: window_overlap_norm_sq(p, 1.5, 3), "window n"),
+            (lambda: window_entropy(p, 1, math.nan), "window k"),
+            (lambda: subsystem_slots("Sm", 2.5), "m"),
+            (lambda: subsystem_slots("window", 3, math.inf), "n"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+                call()
+
+    def test_whole_float_reads_as_integer(self):
+        p = std_params(N=4, E=2.0)
+        assert effective_beta_Sm(p, 3.0) == effective_beta_Sm(p, 3)
+        assert window_entropy(p, 1.0, 3.0) == window_entropy(p, 1, 3)
+        assert subsystem_slots("window", 3.0, 1.0) == [0, 3]

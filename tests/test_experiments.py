@@ -59,6 +59,10 @@ class TestLimitSchedule:
             LimitSchedule(checkpoints=(1000, 100))
         with pytest.raises(ValueError):
             LimitSchedule(multiplier=0.0)
+        # a fraction is named, not truncated to (100, 1000)
+        with pytest.raises(ValueError, match=r"^checkpoints\[0\] must be a whole number"):
+            LimitSchedule(checkpoints=(100.9, 1000.2))
+        assert LimitSchedule(checkpoints=(100.0, 1000)).checkpoints == (100, 1000)
 
     def test_scaling_sequences(self):
         s = LimitSchedule()
@@ -107,6 +111,11 @@ class TestChainStateSpec:
             ChainStateSpec(kind="number_state")
         with pytest.raises(ValueError):
             ChainStateSpec(kind="number_state", level=-1)
+        # a fraction is named, not accepted with min_cutoff 3.7
+        for bad in (1.7, True):
+            with pytest.raises(ValueError, match="^level must be a whole number"):
+                ChainStateSpec(kind="number_state", level=bad)
+        assert ChainStateSpec(kind="number_state", level=1.0).density(3)[1, 1] == 1.0
         with pytest.raises(ValueError):
             ChainStateSpec(kind="custom")
         with pytest.raises(ValueError):
@@ -644,7 +653,7 @@ class TestSweep:
         assert len(recs) == 4
         assert ["error" in r.outputs for r in recs] == [True, True, False, True]
         assert "float() argument" in recs[0].outputs["error"]
-        assert "int() argument" in recs[3].outputs["error"]
+        assert "N must be a whole number" in recs[3].outputs["error"]
         assert recs[1].inputs["N"] == [2]
 
     def test_fractional_or_bool_n_becomes_error_record(self):

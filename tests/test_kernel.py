@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from richain.kernel import (
     ModelParams,
     StepScalars,
+    as_integer,
     matrix_exponential_check,
     normal_modes,
     propagate_vector,
@@ -59,6 +60,37 @@ class TestModelParams:
         for kwargs in ({"E": 0.0}, {"eps": -1.0}, {"tau": 0.0}, {"N": 0}, {"eta": -0.1}):
             with pytest.raises(ValueError):
                 make_params(**kwargs)
+
+    def test_n_is_a_whole_number(self):
+        for bad in (True, 2.5, math.inf, math.nan, "3", np.bool_(True)):
+            with pytest.raises(ValueError, match="^N must be a whole number"):
+                make_params(N=bad)
+        p = make_params(N=np.float64(3.0))
+        assert p.N == 3 and type(p.N) is int
+
+
+class TestAsInteger:
+    def test_whole_numbers_read_as_int(self):
+        for value in (3, np.int64(3), 3.0, np.float32(3.0), -2.0):
+            got = as_integer(value, "x")
+            assert got == int(value) and type(got) is int
+
+    def test_rejects_bool_fraction_and_non_finite(self):
+        for bad in (True, False, np.bool_(False), 2.5, 1e-300, math.inf, -math.inf,
+                    math.nan, None, "3", [3]):
+            with pytest.raises(ValueError, match=r"^count must be a whole number, got "):
+                as_integer(bad, "count")
+
+    def test_step_and_slot_counts(self):
+        p = make_params(N=4)
+        zeta = np.arange(5, dtype=complex)
+        assert np.array_equal(propagate_vector(p, 3.0, zeta), propagate_vector(p, 3, zeta))
+        assert np.array_equal(step_matrix(p, 2.0), step_matrix(p, 2))
+        assert matrix_exponential_check(p, 2.0) == matrix_exponential_check(p, 2)
+        for call in (lambda: propagate_vector(p, 2.5, zeta), lambda: step_matrix(p, True),
+                     lambda: matrix_exponential_check(p, 1.5)):
+            with pytest.raises(ValueError, match="must be a whole number"):
+                call()
 
 
 class TestStepScalars:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mp_reference import mp_entropy, mp_occupation, state_entropy
 from richain.dynamics import _beta_from_occupation
 from richain.quasifree import (
     RankOneQuasiFreeState,
@@ -14,7 +15,6 @@ from richain.quasifree import (
     mode_entropy,
     occupation,
     occupation_entropy,
-    state_entropy,
 )
 
 # reference values computed offline at 50-digit precision
@@ -35,20 +35,6 @@ betas = st.one_of(
 def close(got, expect):
     """Within EDGE_RTOL of expect, relative; exact where expect is 0 or inf."""
     return got == expect or abs(got - expect) <= EDGE_RTOL * abs(expect)
-
-
-def mp_occupation(mp, beta):
-    """50-digit n = 1/(e^beta - 1) from mp.expm1; a naive 1 - e^-b rounds
-    to 1 above b ~ 115."""
-    with mp.workdps(50):
-        return 1 / mp.expm1(mp.mpf(beta))
-
-
-def mp_entropy(mp, n):
-    """50-digit s(n) = (n+1) log1p(n) - n log n."""
-    with mp.workdps(50):
-        n = mp.mpf(n)
-        return (n + 1) * mp.log1p(n) - n * mp.log(n) if n else mp.mpf(0)
 
 
 class TestCovarianceScalar:
