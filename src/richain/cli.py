@@ -74,11 +74,12 @@ def _parse_beta(value) -> float:
 
 def _number(value, convert, where: str):
     """convert(value), or a ConfigError naming `where` when that fails.  A bool
-    is not a number; convert = int reads by `as_integer`, so 3.9 is no integer."""
+    is not a number, nor is a string for convert = float; convert = int reads
+    by `as_integer`, so 3.9 is no integer."""
     kind = "an integer" if convert is int else "a number"
     try:
-        if isinstance(value, bool):
-            raise TypeError("a bool is not a number")
+        if isinstance(value, bool) or convert is float and isinstance(value, str):
+            raise TypeError(f"{value!r} is not a number")
         return as_integer(value, where) if convert is int else convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'{where}' must be {kind}, got {value!r}") from exc
@@ -148,9 +149,10 @@ def _parse_complex_pair(value, where: str) -> complex:
         isinstance(value, (list, tuple))
         and len(value) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        and all(abs(v) <= sys.float_info.max for v in value)  # no inf, NaN or int past the floats
     ):
         return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{where} must be a [re, im] pair, got {value!r}")
+    raise ConfigError(f"'{where}' must be a [re, im] pair of finite numbers, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +554,9 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
             dev = max(dev, max(0.0, gap - bound))
         checks.append(VerifyCheck("entropy_production_tail", dev, 1e-15))
 
-    # the |1> chain's term-by-term product against its error law, which X = |w|^2/2
-    # <= 1/2 keeps available; run before the oracle states, it adds nothing to their peak
+    # the |1> chain's product against its error law, which X = |w|^2/2 <= 1/2 keeps
+    # available; the run streams each row's tail (100 + 1000 + 10000 factors) against
+    # the series.  Run before the oracle states, it adds nothing to their peak
     try:
         records = short_time_limit_run(params, LimitSchedule(checkpoints=(100, 1_000, 10_000)),
                                        ChainStateSpec(kind="number_state", level=1), [1.0])

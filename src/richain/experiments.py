@@ -10,6 +10,13 @@ and records the distance to the limit.  For a diagonal chain density an
 exact series in the chain's factorial moments predicts that distance, and
 a rigorous bound on the series' tail gates the run.
 
+The same series, summed to rounding over geometric sums of |z|^2, gives
+the chain's product in O(1) operations per checkpoint.  Only its head,
+the factors whose argument lies past half the series' radius, and one
+chunk of at most 2^14 tail factors are evaluated factor by factor on the
+one-mode Weyl oracle; that chunk must meet the series to 1e-13 relative,
+so every row is checked against arithmetic that does not rest on it.
+
 Also here: the moment-hypothesis report backing that run, the oracle
 trajectory and cross-check helper, and a parameter sweep emitting one
 record per grid point.  Records are plain data; serialization lives in
@@ -242,6 +249,18 @@ def _chain_product_log(
 
 _PRODUCT_TERM_CAP = 100_000_000
 
+# the order `_log_series` is taken to.  Tails of number states 0..15 reach
+# rounding by order 49; the radius shrinks as the level grows, so leave room.
+_SERIES_ORDER = 128
+_ROUNDING = 2.0**-53
+# the streamed tail chunk against the series over the same terms, relative.  The
+# largest gap measured is 4.0e-15, over number states 0..10 and three diagonal
+# custom densities, three models, multipliers 2 and 10, |theta| up to 2 and the
+# default checkpoints.  Below the floor the terms are subnormal floats, whose last
+# digits the two need not share (|theta| = 1e-156 gives a log of -1.1e-312).
+_CROSS_CHECK_TOL = 1e-13
+_CROSS_CHECK_FLOOR = 1e-300
+
 
 def _log_series(spec: ChainStateSpec, order: int) -> tuple[np.ndarray, float, int] | None:
     """a_1 .. a_order of log P = sum_j a_j x^j, the radius min|root of P| and
@@ -261,6 +280,72 @@ def _log_series(spec: ChainStateSpec, order: int) -> tuple[np.ndarray, float, in
     return a[1:], radius, degree
 
 
+def _series_log(series, x: float, s: StepScalars, n_terms: int) -> float | None:
+    """Sum over e < n_terms of log C(x_e), x_e = x |z|^(2e) <= radius/2, as
+    -(x/2) G_1 + sum_j a_j x^j G_j with G_j = `s.zsq_geometric(n_terms, j)`.
+
+    As |a_j| <= (deg/j) radius^-j and G_j falls with j, the rest past order J
+    is at most (deg/(J+1)) r^(J+1) G_J / (1 - r), r = x/radius <= 1/2; the sum
+    is cut once that falls below rounding of the sum so far.  None if it has
+    not by the series' last order, or a term is not finite.
+    """
+    a, radius, degree = series
+    r = x / radius
+    total, xj = -0.5 * x * s.zsq_geometric(n_terms, 1), 1.0
+    for j, a_j in enumerate(a, 1):
+        xj *= x
+        g = s.zsq_geometric(n_terms, j)
+        total += a_j * xj * g
+        if not math.isfinite(total):
+            return None
+        if degree / (j + 1) * r ** (j + 1) * g / (1.0 - r) <= _ROUNDING * abs(total):
+            return total
+    return None
+
+
+def _head_length(x: float, radius: float, s: StepScalars, n_steps: int) -> int:
+    """The number of exponents e < n_steps with x |z|^(2e) > radius/2; they
+    lead, as x_e falls with e."""
+    if x <= radius / 2.0:
+        return 0
+    t = math.log(2.0 * x / radius) / (-2.0 * s.log_abs_z)  # x_e > radius/2 for e < t
+    return n_steps if t >= n_steps else max(1, math.ceil(t))
+
+
+def _chain_log(
+    weyl: fock_oracle.OneModeWeyl, series, s: StepScalars, scale: complex, n_steps: int
+) -> complex:
+    """Sum over k < n_steps of log C(scale (gz)^k), the chain's share of the
+    limit run's value.
+
+    For a diagonal density (`series` from `_log_series`) and |z| < 1, the
+    head of exponents with x_k = |scale|^2 |z|^(2k) / 2 > radius/2 is
+    streamed by `_chain_product_log` and the tail summed by `_series_log`.
+    The first min(tail, `weyl.capacity`) tail terms are also streamed, and
+    a gap to the series over the same terms above _CROSS_CHECK_TOL relative
+    raises RuntimeError.  Anything else streams all n_steps terms.
+    """
+    if series is None or s.log_abs_z == 0.0:
+        return _chain_product_log(weyl, s, scale, n_steps)
+    x = abs(scale) ** 2 / 2.0
+    head = _head_length(x, series[1], s, n_steps)
+    rest, x_tail = n_steps - head, x * s.zsq_power(head)
+    tail = _series_log(series, x_tail, s, rest) if rest else 0.0
+    size = min(rest, weyl.capacity)
+    check = tail if size == rest else _series_log(series, x_tail, s, size)
+    if tail is None or check is None:
+        return _chain_product_log(weyl, s, scale, n_steps)
+    log_head = _chain_product_log(weyl, s, scale, head) if head else 0j
+    if size:
+        streamed = _chain_product_log(weyl, s, scale * s.gz_power(head), size)
+        if abs(streamed - check) > _CROSS_CHECK_TOL * abs(check) + _CROSS_CHECK_FLOOR:
+            raise RuntimeError(
+                f"streamed chain terms {streamed!r} off their series law {check!r} "
+                f"over exponents {head}..{head + size - 1}"
+            )
+    return log_head + tail
+
+
 def short_time_limit_run(
     template: ModelParams,
     schedule: LimitSchedule,
@@ -275,7 +360,8 @@ def short_time_limit_run(
     characteristic function of the distinguished mode at beta0 and C the
     chain spec's.  Each record carries |value - limit|; the sequence per
     theta must be monotone nonincreasing (5% slack) from the first
-    checkpoint with tau^2*N >= 1, or the run fails.
+    checkpoint with tau^2*N >= 1, or the run fails.  A non-finite theta
+    raises ValueError.
 
     A diagonal chain density, with log P = sum_j a_j x^j from
     `_log_series`, has the error law
@@ -293,15 +379,31 @@ def short_time_limit_run(
 
     The gibbs law stops at its first term, so its value is limit exp(L)
     at any N and its abs_error is exactly predicted_error.  Other specs
-    evaluate the product term by term, capped at 1e8 terms, on the spec's
-    density at the cutoff max(16, min_cutoff + 4, ceil(8 max|theta|^2) +
-    min_cutoff), which leaves headroom for the largest Weyl displacement
-    the product sees.  That density is prepared
-    once per run as a `fock_oracle.OneModeWeyl`, and the terms stream
-    through `fock_oracle.weyl_expectation_batch` in fixed chunks, so
-    memory does not grow with N.
+    take the chain's log sum_k log C(theta_k) in two parts, capped at 1e8
+    terms.  With x_e = X |z|^(2e), the exponents e with x_e > radius/2
+    form the head, which is evaluated term by term.  The rest form the
+    tail, which for a diagonal density is the same series at X |z|^(2h)
+    over N - h terms, h the head's length: -(x/2) G_1 + sum_j a_j x^j G_j,
+    cut once the bound on its rest falls below rounding.  A run is thus
+    O(1) in N.  The first min(N - h, 2^14) tail terms are also evaluated
+    term by term, and a gap to the series over them above 1e-13 relative
+    (a rounding-level tolerance: the largest gap measured is 4.0e-15)
+    raises RuntimeError, so every row keeps a reference that does not
+    rest on the series.  A density with off-diagonal entries, |z| = 1 or
+    a series that does not reach rounding by order 128 takes every term
+    term by term.
+
+    Term by term means on the spec's density at the cutoff max(16,
+    native + 4 + ceil(2 d sqrt(native)), ceil(8 d^2) + native), d =
+    max|theta| and native = `min_cutoff`: the displaced top level reaches
+    about (sqrt(native) + d)^2, and the Weyl evaluator needs D >= 8 d^2.
+    That density is prepared once per run as a `fock_oracle.OneModeWeyl`,
+    and the terms stream through `fock_oracle.weyl_expectation_batch` in
+    fixed chunks, so memory does not grow with N.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError(f"thetas must be finite, got {thetas.tolist()}")
     report = moment_hypothesis_check(spec)
     if not report.h2_pass:
         raise ValueError(
@@ -312,11 +414,13 @@ def short_time_limit_run(
         raise ValueError(f"term-by-term product capped at {_PRODUCT_TERM_CAP} factors")
 
     n0, moment = occupation(template.beta0), report.symmetric_moment
-    a, radius, degree = _log_series(spec, 2) or (None, 0.0, 0)  # radius 0: no law
+    series = _log_series(spec, _SERIES_ORDER)
+    a, radius, degree = series or (None, 0.0, 0)  # radius 0: no law
     if spec.kind != "gibbs":
-        max_disp = float(np.max(np.abs(thetas)))
+        max_disp, native = float(np.max(np.abs(thetas))), spec.min_cutoff
         weyl = fock_oracle.OneModeWeyl(spec.density(max(
-            16, spec.min_cutoff + 4, math.ceil(8.0 * max_disp**2) + spec.min_cutoff
+            16, native + 4 + math.ceil(2.0 * max_disp * math.sqrt(native)),
+            math.ceil(8.0 * max_disp**2) + native,
         )))
 
     records: list[RunRecord] = []
@@ -341,7 +445,7 @@ def short_time_limit_run(
                 # slots 1..N of U_1 ... U_N (theta e0), phase g w (gz)^(N-k) theta
                 # at slot k; slot 0 is (gz)^N phase theta
                 phase = cmath.exp(1j * n_steps * tau * template.eps)
-                log_chain = _chain_product_log(weyl, s, phase * s.g * s.w * theta, n_steps)
+                log_chain = _chain_log(weyl, series, s, phase * s.g * s.w * theta, n_steps)
                 log_c0 = -0.25 * zsq_n * theta_sq * (2.0 * n0 + 1.0)
                 value = complex(np.exp(log_c0 + log_chain))
             predicted = abs(limit * math.expm1(log_law))

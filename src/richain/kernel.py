@@ -59,9 +59,9 @@ def _check_beta(name: str, value: float) -> None:
 class ModelParams:
     """Physical and run parameters of the chain model.
 
-    E, eps      mode energies of S and of each chain mode (both > 0)
-    eta         coupling strength (>= 0, and eta^2 <= E*eps for stability)
-    tau         duration of one interaction step (> 0)
+    E, eps      mode energies of S and of each chain mode (both finite, > 0)
+    eta         coupling strength (finite, >= 0, and eta^2 <= E*eps for stability)
+    tau         duration of one interaction step (finite, > 0)
     N           number of chain modes (>= 1)
     beta0, beta inverse temperatures of S and of the chain, in (0, +inf]
     """
@@ -75,14 +75,14 @@ class ModelParams:
     beta: float
 
     def __post_init__(self):
-        if not (self.E > 0.0):
-            raise ValueError(f"E must be > 0, got {self.E!r}")
-        if not (self.eps > 0.0):
-            raise ValueError(f"eps must be > 0, got {self.eps!r}")
-        if not (self.eta >= 0.0):
-            raise ValueError(f"eta must be >= 0, got {self.eta!r}")
-        if not (self.tau > 0.0):
-            raise ValueError(f"tau must be > 0, got {self.tau!r}")
+        if not 0.0 < self.E < math.inf:
+            raise ValueError(f"E must be finite and > 0, got {self.E!r}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta!r}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and > 0, got {self.tau!r}")
         object.__setattr__(self, "N", as_integer(self.N, "N"))
         if self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N!r}")

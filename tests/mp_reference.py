@@ -6,6 +6,8 @@ as `mp`, so a test that lacks mpmath skips with `pytest.importorskip`.
 a route independent of `dynamics.window_entropy`'s closed form.
 """
 
+import itertools
+
 from richain.quasifree import RankOneQuasiFreeState, occupation_entropy
 
 
@@ -78,3 +80,27 @@ def mp_production(mp, params):
     with mp.workdps(50):
         d = mp.mpf(params.beta0) - mp.mpf(params.beta)
         return d * (mp_occupation(mp, params.beta) - mp_occupation(mp, params.beta0))
+
+
+def mp_level_one_value(mp, params, theta_sq):
+    """50-digit value of the limit run on the |1> chain after N = params.N steps.
+
+    Chain factor k is exp(-x/2) (1 - x) at x = X |z|^(2k), X = |w|^2 |theta|^2
+    / 2, and sum_{k<N} log(1 - x_k) = -sum_j X^j G_j / j with G_j =
+    (1 - |z|^(2jN)) / (1 - |z|^(2j)); the thermal factor of S is exp(-|z|^(2N)
+    |theta|^2 (2 n0 + 1) / 4).
+    """
+    with mp.workdps(50):
+        wsq, zsq = mp_step_sq(mp, params)
+        n, x = params.N, wsq * mp.mpf(theta_sq) / 2
+
+        def geometric(j):
+            return (1 - zsq ** (j * n)) / (1 - zsq**j)
+
+        log_value = -mp.mpf(theta_sq) / 4 * zsq**n * (2 * mp_occupation(mp, params.beta0) + 1)
+        log_value -= x / 2 * geometric(1)
+        for j in itertools.count(1):
+            term = x**j / j * geometric(j)
+            log_value -= term
+            if term < mp.mpf(10) ** -60:
+                return mp.exp(log_value)

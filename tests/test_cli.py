@@ -497,6 +497,17 @@ class TestConfigErrors:
         ("verify", {"verify": {"seed": 0.5}}, "verify.seed"),
         ("sweep", {"sweep": {"grid": {}, "seed": False}}, "sweep.seed"),
         ("simulate", {"model": {"N": 2}, "simulate": {"seed": True}}, "simulate.seed"),
+        # float keys take numbers, not strings, and a theta must be finite
+        ("kernel", {"model": {"E": "2.0"}}, "model.E"),
+        ("kernel", {"model": {"tau": "1.0"}}, "model.tau"),
+        ("limit", {"limit": {"exponent": "0.4"}}, "limit.exponent"),
+        ("limit", {"limit": {"multiplier": "2.0"}}, "limit.multiplier"),
+        ("sweep", {"sweep": {"grid": {"E": ["2.0"], "eps": [1.0], "eta": [0.5], "tau": [1.0],
+                                      "beta0": [1.0], "beta": [1.5], "N": [2]}}},
+         "sweep.grid.E[0]"),
+        ("limit", {"limit": {"thetas": [[1e999, 0.0]]}}, "limit.thetas[0]"),
+        ("limit", {"limit": {"thetas": [[1.0, 0.0], [0.0, -1e999]]}}, "limit.thetas[1]"),
+        ("limit", {"limit": {"thetas": [[10**400, 0.0]]}}, "limit.thetas[0]"),
     ])
     def test_unread_key_exits_2_and_names_it(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path, {"schema_version": 1, **payload})
@@ -504,6 +515,15 @@ class TestConfigErrors:
         assert code == 2
         assert out == ""
         assert f"'{key}'" in err
+
+    @pytest.mark.parametrize("key", ["E", "eps", "eta", "tau"])
+    def test_non_finite_model_value_names_it(self, tmp_path, capsys, key):
+        # tau = 1e999 used to exit with the bare "math domain error"
+        cfg = write_config(tmp_path, {"schema_version": 1, "model": {key: 1e999}})
+        code, out, err = run_cli(capsys, "kernel", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert f"{key} must be finite" in err
 
     def test_whole_floats_still_read_as_integers(self, tmp_path, capsys):
         outs = []

@@ -1,5 +1,6 @@
 """Schedules, chain-state specs, limit runs, convergence studies and sweeps."""
 
+import cmath
 import math
 import tracemalloc
 from dataclasses import replace
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import fock_reference as ref
+import mp_reference
 from convergence import convergence_study
 from richain import fock_oracle
 from richain.dynamics import effective_beta_S, evolve_state, total_entropy
@@ -15,7 +17,10 @@ from richain.experiments import (
     ORACLE_MAX_N,
     ChainStateSpec,
     LimitSchedule,
+    _SERIES_ORDER,
+    _chain_log,
     _chain_product_log,
+    _head_length,
     _log_series,
     moment_hypothesis_check,
     oracle_deltas,
@@ -216,6 +221,18 @@ class TestMomentHypothesisCheck:
 _PSI03 = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
 
 
+def streamed_value(template, schedule, spec, theta, n_steps, cutoff=60):
+    """The run's value at checkpoint n_steps with all n_steps chain terms
+    evaluated one by one through `_chain_product_log`, at `cutoff`."""
+    tau = schedule.tau(n_steps)
+    s = step_scalars(replace(template, tau=tau, N=n_steps))
+    weyl = fock_oracle.OneModeWeyl(spec.density(cutoff))
+    phase = cmath.exp(1j * n_steps * tau * template.eps)
+    log_chain = _chain_product_log(weyl, s, phase * s.g * s.w * theta, n_steps)
+    x0 = 2.0 * occupation(template.beta0) + 1.0
+    return complex(np.exp(-0.25 * s.zsq_power(n_steps) * abs(theta) ** 2 * x0 + log_chain))
+
+
 class TestShortTimeLimitRun:
     def test_gibbs_error_is_closed_form_discrepancy(self):
         template = std_params()
@@ -233,8 +250,9 @@ class TestShortTimeLimitRun:
             assert rec.outputs["monotone_ok"]
 
     def test_product_route_agrees_with_gibbs_route(self):
-        # feeding the thermal density as a custom matrix must walk the
-        # term-by-term product path to the same values
+        # feeding the thermal density as a custom matrix must give the same
+        # values, both on the run's series route and with every term of the
+        # product walked one by one
         template = std_params()
         sched = LimitSchedule(checkpoints=(100, 1_000))
         D = 30
@@ -246,6 +264,8 @@ class TestShortTimeLimitRun:
         rg = short_time_limit_run(template, sched, gibbs, [0.8 + 0.2j])
         for a, b in zip(rc, rg):
             assert abs(a.outputs["value"] - b.outputs["value"]) < 1e-5
+            streamed = streamed_value(template, sched, custom, 0.8 + 0.2j, a.outputs["N"])
+            assert abs(streamed - b.outputs["value"]) < 1e-5
 
     def test_number_state_run(self):
         template = std_params()
@@ -478,8 +498,8 @@ class TestShortTimeLimitRun:
         assert recs[1].outputs["law_remainder"] > 0.0
 
     def test_value_off_the_law_fails_the_run(self, monkeypatch):
-        # a product 1e-6 off in relative terms passes the monotone gate but
-        # moves abs_error by 4.7e-7, past the law's remainder of 1.0e-7 at N = 1e3
+        # a product 1e-6 off in relative terms passes the monotone gate, but
+        # its streamed chunk leaves the series law over the same terms at N = 1e3
         from richain import experiments
 
         exact = experiments._chain_product_log
@@ -490,6 +510,101 @@ class TestShortTimeLimitRun:
                 std_params(E=2.0, eta=0.5), LimitSchedule(checkpoints=(1_000, 10_000)),
                 ChainStateSpec(kind="number_state", level=1), [1.0],
             )
+
+    def test_non_finite_theta_rejected(self):
+        for spec in (ChainStateSpec(kind="gibbs", beta=1.0),
+                     ChainStateSpec(kind="number_state", level=1)):
+            for theta in (math.inf, complex(1.0, -math.inf), math.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    short_time_limit_run(std_params(), LimitSchedule(checkpoints=(100, 1_000)),
+                                         spec, [1.0, theta])
+
+
+class TestSeriesRoute:
+    """The chain's log as streamed head plus series tail, against the stream."""
+
+    @pytest.mark.parametrize("spec, theta, template, multiplier, checkpoints, heads", [
+        # X = 1.9 and 0.70 lie past radius/2 at N = 100 and 1e3, 0.12 at 1e4
+        (ChainStateSpec(kind="number_state", level=1), 2.0, std_params(), 10.0,
+         (100, 1_000, 10_000), [1, 1, 0]),
+        (ChainStateSpec(kind="number_state", level=2), 1.5 + 0.5j, std_params(E=2.0, eta=0.5),
+         2.0, (1_000, 100_000), [0, 0]),
+        (ChainStateSpec(kind="custom", rho=np.diag([0.5, 0.3, 0.15, 0.05]).astype(complex)),
+         0.7 + 0.3j, std_params(E=2.0, eta=0.5), 2.0, (1_000, 100_000), [0, 0]),
+    ], ids=["level1_head", "level2", "custom_diagonal"])
+    def test_series_route_matches_the_stream(self, spec, theta, template, multiplier,
+                                             checkpoints, heads):
+        # at N = 1e5 the series also covers terms past the one streamed chunk
+        sched = LimitSchedule(multiplier=multiplier, checkpoints=checkpoints)
+        series = _log_series(spec, _SERIES_ORDER)
+        weyl = fock_oracle.OneModeWeyl(spec.density(40))
+        recs = short_time_limit_run(template, sched, spec, [theta])
+        for rec, head in zip(recs, heads):
+            n = rec.outputs["N"]
+            s = step_scalars(replace(template, tau=rec.outputs["tau"], N=n))
+            scale = s.g * s.w * theta
+            assert _head_length(abs(scale) ** 2 / 2.0, series[1], s, n) == head
+            whole = _chain_product_log(weyl, s, scale, n)
+            assert abs(_chain_log(weyl, series, s, scale, n) - whole) <= 1e-14 * abs(whole)
+            expect = streamed_value(template, sched, spec, theta, n)
+            assert abs(rec.outputs["value"] - expect) <= 1e-14 * abs(expect)
+
+    def test_level_one_value_matches_mpmath_at_1e8(self):
+        mp = pytest.importorskip("mpmath")
+        # the CLI's default model, as the benchmark's limit workload runs it
+        template = ModelParams(E=2.0, eps=1.0, eta=0.5, tau=1.0, N=8,
+                               beta0=math.log(3.0), beta=math.log(2.0))
+        sched = LimitSchedule(checkpoints=(1_000_000, 100_000_000))
+        recs = short_time_limit_run(template, sched, ChainStateSpec(kind="number_state", level=1),
+                                    [1.0, 0.5 + 0.5j])
+        for rec in recs:
+            params = replace(template, tau=rec.outputs["tau"], N=rec.outputs["N"])
+            expect = float(mp_reference.mp_level_one_value(mp, params, abs(rec.inputs["theta"]) ** 2))
+            assert rec.outputs["value"].imag == 0.0
+            assert abs(rec.outputs["value"].real - expect) <= 1e-15 * expect
+
+    def test_mutated_coefficient_fails_the_cross_check(self, monkeypatch):
+        # a_3 of |1> is -1/3; 1e-6 of it moves the tail's series by about 4e-8
+        # relative at N = 1e3, far past the cross-check's 1e-13
+        from richain import experiments
+
+        exact = experiments._log_series
+
+        def mutated(spec, order):
+            a, radius, degree = exact(spec, order)
+            a = a.copy()
+            a[2] *= 1.0 + 1e-6
+            return a, radius, degree
+
+        monkeypatch.setattr(experiments, "_log_series", mutated)
+        with pytest.raises(RuntimeError, match="off their series law"):
+            short_time_limit_run(
+                std_params(), LimitSchedule(multiplier=10.0, checkpoints=(100, 1_000)),
+                ChainStateSpec(kind="number_state", level=1), [2.0],
+            )
+
+    def test_subnormal_terms_pass_the_cross_check(self):
+        # at |theta| = 1e-156 and 1e-160 the chain's log is about -1e-312 and
+        # -1e-320, subnormal floats whose last digits stream and series need not share
+        for theta in (1e-156, 1e-160):
+            recs = short_time_limit_run(
+                std_params(E=2.0, eta=0.5), LimitSchedule(checkpoints=(100, 1_000)),
+                ChainStateSpec(kind="number_state", level=2), [theta],
+            )
+            assert all(rec.outputs["value"] == 1.0 for rec in recs)
+
+    def test_wide_density_cutoff_keeps_the_stream_at_rounding(self):
+        # the thermal state cut at D = 30 with theta = 0.5 + 0.5j: at the
+        # cutoff 34 the stream's top levels leak past it, 1.4e-11 off the
+        # series; the run's cutoff leaves room for the displaced top level
+        probs = 0.5 ** np.arange(30)
+        spec = ChainStateSpec(kind="custom", rho=np.diag(probs / probs.sum()).astype(complex))
+        template = std_params()
+        sched = LimitSchedule(multiplier=10.0, checkpoints=(100, 1_000))
+        recs = short_time_limit_run(template, sched, spec, [0.5 + 0.5j])
+        for rec in recs:
+            expect = streamed_value(template, sched, spec, 0.5 + 0.5j, rec.outputs["N"], 80)
+            assert abs(rec.outputs["value"] - expect) <= 1e-14 * abs(expect)
 
 
 class TestLogSeries:

@@ -61,6 +61,14 @@ class TestModelParams:
             with pytest.raises(ValueError):
                 make_params(**kwargs)
 
+    def test_rejects_non_finite_shape_parameters(self):
+        # tau = inf used to fail later, in cos(inf) of the step scalars
+        for name in ("E", "eps", "eta", "tau"):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    make_params(**{name: bad})
+        assert make_params(beta0=math.inf, beta=math.inf).beta == math.inf
+
     def test_n_is_a_whole_number(self):
         for bad in (True, 2.5, math.inf, math.nan, "3", np.bool_(True)):
             with pytest.raises(ValueError, match="^N must be a whole number"):
