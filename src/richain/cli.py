@@ -159,12 +159,9 @@ def _parse_complex_pair(value, where: str) -> complex:
 # serialization
 
 
-def _format_float(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format(value, ".17g")
+# the builtin types a record value already has in split form, checked by exact
+# type ahead of the isinstance chain: nearly every value is one of them
+_PLAIN = (float, int, str, bool, type(None))
 
 
 def _split(section: dict, prefix: str = "") -> dict:
@@ -174,7 +171,9 @@ def _split(section: dict, prefix: str = "") -> dict:
     out = {}
     for key, value in section.items():
         key = prefix + key
-        if isinstance(value, (complex, np.complexfloating)):
+        if type(value) in _PLAIN:
+            out[key] = value
+        elif isinstance(value, (complex, np.complexfloating)):
             out[key + "_re"] = float(value.real)
             out[key + "_im"] = float(value.imag)
         elif isinstance(value, (bool, np.bool_)):
@@ -188,37 +187,44 @@ def _split(section: dict, prefix: str = "") -> dict:
     return out
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _format_float(value)
-    return "" if value is None else str(value)
+# the CSV text of a split value by its exact type, any other type by str:
+# floats with 17 significant digits, which spell inf, -inf and nan so
+_CSV_CELL = {
+    float: "{:.17g}".format,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: str,
+    str: str,
+    type(None): lambda _: "",
+}
 
 
 def _records_csv(records: list[RunRecord]) -> str:
-    rows = [
-        {
+    rows, inputs, echo = [], None, {}
+    for r in records:
+        # records may share one inputs dict, as a simulate run's do: encode it
+        # once.  Its cells are text, which encodes to itself below
+        if r.inputs is not inputs:
+            inputs = r.inputs
+            echo = {key: _CSV_CELL.get(type(v), str)(v) for key, v in _split(inputs).items()}
+        rows.append({
             "run_id": r.run_id,
-            **_split(r.inputs),
+            **echo,
             **_split(r.outputs),
             **_split(r.oracle_deltas or {}, "delta_"),
-        }
-        for r in records
-    ]
+        })
     # dict keys keep first-seen order
     columns = list(dict.fromkeys(col for row in rows for col in row))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_csv_cell(row.get(col)) for col in columns])
+        writer.writerow([_CSV_CELL.get(type(v), str)(v) for v in map(row.get, columns)])
     return buf.getvalue()
 
 
 def _json_value(value):
     if isinstance(value, float) and not math.isfinite(value):
-        return _format_float(value)
+        return str(value)  # "inf", "-inf" or "nan"
     return value
 
 
@@ -280,6 +286,7 @@ def cmd_simulate(config: dict, params: ModelParams, cutoff: int | None) -> list[
     seed = _number(section.get("seed", 0), int, "simulate.seed")
     states = itertools.repeat(None) if cutoff is None else oracle_states(params, cutoff)
 
+    inputs = {**_echo_model(params), "alpha_sample": alpha}  # one echo for every row
     records = []
     for m, rho in zip(range(params.N + 1), states):
         outputs = {
@@ -299,10 +306,7 @@ def cmd_simulate(config: dict, params: ModelParams, cutoff: int | None) -> list[
             deltas = oracle_deltas(params, m, rho, np.random.default_rng([seed, m]), 5)
         records.append(
             RunRecord(
-                run_id=f"simulate-{m:04d}",
-                inputs={**_echo_model(params), "alpha_sample": alpha},
-                outputs=outputs,
-                oracle_deltas=deltas,
+                run_id=f"simulate-{m:04d}", inputs=inputs, outputs=outputs, oracle_deltas=deltas
             )
         )
     return records

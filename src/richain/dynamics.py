@@ -88,6 +88,30 @@ def _check_steps(params: ModelParams, m: int, first: int = 0) -> int:
     return m
 
 
+def _slot_list(slots, N: int) -> list[int]:
+    """`slots` as a list of ints in 0..N, distinct, or ValueError.
+
+    Anything but a nonempty one-dimensional sequence of integers is
+    refused, bools and integral floats included.  A list, tuple or range of
+    plain ints, the common case, needs no numpy shape probe.
+    """
+    plain = type(slots) in (list, tuple, range) and all(type(v) is int for v in slots)
+    values = list(slots) if plain or np.ndim(slots) == 1 else []
+    if not values:
+        raise ValueError("slots must be a nonempty list of slot indices")
+    if not plain:
+        for v in values:
+            # bool is an int subclass, and a cast to int would truncate 1.7 to 1
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"slots must be integers, got {v!r}")
+        values = [int(v) for v in values]
+    if min(values) < 0 or max(values) > N:
+        raise ValueError(f"slots must lie in 0..{N}, got {values}")
+    if len(set(values)) != len(values):
+        raise ValueError(f"slots must be distinct, got {values}")
+    return values
+
+
 def reduced_state(params: ModelParams, m: int, slots) -> RankOneQuasiFreeState:
     """Reduced state on the given full-chain slots after m steps, in the order given.
 
@@ -95,30 +119,27 @@ def reduced_state(params: ModelParams, m: int, slots) -> RankOneQuasiFreeState:
     the conjugate of the first row of U_1...U_m: conj(phase (gz)^m) at
     slot 0, conj(phase g w (gz)^(j-1)) at slots 1 <= j <= m and 0 on the
     slots beyond m that no step has touched yet, with phase
-    exp(i m tau eps).  Costs O(len(slots)).
+    exp(i m tau eps).  `slots` is a nonempty list, tuple, range or 1-D
+    array of distinct integers in 0..N.  Costs O(len(slots)): the slots
+    are checked in Python, and numpy forms only the coefficients.
     """
     m = _check_steps(params, m)
-    values = list(slots) if np.ndim(slots) == 1 else []
-    if not values:
-        raise ValueError("slots must be a nonempty list of slot indices")
-    for v in values:
-        # bool is an int subclass, and a cast to int would truncate 1.7 to 1
-        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"slots must be integers, got {v!r}")
-    slots = np.array(values, dtype=int)
-    if slots.min() < 0 or slots.max() > params.N:
-        raise ValueError(f"slots must lie in 0..{params.N}, got {slots.tolist()}")
-    if len(set(slots.tolist())) != slots.size:
-        raise ValueError(f"slots must be distinct, got {slots.tolist()}")
+    slots = _slot_list(slots, params.N)
     s = step_scalars(params)
-    coeff = np.zeros(slots.size, dtype=complex)
-    live = slots <= m  # slot 0 and the visited slots
-    coeff[live] = s.gz_power(np.where(slots == 0, m, slots - 1)[live])
-    coeff[live & (slots >= 1)] *= s.g * s.w
+    # the products run on the same array shapes as ever: numpy rounds an
+    # in-place product of one element unlike that of several, and the
+    # coefficients keep their bits
+    coeff = s.gz_power([j - 1 if j else m for j in slots])
+    dead = [i for i, j in enumerate(slots) if j > m]  # slots no step has touched
+    if dead:
+        coeff[dead] = 0.0
+    chain = [i for i, j in enumerate(slots) if 0 < j <= m]
+    if chain:
+        coeff[chain] *= s.g * s.w
     coeff *= cmath.exp(1j * m * params.tau * params.eps)
     n = occupation(params.beta)
     return RankOneQuasiFreeState(
-        modes=slots.size, n=n, n0=occupation(params.beta0) - n, xi=np.conj(coeff)
+        modes=len(slots), n=n, n0=occupation(params.beta0) - n, xi=np.conj(coeff)
     )
 
 
@@ -145,7 +166,7 @@ def reduced_char_fn(params: ModelParams, m: int, slots, alphas) -> complex:
     marginal is evaluated there directly, in O(len(slots)) and without
     building the full chain.
     """
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    alphas = np.array(alphas, dtype=complex, ndmin=1)
     return complex(char_fn(reduced_state(params, m, slots), alphas))
 
 

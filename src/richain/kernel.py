@@ -23,6 +23,7 @@ sums of |z|^(2pk) and the test |z| < 1 all read log|z| = log1p(-|w|^2)/2, as
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,8 @@ __all__ = [
 def as_integer(value, name: str) -> int:
     """`value` as an int: an integer, or a float with no fractional part.  A bool,
     a fraction, inf, NaN or any other type raises ValueError naming the argument."""
+    if type(value) is int:  # the common case, ahead of the isinstance checks
+        return value
     whole = isinstance(value, (float, np.floating)) and float(value).is_integer()
     if whole or isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
         return int(value)
@@ -104,13 +107,16 @@ class StepScalars:
     w: complex
     z: complex
 
-    @property
+    # formed on first use and kept in the instance's __dict__, which a frozen
+    # dataclass leaves writable
+    @functools.cached_property
     def log_abs_z(self) -> float:
         """log|z| as log1p(-|w|^2)/2, which |z|^2 + |w|^2 = 1 allows.
 
         Powers exp(k log|z|) then keep a relative error near 1e-16 for k
         up to 1e8, where the float power of |z| loses about k ulps.  Once
         |w|^2 > 1/2, log|z| is read off |z| itself; z = 0 gives -inf.
+        Formed once per instance.
         """
         wsq = abs(self.w) ** 2
         if wsq <= 0.5:
@@ -155,9 +161,21 @@ class StepScalars:
 
 
 def step_scalars(params: ModelParams) -> StepScalars:
-    """Evaluate (g, w, z) over one step, at time t = tau."""
-    t = params.tau
-    E, eps, eta = params.E, params.eps, params.eta
+    """Evaluate (g, w, z) over one step, at time t = tau.
+
+    Formed once per (E, eps, eta, tau) and shared: every closed form of a
+    trajectory asks for the same step, once per row.  The instance is
+    frozen, so sharing it is safe.
+    """
+    return _step_scalars(params.E, params.eps, params.eta, params.tau)
+
+
+# a bounded memo: a run touches one model per row of a sweep or checkpoint of
+# a limit run, and `verify` 200 random ones.  Typed, so an int E and a float E
+# keep their own entries; eta = -0.0 shares the entry of 0.0, and both give
+# the same scalars
+@functools.lru_cache(maxsize=256, typed=True)
+def _step_scalars(E: float, eps: float, eta: float, t: float) -> StepScalars:
     half = (E - eps) / 2.0
     omega = math.hypot(half, eta)
     r = 2.0 * omega

@@ -104,3 +104,19 @@ def mp_level_one_value(mp, params, theta_sq):
             log_value -= term
             if term < mp.mpf(10) ** -60:
                 return mp.exp(log_value)
+
+
+def mp_laguerre_min_root(mp, n):
+    """50-digit smallest root of the Laguerre polynomial L_n, n >= 1, the
+    radius of log P for the number state |n>.
+
+    L_n = sum_k (-1)^k C(n, k) x^k / k! is positive from 0 up to that root,
+    which lies within a factor 1.5 of j_{0,1}^2 / (4n + 2) and below half
+    the next one; the Anderson solver refines it inside that bracket.
+    """
+    with mp.workdps(50):
+        coeffs = [(-1) ** k * mp.binomial(n, k) / mp.factorial(k) for k in range(n, -1, -1)]
+        guess = mp.besseljzero(0, 1) ** 2 / (4 * n + 2)
+        lo, hi = guess / 2, 3 * guess / 2
+        assert mp.polyval(coeffs, lo) > 0 > mp.polyval(coeffs, hi)
+        return mp.findroot(lambda x: mp.polyval(coeffs, x), (lo, hi), solver="anderson")

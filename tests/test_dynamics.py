@@ -253,6 +253,11 @@ class TestSlotPath:
             assert np.all(full[m + 1:] == 0)
             slots = [5, 0, 3]
             assert np.array_equal(reduced_state(p, m, slots).xi, full[slots])
+            # any one-dimensional sequence of integers gives the state of the list
+            for same in (np.array(slots), [np.int64(j) for j in slots], tuple(slots)):
+                assert np.array_equal(reduced_state(p, m, same).xi, full[slots])
+            assert np.array_equal(reduced_state(p, m, range(2, 5)).xi,
+                                  reduced_state(p, m, [2, 3, 4]).xi)
 
     def test_xi_coefficients_validation(self):
         p = std_params(N=4)
@@ -260,6 +265,10 @@ class TestSlotPath:
                          (2, [1.7]), (2, [0, True])):
             with pytest.raises(ValueError):
                 reduced_state(p, m, slots)
+        # slots come as a one-dimensional sequence, not a bare int or a table
+        for bad in (3, np.int64(3), np.array([[0, 1]])):
+            with pytest.raises(ValueError, match="nonempty list of slot indices"):
+                reduced_state(p, 2, bad)
         # a non-integer slot is named, not truncated or read as slot 1
         for bad in (1.7, True, np.float64(2.0)):
             with pytest.raises(ValueError, match=re.escape(f"integers, got {bad!r}")):

@@ -511,6 +511,41 @@ class TestShortTimeLimitRun:
                 ChainStateSpec(kind="number_state", level=1), [1.0],
             )
 
+    def test_vacuum_errors_at_rounding_pass_the_monotone_gate(self):
+        # the vacuum chain is Gaussian, so its value meets the limit to rounding:
+        # abs_error [0, 5.6e-17, 0] rises by less than the gate's 1e-14 |limit|
+        recs = short_time_limit_run(
+            std_params(), LimitSchedule(multiplier=10.0, checkpoints=(100, 10_000, 1_000_000)),
+            ChainStateSpec(kind="number_state", level=0), [2.0],
+        )
+        for rec in recs:
+            assert rec.outputs["abs_error"] <= 1e-14 * rec.outputs["limit"]
+            assert rec.outputs["monotone_ok"]
+
+    @pytest.mark.parametrize("rise, fails", [(0.5e-14, False), (2e-14, True)])
+    def test_monotone_gate_floor(self, monkeypatch, rise, fails):
+        # a density with no error law is gated on monotonicity alone.  With the
+        # chain's log set so that value = limit (1 + e), e = 0, rise, 0 along the
+        # checkpoints, a rise below 1e-14 |limit| passes and one above it fails
+        from richain import experiments
+
+        template, spec = std_params(), ChainStateSpec(kind="custom", rho=np.outer(_PSI03, _PSI03.conj()))
+        limit = math.exp(-0.25 * spec.symmetric_moment())  # theta = 1
+        rel = dict(zip((100, 1_000, 10_000), (0.0, rise, 0.0)))
+
+        def chain_log(weyl, series, s, scale, n_steps):
+            log_c0 = -0.25 * s.zsq_power(n_steps) * (2.0 * occupation(template.beta0) + 1.0)
+            return math.log(limit) - log_c0 + math.log1p(rel[n_steps])
+
+        monkeypatch.setattr(experiments, "_chain_log", chain_log)
+        run = lambda: short_time_limit_run(template, LimitSchedule(checkpoints=tuple(rel)), spec, [1.0])
+        if fails:
+            with pytest.raises(RuntimeError, match="not monotone"):
+                run()
+        else:
+            errs = [rec.outputs["abs_error"] for rec in run()]
+            assert errs[1] > 1.05 * errs[0] and abs(errs[1] - rise * limit) < 1e-15
+
     def test_non_finite_theta_rejected(self):
         for spec in (ChainStateSpec(kind="gibbs", beta=1.0),
                      ChainStateSpec(kind="number_state", level=1)):
@@ -635,6 +670,22 @@ class TestLogSeries:
         for j in range(1, 5):
             assert abs(a[j - 1] + np.sum(roots ** -float(j)) / j) < 1e-12 * abs(a[j - 1])
         assert degree == 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("level", [0, 1, 150, 167, 200, 300])
+    def test_number_state_radius_at_high_levels(self, level):
+        # P = L_level.  Its leading coefficient 1/level! would overflow a
+        # division from level 167 and underflows to 0 from 178, so the degree
+        # comes off the density's diagonal
+        mp = pytest.importorskip("mpmath")
+        a, radius, degree = _log_series(ChainStateSpec(kind="number_state", level=level),
+                                        _SERIES_ORDER)
+        assert degree == level
+        if level == 0:
+            assert radius == math.inf and np.all(a == 0.0)
+        else:
+            assert abs(radius - float(mp_reference.mp_laguerre_min_root(mp, level))) <= 1e-12 * radius
+            assert np.all(np.isfinite(a))
 
     def test_off_diagonal_density_has_none(self):
         spec = ChainStateSpec(kind="custom", rho=np.outer(_PSI03, _PSI03.conj()))
