@@ -263,10 +263,12 @@ _CROSS_CHECK_FLOOR = 1e-300
 
 
 def _log_series(spec: ChainStateSpec, order: int) -> tuple[np.ndarray, float, int] | None:
-    """a_1 .. a_order of log P = sum_j a_j x^j, the radius min|root of P| and
-    deg P, where a diagonal chain density has C(r) = exp(-r^2/4) P(r^2/2);
-    None for any other density.  Over the roots x_r, a_j = -(1/j) sum_r
-    x_r^(-j).  The gibbs kind has P(x) = exp(-n x) and no root."""
+    """b_1 .. b_order of log P = sum_j b_j (x/s)^j, the radius min|root of P|
+    and deg P, where a diagonal chain density has C(r) = exp(-r^2/4) P(r^2/2)
+    and s is the radius, or 1 where P has no root; None for any other
+    density.  Over the roots x_r, b_j = -(1/j) sum_r (s/x_r)^j, so |b_j| <=
+    deg/j, where the unscaled a_j = b_j s^-j overflow from about level 372.
+    The gibbs kind has P(x) = exp(-n x) and no root."""
     if spec.kind == "gibbs":
         return np.r_[-occupation(spec.beta), np.zeros(order - 1)], math.inf, 0
     rho = spec.density(spec.min_cutoff)
@@ -279,28 +281,37 @@ def _log_series(spec: ChainStateSpec, order: int) -> tuple[np.ndarray, float, in
     degree = int(np.flatnonzero(np.diagonal(rho))[-1])
     y = float(np.max(np.abs(np.roots(c[: degree + 1])), initial=0.0))
     radius = 1.0 / y if y else math.inf
-    a, c = np.zeros(order + 1), np.r_[c, np.zeros(order)]
+    # c_j s^j as (c_j m^j) 2^(e j), s = m 2^e, so that no power of s over- or
+    # underflows where c_j s^j, at most C(deg, j), does not
+    m, e = math.frexp(_series_scale(radius))
+    k = np.arange(order + 1)
+    b, c = np.zeros(order + 1), np.ldexp(np.r_[c, np.zeros(order)][: order + 1] * m**k, e * k)
     for j in range(1, order + 1):  # x P' = P x (log P)', with c_0 = 1
-        a[j] = c[j] - np.arange(1, j) * a[1:j] @ c[j - 1 : 0 : -1] / j
-    return a[1:], radius, degree
+        b[j] = c[j] - np.arange(1, j) * b[1:j] @ c[j - 1 : 0 : -1] / j
+    return b[1:], radius, degree
+
+
+def _series_scale(radius: float) -> float:
+    """The scale s of `_log_series`: the radius, or 1 where P has no root."""
+    return radius if math.isfinite(radius) else 1.0
 
 
 def _series_log(series, x: float, s: StepScalars, n_terms: int) -> float | None:
     """Sum over e < n_terms of log C(x_e), x_e = x |z|^(2e) <= radius/2, as
-    -(x/2) G_1 + sum_j a_j x^j G_j with G_j = `s.zsq_geometric(n_terms, j)`.
+    -(x/2) G_1 + sum_j b_j (x/s)^j G_j with G_j = `s.zsq_geometric(n_terms, j)`.
 
-    As |a_j| <= (deg/j) radius^-j and G_j falls with j, the rest past order J
-    is at most (deg/(J+1)) r^(J+1) G_J / (1 - r), r = x/radius <= 1/2; the sum
+    As |b_j| <= deg/j and G_j falls with j, the rest past order J is at
+    most (deg/(J+1)) r^(J+1) G_J / (1 - r), r = x/radius <= 1/2; the sum
     is cut once that falls below rounding of the sum so far.  None if it has
     not by the series' last order, or a term is not finite.
     """
-    a, radius, degree = series
-    r = x / radius
-    total, xj = -0.5 * x * s.zsq_geometric(n_terms, 1), 1.0
-    for j, a_j in enumerate(a, 1):
-        xj *= x
+    b, radius, degree = series
+    r, u = x / radius, x / _series_scale(radius)
+    total, uj = -0.5 * x * s.zsq_geometric(n_terms, 1), 1.0
+    for j, b_j in enumerate(b, 1):
+        uj *= u
         g = s.zsq_geometric(n_terms, j)
-        total += a_j * xj * g
+        total += b_j * uj * g
         if not math.isfinite(total):
             return None
         if degree / (j + 1) * r ** (j + 1) * g / (1.0 - r) <= _ROUNDING * abs(total):
@@ -369,7 +380,7 @@ def short_time_limit_run(
     or the run fails.  A non-finite theta raises ValueError.
 
     A diagonal chain density, with log P = sum_j a_j x^j from
-    `_log_series`, has the error law
+    `_log_series` (which carries a_j scaled by its radius), has the error law
 
         log(value / limit) = -(|theta|^2 / 4) |z|^(2N) (2 n0 + 1 - m2)
                              + sum_{j>=2} a_j X^j G_j,
@@ -420,7 +431,7 @@ def short_time_limit_run(
 
     n0, moment = occupation(template.beta0), report.symmetric_moment
     series = _log_series(spec, _SERIES_ORDER)
-    a, radius, degree = series or (None, 0.0, 0)  # radius 0: no law
+    b, radius, degree = series or (None, 0.0, 0)  # radius 0: no law
     if spec.kind != "gibbs":
         max_disp, native = float(np.max(np.abs(thetas))), spec.min_cutoff
         weyl = fock_oracle.OneModeWeyl(spec.density(max(
@@ -440,7 +451,8 @@ def short_time_limit_run(
             x = abs(s.w) ** 2 * theta_sq / 2.0
             log_law = tail = math.nan  # NaN, and no gate, where the law is not available
             if x < radius:
-                log_law = -0.25 * theta_sq * zsq_n * (2.0 * n0 + 1.0 - moment) + a[1] * x**2 * g2
+                log_law = (-0.25 * theta_sq * zsq_n * (2.0 * n0 + 1.0 - moment)
+                           + b[1] * (x / _series_scale(radius)) ** 2 * g2)
                 tail = degree / 3.0 * (x / radius) ** 3 * g3 / (1.0 - x / radius)
             if spec.kind == "gibbs":
                 value = complex(limit * math.exp(log_law))
@@ -544,20 +556,23 @@ def oracle_deltas(
 ) -> dict:
     """The closed forms after m steps against the oracle state rho.
 
-    Draws `samples` complex zeta from `rng`, clamps their norm to 0.5 and
-    returns the largest |char_fn - Tr[rho W(zeta)]| as "char_fn_max",
-    and |S(rho) - total_entropy| as "entropy".  With samples = 0 the
-    generator is left untouched.
+    Draws `samples` complex zeta from `rng`, each as `modes` real parts
+    and then `modes` imaginary parts, clamps their norm to 0.5 and returns
+    the largest |char_fn - Tr[rho W(zeta)]| as "char_fn_max", and
+    |S(rho) - total_entropy| as "entropy".  The oracle takes all samples
+    in one call.  With samples = 0 the generator is left untouched.
     """
     state = dynamics.evolve_state(params, m)
     worst = 0.0
-    for _ in range(samples):
-        zeta = rng.standard_normal(rho.modes) + 1j * rng.standard_normal(rho.modes)
-        norm = float(np.linalg.norm(zeta))
-        if norm > 0.5:
-            zeta *= 0.5 / norm
-        brute = fock_oracle.weyl_expectation(rho, zeta)
-        worst = max(worst, abs(complex(char_fn(state, zeta)) - brute))
+    if samples:
+        parts = rng.standard_normal((samples, 2, rho.modes))
+        zetas = parts[:, 0] + 1j * parts[:, 1]
+        for zeta in zetas:
+            norm = float(np.linalg.norm(zeta))
+            if norm > 0.5:
+                zeta *= 0.5 / norm
+        brute = fock_oracle.weyl_expectation(rho, zetas).tolist()
+        worst = max(abs(complex(char_fn(state, z)) - b) for z, b in zip(zetas, brute))
     entropy = abs(fock_oracle.von_neumann_entropy(rho) - dynamics.total_entropy(params, m))
     return {"char_fn_max": worst, "entropy": entropy}
 

@@ -50,11 +50,18 @@ The steps and spectra split further wherever the physics guarantees it:
   times their spectator phases to contiguous row slices and gathers the
   rows back.
 - Blocks of one size are stacked in the buffer.  A spectrum is one
-  `eigvalsh` call per size, computed once per state, and
-  `weyl_expectation` gathers each mode's factor of the Weyl matrix for
-  a run of one stack's groups with one flat `take` from that mode's
-  transposed one-mode matrix, multiplies the factors in place and
-  contracts them with the run in one dot of the two ravels.
+  `eigvalsh` call per size, computed once per state.
+- `weyl_expectation` contracts mode 0 first, for all samples of a call
+  at once.  A stored entry rho[(a, x), (b, y)], a and b mode 0's
+  occupations, has b - a = delta = |x| - |y|, so for each delta the
+  stored entries form a dense (D - |delta|) x J_delta block, one column
+  per pair (x, y), and the blocks of all 2D - 1 offsets hold every
+  stored entry once.  Each offset is one matmul of the samples' mode-0
+  factors with its block, weighted per column by the product of the
+  other modes' factors; the cached per-layout plan holds the column
+  templates, and the buffer positions are formed per call.  Every
+  one-mode factor comes from one cached eigendecomposition of
+  X = (a + a^dag)/sqrt(2) per cutoff, which `OneModeWeyl` shares.
 """
 
 from __future__ import annotations
@@ -80,7 +87,8 @@ __all__ = [
 EIG_FLOOR = 1e-300
 NEG_EIG_CLAMP = -1e-12
 _TRACE_TOL = 1e-12
-# largest Weyl-matrix gather of `weyl_expectation` on a blocked state
+# largest gather of `weyl_expectation` from a blocked state, and of the
+# samples' products, in entries
 _GATHER_ENTRIES = 1 << 17
 
 
@@ -97,11 +105,27 @@ def _expi_hermitian(H: np.ndarray, t: float) -> np.ndarray:
     return (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
 
 
-def _one_mode_weyl(alpha: complex, D: int) -> np.ndarray:
-    """exp(i*(conj(alpha)*a + alpha*a^dag)/sqrt(2)) at cutoff D."""
+@functools.lru_cache(maxsize=8)
+def _quadrature(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of X = (a + a^dag)/sqrt(2) at cutoff D, read-only."""
     a = build_ladder(D)
-    h = (np.conj(alpha) * a + alpha * a.conj().T) / math.sqrt(2.0)
-    return _expi_hermitian(h, 1.0)
+    lam, Q = np.linalg.eigh((a + a.conj().T) / math.sqrt(2.0))
+    return _read_only(lam), _read_only(Q)
+
+
+def _one_mode_weyl(alpha, D: int) -> np.ndarray:
+    """exp(i*(conj(alpha)*a + alpha*a^dag)/sqrt(2)) at cutoff D, one D x D
+    matrix per entry of `alpha`.
+
+    Writing alpha = |alpha|*exp(i*phi), the exponent is |alpha| R X R^dag
+    with R = exp(i*phi*num); R is diagonal, so this holds at the cutoff and
+    the cached eigendecomposition of X serves every alpha.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    lam, Q = _quadrature(D)
+    E = (Q * np.exp(1j * np.abs(alpha)[..., None, None] * lam)) @ Q.conj().T
+    R = np.exp(1j * np.angle(alpha)[..., None] * np.arange(D))
+    return R[..., :, None] * E * R.conj()[..., None, :]
 
 
 def thermal_probabilities(beta: float, D: int) -> np.ndarray:
@@ -391,6 +415,61 @@ def _embed_range(embedding, start: int, length: int):
     return src[lo:hi], _indices(dst[lo:hi] - start)
 
 
+@functools.lru_cache(maxsize=32)
+def _weyl_plan(modes: int, D: int, coupled: frozenset[int]) -> tuple:
+    """Where `weyl_expectation` finds the stored entries of a state of
+    layout `coupled`, per mode-0 offset delta: (digits, members, starts,
+    counts, row, col, deltas).
+
+    Write a basis tuple as (a, x): a is mode 0's occupation and x, coded
+    row-major, the occupations of modes 1..modes-1.  The class of x is
+    its total |x| with its uncoupled occupations; the tuples of a group
+    with a given a are the x of one class, in row-major order.  So:
+
+    - digits[m - 1] is mode m's occupation of each x, and members lists
+      the x by class, counts[c] of class c from starts[c] on;
+    - row and col give, for the tuple of row-major code a D^(modes-1) + x,
+      the buffer position where its row of its group block starts and
+      its index inside the block;
+    - deltas lists (delta, xs, ys_class) for every delta with stored
+      entries.  (a, x) and (a + delta, y) share a group exactly when
+      |x| - |y| = delta and the classes agree but for the total, and
+      delta = 0 too where mode 0 is uncoupled.  xs are the x with such a
+      y, in class order, and ys_class the class of their y.
+
+    The columns themselves, each x of xs with every y of its partner
+    class, are expanded per call.
+    """
+    layout = _GroupLayout.get(modes, D, coupled)
+    rest = modes - 1
+    digits = np.indices((D,) * rest).reshape(rest, D**rest)
+    uncoupled = [m - 1 for m in range(1, modes) if m not in coupled]
+    spread = D ** len(uncoupled)
+    key = digits.sum(axis=0) * spread + (D ** np.arange(len(uncoupled))) @ digits[uncoupled]
+    members = np.argsort(key, kind="stable")
+    sorted_key = key[members]
+    new = np.r_[True, sorted_key[1:] != sorted_key[:-1]]
+    starts = np.flatnonzero(new)
+    class_key = sorted_key[starts]
+    sorted_class = np.cumsum(new) - 1
+
+    code = layout.basis.grid @ (D ** np.arange(modes - 1, -1, -1))
+    group = layout.group_of
+    row, col = np.empty(D**modes, dtype=np.intp), np.empty(D**modes, dtype=np.intp)
+    row[code] = layout.offsets[group] + layout.local * layout.sizes[group]
+    col[code] = layout.local
+
+    deltas = []
+    for delta in range(-(D - 1), D) if 0 in coupled else (0,):
+        partner_key = class_key - delta * spread
+        partner = np.minimum(np.searchsorted(class_key, partner_key), len(class_key) - 1)
+        has = (class_key[partner] == partner_key)[sorted_class]
+        if has.any():
+            deltas.append((delta, _indices(members[has]), _indices(partner[sorted_class[has]])))
+    counts = np.diff(np.r_[starts, len(members)])
+    return (*map(_read_only, (digits, members, starts, counts, row, col)), tuple(deltas))
+
+
 def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMatrix:
     D, modes = rho.cutoff, rho.modes
     layout, plan = _step_plan(modes, D, rho._layout.coupled, n)
@@ -462,39 +541,67 @@ def _check_weyl_headroom(largest: float, D: int) -> None:
     disp = largest / math.sqrt(2.0)
     if disp > math.sqrt(D) / 4.0:
         raise ValueError(
-            f"displacement {disp:.3g} exceeds cutoff headroom sqrt(D)/4 = "
-            f"{math.sqrt(D) / 4.0:.3g}; raise the cutoff"
+            f"displacement {disp:.3g} exceeds the headroom sqrt(D)/4 = "
+            f"{math.sqrt(D) / 4.0:.3g} of cutoff D = {D}; raise the cutoff"
         )
 
 
-def weyl_expectation(rho: BlockedDensityMatrix, zeta) -> complex:
+def weyl_expectation(rho: BlockedDensityMatrix, zetas):
     """Tr[rho * W(zeta)] with W(zeta) the product of one-mode Weyl operators.
 
-    W(zeta) = exp[i*(<zeta,b> + <b,zeta>)/sqrt(2)] factorizes over modes;
-    each factor is exponentiated by eigendecomposition.
+    W(zeta) = exp[i*(<zeta,b> + <b,zeta>)/sqrt(2)] factorizes over modes.
+    `zetas` of shape (modes,) gives a complex, and of shape (K, modes) one
+    expectation per row; every row must leave the cutoff headroom.
+
+    With w_m the mode-m factor, the trace is the sum of rho[(a, x), (b, y)]
+    w_0[b, a] T[x, y] over stored entries, T[x, y] = prod_{m>=1} w_m[y_m, x_m],
+    contracted over a first per offset b - a as the module docstring says.
+    Each stored entry is read once per call, whatever the number of samples.
     """
     _check_blocked(rho)
-    zeta = np.asarray(zeta, dtype=complex)
-    if zeta.shape != (rho.modes,):
-        raise ValueError(f"zeta must have length modes = {rho.modes}")
+    zetas = np.asarray(zetas, dtype=complex)
+    if zetas.ndim not in (1, 2) or zetas.shape[-1] != rho.modes:
+        raise ValueError(
+            f"zeta must have shape (modes,) or (samples, modes), modes = {rho.modes}; "
+            f"got {zetas.shape}"
+        )
     D = rho.cutoff
-    _check_weyl_headroom(float(np.max(np.abs(zeta))), D)
-    # W[I, J] = prod_m w_m[J_m, I_m], gathered flat from the transposed
-    # factors for a run of one stack's groups, so sum_{I,J} rho[I,J] *
-    # W[I,J] is one dot of the ravels; a run holds at most
-    # _GATHER_ENTRIES entries unless one group alone has more
-    flat = [np.ascontiguousarray(_one_mode_weyl(z, D).T).ravel() for z in zeta]
-    grid = rho._layout.basis.grid
-    total = 0j
-    for st, blocks in rho._stacks():
-        run = max(1, _GATHER_ENTRIES // st.size**2)
-        for lo in range(0, len(blocks), run):
-            cols = grid[st.members[lo : lo + run]].transpose(2, 0, 1)  # (modes, groups, k)
-            W = flat[0].take(D * cols[0][:, :, None] + cols[0][:, None, :])
-            for wt, col in zip(flat[1:], cols[1:]):
-                W *= wt.take(D * col[:, :, None] + col[:, None, :])
-            total += W.ravel() @ blocks[lo : lo + run].ravel()
-    return complex(total)
+    _check_weyl_headroom(float(np.abs(zetas).max(initial=0.0)), D)
+    samples = np.atleast_2d(zetas)
+    K = len(samples)
+    W = _one_mode_weyl(samples, D)  # (K, modes, D, D)
+    # the transposed mode-m factors, flat: entry x_m * D + y_m is w_m[y_m, x_m]
+    flat = [np.ascontiguousarray(W[:, m].transpose(0, 2, 1)).reshape(K, D * D)
+            for m in range(1, rho.modes)]
+    digits, members, starts, counts, row, col, deltas = _weyl_plan(
+        rho.modes, D, rho._layout.coupled
+    )
+    stride = D ** (rho.modes - 1)  # row-major code of (a, x) is a * stride + x
+    buffer = rho._buffer
+    total = np.zeros(K, dtype=complex)
+    for delta, xs, ys_class in deltas:
+        lo, L = max(0, -delta), D - abs(delta)
+        # the columns: each x of xs with the y of every rank j in its partner class
+        first, count = starts[ys_class], counts[ys_class]
+        at = np.repeat(np.arange(len(xs)), count)
+        j = np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count)
+        ys = members[first[at] + j]
+        # base[a - lo, i] + j is the buffer position of rho[(a, xs[i]), (a + delta, y)]:
+        # the row's start plus the column of the partner class's first y
+        a = np.arange(lo, lo + L)[:, None] * stride
+        base = row[a + xs] + col[a + delta * stride + members[first]]
+        w0 = np.diagonal(W[:, 0], offset=-delta, axis1=1, axis2=2)  # w_0[a + delta, a]
+        step = max(1, _GATHER_ENTRIES // max(L, K))
+        for c in range(0, len(ys), step):
+            i, y = at[c : c + step], ys[c : c + step]
+            idx = base.take(i, axis=1)
+            idx += j[c : c + step]
+            R = w0 @ buffer.take(idx)
+            x = xs[i]
+            for m, wt in enumerate(flat):
+                R *= wt.take(digits[m, x] * D + digits[m, y], axis=1)
+            total += R.sum(axis=1)
+    return complex(total[0]) if zetas.ndim == 1 else total
 
 
 # alphas per call of `weyl_expectation_batch`: a `OneModeWeyl`'s scratch is
@@ -519,8 +626,7 @@ class OneModeWeyl:
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError(f"one-mode density matrix must be square, got shape {rho.shape}")
         self.cutoff = D = rho.shape[0]
-        a = build_ladder(D)
-        lam, Q = np.linalg.eigh((a + a.conj().T) / math.sqrt(2.0))
+        lam, Q = _quadrature(D)
         # positive half of the spectrum, then the zero mode at half weight
         half = D // 2
         lam_pos = lam[D - half :]

@@ -657,22 +657,24 @@ class TestLogSeries:
         # moments are k! n^k up to the 2^-30 tail, so log P = -n x up to it
         probs = 0.5 ** np.arange(30)
         spec = ChainStateSpec(kind="custom", rho=np.diag(probs / probs.sum()).astype(complex))
-        a, radius, degree = _log_series(spec, 6)
+        b, radius, degree = _log_series(spec, 6)
+        a = b / radius ** np.arange(1, 7)  # b_j = a_j radius^j
         assert abs(a[0] + 1.0) < 1e-7
         assert np.max(np.abs(a[1:])) < 1e-6
         assert degree == 29 and radius > 1.0
 
     def test_number_state_three(self):
         # P is the Laguerre polynomial L_3, whose smallest root is 0.4158
-        a, radius, degree = _log_series(ChainStateSpec(kind="number_state", level=3), 4)
+        b, radius, degree = _log_series(ChainStateSpec(kind="number_state", level=3), 4)
         roots = np.polynomial.laguerre.lagroots([0, 0, 0, 1])
         assert abs(radius - roots.min()) < 1e-12
         for j in range(1, 5):
-            assert abs(a[j - 1] + np.sum(roots ** -float(j)) / j) < 1e-12 * abs(a[j - 1])
+            # b_j = a_j radius^j, a_j = -(1/j) sum_r x_r^-j
+            assert abs(b[j - 1] + np.sum((radius / roots) ** j) / j) < 1e-12 * abs(b[j - 1])
         assert degree == 3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("level", [0, 1, 150, 167, 200, 300])
+    @pytest.mark.parametrize("level", [0, 1, 150, 167, 200, 300, 372, 400])
     def test_number_state_radius_at_high_levels(self, level):
         # P = L_level.  Its leading coefficient 1/level! would overflow a
         # division from level 167 and underflows to 0 from 178, so the degree
@@ -685,7 +687,28 @@ class TestLogSeries:
             assert radius == math.inf and np.all(a == 0.0)
         else:
             assert abs(radius - float(mp_reference.mp_laguerre_min_root(mp, level))) <= 1e-12 * radius
-            assert np.all(np.isfinite(a))
+            # |b_j| <= deg/j, where a_j = b_j radius^-j passes 1.8e308 from about level 372
+            assert np.all(np.abs(a) * np.arange(1, len(a) + 1) <= degree * (1.0 + 1e-12))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("level", [372, 400])
+    def test_high_levels_take_the_series(self, level, monkeypatch):
+        # every row's tail is summed by the series, streamed alongside it and
+        # held to the cross-check, with no overflow warning on the way
+        from richain import experiments
+
+        sums = []
+        exact = experiments._series_log
+
+        def spy(*args):
+            sums.append(exact(*args))
+            return sums[-1]
+
+        monkeypatch.setattr(experiments, "_series_log", spy)
+        recs = short_time_limit_run(std_params(), LimitSchedule(checkpoints=(100, 1_000)),
+                                    ChainStateSpec(kind="number_state", level=level), [1.0])
+        assert len(sums) == 2 and all(v is not None and math.isfinite(v) for v in sums)
+        assert all(r.outputs["monotone_ok"] for r in recs)
 
     def test_off_diagonal_density_has_none(self):
         spec = ChainStateSpec(kind="custom", rho=np.outer(_PSI03, _PSI03.conj()))
@@ -737,21 +760,27 @@ class TestOracleDeltas:
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_char_fn_max_matches_explicit_loop(self, N):
+        # the samples are drawn one at a time, real parts then imaginary parts,
+        # and the oracle takes them in one call
         p = std_params(N=N, tau=1.0, eta=0.5)
         rho = _oracle_state(p)
         state = evolve_state(p, N)
         rng = np.random.default_rng([7, N])
-        worst = 0.0
+        zetas = []
         for _ in range(6):
             zeta = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
             norm = float(np.linalg.norm(zeta))
             if norm > 0.5:
                 zeta *= 0.5 / norm
-            brute = fock_oracle.weyl_expectation(rho, zeta)
-            worst = max(worst, abs(complex(char_fn(state, zeta)) - brute))
-        got = oracle_deltas(p, N, rho, np.random.default_rng([7, N]), 6)
-        assert got["char_fn_max"] == worst
+            zetas.append(zeta)
+        brute = fock_oracle.weyl_expectation(rho, np.array(zetas))
+        worst = max(abs(complex(char_fn(state, z)) - complex(b)) for z, b in zip(zetas, brute))
+        batched = np.random.default_rng([7, N])
+        got = oracle_deltas(p, N, rho, batched, 6)
+        assert got["char_fn_max"] == worst and type(got["char_fn_max"]) is float
         assert 0.0 < worst < 1e-2
+        # the generator ends where the one-at-a-time draws leave it
+        assert batched.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_entropy_is_the_oracle_gap(self, m):

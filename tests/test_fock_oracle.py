@@ -488,6 +488,53 @@ class TestWeyl:
         with pytest.raises(ValueError, match="cutoff"):
             fo.weyl_expectation(rho, np.array([5.0]))
 
+    @pytest.mark.parametrize("layout", [
+        "product", "one_mode", "pair", "revisit", "two_modes_revisit", "four_modes_pair",
+        "four_modes", "generic", "generic_four_modes", "sector_copy",
+    ])
+    def test_rows_equal_single_calls(self, layout):
+        # one (K, modes) call against K one-row calls, on every layout the
+        # dense and sector-copy comparisons build
+        p = make_params(E=1.7, eps=1.1, eta=0.6, tau=0.9)
+        rng = np.random.default_rng(len(layout))
+        modes, D = (4, 5) if "four" in layout else (2, 9) if "two" in layout else (3, 7)
+        modes = 1 if layout == "one_mode" else modes
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product(
+            [p.beta0] + [p.beta, 1.0, 0.8][: modes - 1], D
+        )
+        if layout.startswith("generic"):
+            rho = _generic_blocked_state(modes, D, rng)
+        elif layout == "sector_copy":
+            rho = ref.from_sector_blocks(modes, D, sector_blocks(fo.evolve_density(rho0, p, [1])))
+        else:
+            schedule = {"pair": [1], "revisit": [1, 2, 1], "two_modes_revisit": [1, 1, 1],
+                        "four_modes_pair": [1, 3], "four_modes": [1, 2, 3]}.get(layout, [])
+            rho = fo.evolve_density(rho0, p, schedule)
+        zetas = 0.5 * rng.uniform(0.0, 1.0, (6, modes)) * np.exp(
+            2j * np.pi * rng.uniform(0.0, 1.0, (6, modes))
+        )
+        rows = fo.weyl_expectation(rho, zetas)
+        assert rows.shape == (6,)
+        single = [fo.weyl_expectation(rho, z) for z in zetas]
+        assert all(type(v) is complex for v in single)
+        assert np.max(np.abs(rows - np.array(single))) <= 1e-15
+        assert abs(fo.weyl_expectation(rho, zetas[:1])[0] - single[0]) <= 1e-15
+        assert fo.weyl_expectation(rho, np.zeros((0, modes))).shape == (0,)
+
+    def test_rows_check_their_width(self):
+        rho = fo.BlockedDensityMatrix.from_thermal_product([1.0, 1.0, 1.0], 6)
+        for zetas in (np.zeros(2), np.zeros(4), np.zeros((5, 2)), np.zeros((2, 5, 3)), 0.1):
+            with pytest.raises(ValueError, match="modes = 3"):
+                fo.weyl_expectation(rho, zetas)
+
+    def test_headroom_guard_reads_every_row(self):
+        # sqrt(6)/4 = 0.612 bounds |zeta|/sqrt(2), so |zeta| = 0.9 passes and 0.9j
+        # in the second row's last mode fails, naming the cutoff
+        rho = fo.BlockedDensityMatrix.from_thermal_product([1.0, 1.0], 6)
+        fo.weyl_expectation(rho, np.array([[0.1, 0.2], [0.3, 0.8j]]))
+        with pytest.raises(ValueError, match="of cutoff D = 6; raise the cutoff"):
+            fo.weyl_expectation(rho, np.array([[0.1, 0.2], [0.3, 0.9j], [0.1, 0.1]]))
+
 
 class TestPartialTrace:
     def test_thermal_marginals(self):
