@@ -26,6 +26,7 @@ from .quasifree import (
     occupation_entropy,
 )
 from .dynamics import (
+    char_fn_S,
     effective_beta_S,
     effective_beta_Sm,
     entropy_production_limit,
@@ -56,7 +57,7 @@ __all__ = [
     "propagate_vector",
     "RankOneQuasiFreeState", "mode_entropy", "occupation", "occupation_entropy",
     "char_fn",
-    "subsystem_slots", "reduced_state", "evolve_state", "reduced_char_fn",
+    "subsystem_slots", "reduced_state", "evolve_state", "reduced_char_fn", "char_fn_S",
     "effective_beta_S", "effective_beta_Sm", "total_entropy",
     "relative_entropy", "entropy_production_limit",
     "window_overlap_norm_sq", "window_entropy",

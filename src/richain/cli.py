@@ -228,24 +228,37 @@ def _json_value(value):
     return value
 
 
-def _records_json(records: list[RunRecord], command: str) -> str:
-    def encode(section: dict) -> dict:
-        return {key: _json_value(value) for key, value in _split(section).items()}
+# json.dumps with an indent runs the pure-Python encoder.  A flat section takes
+# the C encoder in one call: the item separator carries each key's newline and
+# indentation
+_FLAT_SECTION = json.JSONEncoder(
+    sort_keys=True, ensure_ascii=False, separators=(",\n        ", ": "))
+_INDENTED = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False)
 
-    payload = {
-        "schema_version": 1,
-        "command": command,
-        "records": [
-            {
-                "run_id": r.run_id,
-                "inputs": encode(r.inputs),
-                "outputs": encode(r.outputs),
-                "oracle_deltas": encode(r.oracle_deltas) if r.oracle_deltas else None,
-            }
-            for r in records
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+def _json_section(section: dict) -> str:
+    """A record section as json.dumps(indent=2, sort_keys=True) writes it, 6 spaces in."""
+    values = {key: _json_value(value) for key, value in _split(section).items()}
+    if values and all(type(v) in _PLAIN for v in values.values()):
+        return "{\n        " + _FLAT_SECTION.encode(values)[1:-1] + "\n      }"
+    # empty, or holding a container (a sweep error record echoes a bad grid value as given)
+    return _INDENTED.encode(values).replace("\n", "\n      ")
+
+
+def _records_json(records: list[RunRecord], command: str) -> str:
+    """json.dumps(indent=2, sort_keys=True, ensure_ascii=False) of {"schema_version": 1,
+    "command": ..., "records": [...]}, byte for byte."""
+    items, inputs, echo = [], None, ""
+    for r in records:
+        if r.inputs is not inputs:  # a simulate run's records share one inputs dict
+            inputs, echo = r.inputs, _json_section(r.inputs)
+        deltas = _json_section(r.oracle_deltas) if r.oracle_deltas else "null"
+        items.append(f'    {{\n      "inputs": {echo},\n      "oracle_deltas": {deltas},\n'
+                     f'      "outputs": {_json_section(r.outputs)},\n'
+                     f'      "run_id": {_INDENTED.encode(r.run_id)}\n    }}')
+    body = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    return (f'{{\n  "command": {_INDENTED.encode(command)},\n  "records": {body},\n'
+            f'  "schema_version": 1\n}}\n')
 
 
 def _emit(records: list[RunRecord], command: str, output: str | None, fmt: str) -> None:
@@ -277,7 +290,8 @@ def _echo_model(params: ModelParams) -> dict:
 
 def cmd_simulate(config: dict, params: ModelParams, cutoff: int | None) -> list[RunRecord]:
     """Per-step rows of the dynamical quantities, oracle-checked at `cutoff`
-    unless it is None."""
+    unless it is None.  Each row is O(1) closed forms in scalars: char_S is
+    S's Gibbs value at the occupation beta* inverts, with no state built."""
     section = _section(config, "simulate", ("alpha_sample", "seed"))
     alpha = complex(0.5, 0.0)
     if "alpha_sample" in section:
@@ -299,7 +313,8 @@ def cmd_simulate(config: dict, params: ModelParams, cutoff: int | None) -> list[
                 dynamics.relative_entropy(params, m) if finite else float("nan")
             ),
             "total_entropy": dynamics.total_entropy(params, m),
-            "char_S": dynamics.reduced_char_fn(params, m, [0], alpha),
+            # complex, so the column keeps its _re/_im pair
+            "char_S": complex(dynamics.char_fn_S(params, m, alpha)),
         }
         deltas = None
         if rho is not None:

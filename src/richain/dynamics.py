@@ -12,10 +12,12 @@ A subsystem is a list of full-chain slots (0 for the distinguished mode,
 j for chain mode j), and its reduced state keeps the same rank-one form
 with xi_m restricted to those slots, so it costs O(|slots|) and never
 builds the full (N+1)-vector.  `subsystem_slots` lists the slots of the
-subsystems the paper names.  beta*, beta**, the window entropy and the
-entropy production combine n(beta0) and n(beta) only through `_mix` and
-`_production_prefactor`, which never subtract one from the other: that
-cancels for a cold S, near a full swap and at nearly equal temperatures.
+subsystems the paper names.  beta*, S's characteristic function
+(`char_fn_S`, which needs no reduced state), beta**, the window entropy
+and the entropy production combine n(beta0) and n(beta) only through
+`_mix` and `_production_prefactor`, which never subtract one from the
+other: that cancels for a cold S, near a full swap and at nearly equal
+temperatures.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "reduced_state",
     "evolve_state",
     "reduced_char_fn",
+    "char_fn_S",
     "effective_beta_S",
     "effective_beta_Sm",
     "total_entropy",
@@ -195,18 +198,38 @@ def _production_prefactor(params: ModelParams) -> float:
     return d * (occupation(params.beta) - occupation(params.beta0))
 
 
-def effective_beta_S(params: ModelParams, m: int) -> float:
-    """Inverse temperature beta* of S after m steps.
+def _occupation_S(params: ModelParams, m: int) -> float:
+    """Mean occupation n* = |z|^2m n(beta0) + (1-|z|^2m) n(beta) of S after m steps.
 
-    Its mean occupation is the mix n* = |z|^2m n(beta0) + (1-|z|^2m) n(beta),
-    which stays finite for a cold S, where n(beta0) is tiny.  Both weights
+    It stays finite for a cold S, where n(beta0) is tiny.  Both weights
     come from `StepScalars.zsq_power` and `zsq_complement`, so they keep
-    full precision at m = 1e6 and beyond.  Once n* underflows to 0 (both
-    betas from about 745.1), beta* is +inf.
+    full precision at m = 1e6 and beyond.
     """
     m = _check_steps(params, m)
     s = step_scalars(params)
-    return _beta_from_occupation(_mix(params, s.zsq_power(m), s.zsq_complement(m)))
+    return _mix(params, s.zsq_power(m), s.zsq_complement(m))
+
+
+def char_fn_S(params: ModelParams, m: int, alpha: complex) -> float:
+    """Characteristic function of S after m steps, exp(-|alpha|^2 (2 n* + 1) / 4).
+
+    S's reduced state is the Gibbs state of its occupation n*, the one
+    `effective_beta_S` inverts, so this is the value of
+    `reduced_char_fn(params, m, [0], [alpha])` in O(1) scalars, with no
+    state built.  Real and in (0, 1].
+    """
+    alpha = complex(alpha)
+    norm_sq = alpha.real * alpha.real + alpha.imag * alpha.imag
+    return math.exp(-0.25 * norm_sq * (2.0 * _occupation_S(params, m) + 1.0))
+
+
+def effective_beta_S(params: ModelParams, m: int) -> float:
+    """Inverse temperature beta* of S after m steps.
+
+    Its mean occupation is n* of `_occupation_S`.  Once n* underflows to 0
+    (both betas from about 745.1), beta* is +inf.
+    """
+    return _beta_from_occupation(_occupation_S(params, m))
 
 
 def effective_beta_Sm(params: ModelParams, m: int) -> float:

@@ -61,6 +61,17 @@ def mp_beta_star_star(mp, params, m):
         return mp.log1p(1 / mix)
 
 
+def mp_char_fn_S(mp, params, m, alpha):
+    """50-digit characteristic function exp(-|alpha|^2 (2 n* + 1) / 4) of S after
+    m steps, n* = |z|^2m n(beta0) + (1 - |z|^2m) n(beta)."""
+    with mp.workdps(50):
+        _, zsq = mp_step_sq(mp, params)
+        share = zsq**m
+        mix = share * mp_occupation(mp, params.beta0) + (1 - share) * mp_occupation(mp, params.beta)
+        norm_sq = mp.mpf(alpha.real) ** 2 + mp.mpf(alpha.imag) ** 2
+        return mp.exp(-norm_sq / 4 * (2 * mix + 1))
+
+
 def mp_window_entropy(mp, params, n, k):
     """50-digit entropy of the window of S and chain modes k-n+1..k after k steps.
 

@@ -15,8 +15,21 @@ import pytest
 
 import richain
 from richain import dynamics
-from richain.cli import _build_parser, _records_csv, _records_json, cmd_sweep, main
-from richain.experiments import RunRecord
+from richain.cli import (
+    _build_parser,
+    _json_value,
+    _model_from_config,
+    _records_csv,
+    _records_json,
+    _split,
+    cmd_kernel,
+    cmd_simulate,
+    cmd_subsystem,
+    cmd_sweep,
+    cmd_verify,
+    main,
+)
+from richain.experiments import RunRecord, sweep
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -99,6 +112,78 @@ class TestJsonFormat:
         assert "wall_time" not in rec
 
 
+def reference_json(records, command):
+    """The JSON text of `records` through json.dumps' general encoder."""
+    def encode(section):
+        return {key: _json_value(value) for key, value in _split(section).items()}
+
+    payload = {
+        "schema_version": 1,
+        "command": command,
+        "records": [
+            {
+                "run_id": r.run_id,
+                "inputs": encode(r.inputs),
+                "outputs": encode(r.outputs),
+                "oracle_deltas": encode(r.oracle_deltas) if r.oracle_deltas else None,
+            }
+            for r in records
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+class TestJsonBytes:
+    """`_records_json` frames each section's C-encoder text itself: the bytes
+    must be those of json.dumps(indent=2) over the whole payload."""
+
+    @staticmethod
+    def assert_same_bytes(records, command):
+        assert _records_json(records, command) == reference_json(records, command)
+
+    def test_every_subcommand(self):
+        params = _model_from_config({})
+        small = _model_from_config({"model": STD_MODEL})
+        self.assert_same_bytes(cmd_kernel(params), "kernel")
+        self.assert_same_bytes(cmd_simulate({}, params, None), "simulate")
+        with_deltas = cmd_simulate({}, small, 8)
+        assert all(r.oracle_deltas for r in with_deltas)
+        self.assert_same_bytes(with_deltas, "simulate")
+        inf_model = _model_from_config({"model": dict(STD_MODEL, beta0="inf")})
+        self.assert_same_bytes(cmd_simulate({}, inf_model, None), "simulate")
+        config = {"subsystem": {"kind": "window", "m": 5, "n": 2}}
+        self.assert_same_bytes(cmd_subsystem(config, params), "subsystem")
+        self.assert_same_bytes(cmd_subsystem({}, params), "subsystem")
+        self.assert_same_bytes(cmd_verify({}, params, None, 6)[2], "verify")
+        grid = {"E": [1.0, 2.0], "eps": [1.0], "eta": [0.5, 9.0], "tau": [1.0],
+                "beta0": ["inf", math.log(3)], "beta": [math.log(2)], "N": [2]}
+        self.assert_same_bytes(cmd_sweep({"sweep": {"grid": grid}}, 8), "sweep")
+
+    def test_limit(self, tmp_path):
+        out_path = tmp_path / "limit.json"
+        assert main(["limit", "--format", "json", "--output", str(out_path)]) == 0
+        records = json.loads(out_path.read_text(encoding="utf-8"))["records"]
+        assert records and all(r["oracle_deltas"] is None for r in records)
+        payload = {"schema_version": 1, "command": "limit", "records": records}
+        expect = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert out_path.read_text(encoding="utf-8") == expect
+
+    def test_containers_non_ascii_and_empty_sections(self):
+        # a bad grid entry is echoed as given, list and all
+        grid = {"E": [[1.0, 2.0], 2.0], "eps": [1.0], "eta": [0.5], "tau": [1.0],
+                "beta0": [1.0], "beta": [2.0], "N": [2, 2.5]}
+        records = sweep(grid)
+        assert records[0].inputs["E"] == [1.0, 2.0] and "error" in records[0].outputs
+        self.assert_same_bytes(records, "sweep")
+        self.assert_same_bytes([
+            RunRecord("r-é", {"axis": [1, math.nan, {"b": "ü", "a": []}]},
+                      {"error": "β must lie in (0, +inf] — got \"−1\"\n"}, {}),
+            RunRecord("r-1", {}, {}, {"gap": math.inf, "neg": -math.inf, "nan": math.nan}),
+            TestRecordEncoding.RECORD,
+        ], "tëst")
+        self.assert_same_bytes([], "empty")
+
+
 class TestRecordEncoding:
     """CSV and JSON encode one split form of every value a record holds."""
 
@@ -166,6 +251,46 @@ class TestSimulateCommand:
         code, out, _ = run_cli(capsys, "simulate", "--config", cfg)
         assert code == 0
         assert len(out.splitlines()) == 1 + 41
+
+    def test_rows_build_no_reduced_state(self, tmp_path, capsys, monkeypatch):
+        # char_S comes from S's occupation in scalars, not from a rank-one state
+        def state(*args):
+            raise AssertionError("simulate built a reduced state")
+
+        monkeypatch.setattr(dynamics, "reduced_state", state)
+        cfg = write_config(tmp_path, {"schema_version": 1, "model": dict(STD_MODEL, N=40)})
+        code, out, _ = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 41
+
+    @pytest.mark.parametrize("model, alpha", [
+        ({"N": 4000}, [0.5, 0.0]),
+        ({"N": 400}, [0.3, -0.7]),
+        ({"N": 400}, [0.0, 0.0]),
+        ({"N": 400, "beta0": 50.0}, [0.5, 0.0]),
+        ({"N": 400, "beta": "inf"}, [0.3, -0.7]),
+        ({"N": 400, "beta0": "inf"}, [0.5, 0.0]),
+        ({"N": 400, "beta": 1e-3}, [0.02, 0.01]),
+        ({"N": 400, "beta": 1e-3}, [0.5, 0.0]),
+        ({"N": 400, "beta0": 50.0, "beta": "inf"}, [2.0, 1.5]),
+    ])
+    def test_char_S_matches_the_rank_one_state(self, model, alpha):
+        # char_S is S's Gibbs value from n*; reduced_char_fn builds the rank-one
+        # state on slot 0.  Both are exp of an exponent rounded to about 1e-16
+        # relative, so the values agree to 1e-15 relative, times the exponent
+        # where that passes 1 (about 125 at beta = 1e-3 and |alpha| = 0.5)
+        config = {"model": model, "simulate": {"alpha_sample": alpha}}
+        params = _model_from_config(config)
+        records = cmd_simulate(config, params, None)
+        assert len(records) == params.N + 1
+        a = complex(*alpha)
+        for m, record in enumerate(records):
+            got = record.outputs["char_S"]
+            assert got.imag == 0.0
+            expect = dynamics.reduced_char_fn(params, m, [0], a)
+            assert expect.imag == 0.0 and expect.real > 0.0
+            exponent = -math.log(expect.real)
+            assert abs(got.real - expect.real) <= 1e-15 * expect.real * max(1.0, exponent), m
 
     def test_infinite_beta_roundtrips_as_inf(self, tmp_path, capsys):
         model = dict(STD_MODEL)

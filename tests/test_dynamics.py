@@ -12,6 +12,7 @@ import fock_reference as ref
 from fock_reference import partial_trace
 from mp_reference import (
     mp_beta_star_star,
+    mp_char_fn_S,
     mp_entropy,
     mp_occupation,
     mp_production,
@@ -22,6 +23,7 @@ from mp_reference import (
 from richain import fock_oracle as fo
 from richain import dynamics
 from richain.dynamics import (
+    char_fn_S,
     effective_beta_S,
     effective_beta_Sm,
     entropy_production_limit,
@@ -160,9 +162,22 @@ class TestReducedCharFn:
         p = std_params(N=10, E=2.0)
         for m in (0, 3, 10):
             ns = occupation(effective_beta_S(p, m))
-            for a in (0.3, 0.5 - 0.2j, 1.1j):
+            for a in (0.3, 0.5 - 0.2j, 1.1j, 0.0):
                 got = reduced_char_fn(p, m, subsystem_slots("S", m), a)
                 assert abs(got - math.exp(-0.25 * (2.0 * ns + 1.0) * abs(a) ** 2)) < 1e-14
+                # the closed form from S's occupation, with no state built
+                closed = char_fn_S(p, m, a)
+                assert type(closed) is float
+                assert abs(closed - got.real) <= 1e-15 * got.real
+
+    @pytest.mark.parametrize("beta", [math.log(2), 60.0, math.inf])
+    def test_closed_form_of_a_cold_S_matches_mpmath(self, beta):
+        # n(50) = 1.9e-22: 2 n* + 1 rounds to 1 until the chain's quanta reach S
+        mp = pytest.importorskip("mpmath")
+        p = std_params(N=8, E=2.0, beta0=50.0, beta=beta)
+        for m in range(p.N + 1):
+            for a in (0.5, 0.3 - 0.4j, 2.0 + 1.5j):
+                assert within(char_fn_S(p, m, a), mp_char_fn_S(mp, p, m, complex(a)))
 
     def test_Sm_is_thermal_at_beta_star_star(self):
         p = std_params(N=10, E=2.0)
@@ -712,6 +727,7 @@ class TestIntegerArguments:
             (lambda: effective_beta_S(p, 2.5), "steps m"),
             (lambda: relative_entropy(p, True), "steps m"),
             (lambda: reduced_char_fn(p, 2.5, [0], 0.5), "steps m"),
+            (lambda: char_fn_S(p, 2.5, 0.5), "steps m"),
             (lambda: window_overlap_norm_sq(p, 1.5, 3), "window n"),
             (lambda: window_entropy(p, 1, math.nan), "window k"),
             (lambda: subsystem_slots("Sm", 2.5), "m"),
