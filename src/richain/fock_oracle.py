@@ -15,16 +15,18 @@ states evolved from diagonal products never develop matrix elements
 between different total-occupation sectors, and a mode that has not yet
 exchanged quanta keeps a definite occupation.  So a state stores one
 dense block per group of equal uncoupled-mode occupations inside each
-sector, all blocks of one state in one buffer.  Three modes at D = 24
-make 70 sectors, the largest 432 x 432, and the states of a two-step run
-store:
+sector, all blocks of one state in one float64 buffer.  Each block is
+Hermitian, so it is stored as one real array of its size, eight bytes
+per entry (`BlockedDensityMatrix`).  Three modes at D = 24 make 70
+sectors, the largest 432 x 432, and the states of a two-step run store:
 
 - the thermal product, no mode coupled: 1 x 1 groups, its 13,824
-  diagonal entries (0.2 MiB);
+  diagonal entries (0.1 MiB);
 - after step 1, modes 0 and 1 coupled: one pair block of size <= D per
-  group, 221,376 entries (3.4 MiB);
+  group, 221,376 entries (1.7 MiB);
 - after step 2, every mode coupled: the groups are the sectors,
-  4,382,904 entries (66.9 MiB), where the dense matrix takes 2.8 GiB.
+  4,382,904 entries (33.4 MiB), where the dense complex matrix takes
+  2.8 GiB.
 
 States are born only as products, `from_diagonal_product` and
 `from_thermal_product`, which `evolve_density` then steps; no public
@@ -44,23 +46,27 @@ The steps and spectra split further wherever the physics guarantees it:
   directly.  Where each output group is one pair block p, as in the
   first step from a product, the group becomes U[p] rho_g U[p]^H,
   batched over the groups of one size.  Otherwise each output group
-  embeds the finer input groups it contains and permutes rows only:
-  Us @ block @ Us^H = Us @ (Us @ block)^H, and each side gathers the
-  block's rows into spectator-occupation order, applies the pair blocks
-  times their spectator phases to contiguous row slices and gathers the
-  rows back.
+  embeds the finer input groups it contains, unpacked to complex, with
+  its rows and columns in spectator-occupation order; there the step is
+  one pair block times its spectator phase per contiguous row slice and,
+  conjugated, per column slice.  The result is packed and gathered back
+  to the group's order.
 - Blocks of one size are stacked in the buffer.  A spectrum is one
   `eigvalsh` call per size, computed once per state.
 - `weyl_expectation` contracts mode 0 first, for all samples of a call
   at once.  A stored entry rho[(a, x), (b, y)], a and b mode 0's
-  occupations, has b - a = delta = |x| - |y|, so for each delta the
-  stored entries form a dense (D - |delta|) x J_delta block, one column
-  per pair (x, y), and the blocks of all 2D - 1 offsets hold every
-  stored entry once.  Each offset is one matmul of the samples' mode-0
-  factors with its block, weighted per column by the product of the
-  other modes' factors; the cached per-layout plan holds the column
-  templates, and the buffer positions are formed per call.  Every
-  one-mode factor comes from one cached eigendecomposition of
+  occupations, has b - a = delta = |x| - |y|.  Mode 0 leads the order
+  inside a group, so the entry lies below the diagonal where delta < 0,
+  and where delta = 0 as x's row-major code exceeds y's.  For each
+  delta <= 0 these entries form a dense (D - |delta|) x J_delta block,
+  one column per pair (x, y), and each is read with its mirror above
+  the diagonal, the imaginary part: one complex number per column and
+  row, so every stored real number off the diagonal is read once.  Each
+  offset is one matmul of the samples' mode-0 factors with its block,
+  for the entry and for its conjugate mirror, weighted per column by the
+  product of the other modes' factors; the cached per-layout plan holds
+  the column templates, and the buffer positions are formed per call.
+  Every one-mode factor comes from one cached eigendecomposition of
   X = (a + a^dag)/sqrt(2) per cutoff, which `OneModeWeyl` shares.
 """
 
@@ -87,9 +93,10 @@ __all__ = [
 EIG_FLOOR = 1e-300
 NEG_EIG_CLAMP = -1e-12
 _TRACE_TOL = 1e-12
-# largest gather of `weyl_expectation` from a blocked state, and of the
-# samples' products, in entries
-_GATHER_ENTRIES = 1 << 17
+# largest gather of `weyl_expectation` from a blocked state, in entries
+# read with their mirrors, and of the samples' products: each of a chunk's
+# arrays stays near 0.5 MiB, within a core's cache
+_GATHER_ENTRIES = 1 << 15
 
 
 def build_ladder(D: int) -> np.ndarray:
@@ -265,6 +272,30 @@ def _embedding(fine: _GroupLayout, coarse: _GroupLayout) -> tuple[np.ndarray, np
     return _indices(np.concatenate(srcs)[order]), _indices(dst[order])
 
 
+def _unpack(X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The Hermitian blocks (..., k, k) whose packed real form is X, into complex `out`.
+
+    X holds Re rho on and below the diagonal and, above it, X[r, c] =
+    Im rho[c, r], the imaginary part of the mirrored entry below.
+    """
+    lower = np.tri(X.shape[-1], dtype=bool)
+    Xt = X.swapaxes(-1, -2)
+    np.copyto(out.real, Xt)
+    np.copyto(out.real, X, where=lower)
+    np.negative(X, out=out.imag)
+    np.copyto(out.imag, Xt, where=lower)
+    diag = np.arange(X.shape[-1])
+    out.imag[..., diag, diag] = 0.0
+    return out
+
+
+def _pack(R: np.ndarray, out: np.ndarray) -> None:
+    """Store the Hermitian blocks R (..., k, k) in real `out` as `_unpack`
+    reads them: Re R on and below the diagonal, -Im R above it."""
+    np.negative(R.imag, out=out)
+    np.copyto(out, R.real, where=np.tri(R.shape[-1], dtype=bool))
+
+
 class BlockedDensityMatrix:
     """Density matrix stored as one dense block per group of equal
     uncoupled-mode occupations inside each total-occupation sector.
@@ -276,6 +307,11 @@ class BlockedDensityMatrix:
     only the groups of its `_GroupLayout`.  The constructor takes over a
     fresh buffer that nothing else holds, uncopied, and makes it
     read-only, so the spectrum computed once stays valid.
+
+    Every block is Hermitian, so it is stored as one real k x k array X
+    in its slot of a float64 buffer, half the bytes of the complex block:
+    X[r, c] = Re rho[r, c] on and below the diagonal, and X[r, c] =
+    Im rho[c, r] above it.  `_unpack` and `_pack` convert.
     """
 
     def __init__(self, layout: _GroupLayout, buffer: np.ndarray):
@@ -286,7 +322,7 @@ class BlockedDensityMatrix:
         self._spectrum: np.ndarray | None = None
 
     def _stacks(self):
-        """Each stack of the layout with its blocks, an (n, k, k) read-only view."""
+        """Each stack of the layout with its packed blocks, an (n, k, k) read-only view."""
         for st in self._layout.stacks:
             n, k = len(st.members), st.size
             yield st, self._buffer[st.offset : st.offset + n * k * k].reshape(n, k, k)
@@ -314,7 +350,7 @@ class BlockedDensityMatrix:
                 raise ValueError(f"probability vector {m} must be nonnegative and sum to 1")
             diag = diag * p[grid[:, m]]
         # with no mode coupled each group is one basis tuple, in basis order
-        return cls(layout, diag.astype(complex))
+        return cls(layout, diag)
 
     @classmethod
     def from_thermal_product(
@@ -325,8 +361,8 @@ class BlockedDensityMatrix:
         )
 
     def _diagonal(self) -> np.ndarray:
-        """The diagonal, indexed by basis position."""
-        out = np.empty(len(self._layout.basis.grid), dtype=complex)
+        """The diagonal, real, indexed by basis position."""
+        out = np.empty(len(self._layout.basis.grid))
         for st, blocks in self._stacks():
             out[st.members] = np.diagonal(blocks, axis1=1, axis2=2)
         return out
@@ -376,7 +412,8 @@ def _step_plan(modes: int, D: int, coupled: frozenset[int], n: int) -> tuple:
       spectator occupation (every mode but 0 and n), inverse undoes it,
       and runs lists (lo, hi, p, spectator total) per row slice.  Inside
       a run p is fixed and n0 ascends, so the run is exactly the basis of
-      pair block p.  The group's embed puts the rows in `order` already.
+      pair block p.  The group's embed puts the rows and columns in
+      `order` already.
     """
     fine = _GroupLayout.get(modes, D, coupled)
     out = _GroupLayout.get(modes, D, coupled | {0, n})
@@ -402,7 +439,7 @@ def _step_plan(modes: int, D: int, coupled: frozenset[int], n: int) -> tuple:
                 runs.append((lo, hi, p, int(B[0].sum()) - p))
             src, dst = _embed_range(embedding, st.offset + i * k * k, k * k)
             rows, cols = np.divmod(dst, k)
-            embed = (src, _indices(inverse[rows] * k + cols))
+            embed = (src, _indices(inverse[rows] * k + inverse[cols]))
             groups.append((_indices(order), _indices(inverse), tuple(runs), embed))
         plan.append((None, None, tuple(groups)))
     return out, tuple(plan)
@@ -418,8 +455,8 @@ def _embed_range(embedding, start: int, length: int):
 @functools.lru_cache(maxsize=32)
 def _weyl_plan(modes: int, D: int, coupled: frozenset[int]) -> tuple:
     """Where `weyl_expectation` finds the stored entries of a state of
-    layout `coupled`, per mode-0 offset delta: (digits, members, starts,
-    counts, row, col, deltas).
+    layout `coupled`, per mode-0 offset delta <= 0: (digits, members, row,
+    col, size, deltas).
 
     Write a basis tuple as (a, x): a is mode 0's occupation and x, coded
     row-major, the occupations of modes 1..modes-1.  The class of x is
@@ -427,18 +464,22 @@ def _weyl_plan(modes: int, D: int, coupled: frozenset[int]) -> tuple:
     with a given a are the x of one class, in row-major order.  So:
 
     - digits[m - 1] is mode m's occupation of each x, and members lists
-      the x by class, counts[c] of class c from starts[c] on;
-    - row and col give, for the tuple of row-major code a D^(modes-1) + x,
-      the buffer position where its row of its group block starts and
-      its index inside the block;
-    - deltas lists (delta, xs, ys_class) for every delta with stored
-      entries.  (a, x) and (a + delta, y) share a group exactly when
-      |x| - |y| = delta and the classes agree but for the total, and
+      the x by class, ascending inside a class;
+    - row, col and size give, for the tuple of row-major code
+      a D^(modes-1) + x, the buffer position where its row of its group
+      block starts, its index inside the block and the block's size;
+    - deltas lists (delta, xs, first, count) for every delta <= 0 with
+      stored entries.  (a, x) and (a + delta, y) share a group exactly
+      when |x| - |y| = delta and the classes agree but for the total, and
       delta = 0 too where mode 0 is uncoupled.  xs are the x with such a
-      y, in class order, and ys_class the class of their y.
+      y, in class order, and the y of x are members[first : first +
+      count]: its whole partner class where delta < 0, and at delta = 0
+      its own class up to x itself.  Since mode 0 leads the row-major
+      order inside a group, these are the entries on and below the
+      diagonal.
 
-    The columns themselves, each x of xs with every y of its partner
-    class, are expanded per call.
+    The columns themselves, each x of xs with each of its y, are
+    expanded per call.
     """
     layout = _GroupLayout.get(modes, D, coupled)
     rest = modes - 1
@@ -452,22 +493,28 @@ def _weyl_plan(modes: int, D: int, coupled: frozenset[int]) -> tuple:
     starts = np.flatnonzero(new)
     class_key = sorted_key[starts]
     sorted_class = np.cumsum(new) - 1
+    counts = np.diff(np.r_[starts, len(members)])
 
     code = layout.basis.grid @ (D ** np.arange(modes - 1, -1, -1))
     group = layout.group_of
     row, col = np.empty(D**modes, dtype=np.intp), np.empty(D**modes, dtype=np.intp)
     row[code] = layout.offsets[group] + layout.local * layout.sizes[group]
     col[code] = layout.local
+    size = np.empty(D**modes, dtype=np.intp)
+    size[code] = layout.sizes[group]
 
     deltas = []
-    for delta in range(-(D - 1), D) if 0 in coupled else (0,):
+    for delta in range(-(D - 1), 0) if 0 in coupled else ():
         partner_key = class_key - delta * spread
         partner = np.minimum(np.searchsorted(class_key, partner_key), len(class_key) - 1)
         has = (class_key[partner] == partner_key)[sorted_class]
         if has.any():
-            deltas.append((delta, _indices(members[has]), _indices(partner[sorted_class[has]])))
-    counts = np.diff(np.r_[starts, len(members)])
-    return (*map(_read_only, (digits, members, starts, counts, row, col)), tuple(deltas))
+            partner = partner[sorted_class[has]]
+            deltas.append((delta, members[has], starts[partner], counts[partner]))
+    first = starts[sorted_class]
+    deltas.append((0, members, first, np.arange(len(members)) - first + 1))
+    deltas = tuple((delta, *map(_indices, columns)) for delta, *columns in deltas)
+    return (*map(_read_only, (digits, members, row, col, size)), deltas)
 
 
 def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMatrix:
@@ -475,39 +522,61 @@ def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMa
     layout, plan = _step_plan(modes, D, rho._layout.coupled, n)
     U = _pair_blocks(params.E, params.eps, params.eta, params.tau, D)
     phase = np.exp(-1j * params.tau * params.eps * np.arange(modes * (D - 1) + 1))
-    source = rho._buffer
-    buffer = np.empty(layout.size, dtype=complex)
+    U_h, phase_h = [u.conj().T for u in U], phase.conj()
+    # A step onto its own layout, as a revisited slot makes, reads each group
+    # from its own slot.  Otherwise the input's groups are finer and it is
+    # smaller than the output: it is unpacked whole, and the plan's embeds
+    # gather from it.
+    same = rho._layout.coupled == layout.coupled
+    if not same:
+        source = np.empty(rho._buffer.shape, dtype=complex)
+        for st, blocks in rho._stacks():
+            _unpack(blocks, source[st.offset : st.offset + blocks.size].reshape(blocks.shape))
+    buffer = np.empty(layout.size)
     for st, (pairs, embed, groups) in zip(layout.stacks, plan):
         count, k = len(st.members), st.size
         stack = slice(st.offset, st.offset + count * k * k)
         out = buffer[stack].reshape(count, k, k)
+        own = rho._buffer[stack].reshape(count, k, k) if same else None
         if pairs is not None:
-            X = np.zeros(count * k * k, dtype=complex)
-            X[embed[1]] = source[embed[0]]
-            X = X.reshape(count, k, k)
+            if same:
+                X = _unpack(own, np.empty((count, k, k), dtype=complex))
+            else:
+                X = np.zeros((count, k, k), dtype=complex)
+                X.reshape(-1)[embed[1]] = source[embed[0]]
             # one spectator phase multiplies both sides of a pair block, so
             # it cancels
             Ug = np.stack([U[p] for p in pairs])
-            np.matmul(Ug @ X, Ug.conj().transpose(0, 2, 1), out=out)
+            _pack(Ug @ X @ Ug.conj().transpose(0, 2, 1), out)
             continue
         # Us = P^T G P with P the row permutation `order` and G the grouped
-        # blocks, so Us @ block @ Us^H = Us @ (Us @ block)^H: each side permutes
-        # rows only, through one group-sized temporary A and the result R.
-        # The indices are permutations, so mode="clip" never clips; it
-        # spares the copy that take(..., out=) makes by default.
-        for i, (R, (order, inverse, runs, embed)) in enumerate(zip(out, groups)):
-            steps = [(lo, hi, phase[rest_total] * U[p]) for lo, hi, p, rest_total in runs]
-            A = np.zeros(k * k, dtype=complex)
-            A[embed[1]] = source[embed[0]]
-            A = A.reshape(k, k)
-            for lo, hi, Us in steps:
+        # blocks, so Us @ block @ Us^H = P^T (G @ block' @ G^H) P, block' the
+        # block with its rows and columns in `order`: G and G^H act on
+        # contiguous row and column slices, the pair blocks times their
+        # spectator phases.  The result is packed where its entries stand and
+        # then gathered back, as reals.  The indices are permutations, so
+        # mode="clip" never clips; it spares the copy that take(..., out=)
+        # makes by default.
+        R = np.empty((k, k), dtype=complex)
+        for i, (order, inverse, runs, embed) in enumerate(groups):
+            steps = [(lo, hi, phase[t] * U[p], phase_h[t] * U_h[p]) for lo, hi, p, t in runs]
+            if same:
+                A = _unpack(own[i], np.empty((k, k), dtype=complex))
+                np.take(A, order, axis=0, out=R, mode="clip")
+                np.take(R, order, axis=1, out=A, mode="clip")
+            else:
+                A = np.zeros((k, k), dtype=complex)
+                A.reshape(-1)[embed[1]] = source[embed[0]]
+            for lo, hi, Us, _ in steps:
                 np.matmul(Us, A[lo:hi], out=R[lo:hi])
-            np.take(R, inverse, axis=0, out=A, mode="clip")  # A = Us @ block
-            np.conjugate(A, out=A)
-            np.take(A.T, order, axis=0, out=R, mode="clip")
-            for lo, hi, Us in steps:
-                np.matmul(Us, R[lo:hi], out=A[lo:hi])
-            np.take(A, inverse, axis=0, out=R, mode="clip")
+            for lo, hi, _, Us_h in steps:
+                np.matmul(R[:, lo:hi], Us_h, out=A[:, lo:hi])
+            # entry (u, v) of A stands at (order[u], order[v]) of the block;
+            # R's memory serves as two real scratch blocks
+            minus_imag, rows_back = R.reshape(-1).view(float).reshape(2, k, k)
+            Y = np.where(order[:, None] >= order, A.real, np.negative(A.imag, out=minus_imag))
+            np.take(Y, inverse, axis=0, out=rows_back, mode="clip")
+            np.take(rows_back, inverse, axis=1, out=out[i], mode="clip")
     return BlockedDensityMatrix(layout, buffer)
 
 
@@ -556,7 +625,11 @@ def weyl_expectation(rho: BlockedDensityMatrix, zetas):
     With w_m the mode-m factor, the trace is the sum of rho[(a, x), (b, y)]
     w_0[b, a] T[x, y] over stored entries, T[x, y] = prod_{m>=1} w_m[y_m, x_m],
     contracted over a first per offset b - a as the module docstring says.
-    Each stored entry is read once per call, whatever the number of samples.
+    An entry rho below a group's diagonal and its mirror conj(rho) above it
+    add rho W_cr + conj(rho) W_rc, with W_cr = w_0[b, a] T[x, y] and
+    W_rc = w_0[a, b] T[y, x]; a diagonal entry is its own mirror and
+    counts half in each term.  Each stored real number off the diagonal is
+    read once per call, whatever the number of samples.
     """
     _check_blocked(rho)
     zetas = np.asarray(zetas, dtype=complex)
@@ -570,37 +643,45 @@ def weyl_expectation(rho: BlockedDensityMatrix, zetas):
     samples = np.atleast_2d(zetas)
     K = len(samples)
     W = _one_mode_weyl(samples, D)  # (K, modes, D, D)
-    # the transposed mode-m factors, flat: entry x_m * D + y_m is w_m[y_m, x_m]
-    flat = [np.ascontiguousarray(W[:, m].transpose(0, 2, 1)).reshape(K, D * D)
+    # the mode-m factors, flat: entry x_m * D + y_m of row k is w_m[y_m, x_m]
+    # of sample k, and of row K + k conj(w_m[x_m, y_m])
+    flat = [np.concatenate([W[:, m].transpose(0, 2, 1), W[:, m].conj()]).reshape(2 * K, D * D)
             for m in range(1, rho.modes)]
-    digits, members, starts, counts, row, col, deltas = _weyl_plan(
-        rho.modes, D, rho._layout.coupled
-    )
+    digits, members, row, col, size, deltas = _weyl_plan(rho.modes, D, rho._layout.coupled)
     stride = D ** (rho.modes - 1)  # row-major code of (a, x) is a * stride + x
     buffer = rho._buffer
-    total = np.zeros(K, dtype=complex)
-    for delta, xs, ys_class in deltas:
-        lo, L = max(0, -delta), D - abs(delta)
-        # the columns: each x of xs with the y of every rank j in its partner class
-        first, count = starts[ys_class], counts[ys_class]
+    total = np.zeros(2 * K, dtype=complex)
+    for delta, xs, first, count in deltas:
+        lo, L = -delta, D + delta
+        # the columns: each x of xs with the y of every rank j from its first
         at = np.repeat(np.arange(len(xs)), count)
         j = np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count)
         ys = members[first[at] + j]
-        # base[a - lo, i] + j is the buffer position of rho[(a, xs[i]), (a + delta, y)]:
-        # the row's start plus the column of the partner class's first y
+        # rho[(a, xs[i]), (a + delta, y)] is stored at below[a - lo, i] + j, and
+        # the imaginary part at mirror[a - lo, i] + j * k[a - lo, i], the row
+        # start of (a + delta, y) plus the column of (a, x)
         a = np.arange(lo, lo + L)[:, None] * stride
-        base = row[a + xs] + col[a + delta * stride + members[first]]
-        w0 = np.diagonal(W[:, 0], offset=-delta, axis1=1, axis2=2)  # w_0[a + delta, a]
-        step = max(1, _GATHER_ENTRIES // max(L, K))
+        rows, cols = a + xs, a + delta * stride + members[first]
+        below, mirror, k = row[rows] + col[cols], row[cols] + col[rows], size[rows]
+        # w_0[a + delta, a] for each sample, then conj(w_0[a, a + delta])
+        w0 = np.concatenate([np.diagonal(W[:, 0], offset=-delta, axis1=1, axis2=2),
+                             np.diagonal(W[:, 0], offset=delta, axis1=1, axis2=2).conj()])
+        step = max(1, _GATHER_ENTRIES // max(L, 2 * K))
         for c in range(0, len(ys), step):
-            i, y = at[c : c + step], ys[c : c + step]
-            idx = base.take(i, axis=1)
-            idx += j[c : c + step]
-            R = w0 @ buffer.take(idx)
+            i, y, jc = at[c : c + step], ys[c : c + step], j[c : c + step]
+            idx = np.empty((L, len(i), 2), dtype=np.intp)
+            np.add(below.take(i, axis=1), jc, out=idx[..., 0])
+            np.add(mirror.take(i, axis=1), k.take(i, axis=1) * jc, out=idx[..., 1])
+            Z = buffer.take(idx).view(complex)[..., 0]
             x = xs[i]
+            if delta == 0:
+                Z[:, x == y] *= 0.5  # a diagonal entry is its own mirror
+            R = w0 @ Z
             for m, wt in enumerate(flat):
                 R *= wt.take(digits[m, x] * D + digits[m, y], axis=1)
             total += R.sum(axis=1)
+    # each entry below the diagonal with its mirror above: rho W_cr + conj(rho) W_rc
+    total = total[:K] + total[K:].conj()
     return complex(total[0]) if zetas.ndim == 1 else total
 
 
@@ -738,9 +819,19 @@ def _spectrum(rho: BlockedDensityMatrix) -> np.ndarray:
     """All eigenvalues of a blocked state, one `eigvalsh` call per stack,
     computed once per state."""
     if rho._spectrum is None:
-        rho._spectrum = _read_only(np.concatenate([
-            np.linalg.eigvalsh(blocks).ravel() for _, blocks in rho._stacks()
-        ]))
+        parts = []
+        # one complex scratch, as large as the largest stack, serves every stack
+        scratch = np.empty(max(X.size for _, X in rho._stacks()), dtype=complex)
+        for _, X in rho._stacks():
+            # the lower triangle of C is rho's, and eigvalsh reads no other
+            # entry: UPLO 'L', and a Hermitian diagonal's imaginary part is
+            # taken as 0.  Each C is laid out column-major, as LAPACK reads
+            # it, so eigvalsh copies it in without a transposing pass.
+            C = scratch[: X.size].reshape(X.shape).transpose(0, 2, 1)
+            C.real = X
+            C.imag = X.swapaxes(1, 2)
+            parts.append(np.linalg.eigvalsh(C).ravel())
+        rho._spectrum = _read_only(np.concatenate(parts))
     return rho._spectrum
 
 
@@ -768,8 +859,8 @@ def relative_entropy_oracle(rho: BlockedDensityMatrix, rho0: BlockedDensityMatri
         raise ValueError("states must share modes and cutoff")
     if any(st.size > 1 for st in rho0._layout.stacks):
         raise ValueError("reference state must be a diagonal product, with no coupled mode")
-    p0 = rho0._diagonal().real
-    diag = rho._diagonal().real
+    p0 = rho0._diagonal()
+    diag = rho._diagonal()
     dead = p0 <= EIG_FLOOR
     if np.any(diag[dead] > _SUPPORT_TOL):
         raise ValueError("support of rho is not contained in support of rho0")

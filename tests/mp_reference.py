@@ -117,6 +117,48 @@ def mp_level_one_value(mp, params, theta_sq):
                 return mp.exp(log_value)
 
 
+def mp_gibbs_xstar(mp, params, beta):
+    """50-digit x* = |z|^2N coth(beta0/2) + (1 - |z|^2N) coth(beta/2) of the
+    limit run on a Gibbs chain at `beta` after N = params.N steps, and the
+    share |z|^2N."""
+    with mp.workdps(50):
+        _, zsq = mp_step_sq(mp, params)
+        share = zsq**params.N
+        x0, x = (1 / mp.tanh(mp.mpf(b) / 2) for b in (params.beta0, beta))
+        return share * x0 + (1 - share) * x, share
+
+
+def mp_level_one_law(mp, params, theta_sq):
+    """50-digit error law of the limit run on the |1> chain after N =
+    params.N steps: (predicted error, remainder bound).
+
+    With X = |w|^2 |theta|^2 / 2 and G_j = (1 - |z|^(2jN)) / (1 - |z|^(2j)),
+    the law keeps log(value / limit) = -|theta|^2/4 |z|^(2N) (2 n0 + 1 - 3)
+    - X^2 G_2 / 2, 3 the |1> chain's 2<n> + 1, and limit = exp(-3
+    |theta|^2 / 4).  The prediction is |limit expm1| of that log, and the
+    remainder bounds its j >= 3 tail, limit exp(log) expm1(X^3 G_3 /
+    (3 (1 - X))).
+    """
+    with mp.workdps(50):
+        wsq, zsq = mp_step_sq(mp, params)
+        n, x = params.N, wsq * mp.mpf(theta_sq) / 2
+        g2, g3 = ((1 - zsq ** (j * n)) / (1 - zsq**j) for j in (2, 3))
+        excess = 2 * mp_occupation(mp, params.beta0) + 1 - 3
+        log_pred = -mp.mpf(theta_sq) / 4 * zsq**n * excess - x**2 * g2 / 2
+        limit = mp.exp(-3 * mp.mpf(theta_sq) / 4)
+        predicted = abs(limit * mp.expm1(log_pred))
+        return predicted, limit * mp.exp(log_pred) * mp.expm1(x**3 * g3 / (3 * (1 - x)))
+
+
+def mp_zsq_geometric(mp, w_abs, n, p):
+    """50-digit sum_{k<n} |z|^(2pk) = (1 - |z|^(2pn)) / (1 - |z|^(2p)) with
+    |z|^2 = 1 - |w|^2 from the float |w|, so a |w|^2 near 1e-6 keeps every
+    digit that subtracting from a rounded |z|^2 would lose."""
+    with mp.workdps(50):
+        zsq = 1 - mp.mpf(w_abs) ** 2
+        return (1 - zsq ** (p * n)) / (1 - zsq**p)
+
+
 def mp_laguerre_min_root(mp, n):
     """50-digit smallest root of the Laguerre polynomial L_n, n >= 1, the
     radius of log P for the number state |n>.

@@ -332,12 +332,9 @@ class TestShortTimeLimitRun:
         spec = ChainStateSpec(kind="gibbs", beta=math.log(2))
         rec = short_time_limit_run(template, sched, spec, [1.0])[-1]
         xstar = -4.0 * math.log(rec.outputs["value"].real)
-        with mp.workdps(50):
-            E, eps, eta, tau = (mp.mpf(v) for v in (2.0, 1.0, 0.1, rec.outputs["tau"]))
-            omega = mp.sqrt(((E - eps) / 2) ** 2 + eta**2)
-            zsq_n = (1 - (eta / omega * mp.sin(tau * omega)) ** 2) ** 1_000_000
-            x0, x = (1 / mp.tanh(mp.mpf(b) / 2) for b in (template.beta0, math.log(2)))
-            expect = float(zsq_n * x0 + (1 - zsq_n) * x)
+        at_run = replace(template, tau=rec.outputs["tau"], N=1_000_000)
+        expect, zsq_n = mp_reference.mp_gibbs_xstar(mp, at_run, math.log(2))
+        expect = float(expect)
         assert 0.3 < float(zsq_n) < 0.7
         assert abs(xstar - expect) < 1e-14 * expect
 
@@ -457,20 +454,13 @@ class TestShortTimeLimitRun:
                                     ChainStateSpec(kind="number_state", level=1),
                                     [1.0, 0.5 + 0.5j])
         mp = pytest.importorskip("mpmath")
-        with mp.workdps(50):
-            omega = mp.sqrt(mp.mpf(0.5) ** 2 + mp.mpf(0.5) ** 2)
-            excess = 2 / mp.expm1(mp.log(3)) + 1 - 3  # 2 n0 + 1 - m2
-            for rec in recs:
-                n, theta_sq = rec.outputs["N"], abs(rec.inputs["theta"]) ** 2
-                wsq = (mp.mpf(0.5) / omega * mp.sin(mp.mpf(rec.outputs["tau"]) * omega)) ** 2
-                x, zsq = wsq * theta_sq / 2, 1 - wsq
-                g2, g3 = ((1 - zsq ** (j * n)) / (1 - zsq**j) for j in (2, 3))
-                log_pred = -theta_sq / 4 * zsq**n * excess - x**2 * g2 / 2
-                limit = mp.exp(-3 * theta_sq / mp.mpf(4))
-                predicted = abs(limit * mp.expm1(log_pred))
-                remainder = limit * mp.exp(log_pred) * mp.expm1(x**3 * g3 / (3 * (1 - x)))
-                assert abs(rec.outputs["predicted_error"] - predicted) <= 1e-12 * predicted
-                assert abs(rec.outputs["law_remainder"] - remainder) <= 1e-12 * remainder
+        for rec in recs:
+            at_row = replace(template, tau=rec.outputs["tau"], N=rec.outputs["N"])
+            predicted, remainder = mp_reference.mp_level_one_law(
+                mp, at_row, abs(rec.inputs["theta"]) ** 2
+            )
+            assert abs(rec.outputs["predicted_error"] - predicted) <= 1e-12 * predicted
+            assert abs(rec.outputs["law_remainder"] - remainder) <= 1e-12 * remainder
         for rec in recs:
             o = rec.outputs
             gap = abs(o["abs_error"] - o["predicted_error"])

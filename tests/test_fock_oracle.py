@@ -132,6 +132,8 @@ class TestDensityContainers:
         direct = ref.from_sector_blocks(2, 5, sector_blocks(evolved))
         for rho in (blocked, evolved, direct):
             with pytest.raises(ValueError, match="read-only"):
+                rho._buffer[3] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
                 blocks(rho)[3][0, 0] = 0.5
 
 
@@ -297,6 +299,35 @@ class TestGroupedSpectra:
         self._assert_matches_full_block(direct, rho0)
         assert abs(fo.von_neumann_entropy(direct) - fo.von_neumann_entropy(rho0)) < 1e-12
 
+    def test_spectrum_is_the_unpacked_blocks_spectrum(self):
+        # eigvalsh of the packed blocks' complex form reads the lower triangle
+        # alone: the eigenvalues are bit for bit those of the Hermitian blocks
+        p = make_params(E=1.7, eps=1.1, eta=0.6, tau=0.9)
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta, 1.0], 7)
+        for schedule in ([1], [1, 2], [1, 2, 1]):
+            rho = fo.evolve_density(rho0, p, schedule)
+            expect = np.concatenate([np.linalg.eigvalsh(ref.unpack(packed)).ravel()
+                                     for _, packed in rho._stacks()])
+            assert np.array_equal(fo._spectrum(rho), expect)
+
+    def test_spectrum_follows_the_stored_state(self, monkeypatch):
+        # a step that is not unitary must move the entropy: the spectrum is read
+        # from the evolved state's own buffer, not from the product it started as
+        p = make_params()
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta, p.beta], 7)
+        exact = fo.von_neumann_entropy(fo.evolve_density(rho0, p, [1, 2]))
+        pair_blocks = fo._pair_blocks
+
+        def scaled(*key):
+            blocks = list(pair_blocks(*key))
+            blocks[1] = blocks[1] * (1.0 + 1e-6)
+            return tuple(blocks)
+
+        pair_blocks.cache_clear()
+        monkeypatch.setattr(fo, "_pair_blocks", scaled)
+        mutated = fo.von_neumann_entropy(fo.evolve_density(rho0, p, [1, 2]))
+        assert abs(mutated - exact) > 1e-9
+
     def test_spectrum_computed_once_per_state(self, monkeypatch):
         p = make_params()
         rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta, p.beta], 7)
@@ -342,9 +373,9 @@ class TestCompactLayout:
         evolved = [fo.evolve_density(rho0, p, s) for s in ([1], [1, 2], [1, 2, 1])]
         direct = ref.from_sector_blocks(3, 7, sector_blocks(evolved[1]))
         for rho in [rho0, direct] + evolved:
-            base = blocks(rho)[0].base
-            assert all(b.base is base for b in blocks(rho))
-            assert not base.flags.writeable
+            base = rho._buffer
+            assert base.base is None and not base.flags.writeable
+            assert all(packed.base is base for _, packed in rho._stacks())
 
     @pytest.mark.parametrize(
         "modes, D, schedule", [(3, 6, [1]), (3, 6, [1, 2]), (3, 6, [1, 2, 1]), (4, 5, [1, 3])]
@@ -367,6 +398,65 @@ class TestCompactLayout:
         nxt_compact = fo.evolve_density(compact, p, [modes - 1])
         nxt_copy = fo.evolve_density(copy, p, [modes - 1])
         assert np.max(np.abs(to_dense(nxt_compact) - to_dense(nxt_copy))) < 1e-13
+
+
+def _hermitian_stack(rng, n, k):
+    """n exactly Hermitian k x k matrices, A + A^H: real diagonal, mirrored entries conjugate."""
+    A = rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k))
+    return A + A.conj().transpose(0, 2, 1)
+
+
+class TestPacking:
+    """Each Hermitian block stored as one real k x k array."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 16])
+    def test_pack_then_unpack_is_exact(self, k):
+        rng = np.random.default_rng(k)
+        H = _hermitian_stack(rng, 3, k)
+        X = np.empty((3, k, k))
+        fo._pack(H, X)
+        assert np.array_equal(X, ref.pack(H))
+        back = fo._unpack(X, np.empty((3, k, k), dtype=complex))
+        assert np.array_equal(back, H)
+        assert np.array_equal(np.diagonal(back, axis1=1, axis2=2).imag, np.zeros((3, k)))
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_library_unpack_matches_reference(self, k):
+        # any real X is the packing of one Hermitian stack, and packs back to itself
+        X = np.random.default_rng(10 + k).standard_normal((4, k, k))
+        got = fo._unpack(X, np.empty((4, k, k), dtype=complex))
+        assert np.array_equal(got, ref.unpack(X))
+        assert np.array_equal(got, got.conj().transpose(0, 2, 1))
+        assert np.array_equal(ref.pack(got), X)
+
+    def test_buffers_are_float_and_read_only(self):
+        p = make_params(E=1.7, eps=1.1)
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta, p.beta], 6)
+        states = [rho0] + [fo.evolve_density(rho0, p, s) for s in ([1], [1, 2], [1, 2, 1])]
+        for rho in states:
+            assert rho._buffer.dtype == np.float64
+            assert not rho._buffer.flags.writeable
+
+    def test_two_step_run_bytes(self):
+        # 8 bytes for each of the 729, 4401 and 32661 stored entries, half of
+        # the complex blocks' 16
+        p = make_params()
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta, p.beta], 9)
+        rho1 = fo.evolve_density(rho0, p, [1])
+        rho2 = fo.evolve_density(rho1, p, [2])
+        assert [rho._buffer.nbytes for rho in (rho0, rho1, rho2)] == [5832, 35208, 261288]
+
+
+def _assert_weyl_matches_dense(rho, dense, rng):
+    # the dense contraction with the oracle's own one-mode factors, so that
+    # only the reading of the packed entries is compared
+    zetas = 0.5 * rng.uniform(0.2, 1.0, (4, rho.modes)) * np.exp(
+        2j * np.pi * rng.uniform(0.0, 1.0, (4, rho.modes))
+    )
+    got = fo.weyl_expectation(rho, zetas)
+    for z, g in zip(zetas, got):
+        expect = ref.weyl_expectation(dense, z, rho.cutoff, factor=fo._one_mode_weyl)
+        assert abs(g - expect) < 1e-15
 
 
 class TestWeyl:
@@ -482,6 +572,49 @@ class TestWeyl:
                 vb = fo.weyl_expectation(rho, zeta)
                 vd = ref.weyl_expectation(dense, zeta, D)
                 assert abs(vb - vd) < 1e-13
+
+    @pytest.mark.parametrize("modes, D, coupled", [
+        (3, 6, {0, 1}), (3, 6, {0, 1, 2}), (4, 4, {0, 2}), (3, 6, {1, 2}), (4, 4, {2, 3}),
+    ])
+    def test_complex_packed_states(self, modes, D, coupled):
+        # random complex groups: entries on both sides of every group's diagonal,
+        # at every mode-0 offset where mode 0 is coupled, at offset 0 alone where not
+        rng = np.random.default_rng(10 * modes + len(coupled))
+        layout = fo._GroupLayout.get(modes, D, frozenset(coupled))
+        mats = []
+        for k in layout.sizes.tolist():
+            A = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            mats.append(A @ A.conj().T)
+        total = sum(np.trace(b).real for b in mats)
+        rho = ref.from_group_blocks(modes, D, coupled, [b / total for b in mats])
+        dense = to_dense(rho)
+        # which kinds of entries hold complex numbers: the sign of the mode-0
+        # offset, and at offset 0 the order of the other modes' row-major codes
+        rows, cols = np.nonzero(dense.imag)
+        stride = D ** (modes - 1)
+        delta = cols // stride - rows // stride
+        x_vs_y = np.sign(rows % stride - cols % stride)
+        kinds = set(zip(np.sign(delta).tolist(), np.where(delta == 0, x_vs_y, 0).tolist()))
+        # two coupled modes besides mode 0 share a class with x != y
+        expect = {(0, 1), (0, -1)} if len(coupled - {0}) > 1 else set()
+        assert kinds == expect | ({(-1, 0), (1, 0)} if 0 in coupled else set())
+        assert kinds
+        assert np.count_nonzero(np.diagonal(dense)) == D**modes
+        _assert_weyl_matches_dense(rho, dense, rng)
+
+    @pytest.mark.parametrize("modes, D, schedule", [
+        (3, 6, [1]), (3, 6, [1, 2]), (3, 6, [1, 2, 1]), (4, 4, [1, 3]),
+    ])
+    def test_evolved_states_off_resonance(self, modes, D, schedule):
+        # E != eps: the evolved coherences are complex
+        p = make_params(E=1.7, eps=1.1, eta=0.6, tau=0.9)
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product(
+            [p.beta0] + [p.beta, 1.0, 0.8][: modes - 1], D
+        )
+        rho = fo.evolve_density(rho0, p, schedule)
+        dense = to_dense(rho)
+        assert np.max(np.abs(dense.imag)) > 1e-3
+        _assert_weyl_matches_dense(rho, dense, np.random.default_rng(len(schedule) + modes))
 
     def test_headroom_guard(self):
         rho = fo.BlockedDensityMatrix.from_thermal_product([1.0], 6)
