@@ -45,12 +45,13 @@ The steps and spectra split further wherever the physics guarantees it:
 - A step on slot n writes the layout of the coupled modes plus {0, n}
   directly.  Where each output group is one pair block p, as in the
   first step from a product, the group becomes U[p] rho_g U[p]^H,
-  batched over the groups of one size.  Otherwise each output group
-  embeds the finer input groups it contains, unpacked to complex, with
-  its rows and columns in spectator-occupation order; there the step is
-  one pair block times its spectator phase per contiguous row slice and,
-  conjugated, per column slice.  The result is packed and gathered back
-  to the group's order.
+  batched over the groups of one size.  Otherwise a spectator mode is
+  coupled.  The spectator phases are diagonal, so they multiply the
+  input, unpacked to complex, entry by entry; then each output group
+  embeds the finer input groups it contains with its rows and columns
+  in spectator-occupation order, and the step is one pair block per
+  contiguous row slice and, conjugated, per column slice.  The result
+  is gathered back to the group's order and packed.
 - Blocks of one size are stacked in the buffer.  A spectrum is one
   `eigvalsh` call per size, computed once per state.
 - `weyl_expectation` contracts mode 0 first, for all samples of a call
@@ -95,8 +96,8 @@ NEG_EIG_CLAMP = -1e-12
 _TRACE_TOL = 1e-12
 # largest gather of `weyl_expectation` from a blocked state, in entries
 # read with their mirrors, and of the samples' products: each of a chunk's
-# arrays stays near 0.5 MiB, within a core's cache
-_GATHER_ENTRIES = 1 << 15
+# arrays stays near 1 MiB, within a core's cache
+_GATHER_ENTRIES = 1 << 16
 
 
 def build_ladder(D: int) -> np.ndarray:
@@ -272,13 +273,25 @@ def _embedding(fine: _GroupLayout, coarse: _GroupLayout) -> tuple[np.ndarray, np
     return _indices(np.concatenate(srcs)[order]), _indices(dst[order])
 
 
+@functools.lru_cache(maxsize=16)
+def _tri(n: int) -> np.ndarray:
+    return _read_only(np.tri(n, dtype=bool))
+
+
+def _lower(k: int) -> np.ndarray:
+    """Read-only k x k mask of the entries on and below the diagonal: a view
+    of a cached mask whose size is a power of two, so a few small masks
+    serve every k."""
+    return _tri(1 << (k - 1).bit_length())[:k, :k]
+
+
 def _unpack(X: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The Hermitian blocks (..., k, k) whose packed real form is X, into complex `out`.
 
     X holds Re rho on and below the diagonal and, above it, X[r, c] =
     Im rho[c, r], the imaginary part of the mirrored entry below.
     """
-    lower = np.tri(X.shape[-1], dtype=bool)
+    lower = _lower(X.shape[-1])
     Xt = X.swapaxes(-1, -2)
     np.copyto(out.real, Xt)
     np.copyto(out.real, X, where=lower)
@@ -293,7 +306,7 @@ def _pack(R: np.ndarray, out: np.ndarray) -> None:
     """Store the Hermitian blocks R (..., k, k) in real `out` as `_unpack`
     reads them: Re R on and below the diagonal, -Im R above it."""
     np.negative(R.imag, out=out)
-    np.copyto(out, R.real, where=np.tri(R.shape[-1], dtype=bool))
+    np.copyto(out, R.real, where=_lower(R.shape[-1]))
 
 
 class BlockedDensityMatrix:
@@ -410,10 +423,9 @@ def _step_plan(modes: int, D: int, coupled: frozenset[int], n: int) -> tuple:
     - Otherwise pairs and embed are None and groups holds, per group,
       (order, inverse, runs, embed): order sorts the group's basis by
       spectator occupation (every mode but 0 and n), inverse undoes it,
-      and runs lists (lo, hi, p, spectator total) per row slice.  Inside
-      a run p is fixed and n0 ascends, so the run is exactly the basis of
-      pair block p.  The group's embed puts the rows and columns in
-      `order` already.
+      and runs lists (lo, hi, p) per row slice.  Inside a run p is fixed
+      and n0 ascends, so the run is exactly the basis of pair block p.
+      The group's embed puts the rows and columns in `order` already.
     """
     fine = _GroupLayout.get(modes, D, coupled)
     out = _GroupLayout.get(modes, D, coupled | {0, n})
@@ -433,10 +445,8 @@ def _step_plan(modes: int, D: int, coupled: frozenset[int], n: int) -> tuple:
             B = grid[members]
             order, bounds = _occupation_groups(B, rest, D)
             inverse = np.argsort(order)
-            runs = []
-            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-                p = int(B[order[lo], 0] + B[order[lo], n])
-                runs.append((lo, hi, p, int(B[0].sum()) - p))
+            runs = [(lo, hi, int(B[order[lo], 0] + B[order[lo], n]))
+                    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
             src, dst = _embed_range(embedding, st.offset + i * k * k, k * k)
             rows, cols = np.divmod(dst, k)
             embed = (src, _indices(inverse[rows] * k + inverse[cols]))
@@ -521,62 +531,55 @@ def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMa
     D, modes = rho.cutoff, rho.modes
     layout, plan = _step_plan(modes, D, rho._layout.coupled, n)
     U = _pair_blocks(params.E, params.eps, params.eta, params.tau, D)
-    phase = np.exp(-1j * params.tau * params.eps * np.arange(modes * (D - 1) + 1))
-    U_h, phase_h = [u.conj().T for u in U], phase.conj()
-    # A step onto its own layout, as a revisited slot makes, reads each group
-    # from its own slot.  Otherwise the input's groups are finer and it is
-    # smaller than the output: it is unpacked whole, and the plan's embeds
-    # gather from it.
-    same = rho._layout.coupled == layout.coupled
-    if not same:
-        source = np.empty(rho._buffer.shape, dtype=complex)
+    # the input is unpacked whole, and the plan's embeds gather from it
+    source = np.empty(rho._buffer.shape, dtype=complex)
+    for st, blocks in rho._stacks():
+        _unpack(blocks, source[st.offset : st.offset + blocks.size].reshape(blocks.shape))
+    if layout.coupled != {0, n}:
+        # A spectator is coupled.  The step unitary is Us = Phi U0 = U0 Phi,
+        # U0 the pair blocks alone and Phi diagonal, exp(-i tau eps t) with t
+        # the spectator total of each basis tuple.  So Us rho Us^H = U0 (Phi
+        # rho Phi^H) U0^H: the phases multiply the input, entry (r, c) by
+        # Phi[r] conj(Phi[c]), and the pair blocks act unphased.
+        grid = layout.basis.grid
+        t = layout.basis.totals - grid[:, 0] - grid[:, n]
+        phase = np.exp(-1j * params.tau * params.eps * t)
         for st, blocks in rho._stacks():
-            _unpack(blocks, source[st.offset : st.offset + blocks.size].reshape(blocks.shape))
+            S = source[st.offset : st.offset + blocks.size].reshape(blocks.shape)
+            w = phase[st.members]
+            S *= w[:, :, None]
+            S *= w.conj()[:, None, :]
+        U_h = [u.conj().T for u in U]
     buffer = np.empty(layout.size)
     for st, (pairs, embed, groups) in zip(layout.stacks, plan):
         count, k = len(st.members), st.size
-        stack = slice(st.offset, st.offset + count * k * k)
-        out = buffer[stack].reshape(count, k, k)
-        own = rho._buffer[stack].reshape(count, k, k) if same else None
+        out = buffer[st.offset : st.offset + count * k * k].reshape(count, k, k)
         if pairs is not None:
-            if same:
-                X = _unpack(own, np.empty((count, k, k), dtype=complex))
-            else:
-                X = np.zeros((count, k, k), dtype=complex)
-                X.reshape(-1)[embed[1]] = source[embed[0]]
-            # one spectator phase multiplies both sides of a pair block, so
-            # it cancels
+            X = np.zeros((count, k, k), dtype=complex)
+            X.reshape(-1)[embed[1]] = source[embed[0]]
+            # the spectator phase of a group is one number, so it cancels
             Ug = np.stack([U[p] for p in pairs])
             _pack(Ug @ X @ Ug.conj().transpose(0, 2, 1), out)
             continue
-        # Us = P^T G P with P the row permutation `order` and G the grouped
-        # blocks, so Us @ block @ Us^H = P^T (G @ block' @ G^H) P, block' the
-        # block with its rows and columns in `order`: G and G^H act on
-        # contiguous row and column slices, the pair blocks times their
-        # spectator phases.  The result is packed where its entries stand and
-        # then gathered back, as reals.  The indices are permutations, so
-        # mode="clip" never clips; it spares the copy that take(..., out=)
-        # makes by default.
+        # U0 = P^T G P with P the row permutation `order` and G the pair
+        # blocks along the diagonal, so U0 @ block @ U0^H = P^T (G @ block' @
+        # G^H) P, block' the block with its rows and columns in `order`: G
+        # and G^H act on contiguous row and column slices.  The result's rows
+        # and columns are then gathered back, and it is packed.  The indices
+        # are permutations, so mode="clip" never clips; it spares the copy
+        # that take(..., out=) makes by default.
+        A = np.empty((k, k), dtype=complex)
         R = np.empty((k, k), dtype=complex)
         for i, (order, inverse, runs, embed) in enumerate(groups):
-            steps = [(lo, hi, phase[t] * U[p], phase_h[t] * U_h[p]) for lo, hi, p, t in runs]
-            if same:
-                A = _unpack(own[i], np.empty((k, k), dtype=complex))
-                np.take(A, order, axis=0, out=R, mode="clip")
-                np.take(R, order, axis=1, out=A, mode="clip")
-            else:
-                A = np.zeros((k, k), dtype=complex)
-                A.reshape(-1)[embed[1]] = source[embed[0]]
-            for lo, hi, Us, _ in steps:
-                np.matmul(Us, A[lo:hi], out=R[lo:hi])
-            for lo, hi, _, Us_h in steps:
-                np.matmul(R[:, lo:hi], Us_h, out=A[:, lo:hi])
-            # entry (u, v) of A stands at (order[u], order[v]) of the block;
-            # R's memory serves as two real scratch blocks
-            minus_imag, rows_back = R.reshape(-1).view(float).reshape(2, k, k)
-            Y = np.where(order[:, None] >= order, A.real, np.negative(A.imag, out=minus_imag))
-            np.take(Y, inverse, axis=0, out=rows_back, mode="clip")
-            np.take(rows_back, inverse, axis=1, out=out[i], mode="clip")
+            A[...] = 0.0
+            A.reshape(-1)[embed[1]] = source[embed[0]]
+            for lo, hi, p in runs:
+                np.matmul(U[p], A[lo:hi], out=R[lo:hi])
+            for lo, hi, p in runs:
+                np.matmul(R[:, lo:hi], U_h[p], out=A[:, lo:hi])
+            np.take(A, inverse, axis=0, out=R, mode="clip")
+            np.take(R, inverse, axis=1, out=A, mode="clip")
+            _pack(A, out[i])
     return BlockedDensityMatrix(layout, buffer)
 
 

@@ -409,7 +409,7 @@ def _hermitian_stack(rng, n, k):
 class TestPacking:
     """Each Hermitian block stored as one real k x k array."""
 
-    @pytest.mark.parametrize("k", [1, 2, 5, 16])
+    @pytest.mark.parametrize("k", [1, 2, 5, 16, 17])
     def test_pack_then_unpack_is_exact(self, k):
         rng = np.random.default_rng(k)
         H = _hermitian_stack(rng, 3, k)
