@@ -95,19 +95,16 @@ def _slot_list(slots, N: int) -> list[int]:
     """`slots` as a list of ints in 0..N, distinct, or ValueError.
 
     Anything but a nonempty one-dimensional sequence of integers is
-    refused, bools and integral floats included.  A list, tuple or range of
-    plain ints, the common case, needs no numpy shape probe.
+    refused, bools and integral floats included.
     """
-    plain = type(slots) in (list, tuple, range) and all(type(v) is int for v in slots)
-    values = list(slots) if plain or np.ndim(slots) == 1 else []
+    values = list(slots) if np.ndim(slots) == 1 else []
     if not values:
         raise ValueError("slots must be a nonempty list of slot indices")
-    if not plain:
-        for v in values:
-            # bool is an int subclass, and a cast to int would truncate 1.7 to 1
-            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"slots must be integers, got {v!r}")
-        values = [int(v) for v in values]
+    for v in values:
+        # bool is an int subclass, and a cast to int would truncate 1.7 to 1
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"slots must be integers, got {v!r}")
+    values = [int(v) for v in values]
     if min(values) < 0 or max(values) > N:
         raise ValueError(f"slots must lie in 0..{N}, got {values}")
     if len(set(values)) != len(values):

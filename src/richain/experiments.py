@@ -213,41 +213,37 @@ def moment_hypothesis_check(spec: ChainStateSpec) -> MomentReport:
     return MomentReport(tr_a, tr_aa, spec.symmetric_moment(), h2_pass)
 
 
+# terms per streamed chunk, and the length of a series row's checked chunk
+_CHUNK = 1 << 14
+_PRODUCT_TERM_CAP = 100_000_000
+
+
 def _chain_product_log(
     weyl: fock_oracle.OneModeWeyl, s: StepScalars, scale: complex, n_steps: int
 ) -> complex:
     """Sum over k < n_steps of log C(scale (gz)^k), with C the characteristic
-    function of the one-mode density prepared in `weyl`.
+    function of the one-mode density prepared in `weyl`; more than
+    _PRODUCT_TERM_CAP terms raise ValueError.
 
-    The terms run in chunks of `weyl.capacity` through buffers allocated
-    once per call, so memory does not grow with n_steps; each chunk is
-    summed by numpy and the chunk sums by math.fsum.  With d = C - 1,
-    log(1 + d) is taken as log1p(2 Re d + |d|^2)/2 + i arg(1 + d), without
-    cancellation when |d| is tiny; arg is pi where 1 + d is negative.
+    The terms run in chunks of _CHUNK, so memory does not grow with
+    n_steps; each chunk is summed by numpy and the chunk sums by
+    math.fsum.  With d = C - 1, log(1 + d) is taken as log1p(2 Re d +
+    |d|^2)/2 + i arg(1 + d), without cancellation when |d| is tiny; arg is
+    pi where 1 + d is negative.
     """
-    size = min(n_steps, weyl.capacity)
-    k = np.arange(size, dtype=float)  # the exponents of the current chunk
-    alpha = np.empty(size, dtype=complex)
-    t, u = np.empty(size), np.empty(size)
+    if n_steps > _PRODUCT_TERM_CAP:
+        raise ValueError(f"term-by-term product capped at {_PRODUCT_TERM_CAP} factors")
     re_sums, im_sums = [], []
-    for lo in range(0, n_steps, size):
-        m = min(size, n_steps - lo)
-        a, tm, um = alpha[:m], t[:m], u[:m]
-        s.gz_power(k[:m], out=a)
+    for lo in range(0, n_steps, _CHUNK):
+        a = s.gz_power(np.arange(lo, min(lo + _CHUNK, n_steps), dtype=float))
         a *= scale
         d = fock_oracle.weyl_expectation_batch(weyl, a)
         x, y = d.real, d.imag
         # |1 + d|^2 - 1 = (2x + x^2) + y^2
-        np.square(x, out=tm)
-        tm += np.multiply(x, 2.0, out=um)
-        tm += np.square(y, out=um)
-        re_sums.append(0.5 * float(np.log1p(tm, out=tm).sum()))
-        im_sums.append(float(np.arctan2(y, np.add(x, 1.0, out=um), out=um).sum()))
-        k += size
+        re_sums.append(0.5 * float(np.log1p(np.square(x) + 2.0 * x + np.square(y)).sum()))
+        im_sums.append(float(np.arctan2(y, x + 1.0).sum()))
     return complex(math.fsum(re_sums), math.fsum(im_sums))
 
-
-_PRODUCT_TERM_CAP = 100_000_000
 
 # the order `_log_series` is taken to.  Tails of number states 0..15 reach
 # rounding by order 49; the radius shrinks as the level grows, so leave room.
@@ -334,32 +330,31 @@ def _chain_log(
     """Sum over k < n_steps of log C(scale (gz)^k), the chain's share of the
     limit run's value.
 
-    For a diagonal density (`series` from `_log_series`) and |z| < 1, the
-    head of exponents with x_k = |scale|^2 |z|^(2k) / 2 > radius/2 is
-    streamed by `_chain_product_log` and the tail summed by `_series_log`.
-    The first min(tail, `weyl.capacity`) tail terms are also streamed, and
-    a gap to the series over the same terms above _CROSS_CHECK_TOL relative
-    raises RuntimeError.  Anything else streams all n_steps terms.
+    For a diagonal density (`series` from `_log_series`), the head of
+    exponents with x_k = |scale|^2 |z|^(2k) / 2 > radius/2 is streamed by
+    `_chain_product_log` and the tail summed by `_series_log`.  The first
+    min(tail, _CHUNK) tail terms are also streamed, and a gap to the series
+    over the same terms above _CROSS_CHECK_TOL relative raises
+    RuntimeError.  Anything else streams all n_steps terms.  At |z| = 1,
+    that is w = 0, every argument is 0 and the series gives 0.
     """
-    if series is None or s.log_abs_z == 0.0:
+    if series is None:
         return _chain_product_log(weyl, s, scale, n_steps)
     x = abs(scale) ** 2 / 2.0
     head = _head_length(x, series[1], s, n_steps)
     rest, x_tail = n_steps - head, x * s.zsq_power(head)
     tail = _series_log(series, x_tail, s, rest) if rest else 0.0
-    size = min(rest, weyl.capacity)
+    size = min(rest, _CHUNK)
     check = tail if size == rest else _series_log(series, x_tail, s, size)
     if tail is None or check is None:
         return _chain_product_log(weyl, s, scale, n_steps)
-    log_head = _chain_product_log(weyl, s, scale, head) if head else 0j
-    if size:
-        streamed = _chain_product_log(weyl, s, scale * s.gz_power(head), size)
-        if abs(streamed - check) > _CROSS_CHECK_TOL * abs(check) + _CROSS_CHECK_FLOOR:
-            raise RuntimeError(
-                f"streamed chain terms {streamed!r} off their series law {check!r} "
-                f"over exponents {head}..{head + size - 1}"
-            )
-    return log_head + tail
+    streamed = _chain_product_log(weyl, s, scale * s.gz_power(head), size)
+    if abs(streamed - check) > _CROSS_CHECK_TOL * abs(check) + _CROSS_CHECK_FLOOR:
+        raise RuntimeError(
+            f"streamed chain terms {streamed!r} off their series law {check!r} "
+            f"over exponents {head}..{head + size - 1}"
+        )
+    return _chain_product_log(weyl, s, scale, head) + tail
 
 
 def short_time_limit_run(
@@ -395,19 +390,19 @@ def short_time_limit_run(
 
     The gibbs law stops at its first term, so its value is limit exp(L)
     at any N and its abs_error is exactly predicted_error.  Other specs
-    take the chain's log sum_k log C(theta_k) in two parts, capped at 1e8
-    terms.  With x_e = X |z|^(2e), the exponents e with x_e > radius/2
-    form the head, which is evaluated term by term.  The rest form the
-    tail, which for a diagonal density is the same series at X |z|^(2h)
-    over N - h terms, h the head's length: -(x/2) G_1 + sum_j a_j x^j G_j,
-    cut once the bound on its rest falls below rounding.  A run is thus
-    O(1) in N.  The first min(N - h, 2^14) tail terms are also evaluated
-    term by term, and a gap to the series over them above 1e-13 relative
-    (a rounding-level tolerance: the largest gap measured is 4.0e-15)
-    raises RuntimeError, so every row keeps a reference that does not
-    rest on the series.  A density with off-diagonal entries, |z| = 1 or
-    a series that does not reach rounding by order 128 takes every term
-    term by term.
+    take the chain's log sum_k log C(theta_k) in two parts.  With x_e =
+    X |z|^(2e), the exponents e with x_e > radius/2 form the head, which
+    is evaluated term by term.  The rest form the tail, which for a
+    diagonal density is the same series at X |z|^(2h) over N - h terms, h
+    the head's length: -(x/2) G_1 + sum_j a_j x^j G_j, cut once the bound
+    on its rest falls below rounding.  A run is thus O(1) in N.  The
+    first min(N - h, 2^14) tail terms are also evaluated term by term, and
+    a gap to the series over them above 1e-13 relative (a rounding-level
+    tolerance: the largest gap measured is 4.0e-15) raises RuntimeError,
+    so every row keeps a reference that does not rest on the series.  A
+    density with off-diagonal entries, or a series that does not reach
+    rounding by order 128, takes every term term by term.  A head or a
+    whole row of more than 1e8 terms raises ValueError.
 
     Term by term means on the spec's density at the cutoff max(16,
     native + 4 + ceil(2 d sqrt(native)), ceil(8 d^2) + native), d =
@@ -415,7 +410,7 @@ def short_time_limit_run(
     about (sqrt(native) + d)^2, and the Weyl evaluator needs D >= 8 d^2.
     That density is prepared once per run as a `fock_oracle.OneModeWeyl`,
     and the terms stream through `fock_oracle.weyl_expectation_batch` in
-    fixed chunks, so memory does not grow with N.
+    chunks of 2^14, so memory does not grow with N.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
     if not np.all(np.isfinite(thetas)):
@@ -426,11 +421,10 @@ def short_time_limit_run(
             "chain state violates the moment hypotheses: "
             f"Tr[rho a] = {report.tr_a}, Tr[rho aa] = {report.tr_aa}"
         )
-    if spec.kind != "gibbs" and max(schedule.checkpoints) > _PRODUCT_TERM_CAP:
-        raise ValueError(f"term-by-term product capped at {_PRODUCT_TERM_CAP} factors")
-
     n0, moment = occupation(template.beta0), report.symmetric_moment
     series = _log_series(spec, _SERIES_ORDER)
+    if series is None and max(schedule.checkpoints) > _PRODUCT_TERM_CAP:
+        raise ValueError(f"term-by-term product capped at {_PRODUCT_TERM_CAP} factors")
     b, radius, degree = series or (None, 0.0, 0)  # radius 0: no law
     if spec.kind != "gibbs":
         max_disp, native = float(np.max(np.abs(thetas))), spec.min_cutoff

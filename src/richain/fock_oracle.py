@@ -421,11 +421,11 @@ def _step_plan(modes: int, D: int, coupled: frozenset[int], n: int) -> tuple:
       block: pairs lists each group's pair occupation p, embed is the
       stack's, and groups is None.
     - Otherwise pairs and embed are None and groups holds, per group,
-      (order, inverse, runs, embed): order sorts the group's basis by
-      spectator occupation (every mode but 0 and n), inverse undoes it,
-      and runs lists (lo, hi, p) per row slice.  Inside a run p is fixed
+      (inverse, runs, embed).  Let order sort the group's basis by
+      spectator occupation (every mode but 0 and n): the group's embed
+      puts the rows and columns in that order, inverse undoes it, and
+      runs lists (lo, hi, p) per row slice of it.  Inside a run p is fixed
       and n0 ascends, so the run is exactly the basis of pair block p.
-      The group's embed puts the rows and columns in `order` already.
     """
     fine = _GroupLayout.get(modes, D, coupled)
     out = _GroupLayout.get(modes, D, coupled | {0, n})
@@ -450,7 +450,7 @@ def _step_plan(modes: int, D: int, coupled: frozenset[int], n: int) -> tuple:
             src, dst = _embed_range(embedding, st.offset + i * k * k, k * k)
             rows, cols = np.divmod(dst, k)
             embed = (src, _indices(inverse[rows] * k + inverse[cols]))
-            groups.append((_indices(order), _indices(inverse), tuple(runs), embed))
+            groups.append((_indices(inverse), tuple(runs), embed))
         plan.append((None, None, tuple(groups)))
     return out, tuple(plan)
 
@@ -570,7 +570,7 @@ def _blocked_step(rho: BlockedDensityMatrix, params, n: int) -> BlockedDensityMa
         # that take(..., out=) makes by default.
         A = np.empty((k, k), dtype=complex)
         R = np.empty((k, k), dtype=complex)
-        for i, (order, inverse, runs, embed) in enumerate(groups):
+        for i, (inverse, runs, embed) in enumerate(groups):
             A[...] = 0.0
             A.reshape(-1)[embed[1]] = source[embed[0]]
             for lo, hi, p in runs:
@@ -688,22 +688,13 @@ def weyl_expectation(rho: BlockedDensityMatrix, zetas):
     return complex(total[0]) if zetas.ndim == 1 else total
 
 
-# alphas per call of `weyl_expectation_batch`: a `OneModeWeyl`'s scratch is
-# near 1 MiB at D = 16
-_CHUNK = 1 << 14
-
-
 class OneModeWeyl:
     """One one-mode density matrix prepared for `weyl_expectation_batch`;
     the matrix size is the cutoff.
 
     Holds the rho-dependent set-up, the eigendecomposition and the
-    projection T that `weyl_expectation_batch` describes, and the scratch
-    buffers of one call of up to `capacity` alphas.  Every call fills the
-    same buffers, so a stream of chunks allocates nothing per chunk.
+    projection T that `weyl_expectation_batch` describes.
     """
-
-    capacity = _CHUNK
 
     def __init__(self, rho: np.ndarray):
         rho = np.asarray(rho)
@@ -738,7 +729,7 @@ class OneModeWeyl:
         # the trig columns are sin^2(|alpha| lam/2), then sin(|alpha| lam) when
         # an odd offset needs them; M maps them to each offset's term.  M's
         # float view interleaves real and imaginary parts, so the real matmul
-        # into `_terms` writes complex numbers.
+        # with it yields complex numbers.
         odd = not even.all()
         M = np.zeros((2 * h if odd else h, len(ds)), dtype=complex)
         M[:h, even] = -2.0 * T[:, even]
@@ -749,20 +740,12 @@ class OneModeWeyl:
         self._half_lam = lam_pos / 2.0
         # the phases exp(i phi d); a diagonal rho has offset 0 alone and none
         self._i_ds = 1j * ds if np.any(ds) else None
-        self._r = np.empty(_CHUNK)
-        self._trig = np.empty((_CHUNK, len(M)))
-        self._terms = np.empty((_CHUNK, 2 * len(ds)))
-        if self._i_ds is not None:
-            self._phi = np.empty(_CHUNK)
-            self._phase = np.empty((_CHUNK, len(ds)), dtype=complex)
-            self._out = np.empty(_CHUNK, dtype=complex)
 
 
 def weyl_expectation_batch(weyl: OneModeWeyl, alphas: np.ndarray) -> np.ndarray:
     """Tr[rho * w(alpha)] - 1 for the one-mode density prepared in `weyl`
-    and a complex array of at most `weyl.capacity` alphas.
+    and a complex array of alphas, as a new complex array.
 
-    Returns a complex view of `weyl`'s scratch, valid until its next call.
     The shift by one is evaluated without cancellation, which keeps
     products of many near-unit factors at full precision; add 1 for the
     expectation itself.
@@ -787,26 +770,23 @@ def weyl_expectation_batch(weyl: OneModeWeyl, alphas: np.ndarray) -> np.ndarray:
     cos(x) - 1 is taken as -2*sin^2(x/2), without cancellation, and the
     -2 is folded into T.
     """
-    m, h = len(alphas), len(weyl._lam)
-    if m > weyl.capacity:
-        raise ValueError(f"at most {weyl.capacity} alphas per call, got {m}")
-    r = np.abs(alphas, out=weyl._r[:m])
+    h = len(weyl._lam)
+    r = np.abs(alphas)
     _check_weyl_headroom(float(r.max()), weyl.cutoff)
-    trig = weyl._trig[:m]
+    trig = np.empty((len(r), len(weyl._M)))
     half = trig[:, :h]
     np.multiply(r[:, None], weyl._half_lam, out=half)
     np.square(np.sin(half, out=half), out=half)
     if trig.shape[1] > h:
         full = trig[:, h:]
         np.sin(np.multiply(r[:, None], weyl._lam, out=full), out=full)
-    terms = np.matmul(trig, weyl._M, out=weyl._terms[:m]).view(complex)
+    terms = (trig @ weyl._M).view(complex)
     if weyl._i_ds is None:
         return terms[:, 0]
-    phi = np.arctan2(alphas.imag, alphas.real, out=weyl._phi[:m])
-    phase = np.multiply(phi[:, None], weyl._i_ds, out=weyl._phase[:m])
+    phase = np.arctan2(alphas.imag, alphas.real)[:, None] * weyl._i_ds
     np.exp(phase, out=phase)
     np.multiply(terms, phase, out=phase)
-    return np.sum(phase, axis=1, out=weyl._out[:m])
+    return phase.sum(axis=1)
 
 
 def _entropy_from_eigs(vals: np.ndarray) -> float:

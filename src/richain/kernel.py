@@ -146,18 +146,17 @@ class StepScalars:
             return float(n)
         return math.expm1(2 * p * n * L) / math.expm1(2 * p * L)
 
-    def gz_power(self, k, out=None):
-        """(g z)^k for integer k >= 0, a scalar or an array of them; with
-        `out`, a complex array shaped like k, the powers are written there.
+    def gz_power(self, k):
+        """(g z)^k for integer k >= 0, a scalar or an array of them.
 
         Taken as exp(k (log|z| + i arg(gz))) with `log_abs_z`.  z = 0
         gives exactly 1 at k = 0 and 0 beyond.
         """
         k = np.asarray(k)
         if self.z == 0:
-            return np.add(k == 0, 0j, out=out)[()]  # True + 0j is 1 + 0j
+            return np.add(k == 0, 0j)[()]  # True + 0j is 1 + 0j
         log_gz = complex(self.log_abs_z, cmath.phase(self.g * self.z))
-        return np.exp(np.multiply(k, log_gz, out=out), out=out)[()]
+        return np.exp(np.multiply(k, log_gz))[()]
 
 
 def step_scalars(params: ModelParams) -> StepScalars:

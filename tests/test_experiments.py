@@ -17,6 +17,7 @@ from richain.experiments import (
     ORACLE_MAX_N,
     ChainStateSpec,
     LimitSchedule,
+    _CHUNK,
     _SERIES_ORDER,
     _chain_log,
     _chain_product_log,
@@ -375,16 +376,17 @@ class TestShortTimeLimitRun:
             )
 
     def test_product_term_cap(self):
+        # the cap binds only rows evaluated term by term: a non-diagonal chain,
+        # which has no series, is refused before any row runs
         sched = LimitSchedule(checkpoints=(1_000_000, 100_000_001))
+        superposition = ChainStateSpec(kind="custom", rho=np.outer(_PSI03, _PSI03.conj()))
         with pytest.raises(ValueError, match="capped"):
-            short_time_limit_run(
-                std_params(), sched, ChainStateSpec(kind="number_state", level=1), [1.0]
-            )
-        # the closed gibbs route has no such cap
-        recs = short_time_limit_run(
-            std_params(), sched, ChainStateSpec(kind="gibbs", beta=1.0), [1.0]
-        )
-        assert len(recs) == 2
+            short_time_limit_run(std_params(), sched, superposition, [1.0])
+        # the gibbs closed form and the series of |1> have no such cap
+        for spec in (ChainStateSpec(kind="gibbs", beta=1.0),
+                     ChainStateSpec(kind="number_state", level=1)):
+            recs = short_time_limit_run(std_params(), sched, spec, [1.0])
+            assert len(recs) == 2
 
     @staticmethod
     def product_setup(spec, n_steps):
@@ -409,10 +411,10 @@ class TestShortTimeLimitRun:
         rho, weyl, s, scale = self.product_setup(spec, n)
         alphas = scale * s.gz_power(np.arange(n))
         d = np.concatenate([
-            fock_oracle.weyl_expectation_batch(weyl, alphas[lo : lo + weyl.capacity]).copy()
-            for lo in range(0, n, weyl.capacity)
+            fock_oracle.weyl_expectation_batch(weyl, alphas[lo : lo + _CHUNK])
+            for lo in range(0, n, _CHUNK)
         ])
-        for k in (0, weyl.capacity - 1, weyl.capacity, 3 * weyl.capacity + 1, n - 1):
+        for k in (0, _CHUNK - 1, _CHUNK, 3 * _CHUNK + 1, n - 1):
             assert abs(1.0 + d[k] - ref.weyl_expectation(rho, [alphas[k]], 16)) < 1e-13
         whole = np.sum(0.5 * np.log1p(2.0 * d.real + d.real**2 + d.imag**2)
                        + 1j * np.arctan2(d.imag, 1.0 + d.real))
@@ -587,6 +589,45 @@ class TestSeriesRoute:
             expect = float(mp_reference.mp_level_one_value(mp, params, abs(rec.inputs["theta"]) ** 2))
             assert rec.outputs["value"].imag == 0.0
             assert abs(rec.outputs["value"].real - expect) <= 1e-15 * expect
+
+    @pytest.mark.parametrize("exponent", [0.34, 0.49])
+    def test_level_one_value_matches_mpmath_past_the_cap(self, exponent):
+        # the series has no term cap: |1> at N = 1e12 and 1e14 streams its
+        # head and one chunk per row, at both edges of the exponent window
+        mp = pytest.importorskip("mpmath")
+        template = ModelParams(E=2.0, eps=1.0, eta=0.5, tau=1.0, N=8,
+                               beta0=math.log(3.0), beta=math.log(2.0))
+        sched = LimitSchedule(exponent=exponent, checkpoints=(10**12, 10**14))
+        recs = short_time_limit_run(template, sched, ChainStateSpec(kind="number_state", level=1),
+                                    [1.0])
+        for rec in recs:
+            params = replace(template, tau=rec.outputs["tau"], N=rec.outputs["N"])
+            expect = float(mp_reference.mp_level_one_value(mp, params, abs(rec.inputs["theta"]) ** 2))
+            assert rec.outputs["value"].imag == 0.0
+            assert abs(rec.outputs["value"].real - expect) <= 1e-15 * expect
+
+    def test_uncoupled_chain_streams_one_chunk_per_row(self, monkeypatch):
+        # at eta = 0, w = 0 and |z| = 1: every argument is 0 and every factor
+        # exactly 1.  The series route passes each row at most its head and one
+        # checked chunk, not the whole row, and each value is C0 alone
+        from richain import experiments
+
+        calls = []
+        batch = fock_oracle.weyl_expectation_batch
+
+        def counted(weyl, alphas):
+            calls.append(len(alphas))
+            return batch(weyl, alphas)
+
+        monkeypatch.setattr(experiments.fock_oracle, "weyl_expectation_batch", counted)
+        template = ModelParams(E=2.0, eps=1.0, eta=0.0, tau=1.0, N=8,
+                               beta0=math.log(3.0), beta=math.log(2.0))
+        sched = LimitSchedule()
+        recs = short_time_limit_run(template, sched, ChainStateSpec(kind="number_state", level=1),
+                                    [1.0])
+        assert calls == [min(n, _CHUNK) for n in sched.checkpoints]
+        expect = complex(np.exp(-0.25 * (2.0 * occupation(template.beta0) + 1.0)))
+        assert [rec.outputs["value"] for rec in recs] == [expect] * len(recs)
 
     def test_mutated_coefficient_fails_the_cross_check(self, monkeypatch):
         # a_3 of |1> is -1/3; 1e-6 of it moves the tail's series by about 4e-8

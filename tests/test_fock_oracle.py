@@ -528,15 +528,28 @@ class TestWeyl:
         tiny = fo.weyl_expectation_batch(fo.OneModeWeyl(rho), np.array([1e-6j]))[0]
         assert abs(tiny - (-0.25e-12 * second)) < 1e-9 * 0.25e-12 * second
 
-    def test_batch_capacity(self):
-        # one call takes up to `capacity` alphas, and no more
-        weyl = fo.OneModeWeyl(np.diag(fo.thermal_probabilities(1.0, 16)))
-        alphas = np.full(weyl.capacity + 1, 0.3 - 0.2j)
-        one = complex(fo.weyl_expectation_batch(weyl, alphas[:1])[0])
-        full = fo.weyl_expectation_batch(weyl, alphas[:-1])
-        assert np.all(full == one)
-        with pytest.raises(ValueError, match=f"at most {weyl.capacity} alphas"):
-            fo.weyl_expectation_batch(weyl, alphas)
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "superposition"])
+    def test_batch_takes_any_length(self, diagonal):
+        # one call over 3 * 2^14 + 1 alphas equals its calls over chunks of 2^14,
+        # and each call returns an array of its own that a later call leaves as it
+        # is.  numpy sums the offsets of a one-alpha call in another order, so
+        # the last chunk's one value may differ in its last digit
+        rho = np.diag(fo.thermal_probabilities(1.0, 16)).astype(complex)
+        if not diagonal:
+            rho[0, 3] = rho[3, 0] = 0.1
+        weyl = fo.OneModeWeyl(rho)
+        n, chunk = 3 * 2**14 + 1, 2**14
+        alphas = 0.6 * np.exp(1j * np.linspace(0.0, 40.0, n)) * np.linspace(0.1, 1.0, n)
+        whole = fo.weyl_expectation_batch(weyl, alphas)
+        kept = whole.copy()
+        parts = [fo.weyl_expectation_batch(weyl, alphas[lo : lo + chunk]) for lo in range(0, n, chunk)]
+        np.testing.assert_array_equal(whole, kept)
+        joined = np.concatenate(parts)
+        np.testing.assert_array_equal(joined[:-1], whole[:-1])
+        assert abs(joined[-1] - whole[-1]) <= 1e-15 * abs(whole[-1])
+        first = parts[0].copy()
+        fo.weyl_expectation_batch(weyl, alphas[:chunk] * 0.5)
+        np.testing.assert_array_equal(parts[0], first)
 
     @pytest.mark.parametrize("D", [15, 24])
     def test_batch_general_state(self, D):
