@@ -529,17 +529,15 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
         ))
     checks.append(VerifyCheck("marginalization_consistency", dev, 1e-14))
 
-    # effective-temperature affine identity in the occupations; the weights
-    # |z|^2m and 1 - |z|^2m come from L = log|z|^2 = 2 log_abs_z, as in the
-    # closed forms
-    L = 2.0 * step_scalars(params).log_abs_z
+    # effective-temperature affine identity in the occupations, with the
+    # weights |z|^2m and 1 - |z|^2m from `StepScalars`, as in the closed forms
+    s = step_scalars(params)
     n0 = occupation(params.beta0)
     nb = occupation(params.beta)
     dev = 0.0
     for m in range(0, min(params.N, 50) + 1):
         nm = occupation(dynamics.effective_beta_S(params, m))
-        zsq_m, rest_m = (math.exp(m * L), -math.expm1(m * L)) if m else (1.0, 0.0)
-        dev = max(dev, abs(nm - (zsq_m * n0 + rest_m * nb)))
+        dev = max(dev, abs(nm - (s.zsq_power(m) * n0 + s.zsq_complement(m) * nb)))
     checks.append(VerifyCheck("effective_beta_affine", dev, 1e-12))
 
     # window overlap: closed form vs embedding through the propagator
@@ -563,13 +561,13 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
     # N does not enter the closed form, so a 100-mode chain gives room for
     # 100 steps
     finite = not (math.isinf(params.beta0) or math.isinf(params.beta))
-    if finite and step_scalars(params).contracting:
+    if finite and s.contracting:
         limit = dynamics.entropy_production_limit(params)
         p100 = replace(params, N=100)
         dev = 0.0
         for n_steps in range(0, 101):
             gap = abs(dynamics.relative_entropy(p100, n_steps) - limit)
-            bound = abs(limit) * (math.exp(n_steps * L) if n_steps else 1.0)
+            bound = abs(limit) * s.zsq_power(n_steps)
             dev = max(dev, max(0.0, gap - bound))
         checks.append(VerifyCheck("entropy_production_tail", dev, 1e-15))
 

@@ -3,21 +3,22 @@
 The initial state is a product of one thermal mode at beta0 (the
 distinguished mode) and N chain modes at beta.  Interaction steps act on
 characteristic-function arguments by the one-step matrices of `kernel`,
-so the state never leaves the rank-one corrected quasi-free family: the
-only moving part is the coefficient vector xi_m picked up by the
+so the state never leaves the rank-one quasi-free family: occupation
+n(beta) everywhere but on the direction xi_m, which holds n(beta0).  The
+only moving part is that coefficient vector, picked up by the
 distinguished component.  Reduced states, effective temperatures and
-entropies all read off that vector.
+entropies all read off it.
 
 A subsystem is a list of full-chain slots (0 for the distinguished mode,
 j for chain mode j), and its reduced state keeps the same rank-one form
 with xi_m restricted to those slots, so it costs O(|slots|) and never
 builds the full (N+1)-vector.  `subsystem_slots` lists the slots of the
-subsystems the paper names.  beta*, S's characteristic function
-(`char_fn_S`, which needs no reduced state), beta**, the window entropy
-and the entropy production combine n(beta0) and n(beta) only through
-`_mix` and `_production_prefactor`, which never subtract one from the
-other: that cancels for a cold S, near a full swap and at nearly equal
-temperatures.
+subsystems the paper names.  The states store n(beta0) and n(beta) as
+they are; beta*, S's characteristic function (`char_fn_S`, which needs
+no reduced state), beta**, the window entropy and the entropy production
+combine them only through `_mix` and `_production_prefactor`.  Nothing
+here subtracts one occupation from the other: that would cancel for a
+hot chain, a cold S, near a full swap and at nearly equal temperatures.
 """
 
 from __future__ import annotations
@@ -115,42 +116,39 @@ def _slot_list(slots, N: int) -> list[int]:
 def reduced_state(params: ModelParams, m: int, slots) -> RankOneQuasiFreeState:
     """Reduced state on the given full-chain slots after m steps, in the order given.
 
-    It is the rank-one form with xi_m restricted to the slots.  xi_m is
-    the conjugate of the first row of U_1...U_m: conj(phase (gz)^m) at
-    slot 0, conj(phase g w (gz)^(j-1)) at slots 1 <= j <= m and 0 on the
-    slots beyond m that no step has touched yet, with phase
-    exp(i m tau eps).  `slots` is a nonempty list, tuple, range or 1-D
-    array of distinct integers in 0..N.  Costs O(len(slots)): the slots
-    are checked in Python, and numpy forms only the coefficients.
+    It is the rank-one form with n = n(beta), n_xi = n(beta0) and xi_m
+    restricted to the slots.  xi_m is the conjugate of the first row of
+    U_1...U_m: conj(phase (gz)^m) at slot 0, conj(phase g w (gz)^(j-1)) at
+    slots 1 <= j <= m and 0 on the slots beyond m that no step has touched
+    yet, with phase exp(i m tau eps).  `slots` is a nonempty list, tuple,
+    range or 1-D array of distinct integers in 0..N.  Costs O(len(slots)):
+    each slot's coefficient is a product of scalars, with its power of gz
+    from `StepScalars.gz_power`, so a slot's bits are the same whichever
+    slots share the call.
     """
     m = _check_steps(params, m)
     slots = _slot_list(slots, params.N)
     s = step_scalars(params)
-    # the products run on the same array shapes as ever: numpy rounds an
-    # in-place product of one element unlike that of several, and the
-    # coefficients keep their bits
-    coeff = s.gz_power([j - 1 if j else m for j in slots])
-    dead = [i for i, j in enumerate(slots) if j > m]  # slots no step has touched
-    if dead:
-        coeff[dead] = 0.0
-    chain = [i for i, j in enumerate(slots) if 0 < j <= m]
-    if chain:
-        coeff[chain] *= s.g * s.w
-    coeff *= cmath.exp(1j * m * params.tau * params.eps)
-    n = occupation(params.beta)
+    phase = cmath.exp(1j * m * params.tau * params.eps)
+    gw = s.g * s.w
+    coeff = [
+        0j if j > m else phase * (s.gz_power(m) if j == 0 else gw * s.gz_power(j - 1))
+        for j in slots
+    ]
     return RankOneQuasiFreeState(
-        modes=len(slots), n=n, n0=occupation(params.beta0) - n, xi=np.conj(coeff)
+        modes=len(slots), n=occupation(params.beta), n_xi=occupation(params.beta0),
+        xi=np.conj(coeff),
     )
 
 
 def evolve_state(params: ModelParams, m: int) -> RankOneQuasiFreeState:
     """State of all N+1 modes after the first m interaction steps, in closed form.
 
-    The characteristic function is exp[-(1/4)((2n(beta)+1)<zeta,zeta> +
-    2(n(beta0)-n(beta))|(U_1...U_m zeta)_0|^2)]; m = 0 gives back the
-    initial product.  Builds the full (N+1)-vector and checks that it
-    stays a unit vector; marginals need only `reduced_state` on their
-    own slots.
+    With c = (U_1...U_m zeta)_0, the characteristic function is
+    exp[-(1/4)((2n(beta)+1)(<zeta,zeta> - |c|^2) + (2n(beta0)+1)|c|^2)];
+    m = 0 gives back the initial product.  Builds the full (N+1)-vector,
+    one scalar product per slot, and checks that it stays a unit vector;
+    marginals need only `reduced_state` on their own slots.
     """
     state = reduced_state(params, m, range(params.N + 1))
     norm = state.xi_norm_sq

@@ -179,19 +179,12 @@ def _indices(arr: np.ndarray) -> np.ndarray:
     return _read_only(arr.astype(np.int32 if arr.size == 0 or arr.max() < 2**31 else np.intp))
 
 
-def _occupation_groups(
-    B: np.ndarray, cols: list[int], cutoff: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row order that groups the basis tuples B by their occupations of `cols`.
-
-    Returns (order, bounds): group g is order[bounds[g]:bounds[g + 1]],
-    and inside a group the rows keep the sector's row-major order.
-    """
-    key = B[:, cols] @ (cutoff ** np.arange(len(cols) - 1, -1, -1))
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the stable order that sorts `key`, so equal keys keep
+    their order, and where each run of equal keys starts in it."""
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
-    starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
-    return order, np.r_[starts, len(B)]
+    return order, np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
 
 
 class _Stack(NamedTuple):
@@ -220,12 +213,11 @@ class _GroupLayout:
         self.basis = basis = _SectorBasis.get(modes, cutoff)
         uncoupled = [m for m in range(modes) if m not in coupled]
         key = basis.grid[:, uncoupled] @ (cutoff ** np.arange(len(uncoupled) - 1, -1, -1))
+        # by sector total, then by the uncoupled occupations as digits below it
+        order, starts = _runs(basis.totals * cutoff ** len(uncoupled) + key)
         positions = np.arange(len(key))
-        order = np.lexsort((positions, key, basis.totals))
-        new = np.r_[True, (np.diff(basis.totals[order]) != 0) | (np.diff(key[order]) != 0)]
-        starts = np.flatnonzero(new)
-        sorted_group = np.cumsum(new) - 1
         self.sizes = _read_only(np.diff(np.r_[starts, len(order)]))
+        sorted_group = np.repeat(np.arange(len(starts)), self.sizes)
         # group of each basis position, and its index inside that group
         self.group_of = np.empty_like(positions)
         self.group_of[order] = sorted_group
@@ -443,10 +435,12 @@ def _step_plan(modes: int, D: int, coupled: frozenset[int], n: int) -> tuple:
         groups = []
         for i, members in enumerate(st.members):
             B = grid[members]
-            order, bounds = _occupation_groups(B, rest, D)
+            # rows grouped by spectator occupation, in the sector's row-major order
+            order, starts = _runs(B[:, rest] @ (D ** np.arange(len(rest) - 1, -1, -1)))
             inverse = np.argsort(order)
+            bounds = np.r_[starts, k].tolist()
             runs = [(lo, hi, int(B[order[lo], 0] + B[order[lo], n]))
-                    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+                    for lo, hi in zip(bounds[:-1], bounds[1:])]
             src, dst = _embed_range(embedding, st.offset + i * k * k, k * k)
             rows, cols = np.divmod(dst, k)
             embed = (src, _indices(inverse[rows] * k + inverse[cols]))
@@ -497,13 +491,10 @@ def _weyl_plan(modes: int, D: int, coupled: frozenset[int]) -> tuple:
     uncoupled = [m - 1 for m in range(1, modes) if m not in coupled]
     spread = D ** len(uncoupled)
     key = digits.sum(axis=0) * spread + (D ** np.arange(len(uncoupled))) @ digits[uncoupled]
-    members = np.argsort(key, kind="stable")
-    sorted_key = key[members]
-    new = np.r_[True, sorted_key[1:] != sorted_key[:-1]]
-    starts = np.flatnonzero(new)
-    class_key = sorted_key[starts]
-    sorted_class = np.cumsum(new) - 1
+    members, starts = _runs(key)
+    class_key = key[members[starts]]
     counts = np.diff(np.r_[starts, len(members)])
+    sorted_class = np.repeat(np.arange(len(starts)), counts)
 
     code = layout.basis.grid @ (D ** np.arange(modes - 1, -1, -1))
     group = layout.group_of

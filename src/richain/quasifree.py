@@ -3,16 +3,20 @@
 Every state this library ever produces (initial two-temperature product,
 evolved, reduced) has a characteristic function of the form
 
-    omega(W(zeta)) = exp[-((2n+1) <zeta,zeta> + 2 n0 |<xi,zeta>|^2) / 4]
+    omega(W(zeta)) = exp[-((2n+1) (<zeta,zeta> - |<xi,zeta>|^2)
+                           + (2 n_xi + 1) |<xi,zeta>|^2) / 4]
 
-over M modes, i.e. a thermal background with mean occupation n per mode
-plus a rank-one perturbation that adds n0 quanta along the direction xi.
+over M modes: a thermal background with mean occupation n per mode, in
+which the share <xi,xi> of the direction xi holds n_xi quanta instead.
 A thermal mode at inverse temperature beta has n = 1/(e^beta - 1); n = 0
 is the vacuum.  Inner products are conjugate-linear in the first
-argument (numpy.vdot convention).
+argument (numpy.vdot convention).  Both occupations are stored as they
+are, and `char_fn` subtracts neither from the other.
 
-Entropies are in nats throughout.  `dynamics` forms a state's entropy,
-(M-1) s(n) + s(n + n0 <xi,xi>), from n(beta0) and n(beta): n0 cancels.
+Entropies are in nats throughout.  A state's entropy is (M-1) s(n) +
+s(n (1 - <xi,xi>) + n_xi <xi,xi>) with s = `occupation_entropy`;
+`dynamics` forms the ones it needs in closed form, from n(beta0) and
+n(beta).
 """
 
 from __future__ import annotations
@@ -91,11 +95,11 @@ def occupation_entropy(n: float) -> float:
 
 @dataclass(frozen=True)
 class RankOneQuasiFreeState:
-    """Background occupation n on `modes` modes, plus n0 quanta along xi."""
+    """Occupation n on `modes` modes, but n_xi on the share <xi,xi> of xi."""
 
     modes: int
     n: float
-    n0: float
+    n_xi: float
     xi: np.ndarray
 
     def __post_init__(self):
@@ -109,30 +113,29 @@ class RankOneQuasiFreeState:
             )
         if self.n < -_ADMISSIBILITY_SLACK:
             raise ValueError(f"background occupation n = {self.n!r} < 0")
-        if self.corrected_n < -_ADMISSIBILITY_SLACK:
+        along_xi = self.n + (self.n_xi - self.n) * self.xi_norm_sq
+        if along_xi < -_ADMISSIBILITY_SLACK:
             raise ValueError(
-                "inadmissible correction: n + n0*<xi,xi> = "
-                f"{self.corrected_n!r} < 0"
+                f"inadmissible correction: n + (n_xi - n)*<xi,xi> = {along_xi!r} < 0"
             )
 
     @property
     def xi_norm_sq(self) -> float:
         return float(np.vdot(self.xi, self.xi).real)
 
-    @property
-    def corrected_n(self) -> float:
-        """Mean occupation along the corrected direction, n + n0*<xi,xi>."""
-        return self.n + self.n0 * self.xi_norm_sq
-
 
 def char_fn(state: RankOneQuasiFreeState, zeta: np.ndarray) -> float:
-    """Characteristic function value at zeta; real and in (0, 1]."""
+    """Characteristic function value at zeta; real and in (0, 1].
+
+    The exponent's two terms, off xi and along it, are each nonnegative
+    for <xi,xi> <= 1, so no occupation is subtracted from another.
+    """
     zeta = np.asarray(zeta, dtype=complex)
     if zeta.shape != (state.modes,):
         raise ValueError(
             f"zeta must have length modes = {state.modes}, got shape {zeta.shape}"
         )
     norm_sq = np.vdot(zeta, zeta).real
-    overlap = np.vdot(state.xi, zeta)
-    x = 2.0 * state.n + 1.0
-    return math.exp(-0.25 * (x * norm_sq + 2.0 * state.n0 * abs(overlap) ** 2))
+    overlap_sq = abs(np.vdot(state.xi, zeta)) ** 2
+    x, x_xi = 2.0 * state.n + 1.0, 2.0 * state.n_xi + 1.0
+    return math.exp(-0.25 * (x * (norm_sq - overlap_sq) + x_xi * overlap_sq))

@@ -40,15 +40,20 @@ def mp_step_sq(mp, params):
 
 
 def state_entropy(state: RankOneQuasiFreeState) -> float:
-    """Entropy (M-1) s(n) + s(n + n0*<xi,xi>) of M modes, s = occupation_entropy.
+    """Entropy (M-1) s(n) + s(n (1 - <xi,xi>) + n_xi <xi,xi>) of M modes,
+    s = occupation_entropy.
 
-    About 1e-14 relative while the occupations are normal floats (beta
-    below about 708).  Past that they have lost bits that no formula in n
-    recovers, so the entropy is accurate in absolute terms only, and it is
-    0 once they underflow (beta from about 745.1).
+    The occupation along xi is that mix of the two stored occupations, so
+    no occupation is subtracted from another.  About 1e-14 relative while
+    the occupations are normal floats (beta below about 708).  Past that
+    they have lost bits that no formula in n recovers, so the entropy is
+    accurate in absolute terms only, and it is 0 once they underflow (beta
+    from about 745.1).
     """
+    share = state.xi_norm_sq
+    along_xi = state.n * (1.0 - share) + state.n_xi * share
     return ((state.modes - 1) * occupation_entropy(max(state.n, 0.0))
-            + occupation_entropy(max(state.corrected_n, 0.0)))
+            + occupation_entropy(max(along_xi, 0.0)))
 
 
 def mp_beta_star_star(mp, params, m):

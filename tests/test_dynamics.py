@@ -1,5 +1,6 @@
 """Closed-form evolution, reductions and entropies against the brute-force oracle."""
 
+import itertools
 import math
 import re
 
@@ -66,7 +67,7 @@ class TestEvolveState:
         st = evolve_state(p, 0)
         assert st.modes == 5
         assert abs(st.n - 1.0) < 1e-15
-        assert abs(st.n0 - (0.5 - 1.0)) < 1e-15
+        assert abs(st.n_xi - 0.5) < 1e-15
         expect = np.zeros(5)
         expect[0] = 1.0
         assert np.max(np.abs(st.xi - expect)) < 1e-15
@@ -179,6 +180,20 @@ class TestReducedCharFn:
             for a in (0.5, 0.3 - 0.4j, 2.0 + 1.5j):
                 assert within(char_fn_S(p, m, a), mp_char_fn_S(mp, p, m, complex(a)))
 
+    @pytest.mark.parametrize("beta", [1e-12, 1e-6])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_S_of_a_hot_chain_matches_mpmath(self, beta, m):
+        # n(beta) is about 1/beta, and at m = 0 S holds none of it, so the value
+        # does not depend on beta; after a step the argument shrinks with
+        # sqrt(beta), so that the value stays above 0
+        mp = pytest.importorskip("mpmath")
+        p = std_params(N=8, E=2.0, beta=beta)
+        scale = 1.0 if m == 0 else math.sqrt(beta)
+        for a in (1.3 * scale, (0.3 - 0.4j) * scale):
+            expect = mp_char_fn_S(mp, p, m, complex(a))
+            assert expect > 0
+            assert within(reduced_char_fn(p, m, [0], [a]).real, expect)
+
     def test_Sm_is_thermal_at_beta_star_star(self):
         p = std_params(N=10, E=2.0)
         for m in (1, 4, 10):
@@ -260,7 +275,7 @@ class TestSlotPath:
                 slots = [0] + list(range(k - n + 1, k + 1))
                 st = reduced_state(p, k, subsystem_slots("window", k, n))
                 assert st.modes == n + 1
-                assert (st.n, st.n0) == (full.n, full.n0)
+                assert (st.n, st.n_xi) == (full.n, full.n_xi)
                 assert np.max(np.abs(st.xi - full.xi[slots])) < 1e-15
 
     def test_xi_coefficients_restrict_the_full_vector(self):
@@ -276,6 +291,19 @@ class TestSlotPath:
                 assert np.array_equal(reduced_state(p, m, same).xi, full[slots])
             assert np.array_equal(reduced_state(p, m, range(2, 5)).xi,
                                   reduced_state(p, m, [2, 3, 4]).xi)
+
+    def test_every_slot_list_is_a_bitwise_restriction(self):
+        # each slot's coefficient is formed on its own, so no list of slots
+        # rounds it otherwise than the full vector does
+        p = std_params(N=6, E=1.4, eta=0.3, tau=1.3)
+        lists = 0
+        for m in range(p.N + 1):
+            full = evolve_state(p, m).xi
+            for size in (1, 2, 3):
+                for slots in map(list, itertools.permutations(range(p.N + 1), size)):
+                    assert np.array_equal(reduced_state(p, m, slots).xi, full[slots])
+                    lists += 1
+        assert lists == 1813
 
     def test_xi_coefficients_validation(self):
         p = std_params(N=4)
@@ -581,7 +609,7 @@ class TestDeepCold:
         p = self.params()
         st = evolve_state(p, 3)
         assert abs(st.n - math.exp(-45.0)) <= 1e-15 * st.n
-        assert st.n0 > 0.0
+        assert st.n_xi > st.n
         assert abs(state_entropy(st) - total_entropy(p, 3)) <= 1e-12 * total_entropy(p, 3)
 
     def test_distinguished_mode_is_thermal_at_beta_star(self):
@@ -678,6 +706,11 @@ class TestOccupationMixEdges:
         got = window_entropy(p, n, k)
         assert got > 0.0
         assert within(got, mp_window_entropy(mp, p, n, k))
+
+    def test_reduced_state_entropy_of_a_cold_s(self):
+        # n(50) = 1.9e-22 is stored on xi itself, not as n(beta) plus a difference
+        p = std_params(N=8, E=2.0, beta0=50.0)
+        assert within(state_entropy(reduced_state(p, 0, [0])), mode_entropy(50.0))
 
     @pytest.mark.parametrize("beta", [1e-6, 0.1, math.log(2), 5.0, 50.0, 300.0])
     @pytest.mark.parametrize("r", [1e-3, 1e-6, 1e-9, 1e-12, -1e-7, 0.5, -0.5, 3.0])

@@ -182,28 +182,30 @@ class TestOccupationEdges:
             assert abs(b_lo - expect) <= EDGE_RTOL * expect
 
 
-def make_state(modes=3, n=1.0, n0=-0.5, xi=None):
+def make_state(modes=3, n=1.0, n_xi=0.5, xi=None):
     if xi is None:
         xi = np.zeros(modes, dtype=complex)
         xi[0] = 1.0
-    return RankOneQuasiFreeState(modes=modes, n=n, n0=n0, xi=xi)
+    return RankOneQuasiFreeState(modes=modes, n=n, n_xi=n_xi, xi=xi)
 
 
 class TestRankOneState:
     def test_admissibility(self):
         # the corrected occupation may not dip below the vacuum
         with pytest.raises(ValueError, match="inadmissible"):
-            make_state(n=1.0, n0=-1.25)
+            make_state(n=1.0, n_xi=-0.25)
         with pytest.raises(ValueError):
-            make_state(n=-0.25, n0=0.0)
+            make_state(n=-0.25, n_xi=-0.25)
         # within the slack is still admissible
-        make_state(n=1.0, n0=-1.0 - 1e-13)
+        make_state(n=1.0, n_xi=-1e-13)
 
     def test_norm_and_correction(self):
         xi = np.array([0.6, 0.8j, 0.0])
-        s = make_state(n=0.5, n0=0.25, xi=xi)
+        s = make_state(n=0.5, n_xi=0.75, xi=xi)
         assert abs(s.xi_norm_sq - 1.0) < 1e-15
-        assert abs(s.corrected_n - 0.75) < 1e-15
+        # the unit direction xi holds n_xi, the two modes off it n
+        expect = 2 * occupation_entropy(0.5) + occupation_entropy(0.75)
+        assert abs(state_entropy(s) - expect) < 1e-14
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -218,8 +220,9 @@ class TestCharFn:
     def test_matches_gaussian_formula(self):
         rng = np.random.default_rng(5)
         xi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        # x = 2n + 1 = 2.2 and x0 = 2 n0 = 0.7
-        s = RankOneQuasiFreeState(modes=4, n=0.6, n0=0.35, xi=xi)
+        # x = 2n + 1 = 2.2 and 2 (n_xi - n) = 0.7: the exponent split off xi
+        # and along it is this one Gaussian
+        s = RankOneQuasiFreeState(modes=4, n=0.6, n_xi=0.95, xi=xi)
         for _ in range(10):
             zeta = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             direct = math.exp(
@@ -234,12 +237,12 @@ class TestCharFn:
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
     def test_bounded(self, re, im):
-        s = make_state(n=0.35, n0=0.45)
+        s = make_state(n=0.35, n_xi=0.8)
         v = char_fn(s, np.array([complex(re, im), 0.1, 0.0]))
         assert 0.0 < v <= 1.0
 
     def test_gauge_invariance(self):
-        s = make_state(n=0.5, n0=-0.2)
+        s = make_state(n=0.5, n_xi=0.3)
         zeta = np.array([0.3 + 0.1j, -0.2j, 0.5])
         a = char_fn(s, zeta)
         b = char_fn(s, np.exp(0.9j) * zeta)
@@ -252,22 +255,22 @@ class TestCharFn:
 
 class TestStateEntropy:
     def test_uncorrected_is_extensive(self):
-        s = make_state(modes=5, n=0.5, n0=0.0)
+        s = make_state(modes=5, n=0.5, n_xi=0.5)
         assert abs(state_entropy(s) - 5.0 * SIGMA_2) < 1e-14
         assert abs(occupation_entropy(s.n) - SIGMA_2) < 1e-15
 
     def test_split_adds_up(self):
-        s = make_state(modes=4, n=1.0, n0=-0.5)
-        expect = 3 * occupation_entropy(s.n) + occupation_entropy(s.corrected_n)
+        s = make_state(modes=4, n=1.0, n_xi=0.5)
+        expect = 3 * occupation_entropy(s.n) + occupation_entropy(s.n_xi)
         assert abs(state_entropy(s) - expect) < 1e-14
         # corrected direction sits at n = 1/2 here
-        assert abs(occupation_entropy(s.corrected_n) - SIGMA_2) < 1e-15
+        assert abs(occupation_entropy(s.n_xi) - SIGMA_2) < 1e-15
 
     def test_pure_corrected_direction(self):
-        # n0 drives the corrected mode down to the vacuum: zero entropy there
-        s = make_state(modes=2, n=1.0, n0=-1.0)
-        assert s.corrected_n == 0.0
+        # the corrected mode is the vacuum: zero entropy there
+        s = make_state(modes=2, n=1.0, n_xi=0.0)
+        assert s.n_xi == 0.0
         assert state_entropy(s) == occupation_entropy(s.n)
         # a corrected occupation just below 0, within the slack, reads as the vacuum
-        s = make_state(modes=2, n=1.0, n0=-1.0 - 1e-13)
+        s = make_state(modes=2, n=1.0, n_xi=-1e-13)
         assert state_entropy(s) == occupation_entropy(s.n)
