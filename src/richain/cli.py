@@ -6,7 +6,10 @@ into <name>_re/<name>_im, infinities and NaN as the strings "inf",
 "-inf" and "nan".  CSV writes floats with 17 significant digits, JSON
 with the shortest repr that round-trips.  Identical config must produce
 byte-identical output, so nothing time- or environment-dependent is ever
-serialized.
+serialized.  A command computes all its records before the first byte is
+written, so a failing command writes nothing; the encoders then write to
+the destination record by record, so the records are the only memory that
+grows with the output.
 
 Flags alone set --oracle, --cutoff and --tolerance; --cutoff sets the
 oracle's cutoff, so on `simulate` and `sweep` it needs --oracle.  A config
@@ -20,8 +23,8 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import itertools
 import json
 import math
@@ -198,28 +201,50 @@ _CSV_CELL = {
 }
 
 
-def _records_csv(records: list[RunRecord]) -> str:
-    rows, inputs, echo = [], None, {}
+def _signature(section: dict) -> tuple:
+    """A section's keys and its values' types, which fix its split keys."""
+    return (*section, *map(type, section.values()))
+
+
+def _csv_columns(records: list[RunRecord]) -> list[str]:
+    """The header: the first-seen union of the records' split columns.  `_split`
+    runs only on a record whose signature of keys and value types is new."""
+    columns, seen, inputs = {}, set(), None
     for r in records:
-        # records may share one inputs dict, as a simulate run's do: encode it
-        # once.  Its cells are text, which encodes to itself below
-        if r.inputs is not inputs:
-            inputs = r.inputs
-            echo = {key: _CSV_CELL.get(type(v), str)(v) for key, v in _split(inputs).items()}
-        rows.append({
+        if r.inputs is not inputs:  # a simulate run's records share one inputs dict
+            inputs, inputs_signature = r.inputs, _signature(r.inputs)
+        deltas = r.oracle_deltas or {}
+        signature = (inputs_signature, _signature(r.outputs), _signature(deltas))
+        if signature not in seen:
+            seen.add(signature)
+            # dict keys keep first-seen order
+            columns.update(dict.fromkeys(
+                ["run_id", *_split(inputs), *_split(r.outputs), *_split(deltas, "delta_")]))
+    return list(columns)
+
+
+def _csv_cells(section: dict, prefix: str = "") -> dict:
+    """A record section's split values as CSV text, under `prefix` + key."""
+    return {key: _CSV_CELL.get(type(v), str)(v) for key, v in _split(section, prefix).items()}
+
+
+def _records_csv(records: list[RunRecord], out) -> None:
+    """Write the records' CSV to the text stream `out`, one row at a time."""
+    columns = _csv_columns(records)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    inputs, echo = None, {}
+    for r in records:
+        if r.inputs is not inputs:  # a simulate run's records share one inputs dict: encode it once
+            inputs, echo = r.inputs, _csv_cells(r.inputs)
+        row = {
             "run_id": r.run_id,
             **echo,
-            **_split(r.outputs),
-            **_split(r.oracle_deltas or {}, "delta_"),
-        })
-    # dict keys keep first-seen order
-    columns = list(dict.fromkeys(col for row in rows for col in row))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_CSV_CELL.get(type(v), str)(v) for v in map(row.get, columns)])
-    return buf.getvalue()
+            **_csv_cells(r.outputs),
+            **_csv_cells(r.oracle_deltas or {}, "delta_"),
+        }
+        # a column the row lacks reads None, which csv writes as an empty cell
+        writer.writerow(map(row.get, columns))
 
 
 def _json_value(value):
@@ -245,29 +270,32 @@ def _json_section(section: dict) -> str:
     return _INDENTED.encode(values).replace("\n", "\n      ")
 
 
-def _records_json(records: list[RunRecord], command: str) -> str:
-    """json.dumps(indent=2, sort_keys=True, ensure_ascii=False) of {"schema_version": 1,
-    "command": ..., "records": [...]}, byte for byte."""
-    items, inputs, echo = [], None, ""
+def _records_json(records: list[RunRecord], command: str, out) -> None:
+    """Write json.dumps(indent=2, sort_keys=True, ensure_ascii=False) of
+    {"schema_version": 1, "command": ..., "records": [...]} to the text stream
+    `out`, byte for byte, one record at a time."""
+    out.write(f'{{\n  "command": {_INDENTED.encode(command)},\n  "records": ')
+    opening, inputs, echo = "[\n", None, ""
     for r in records:
         if r.inputs is not inputs:  # a simulate run's records share one inputs dict
             inputs, echo = r.inputs, _json_section(r.inputs)
         deltas = _json_section(r.oracle_deltas) if r.oracle_deltas else "null"
-        items.append(f'    {{\n      "inputs": {echo},\n      "oracle_deltas": {deltas},\n'
-                     f'      "outputs": {_json_section(r.outputs)},\n'
-                     f'      "run_id": {_INDENTED.encode(r.run_id)}\n    }}')
-    body = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-    return (f'{{\n  "command": {_INDENTED.encode(command)},\n  "records": {body},\n'
-            f'  "schema_version": 1\n}}\n')
+        out.write(f'{opening}    {{\n      "inputs": {echo},\n      "oracle_deltas": {deltas},\n'
+                  f'      "outputs": {_json_section(r.outputs)},\n'
+                  f'      "run_id": {_INDENTED.encode(r.run_id)}\n    }}')
+        opening = ",\n"
+    out.write(("\n  ]" if records else "[]") + ',\n  "schema_version": 1\n}\n')
 
 
 def _emit(records: list[RunRecord], command: str, output: str | None, fmt: str) -> None:
-    text = _records_csv(records) if fmt == "csv" else _records_json(records, command)
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    """Write the records to the file `output`, or to stdout if it is None."""
+    destination = contextlib.nullcontext(sys.stdout) if output is None else open(
+        output, "w", encoding="utf-8", newline="")
+    with destination as out:
+        if fmt == "csv":
+            _records_csv(records, out)
+        else:
+            _records_json(records, command, out)
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ class _GroupLayout:
         offsets = np.empty(len(starts), dtype=np.intp)
         stacks = []
         offset = 0
-        for k in np.unique(self.sizes).tolist():
+        for k in sorted(set(self.sizes.tolist())):  # np.unique would import numpy.ma
             groups = np.flatnonzero(self.sizes == k)
             offsets[groups] = offset + k * k * np.arange(len(groups))
             members = order[starts[groups][:, None] + np.arange(k)]

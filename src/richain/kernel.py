@@ -113,9 +113,12 @@ class StepScalars:
     def log_abs_z(self) -> float:
         """log|z| as log1p(-|w|^2)/2, which |z|^2 + |w|^2 = 1 allows.
 
-        Powers exp(k log|z|) then keep a relative error near 1e-16 for k
-        up to 1e8, where the float power of |z| loses about k ulps.  Once
-        |w|^2 > 1/2, log|z| is read off |z| itself; z = 0 gives -inf.
+        A power exp(k log|z|) then carries the rounding of k log|z|, a
+        relative error of about 1e-16 |k log|z||, where the float power of
+        |z| loses about k ulps: |z|^(2k) was 1.3e-13 off an mpmath value at
+        |2k log|z|| = 500.  The phase k arg(gz) of (gz)^k grows the same
+        way: 7.7e-12 off at k = 1e8, tau = 1.26e-3.  Once |w|^2 > 1/2,
+        log|z| is read off |z| itself; z = 0 gives -inf.
         Formed once per instance.
         """
         wsq = abs(self.w) ** 2
@@ -150,12 +153,15 @@ class StepScalars:
         """(g z)^k for integer k >= 0, a scalar or an array of them.
 
         Taken as exp(k (log|z| + i arg(gz))) with `log_abs_z`.  z = 0
-        gives exactly 1 at k = 0 and 0 beyond.
+        gives exactly 1 at k = 0 and 0 beyond.  One integer goes through
+        `cmath`, whose exp rounds as numpy's does, and comes back as a numpy
+        complex, so products with it round as the array path's entries do.
         """
-        k = np.asarray(k)
         if self.z == 0:
-            return np.add(k == 0, 0j)[()]  # True + 0j is 1 + 0j
+            return np.add(np.asarray(k) == 0, 0j)[()]  # True + 0j is 1 + 0j
         log_gz = complex(self.log_abs_z, cmath.phase(self.g * self.z))
+        if isinstance(k, (int, np.integer)):
+            return np.complex128(cmath.exp(k * log_gz))
         return np.exp(np.multiply(k, log_gz))[()]
 
 

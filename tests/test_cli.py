@@ -2,12 +2,14 @@
 
 import copy
 import csv
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ import richain
 from richain import dynamics
 from richain.cli import (
     _build_parser,
+    _emit,
     _json_value,
     _model_from_config,
     _records_csv,
@@ -112,6 +115,18 @@ class TestJsonFormat:
         assert "wall_time" not in rec
 
 
+def csv_text(records):
+    buf = io.StringIO()
+    _records_csv(records, buf)
+    return buf.getvalue()
+
+
+def json_text(records, command):
+    buf = io.StringIO()
+    _records_json(records, command, buf)
+    return buf.getvalue()
+
+
 def reference_json(records, command):
     """The JSON text of `records` through json.dumps' general encoder."""
     def encode(section):
@@ -139,7 +154,7 @@ class TestJsonBytes:
 
     @staticmethod
     def assert_same_bytes(records, command):
-        assert _records_json(records, command) == reference_json(records, command)
+        assert json_text(records, command) == reference_json(records, command)
 
     def test_every_subcommand(self):
         params = _model_from_config({})
@@ -184,6 +199,72 @@ class TestJsonBytes:
         self.assert_same_bytes([], "empty")
 
 
+def reference_csv(records):
+    """The CSV text of `records` with every row held: one dict per row, the
+    first-seen union of their keys as the header, one csv.writer."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return format(value, ".17g")
+        return "" if value is None else str(value)
+
+    rows = [{"run_id": r.run_id, **_split(r.inputs), **_split(r.outputs),
+             **_split(r.oracle_deltas or {}, "delta_")} for r in records]
+    columns = list(dict.fromkeys(col for row in rows for col in row))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([cell(row.get(col)) for col in columns])
+    return buf.getvalue()
+
+
+class TestStreamedEncoders:
+    """The encoders write one record at a time: the CSV header comes from a
+    first walk over the records' key signatures, each row from a second."""
+
+    def test_csv_of_every_subcommand(self):
+        params = _model_from_config({})
+        small = _model_from_config({"model": STD_MODEL})
+        inf_model = _model_from_config({"model": dict(STD_MODEL, beta0="inf")})
+        grid = {"E": [1.0, 2.0], "eps": [1.0], "eta": [0.5, 9.0], "tau": [1.0],
+                "beta0": ["inf", math.log(3)], "beta": [math.log(2)], "N": [2]}
+        for records in (
+            cmd_kernel(params),
+            cmd_simulate({}, params, None),
+            cmd_simulate({}, small, 8),
+            cmd_simulate({}, inf_model, None),
+            cmd_subsystem({"subsystem": {"kind": "window", "m": 5, "n": 2}}, params),
+            cmd_subsystem({}, params),
+            cmd_verify({}, params, None, 6)[2],
+            cmd_sweep({"sweep": {"grid": grid}}, 8),
+        ):
+            assert csv_text(records) == reference_csv(records), records[0].run_id
+
+    def test_csv_of_mixed_error_and_normal_rows(self):
+        # error rows echo a bad grid value as given and have an error column
+        # but none of the normal rows' outputs
+        grid = {"E": [[1.0, 2.0], 2.0], "eps": [1.0], "eta": [0.5], "tau": [1.0],
+                "beta0": [1.0], "beta": [2.0], "N": [2, 2.5]}
+        records = sweep(grid)
+        assert {"error" in r.outputs for r in records} == {True, False}
+        assert csv_text(records) == reference_csv(records)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_holds_no_more_than_a_row(self, fmt):
+        # simulate's 4,001 records written whole cost 4.1 MiB (CSV) and
+        # 7.4 MiB (JSON) of peak over the records
+        records = cmd_simulate({}, _model_from_config({"model": {"N": 4000}}), None)
+        tracemalloc.start()
+        try:
+            _emit(records, "simulate", os.devnull, fmt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (fmt, peak)
+
+
 class TestRecordEncoding:
     """CSV and JSON encode one split form of every value a record holds."""
 
@@ -210,12 +291,12 @@ class TestRecordEncoding:
     }
 
     def test_csv_cells(self):
-        header, row = csv.reader(_records_csv([self.RECORD]).splitlines())
+        header, row = csv.reader(csv_text([self.RECORD]).splitlines())
         assert header == list(self.EXPECTED)
         assert row == [csv_cell for csv_cell, _ in self.EXPECTED.values()]
 
     def test_json_values(self):
-        rec = json.loads(_records_json([self.RECORD], "test"))["records"][0]
+        rec = json.loads(json_text([self.RECORD], "test"))["records"][0]
         values = {"run_id": rec["run_id"], **rec["inputs"], **rec["outputs"],
                   **{"delta_" + k: v for k, v in rec["oracle_deltas"].items()}}
         assert values == {key: json_value for key, (_, json_value) in self.EXPECTED.items()}

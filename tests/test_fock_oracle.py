@@ -8,7 +8,10 @@ exponentiated by scipy's expm.
 
 import ast
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -398,6 +401,28 @@ class TestCompactLayout:
         nxt_compact = fo.evolve_density(compact, p, [modes - 1])
         nxt_copy = fo.evolve_density(copy, p, [modes - 1])
         assert np.max(np.abs(to_dense(nxt_compact) - to_dense(nxt_copy))) < 1e-13
+
+
+_NO_NUMPY_MA = """
+import math, sys
+from richain import fock_oracle as fo
+from richain.kernel import ModelParams
+
+p = ModelParams(E=1.0, eps=1.0, eta=0.5, tau=1.0, N=2, beta0=math.log(3), beta=math.log(2))
+rho = fo.BlockedDensityMatrix.from_thermal_product([p.beta0, p.beta, p.beta], 6)
+fo.von_neumann_entropy(fo.evolve_density(rho, p, [1]))
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_oracle_imports_no_numpy_ma():
+    # importing numpy.ma would cost every verify and sweep run about 10 ms
+    src = str(pathlib.Path(fo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
 
 
 def _hermitian_stack(rng, n, k):

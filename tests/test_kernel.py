@@ -158,6 +158,24 @@ class TestGzPower:
             assert s.gz_power(0) == 1.0
             np.testing.assert_array_equal(s.gz_power(np.arange(4)), [1.0, 0.0, 0.0, 0.0])
 
+    def test_scalar_path_is_the_array_path_bitwise(self):
+        # one integer goes through cmath: each value must carry the bits of the
+        # array path's entry, so products with it round as they did before
+        ks = [0, 1, 7, 2**31, 10**9]
+        for s in (
+            step_scalars(make_params()),
+            step_scalars(make_params(E=1.0, tau=math.acos(0.1) / 0.5)),
+            step_scalars(make_params(eta=0.0)),
+            step_scalars(make_params(tau=1e-3)),
+            StepScalars(g=1.0 + 0j, w=1j, z=0j),
+        ):
+            entries = s.gz_power(np.array(ks))
+            for kind in (int, np.int64):
+                values = [s.gz_power(kind(k)) for k in ks]
+                assert {type(v) for v in values} == {np.complex128}
+                np.testing.assert_array_equal(
+                    np.array(values).view(np.uint64), entries.view(np.uint64))
+
     def test_decoupled_is_a_pure_phase(self):
         # w = 0 gives log|z| = 0 exactly, so no modulus drift even at k = 1e8
         s = step_scalars(make_params(eta=0.0))
