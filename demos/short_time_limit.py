@@ -13,7 +13,6 @@ from richain import (
     ChainStateSpec,
     LimitSchedule,
     ModelParams,
-    moment_hypothesis_check,
     short_time_limit_run,
 )
 
@@ -24,7 +23,7 @@ theta = [1.0 + 0.0j]
 
 for spec in (ChainStateSpec(kind="gibbs", beta=math.log(2)),
              ChainStateSpec(kind="number_state", level=1)):
-    moment = moment_hypothesis_check(spec).symmetric_moment
+    moment = spec.symmetric_moment()
     limit = math.exp(-0.25 * moment)
     label = spec.kind if spec.kind == "gibbs" else f"number state |{spec.level}>"
     print(f"{label}: symmetric moment {moment:.4f}, limit {limit:.10f}")

@@ -42,7 +42,6 @@ from .dynamics import (
 from .experiments import (
     ChainStateSpec,
     LimitSchedule,
-    MomentReport,
     RunRecord,
     moment_hypothesis_check,
     short_time_limit_run,
@@ -61,7 +60,7 @@ __all__ = [
     "effective_beta_S", "effective_beta_Sm", "total_entropy",
     "relative_entropy", "entropy_production_limit",
     "window_overlap_norm_sq", "window_entropy",
-    "LimitSchedule", "ChainStateSpec", "MomentReport", "RunRecord",
+    "LimitSchedule", "ChainStateSpec", "RunRecord",
     "moment_hypothesis_check", "short_time_limit_run", "sweep",
     "__version__",
 ]

@@ -14,10 +14,11 @@ grows with the output.
 Flags alone set --oracle, --cutoff and --tolerance; --cutoff sets the
 oracle's cutoff, so on `simulate` and `sweep` it needs --oracle.  A config
 key that nothing reads (top level, command section or limit.spec) is an
-error, and so is a value of the wrong JSON type.
+error, and so is a value of the wrong JSON type.  Every list of [re, im]
+pairs (limit.thetas, each subsystem.alphas entry) is read by `_pairs`.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or usage
-error.
+error, which includes an --output file that cannot be opened.
 """
 
 from __future__ import annotations
@@ -92,6 +93,12 @@ def _numbers(values, convert, where: str) -> list:
     if not isinstance(values, list):
         raise ConfigError(f"'{where}' must be a list, got {values!r}")
     return [_number(v, convert, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def _pairs(values, where: str) -> list[complex]:
+    if not isinstance(values, list):
+        raise ConfigError(f"'{where}' must be a list, got {values!r}")
+    return [_parse_complex_pair(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
 # the config's top-level keys; each command reads its own section
@@ -288,9 +295,13 @@ def _records_json(records: list[RunRecord], command: str, out) -> None:
 
 
 def _emit(records: list[RunRecord], command: str, output: str | None, fmt: str) -> None:
-    """Write the records to the file `output`, or to stdout if it is None."""
-    destination = contextlib.nullcontext(sys.stdout) if output is None else open(
-        output, "w", encoding="utf-8", newline="")
+    """Write the records to the file `output`, or to stdout if it is None; a
+    file that cannot be opened is a ConfigError."""
+    try:
+        destination = contextlib.nullcontext(sys.stdout) if output is None else open(
+            output, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
     with destination as out:
         if fmt == "csv":
             _records_csv(records, out)
@@ -367,13 +378,8 @@ def cmd_subsystem(config: dict, params: ModelParams) -> list[RunRecord]:
     if "alphas" in section:
         if not isinstance(section["alphas"], list) or not section["alphas"]:
             raise ConfigError("subsystem.alphas must be a nonempty list of argument tuples")
-        tuples = [
-            [
-                _parse_complex_pair(pair, f"subsystem.alphas[{i}][{j}]")
-                for j, pair in enumerate(entry)
-            ]
-            for i, entry in enumerate(section["alphas"])
-        ]
+        tuples = [_pairs(args, f"subsystem.alphas[{i}]")
+                  for i, args in enumerate(section["alphas"])]
     else:
         tuples = [[complex(0.5, 0.0)] * len(slots)]
 
@@ -440,14 +446,7 @@ def cmd_limit(config: dict, params: ModelParams) -> list[RunRecord]:
     except ValueError as exc:
         raise ConfigError(f"invalid schedule: {exc}") from exc
     spec = _spec_from_config(section)
-    thetas = [complex(1.0, 0.0)]
-    if "thetas" in section:
-        if not isinstance(section["thetas"], list):
-            raise ConfigError(f"'limit.thetas' must be a list, got {section['thetas']!r}")
-        thetas = [
-            _parse_complex_pair(pair, f"limit.thetas[{i}]")
-            for i, pair in enumerate(section["thetas"])
-        ]
+    thetas = _pairs(section["thetas"], "limit.thetas") if "thetas" in section else [1.0 + 0j]
     return short_time_limit_run(params, schedule, spec, thetas)
 
 

@@ -17,7 +17,7 @@ chunk of at most 2^14 tail factors are evaluated factor by factor on the
 one-mode Weyl oracle; that chunk must meet the series to 1e-13 relative,
 so every row is checked against arithmetic that does not rest on it.
 
-Also here: the moment-hypothesis report backing that run, the oracle
+Also here: the moment-hypothesis gate of that run, the oracle
 trajectory and cross-check helper, and a parameter sweep emitting one
 record per grid point.  Records are plain data; serialization lives in
 `cli`.
@@ -39,7 +39,6 @@ from .quasifree import char_fn, occupation
 __all__ = [
     "LimitSchedule",
     "ChainStateSpec",
-    "MomentReport",
     "RunRecord",
     "moment_hypothesis_check",
     "short_time_limit_run",
@@ -189,28 +188,16 @@ class ChainStateSpec:
         return 1.0 - 2.0 * float(self.factorial_series()[1])
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """The vanishing-moment hypothesis of a chain state.
-
-    h2_pass holds when |Tr[rho a]| and |Tr[rho aa]| are both at most 1e-12.
-    """
-
-    tr_a: complex
-    tr_aa: complex
-    symmetric_moment: float
-    h2_pass: bool
-
-
 _H2_TOL = 1e-12
 
 
-def moment_hypothesis_check(spec: ChainStateSpec) -> MomentReport:
-    """The spec's first and second gauge-breaking moments, exact off its native
-    matrix (`ChainStateSpec.gauge_moments`); a failure lands in h2_pass, never raises."""
+def moment_hypothesis_check(spec: ChainStateSpec) -> None:
+    """Raise ValueError naming both moments unless Tr[rho a] and Tr[rho aa], exact
+    off the spec's native matrix (`ChainStateSpec.gauge_moments`), are <= 1e-12."""
     tr_a, tr_aa = spec.gauge_moments()
-    h2_pass = abs(tr_a) <= _H2_TOL and abs(tr_aa) <= _H2_TOL
-    return MomentReport(tr_a, tr_aa, spec.symmetric_moment(), h2_pass)
+    if not (abs(tr_a) <= _H2_TOL and abs(tr_aa) <= _H2_TOL):
+        raise ValueError("chain state violates the moment hypotheses: "
+                         f"Tr[rho a] = {tr_a}, Tr[rho aa] = {tr_aa}")
 
 
 # terms per streamed chunk, and the length of a series row's checked chunk
@@ -256,6 +243,8 @@ _ROUNDING = 2.0**-53
 # digits the two need not share (|theta| = 1e-156 gives a log of -1.1e-312).
 _CROSS_CHECK_TOL = 1e-13
 _CROSS_CHECK_FLOOR = 1e-300
+# the largest argument math.exp takes
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def _log_series(spec: ChainStateSpec, order: int) -> tuple[np.ndarray, float, int] | None:
@@ -372,7 +361,9 @@ def short_time_limit_run(
     chain spec's.  Each record carries |value - limit|; the sequence per
     theta must be monotone nonincreasing from the first checkpoint with
     tau^2*N >= 1, up to 5% relative slack plus the law gate's 1e-14 |limit|,
-    or the run fails.  A non-finite theta raises ValueError.
+    or the run fails.  The thetas must form a nonempty 1-D array of finite
+    values whose |theta|^2 is finite, and the spec must pass
+    `moment_hypothesis_check`; otherwise ValueError.
 
     A diagonal chain density, with log P = sum_j a_j x^j from
     `_log_series` (which carries a_j scaled by its radius), has the error law
@@ -386,7 +377,9 @@ def short_time_limit_run(
     the tail is at most T = (deg/3) r^3 G_3 / (1 - r), r = X/radius, so
     law_remainder = |limit exp(L)| expm1(T) bounds |abs_error -
     predicted_error|, and the run fails past law_remainder + 1e-14 |limit|.
-    Both are NaN for other densities and from X = radius on.
+    Both are NaN for other densities and from X = radius on.  Where exp(L)
+    overflows, limit exp(L) is one exponential, whose exponent adds two
+    terms of one sign, and predicted_error is limit exp(L) - limit.
 
     The gibbs law stops at its first term, so its value is limit exp(L)
     at any N and its abs_error is exactly predicted_error.  Other specs
@@ -413,15 +406,13 @@ def short_time_limit_run(
     chunks of 2^14, so memory does not grow with N.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=complex))
-    if not np.all(np.isfinite(thetas)):
-        raise ValueError(f"thetas must be finite, got {thetas.tolist()}")
-    report = moment_hypothesis_check(spec)
-    if not report.h2_pass:
-        raise ValueError(
-            "chain state violates the moment hypotheses: "
-            f"Tr[rho a] = {report.tr_a}, Tr[rho aa] = {report.tr_aa}"
-        )
-    n0, moment = occupation(template.beta0), report.symmetric_moment
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.square(np.abs(thetas)))  # also false at inf and NaN
+    if thetas.ndim != 1 or not thetas.size or not np.all(finite):
+        raise ValueError("thetas must be a nonempty 1-D array of finite values with "
+                         f"finite |theta|^2, got {thetas.tolist()}")
+    moment_hypothesis_check(spec)
+    n0, moment = occupation(template.beta0), spec.symmetric_moment()
     series = _log_series(spec, _SERIES_ORDER)
     if series is None and max(schedule.checkpoints) > _PRODUCT_TERM_CAP:
         raise ValueError(f"term-by-term product capped at {_PRODUCT_TERM_CAP} factors")
@@ -445,11 +436,21 @@ def short_time_limit_run(
             x = abs(s.w) ** 2 * theta_sq / 2.0
             log_law = tail = math.nan  # NaN, and no gate, where the law is not available
             if x < radius:
-                log_law = (-0.25 * theta_sq * zsq_n * (2.0 * n0 + 1.0 - moment)
-                           + b[1] * (x / _series_scale(radius)) ** 2 * g2)
+                # degree 0 (gibbs, vacuum) has b_2 = 0, and x^2 may overflow
+                quad = b[1] * (x / _series_scale(radius)) ** 2 * g2 if degree else 0.0
+                log_law = -0.25 * theta_sq * zsq_n * (2.0 * n0 + 1.0 - moment) + quad
                 tail = degree / 3.0 * (x / radius) ** 3 * g3 / (1.0 - x / radius)
+            if log_law > _LOG_FLOAT_MAX:
+                # exp(L) overflows where limit < exp(-709) has lost its digits: take
+                # limit exp(L) as one exponent, of two terms that do not cancel
+                law = math.exp(quad - 0.25 * theta_sq * (
+                    moment * s.zsq_complement(n_steps) + zsq_n * (2.0 * n0 + 1.0)))
+                predicted = law - limit
+            else:
+                law = limit * math.exp(log_law)
+                predicted = abs(limit * math.expm1(log_law))
             if spec.kind == "gibbs":
-                value = complex(limit * math.exp(log_law))
+                value = complex(law)
             elif theta == 0:
                 value = 1.0 + 0j
             else:
@@ -459,11 +460,10 @@ def short_time_limit_run(
                 log_chain = _chain_log(weyl, series, s, phase * s.g * s.w * theta, n_steps)
                 log_c0 = -0.25 * zsq_n * theta_sq * (2.0 * n0 + 1.0)
                 value = complex(np.exp(log_c0 + log_chain))
-            predicted = abs(limit * math.expm1(log_law))
             # limit - limit exp(L) by subtraction would read 0 below 1e-16 |limit|
             err = predicted if spec.kind == "gibbs" else abs(value - limit)
             # expm1 raises past 709.78; a tail that large leaves no bound
-            remainder = abs(limit * math.exp(log_law)) * math.expm1(min(tail, 709.0))
+            remainder = abs(law) * math.expm1(min(tail, 709.0))
             if abs(err - predicted) > remainder + 1e-14 * limit:
                 raise RuntimeError(f"limit-run error {err!r} off its law {predicted!r} "
                                    f"by more than {remainder!r}, theta={theta}, N={n_steps}")

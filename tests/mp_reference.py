@@ -56,14 +56,31 @@ def state_entropy(state: RankOneQuasiFreeState) -> float:
             + occupation_entropy(max(along_xi, 0.0)))
 
 
+def mp_beta(mp, n):
+    """50-digit beta = log1p(1/n) of an occupation n, which mp_occupation inverts."""
+    with mp.workdps(50):
+        return mp.log1p(1 / mp.mpf(n))
+
+
+def mp_mix(mp, params, share):
+    """50-digit occupation share n(beta0) + (1 - share) n(beta)."""
+    with mp.workdps(50):
+        return share * mp_occupation(mp, params.beta0) + (1 - share) * mp_occupation(mp, params.beta)
+
+
+def mp_beta_star(mp, params, m):
+    """50-digit beta* of S after m steps, the beta of the mix at share |z|^(2m)."""
+    with mp.workdps(50):
+        _, zsq = mp_step_sq(mp, params)
+        return mp_beta(mp, mp_mix(mp, params, zsq**m))
+
+
 def mp_beta_star_star(mp, params, m):
     """50-digit beta** = log1p(1/n) of n = share n(beta0) + (1 - share) n(beta),
     with share = |w|^2 |z|^(2(m-1))."""
     with mp.workdps(50):
         wsq, zsq = mp_step_sq(mp, params)
-        share = wsq * zsq ** (m - 1)
-        mix = share * mp_occupation(mp, params.beta0) + (1 - share) * mp_occupation(mp, params.beta)
-        return mp.log1p(1 / mix)
+        return mp_beta(mp, mp_mix(mp, params, wsq * zsq ** (m - 1)))
 
 
 def mp_char_fn_S(mp, params, m, alpha):
@@ -71,10 +88,18 @@ def mp_char_fn_S(mp, params, m, alpha):
     m steps, n* = |z|^2m n(beta0) + (1 - |z|^2m) n(beta)."""
     with mp.workdps(50):
         _, zsq = mp_step_sq(mp, params)
-        share = zsq**m
-        mix = share * mp_occupation(mp, params.beta0) + (1 - share) * mp_occupation(mp, params.beta)
+        mix = mp_mix(mp, params, zsq**m)
         norm_sq = mp.mpf(alpha.real) ** 2 + mp.mpf(alpha.imag) ** 2
         return mp.exp(-norm_sq / 4 * (2 * mix + 1))
+
+
+def mp_window_norm_sq(mp, params, n, k):
+    """50-digit weight |z|^(2k) + sum_j |xi_j|^2 of S and the window's chain
+    modes j = k-n+1..k after k steps, summed slot by slot, |xi_j|^2 = |w|^2
+    |z|^(2(j-1))."""
+    with mp.workdps(50):
+        wsq, zsq = mp_step_sq(mp, params)
+        return zsq**k + wsq * mp.fsum(zsq ** (j - 1) for j in range(k - n + 1, k + 1))
 
 
 def mp_window_entropy(mp, params, n, k):
@@ -85,7 +110,7 @@ def mp_window_entropy(mp, params, n, k):
     """
     with mp.workdps(50):
         wsq, zsq = mp_step_sq(mp, params)
-        share = zsq**k + wsq * mp.fsum(zsq ** (j - 1) for j in range(k - n + 1, k + 1))
+        share = mp_window_norm_sq(mp, params, n, k)
         rest = wsq * mp.fsum(zsq ** (j - 1) for j in range(1, k - n + 1))
         n0, nb = mp_occupation(mp, params.beta0), mp_occupation(mp, params.beta)
         return n * mp_entropy(mp, nb) + mp_entropy(mp, share * n0 + rest * nb)
@@ -96,6 +121,14 @@ def mp_production(mp, params):
     with mp.workdps(50):
         d = mp.mpf(params.beta0) - mp.mpf(params.beta)
         return d * (mp_occupation(mp, params.beta) - mp_occupation(mp, params.beta0))
+
+
+def mp_relative_entropy(mp, params, m):
+    """50-digit relative entropy of S after m steps, the production limit
+    times 1 - |z|^(2m)."""
+    with mp.workdps(50):
+        _, zsq = mp_step_sq(mp, params)
+        return mp_production(mp, params) * (1 - zsq**m)
 
 
 def mp_level_one_value(mp, params, theta_sq):

@@ -21,7 +21,6 @@ from richain import cli, dynamics, fock_oracle
 from richain.experiments import (
     ChainStateSpec,
     LimitSchedule,
-    moment_hypothesis_check,
     short_time_limit_run,
 )
 from richain.kernel import (
@@ -270,7 +269,7 @@ def test_criterion_10_short_time_limit():
     gibbs_monotone = all(b < a or a == b == 0.0 for a, b in zip(gerrs, gerrs[1:]))
 
     number = ChainStateSpec(kind="number_state", level=1)
-    moment = moment_hypothesis_check(number).symmetric_moment
+    moment = number.symmetric_moment()
     nrecs = short_time_limit_run(template, schedule, number, [theta])
     nerrs = [r.outputs["abs_error"] for r in nrecs]
     limit_dev = abs(nrecs[-1].outputs["limit"] - math.exp(-0.75))

@@ -751,6 +751,38 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, "kernel", "--config", "/nonexistent/x.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command, payload", [
+        ("subsystem", {"subsystem": {"alphas": [1.0]}}),
+        ("subsystem", {"subsystem": {"alphas": [None]}}),
+        ("limit", {"limit": {"thetas": []}}),
+        ("limit", {"limit": {"thetas": [[1e300, 0.0]]}}),
+        ("limit", {"limit": {"spec": {"kind": "number_state", "level": 1},
+                             "thetas": [[1e300, 0.0]]}}),
+    ], ids=["alphas-float", "alphas-null", "thetas-empty", "thetas-1e300-gibbs",
+            "thetas-1e300-number-state"])
+    def test_bad_pair_list_exits_2_with_one_error_line(self, tmp_path, capsys, command, payload):
+        # a list entry that is not a list, no theta, or a |theta|^2 past the floats:
+        # one error line naming the list, never a traceback
+        cfg = write_config(tmp_path, {"schema_version": 1, **payload})
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert ("alphas" if command == "subsystem" else "thetas") in err
+
+    @pytest.mark.parametrize("argv", [["kernel"], ["verify", "--cutoff", "8"]],
+                             ids=["kernel", "verify"])
+    def test_output_that_cannot_be_opened_exits_2(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 2
+        assert err == f"error: cannot write output: [Errno 2] No such file or directory: '{target}'\n"
+        assert not target.parent.exists()
+        # verify's report still goes to stdout, before its records are written
+        assert (out == "") == (argv[0] == "kernel")
+        if argv[0] == "verify":
+            assert out.endswith("13 checks passed\n")
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])

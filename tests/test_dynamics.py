@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 import fock_reference as ref
 from fock_reference import partial_trace
 from mp_reference import (
+    mp_beta,
+    mp_beta_star,
     mp_beta_star_star,
     mp_char_fn_S,
-    mp_entropy,
-    mp_occupation,
     mp_production,
+    mp_relative_entropy,
     mp_step_sq,
     mp_window_entropy,
+    mp_window_norm_sq,
     state_entropy,
 )
 from richain import fock_oracle as fo
@@ -434,18 +436,13 @@ class TestContractionPowers:
         mp = pytest.importorskip("mpmath")
         N, n = 1_000_000, 1000
         p = std_params(N=N, E=2.0, eps=1.0, eta=0.1, tau=2.0 * float(N) ** -0.4)
-        with mp.workdps(50):
-            wsq, zsq = mp_step_sq(mp, p)
-            n0, nb = (mp_occupation(mp, b) for b in (p.beta0, p.beta))
-            weight_S, weight_Sm = zsq**N, wsq * zsq ** (N - 1)
-            expect = [
-                mp.log1p(1 / (weight_S * n0 + (1 - weight_S) * nb)),
-                mp.log1p(1 / (weight_Sm * n0 + (1 - weight_Sm) * nb)),
-                (mp.mpf(p.beta0) - p.beta) * (nb - n0) * (1 - weight_S),
-                zsq**N + wsq * zsq ** (N - n) * (1 - zsq**n) / wsq,
-            ]
-            expect = [float(v) for v in expect]
-        assert 0.3 < float(zsq**N) < 0.7
+        expect = [float(v) for v in (
+            mp_beta_star(mp, p, N),
+            mp_beta_star_star(mp, p, N),
+            mp_relative_entropy(mp, p, N),
+            mp_window_norm_sq(mp, p, n, N),
+        )]
+        assert 0.3 < float(mp_step_sq(mp, p)[1] ** N) < 0.7
         got = [
             effective_beta_S(p, N),
             effective_beta_Sm(p, N),
@@ -624,12 +621,7 @@ class TestDeepCold:
         p = self.params()
         n, k = 2, 5
         got = window_entropy(p, n, k)
-        wsq = abs(step_scalars(p).w) ** 2
-        with mp.workdps(50):
-            nb, n0 = (mp_occupation(mp, b) for b in (p.beta, p.beta0))
-            zsq = 1 - mp.mpf(wsq)
-            overlap = zsq**k + wsq * zsq ** (k - n) * (1 - zsq**n) / (1 - zsq)
-            expect = float(n * mp_entropy(mp, nb) + mp_entropy(mp, nb + overlap * (n0 - nb)))
+        expect = float(mp_window_entropy(mp, p, n, k))
         assert got > 0.0
         assert abs(got - expect) <= 1e-12 * expect
 
@@ -648,8 +640,7 @@ class TestSubnormalOccupations:
     def test_beta_from_subnormal_occupation_matches_mpmath(self):
         mp = pytest.importorskip("mpmath")
         for n in (1e-310, 5e-324, math.exp(-720.0)):
-            with mp.workdps(50):
-                expect = float(mp.log1p(1 / mp.mpf(n)))
+            expect = float(mp_beta(mp, n))
             assert abs(dynamics._beta_from_occupation(n) - expect) <= 1e-15 * expect
         # a normal n keeps the direct form
         assert dynamics._beta_from_occupation(1e-300) == math.log1p(1e300)
@@ -657,17 +648,13 @@ class TestSubnormalOccupations:
     def test_effective_betas_stay_finite_past_709(self):
         mp = pytest.importorskip("mpmath")
         p = self.params(720.0, 730.0)
-        wsq = abs(step_scalars(p).w) ** 2
         assert abs(effective_beta_S(p, 0) - 720.0) <= 1e-14 * 720.0
-        with mp.workdps(50):
-            n0, nb = (mp_occupation(mp, b) for b in (p.beta0, p.beta))
-            zsq = 1 - mp.mpf(wsq)
-            for m in range(1, p.N + 1):
-                for got, weight in ((effective_beta_S(p, m), zsq**m),
-                                    (effective_beta_Sm(p, m), wsq * zsq ** (m - 1))):
-                    expect = float(mp.log1p(1 / (weight * n0 + (1 - weight) * nb)))
-                    # n(720) keeps about 40 bits, so about 1e-13 relative
-                    assert abs(got - expect) <= 1e-12 * expect
+        for m in range(1, p.N + 1):
+            for got, expect in ((effective_beta_S(p, m), mp_beta_star(mp, p, m)),
+                                (effective_beta_Sm(p, m), mp_beta_star_star(mp, p, m))):
+                expect = float(expect)
+                # n(720) keeps about 40 bits, so about 1e-13 relative
+                assert abs(got - expect) <= 1e-12 * expect
 
     def test_entropy_accuracy_domain(self):
         # one mode at beta0 = beta is thermal at beta: relative accuracy while

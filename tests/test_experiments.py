@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -157,13 +159,21 @@ def _expectation(spec, cutoff, op):
     return complex(np.trace(spec.density(cutoff) @ op(a, a.conj().T)))
 
 
+def flagged_moments(spec):
+    """The (Tr[rho a], Tr[rho aa]) that `moment_hypothesis_check`'s ValueError names."""
+    with pytest.raises(ValueError, match="moment hypotheses") as exc:
+        moment_hypothesis_check(spec)
+    named = re.search(r"Tr\[rho a\] = (\S+), Tr\[rho aa\] = (\S+)$", str(exc.value))
+    return complex(named[1]), complex(named[2])
+
+
 class TestMomentHypothesisCheck:
     def test_gibbs_reference(self):
         spec = ChainStateSpec(kind="gibbs", beta=math.log(2))
-        rep = moment_hypothesis_check(spec)
-        assert abs(rep.tr_a) < 1e-14
-        assert abs(rep.tr_aa) < 1e-14
-        assert rep.h2_pass
+        assert moment_hypothesis_check(spec) is None
+        tr_a, tr_aa = spec.gauge_moments()
+        assert abs(tr_a) < 1e-14
+        assert abs(tr_aa) < 1e-14
         # moments of the untruncated state, read off the truncated density
         number_sq = _expectation(spec, 45, lambda a, ad: (ad @ a) @ (ad @ a))
         assert abs(number_sq - 3.0) < 1e-10
@@ -175,9 +185,8 @@ class TestMomentHypothesisCheck:
 
     def test_number_state(self):
         spec = ChainStateSpec(kind="number_state", level=1)
-        rep = moment_hypothesis_check(spec)
-        assert rep.h2_pass
-        assert abs(rep.symmetric_moment - 3.0) < 1e-14
+        assert moment_hypothesis_check(spec) is None
+        assert abs(spec.symmetric_moment() - 3.0) < 1e-14
         number_sq = _expectation(spec, 12, lambda a, ad: (ad @ a) @ (ad @ a))
         assert abs(number_sq - 1.0) < 1e-14
         assert abs(_expectation(spec, 12, lambda a, ad: ad @ a) - 1.0) < 1e-14
@@ -207,16 +216,16 @@ class TestMomentHypothesisCheck:
         psi01 = np.zeros(4, dtype=complex)
         psi01[0] = psi01[1] = 1.0 / math.sqrt(2)
         coherent_like = ChainStateSpec(kind="custom", rho=np.outer(psi01, psi01.conj()))
-        rep = moment_hypothesis_check(coherent_like)
-        assert not rep.h2_pass
-        assert abs(rep.tr_a - 0.5) < 1e-14
+        tr_a, tr_aa = flagged_moments(coherent_like)
+        assert abs(tr_a - 0.5) < 1e-14
+        assert tr_aa == 0
 
         psi02 = np.zeros(4, dtype=complex)
         psi02[0] = psi02[2] = 1.0 / math.sqrt(2)
         squeezed_like = ChainStateSpec(kind="custom", rho=np.outer(psi02, psi02.conj()))
-        rep = moment_hypothesis_check(squeezed_like)
-        assert not rep.h2_pass
-        assert abs(rep.tr_aa - math.sqrt(2) / 2.0) < 1e-14
+        tr_a, tr_aa = flagged_moments(squeezed_like)
+        assert tr_a == 0
+        assert abs(tr_aa - math.sqrt(2) / 2.0) < 1e-14
 
 
 _PSI03 = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
@@ -539,12 +548,45 @@ class TestShortTimeLimitRun:
             assert errs[1] > 1.05 * errs[0] and abs(errs[1] - rise * limit) < 1e-15
 
     def test_non_finite_theta_rejected(self):
+        # so are an empty or a 2-D list, and a theta whose |theta|^2 overflows
         for spec in (ChainStateSpec(kind="gibbs", beta=1.0),
                      ChainStateSpec(kind="number_state", level=1)):
-            for theta in (math.inf, complex(1.0, -math.inf), math.nan):
-                with pytest.raises(ValueError, match="finite"):
+            for thetas in ([1.0, math.inf], [1.0, complex(1.0, -math.inf)], [1.0, math.nan],
+                           [], [[1.0, 0.5]], [1e300], [1e200j]):
+                with pytest.raises(ValueError, match="thetas must be a nonempty 1-D array of finite"):
                     short_time_limit_run(std_params(), LimitSchedule(checkpoints=(100, 1_000)),
-                                         spec, [1.0, theta])
+                                         spec, thetas)
+
+    @pytest.mark.parametrize("theta", [1e3, 1e80, 1e100])
+    def test_gibbs_rows_at_a_large_theta_read_zero(self, theta):
+        # the default model's chain is hotter than S, so L > 0: exp(L) overflows
+        # at theta = 1e3, and x^2 in L's j = 2 term (b_2 = 0) from theta = 1e80.
+        # The value and the law are below the least subnormal, so every cell is 0
+        template = std_params(E=2.0, eps=1.0, eta=0.5, beta0=math.log(3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            recs = short_time_limit_run(template, LimitSchedule(checkpoints=(100, 1_000)),
+                                        ChainStateSpec(kind="gibbs", beta=math.log(2.0)), [theta])
+        for rec in recs:
+            o = rec.outputs
+            assert o["value"] == o["limit"] == 0.0
+            assert o["abs_error"] == o["predicted_error"] == o["law_remainder"] == 0.0
+            assert o["monotone_ok"]
+
+    def test_law_past_exp_range_on_a_number_state(self):
+        # |100> with a cold S at multiplier 0.1 and theta = 5: L = 1.24e3, so exp(L)
+        # overflows while limit = exp(-1256) is 0 and the value is 6.6e-7
+        template = std_params(E=2.0, eps=1.0, eta=0.5, beta0=50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            recs = short_time_limit_run(
+                template, LimitSchedule(multiplier=0.1, checkpoints=(100, 1_000)),
+                ChainStateSpec(kind="number_state", level=100), [5.0])
+        for rec in recs:
+            o = rec.outputs
+            assert o["limit"] == 0.0 and o["value"].real > 0.0
+            assert 0.0 < o["predicted_error"] < math.inf
+            assert abs(o["abs_error"] - o["predicted_error"]) <= o["law_remainder"]
 
 
 class TestSeriesRoute:
