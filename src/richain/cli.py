@@ -14,8 +14,8 @@ grows with the output.
 Flags alone set --oracle, --cutoff and --tolerance; --cutoff sets the
 oracle's cutoff, so on `simulate` and `sweep` it needs --oracle.  A config
 key that nothing reads (top level, command section or limit.spec) is an
-error, and so is a value of the wrong JSON type.  Every list of [re, im]
-pairs (limit.thetas, each subsystem.alphas entry) is read by `_pairs`.
+error, and so is a value of the wrong JSON type: `_read` reads each key by
+the one kind its section gives it, and names it on error, as in sweep.grid.N[0].
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or usage
 error, which includes an --output file that cannot be opened.
@@ -69,55 +69,56 @@ _DEFAULT_MODEL = {
 
 
 def _parse_beta(value) -> float:
-    if isinstance(value, str):
-        if value == "inf":
-            return math.inf
-        raise ConfigError(f"beta values must be numbers or the string \"inf\", got {value!r}")
-    return float(value)
+    return math.inf if value == "inf" else float(value)
 
 
-def _number(value, convert, where: str):
-    """convert(value), or a ConfigError naming `where` when that fails.  A bool
-    is not a number, nor is a string for convert = float; convert = int reads
-    by `as_integer`, so 3.9 is no integer."""
-    kind = "an integer" if convert is int else "a number"
+# what each number kind takes, as its error messages say
+_NUMBER_KINDS = {int: "an integer", float: "a number", _parse_beta: 'a number or "inf"'}
+
+
+def _read(value, kind, where: str):
+    """`value` read as `kind`, or a ConfigError naming `where`.  The kinds:
+    int, float or _parse_beta for a JSON number (never a bool, and a string
+    only as beta's "inf"; int reads by `as_integer`, so 3.9 is no integer),
+    complex for a [re, im] pair of finite numbers, [k] for a list of kind k,
+    None for the value as given, or a function of (value, where)."""
+    if kind is None:
+        return value
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"'{where}' must be a list, got {value!r}")
+        return [_read(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    if kind is complex:
+        if isinstance(value, list) and len(value) == 2 and all(
+            # no inf, NaN or int past the floats
+            type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value
+        ):
+            return complex(float(value[0]), float(value[1]))
+        raise ConfigError(f"'{where}' must be a [re, im] pair of finite numbers, got {value!r}")
+    if kind not in _NUMBER_KINDS:
+        return kind(value, where)
     try:
-        if isinstance(value, bool) or convert is float and isinstance(value, str):
-            raise TypeError(f"{value!r} is not a number")
-        return as_integer(value, where) if convert is int else convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{where}' must be {kind}, got {value!r}") from exc
+        if type(value) in (int, float) or (kind, value) == (_parse_beta, "inf"):
+            return as_integer(value, where) if kind is int else kind(value)
+    except (ValueError, OverflowError):
+        pass
+    raise ConfigError(f"'{where}' must be {_NUMBER_KINDS[kind]}, got {value!r}")
 
 
-def _numbers(values, convert, where: str) -> list:
-    if not isinstance(values, list):
-        raise ConfigError(f"'{where}' must be a list, got {values!r}")
-    return [_number(v, convert, f"{where}[{i}]") for i, v in enumerate(values)]
-
-
-def _pairs(values, where: str) -> list[complex]:
-    if not isinstance(values, list):
-        raise ConfigError(f"'{where}' must be a list, got {values!r}")
-    return [_parse_complex_pair(v, f"{where}[{i}]") for i, v in enumerate(values)]
-
-
-# the config's top-level keys; each command reads its own section
-_SECTIONS = ("schema_version", "model", "simulate", "subsystem", "limit", "sweep", "verify")
-
-
-def _check_keys(mapping: dict, where: str, known) -> None:
-    unknown = sorted(set(mapping) - set(known))
+def _fields(mapping: dict, kinds: dict, where: str) -> dict:
+    """`mapping` with each key read by its kind in `kinds`; no kind is an error."""
+    unknown = sorted(set(mapping) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown {where} keys: {unknown}")
+    return {key: _read(value, kinds[key], f"{where}.{key}") for key, value in mapping.items()}
 
 
-def _section(config: dict, name: str, known) -> dict:
-    """The config's `name` section, {} if absent, holding only `known` keys."""
+def _section(config: dict, name: str, kinds: dict) -> dict:
+    """The config's `name` section, {} if absent, read by `_fields`."""
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"\"{name}\" section must be an object")
-    _check_keys(section, name, known)
-    return section
+    return _fields(section, kinds, name)
 
 
 def _load_config(path: str | None) -> dict:
@@ -132,37 +133,26 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    if config.get("schema_version") != 1:
+    version = config.get("schema_version")
+    if type(version) not in (int, float) or version != 1:  # 1.0 reads as 1, true does not
         raise ConfigError("config requires \"schema_version\": 1")
-    _check_keys(config, "top-level", _SECTIONS)
-    return config
+    # each command reads its own section
+    sections = ("model", "simulate", "subsystem", "limit", "sweep", "verify")
+    return _fields(config, dict.fromkeys(("schema_version", *sections)), "top-level")
 
 
-# how each model key is read, in a model section or a sweep grid axis
-_MODEL_PARSERS = {
+# how each model key is read, in the model section and along a sweep grid axis
+_MODEL_KINDS = {
     "E": float, "eps": float, "eta": float, "tau": float,
     "beta0": _parse_beta, "beta": _parse_beta, "N": int,
 }
 
 
 def _model_from_config(config: dict) -> ModelParams:
-    section = {**_DEFAULT_MODEL, **_section(config, "model", _DEFAULT_MODEL)}
     try:
-        return ModelParams(**{key: _number(value, _MODEL_PARSERS[key], f"model.{key}")
-                              for key, value in section.items()})
-    except (TypeError, ValueError) as exc:
+        return ModelParams(**{**_DEFAULT_MODEL, **_section(config, "model", _MODEL_KINDS)})
+    except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
-
-
-def _parse_complex_pair(value, where: str) -> complex:
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-        and all(abs(v) <= sys.float_info.max for v in value)  # no inf, NaN or int past the floats
-    ):
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"'{where}' must be a [re, im] pair of finite numbers, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +321,10 @@ def cmd_simulate(config: dict, params: ModelParams, cutoff: int | None) -> list[
     """Per-step rows of the dynamical quantities, oracle-checked at `cutoff`
     unless it is None.  Each row is O(1) closed forms in scalars: char_S is
     S's Gibbs value at the occupation beta* inverts, with no state built."""
-    section = _section(config, "simulate", ("alpha_sample", "seed"))
-    alpha = complex(0.5, 0.0)
-    if "alpha_sample" in section:
-        alpha = _parse_complex_pair(section["alpha_sample"], "simulate.alpha_sample")
+    section = _section(config, "simulate", {"alpha_sample": complex, "seed": int})
+    alpha = section.get("alpha_sample", complex(0.5, 0.0))
     finite = not (math.isinf(params.beta0) or math.isinf(params.beta))
-    seed = _number(section.get("seed", 0), int, "simulate.seed")
+    seed = section.get("seed", 0)
     states = itertools.repeat(None) if cutoff is None else oracle_states(params, cutoff)
 
     inputs = {**_echo_model(params), "alpha_sample": alpha}  # one echo for every row
@@ -368,20 +356,14 @@ def cmd_simulate(config: dict, params: ModelParams, cutoff: int | None) -> list[
 
 def cmd_subsystem(config: dict, params: ModelParams) -> list[RunRecord]:
     """Reduced characteristic-function samples for one configured selector."""
-    section = _section(config, "subsystem", ("kind", "m", "n", "alphas"))
-    kind = section.get("kind", "S")
-    m = _number(section.get("m", params.N), int, "subsystem.m")
-    n = section.get("n")
-    if n is not None:
-        n = _number(n, int, "subsystem.n")
+    section = _section(config, "subsystem", {  # n null, as the JSON echo writes it, is no n
+        "kind": None, "m": int, "alphas": [[complex]],
+        "n": lambda value, where: None if value is None else _read(value, int, where)})
+    kind, m, n = section.get("kind", "S"), section.get("m", params.N), section.get("n")
     slots = dynamics.subsystem_slots(kind, m, n)
-    if "alphas" in section:
-        if not isinstance(section["alphas"], list) or not section["alphas"]:
-            raise ConfigError("subsystem.alphas must be a nonempty list of argument tuples")
-        tuples = [_pairs(args, f"subsystem.alphas[{i}]")
-                  for i, args in enumerate(section["alphas"])]
-    else:
-        tuples = [[complex(0.5, 0.0)] * len(slots)]
+    tuples = section.get("alphas", [[complex(0.5, 0.0)] * len(slots)])
+    if not tuples:
+        raise ConfigError("subsystem.alphas must be a nonempty list of argument tuples")
 
     extras: dict = {}
     if kind == "S":
@@ -414,40 +396,45 @@ def cmd_subsystem(config: dict, params: ModelParams) -> list[RunRecord]:
     return records
 
 
-def _spec_from_config(section: dict) -> ChainStateSpec:
-    raw = section.get("spec", {"kind": "gibbs", "beta": _DEFAULT_MODEL["beta"]})
+def _read_spec(raw, where: str) -> ChainStateSpec:
+    """limit.spec: a "kind" and that kind's one key, read as a section's are."""
     if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError("limit.spec must be an object with a \"kind\"")
+        raise ConfigError(f"{where} must be an object with a \"kind\"")
     kind = raw["kind"]
-    try:
-        if kind == "gibbs":
-            _check_keys(raw, "limit.spec", ("kind", "beta"))
-            return ChainStateSpec(kind="gibbs", beta=_parse_beta(raw.get("beta", _DEFAULT_MODEL["beta"])))
-        if kind == "number_state":
-            _check_keys(raw, "limit.spec", ("kind", "level"))
-            level = _number(raw.get("level", 1), int, "limit.spec.level")
-            return ChainStateSpec(kind="number_state", level=level)
-        if kind == "custom":
-            raise ConfigError("custom chain states are a library-level feature, not a config one")
+    if kind == "custom":
+        raise ConfigError("custom chain states are a library-level feature, not a config one")
+    if kind not in ("gibbs", "number_state"):
         raise ConfigError(f"unknown chain-state kind {kind!r}")
+    key, key_kind, default = (
+        ("beta", _parse_beta, _DEFAULT_MODEL["beta"]) if kind == "gibbs" else ("level", int, 1))
+    fields = _fields(raw, {"kind": None, key: key_kind}, where)
+    try:
+        return ChainStateSpec(**{key: default, **fields})
     except ValueError as exc:
         raise ConfigError(f"invalid chain-state spec: {exc}") from exc
 
 
 def cmd_limit(config: dict, params: ModelParams) -> list[RunRecord]:
-    section = _section(config, "limit", ("exponent", "multiplier", "checkpoints", "spec", "thetas"))
-    exponent = _number(section.get("exponent", 0.4), float, "limit.exponent")
-    multiplier = _number(section.get("multiplier", 2.0), float, "limit.multiplier")
-    checkpoints = LimitSchedule().checkpoints
-    if "checkpoints" in section:
-        checkpoints = tuple(_numbers(section["checkpoints"], int, "limit.checkpoints"))
+    section = _section(config, "limit", {"exponent": float, "multiplier": float,
+                                         "checkpoints": [int], "spec": _read_spec, "thetas": [complex]})
+    spec = section.pop("spec", None) or _read_spec({"kind": "gibbs"}, "limit.spec")
+    thetas = section.pop("thetas", [1.0 + 0j])
     try:
-        schedule = LimitSchedule(exponent=exponent, multiplier=multiplier, checkpoints=checkpoints)
+        schedule = LimitSchedule(**section)  # the schedule keys the config gives
     except ValueError as exc:
         raise ConfigError(f"invalid schedule: {exc}") from exc
-    spec = _spec_from_config(section)
-    thetas = _pairs(section["thetas"], "limit.thetas") if "thetas" in section else [1.0 + 0j]
     return short_time_limit_run(params, schedule, spec, thetas)
+
+
+def _read_grid(grid, where: str):
+    """The sweep grid, each model axis's list read; `sweep` checks its shape."""
+    if not isinstance(grid, dict):
+        return grid
+    return {  # a copy: the caller's config stays as it was
+        key: _read(values, [_MODEL_KINDS[key]], f"{where}.{key}")
+        if key in _MODEL_KINDS and isinstance(values, list) else values
+        for key, values in grid.items()
+    }
 
 
 def cmd_sweep(config: dict, cutoff: int | None) -> list[RunRecord]:
@@ -455,15 +442,8 @@ def cmd_sweep(config: dict, cutoff: int | None) -> list[RunRecord]:
     it is None."""
     if "sweep" not in config:
         raise ConfigError("sweep requires a \"sweep\" section in the config")
-    section = _section(config, "sweep", ("grid", "seed"))
-    grid = section.get("grid")
-    if isinstance(grid, dict):  # `sweep` checks the grid's shape
-        grid = {  # a copy: the caller's config stays as it was
-            key: _numbers(values, _MODEL_PARSERS[key], f"sweep.grid.{key}")
-            if key in _MODEL_PARSERS and isinstance(values, list) else values
-            for key, values in grid.items()
-        }
-    return sweep(grid, cutoff=cutoff, seed=_number(section.get("seed", 0), int, "sweep.seed"))
+    section = _section(config, "sweep", {"grid": _read_grid, "seed": int})
+    return sweep(section.get("grid"), cutoff=cutoff, seed=section.get("seed", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +619,7 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
 
 
 def cmd_verify(config: dict, params: ModelParams, tolerance: float | None, cutoff: int) -> tuple[int, str, list[RunRecord]]:
-    section = _section(config, "verify", ("seed",))
-    seed = _number(section.get("seed", 0), int, "verify.seed")
+    seed = _section(config, "verify", {"seed": int}).get("seed", 0)
     checks = run_verification(params, cutoff=cutoff, seed=seed)
     if tolerance is not None:
         checks = [replace(check, tolerance=tolerance) for check in checks]

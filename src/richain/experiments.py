@@ -203,6 +203,9 @@ def moment_hypothesis_check(spec: ChainStateSpec) -> None:
 # terms per streamed chunk, and the length of a series row's checked chunk
 _CHUNK = 1 << 14
 _PRODUCT_TERM_CAP = 100_000_000
+# the largest evaluation cutoff of a non-Gibbs run: about 1 GiB for its dense
+# density, the eigenvectors of X and one chunk's trig table
+_EVAL_CUTOFF_CAP = 4096
 
 
 def _chain_product_log(
@@ -395,7 +398,8 @@ def short_time_limit_run(
     so every row keeps a reference that does not rest on the series.  A
     density with off-diagonal entries, or a series that does not reach
     rounding by order 128, takes every term term by term.  A head or a
-    whole row of more than 1e8 terms raises ValueError.
+    whole row of more than 1e8 terms raises ValueError, and so does an
+    evaluation cutoff (below) above 4096.
 
     Term by term means on the spec's density at the cutoff max(16,
     native + 4 + ceil(2 d sqrt(native)), ceil(8 d^2) + native), d =
@@ -419,10 +423,12 @@ def short_time_limit_run(
     b, radius, degree = series or (None, 0.0, 0)  # radius 0: no law
     if spec.kind != "gibbs":
         max_disp, native = float(np.max(np.abs(thetas))), spec.min_cutoff
-        weyl = fock_oracle.OneModeWeyl(spec.density(max(
-            16, native + 4 + math.ceil(2.0 * max_disp * math.sqrt(native)),
-            math.ceil(8.0 * max_disp**2) + native,
-        )))
+        cutoff = max(16, native + 4 + math.ceil(2.0 * max_disp * math.sqrt(native)),
+                     math.ceil(8.0 * max_disp**2) + native)
+        if cutoff > _EVAL_CUTOFF_CAP:
+            raise ValueError(f"evaluation cutoff {cutoff} for max|theta| = {max_disp!r} "
+                             f"is above {_EVAL_CUTOFF_CAP}")
+        weyl = fock_oracle.OneModeWeyl(spec.density(cutoff))
 
     records: list[RunRecord] = []
     for j, n_steps in enumerate(schedule.checkpoints):

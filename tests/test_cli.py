@@ -445,6 +445,18 @@ class TestSubsystemCommand:
         assert code == 2
         assert "selector needs" in err
 
+    def test_null_n_is_no_n(self, tmp_path, capsys):
+        # null is how the JSON echo writes an absent n
+        outs = []
+        for extra in ({}, {"n": None}):
+            cfg = write_config(tmp_path, {"schema_version": 1,
+                                          "subsystem": {"kind": "S", "m": 2, **extra}})
+            for fmt in ("csv", "json"):
+                code, out, _ = run_cli(capsys, "subsystem", "--config", cfg, "--format", fmt)
+                assert code == 0
+                outs.append(out)
+        assert outs[:2] == outs[2:]
+
     def test_bad_selector_kind(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "schema_version": 1, "subsystem": {"kind": "bogus", "m": 1},
@@ -479,6 +491,16 @@ class TestLimitCommand:
         code, _, err = run_cli(capsys, "limit", "--config", cfg)
         assert code == 2
         assert "schedule" in err
+
+    def test_evaluation_cutoff_past_its_bound_exits_2(self, tmp_path, capsys):
+        # theta = 100 on |1> would take a dense density of 80,003 levels (95 GiB)
+        cfg = write_config(tmp_path, {"schema_version": 1, "limit": {
+            "spec": {"kind": "number_state", "level": 1}, "multiplier": 0.01,
+            "thetas": [[100, 0]], "checkpoints": [100, 1000]}})
+        code, out, err = run_cli(capsys, "limit", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err == "error: evaluation cutoff 80003 for max|theta| = 100.0 is above 4096\n"
 
     def test_custom_spec_not_configurable(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -567,6 +589,18 @@ class TestVerifyCommand:
         assert len(rows) == 13
         assert {row["passed"] for row in rows} <= {"true", "false"}
 
+    def test_limit_law_fails_off_its_law(self, capsys, monkeypatch):
+        # a symmetric moment 1e-6 off takes the |1> run off its error law, which
+        # the run raises and the check reports as an infinite deviation
+        from richain.experiments import ChainStateSpec
+
+        exact = ChainStateSpec.symmetric_moment
+        monkeypatch.setattr(ChainStateSpec, "symmetric_moment",
+                            lambda self: exact(self) * (1 + 1e-6))
+        code, out, _ = run_cli(capsys, "verify", "--cutoff", "8")
+        assert code == 1
+        assert "\nFAIL limit_law: deviation inf tolerance" in out
+
     def test_unstable_config_rejected_before_suites(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "schema_version": 1, "model": {"eta": 9.0},
@@ -633,10 +667,11 @@ class TestConfigErrors:
         assert "JSON" in err
 
     def test_wrong_schema_version(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"schema_version": 2})
-        code, _, err = run_cli(capsys, "kernel", "--config", cfg)
-        assert code == 2
-        assert "schema_version" in err
+        for version in (2, True):  # true is no number, so not 1
+            cfg = write_config(tmp_path, {"schema_version": version})
+            code, _, err = run_cli(capsys, "kernel", "--config", cfg)
+            assert code == 2
+            assert "schema_version" in err
 
     def test_unknown_model_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema_version": 1, "model": {"mass": 1.0}})
@@ -714,6 +749,16 @@ class TestConfigErrors:
         ("limit", {"limit": {"thetas": [[1e999, 0.0]]}}, "limit.thetas[0]"),
         ("limit", {"limit": {"thetas": [[1.0, 0.0], [0.0, -1e999]]}}, "limit.thetas[1]"),
         ("limit", {"limit": {"thetas": [[10**400, 0.0]]}}, "limit.thetas[0]"),
+        # a beta is a number or "inf", wherever it is read
+        ("limit", {"limit": {"spec": {"kind": "gibbs", "beta": True}}}, "limit.spec.beta"),
+        ("limit", {"limit": {"spec": {"kind": "gibbs", "beta": [1]}}}, "limit.spec.beta"),
+        ("limit", {"limit": {"spec": {"kind": "gibbs", "beta": None}}}, "limit.spec.beta"),
+        ("kernel", {"model": {"beta": "cold"}}, "model.beta"),
+        ("sweep", {"sweep": {"grid": {"E": [2.0], "eps": [1.0], "eta": [0.5], "tau": [1.0],
+                                      "beta0": [1.0], "beta": ["cold"], "N": [2]}}},
+         "sweep.grid.beta[0]"),
+        # an integer past the floats is no number
+        ("kernel", {"model": {"E": 10**400}}, "model.E"),
     ])
     def test_unread_key_exits_2_and_names_it(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path, {"schema_version": 1, **payload})
@@ -733,12 +778,12 @@ class TestConfigErrors:
 
     def test_whole_floats_still_read_as_integers(self, tmp_path, capsys):
         outs = []
-        for n in (3, 3.0):
-            cfg = write_config(tmp_path, {"schema_version": 1, "model": {"N": n}})
+        for version, n in ((1, 3), (1, 3.0), (1.0, 3)):
+            cfg = write_config(tmp_path, {"schema_version": version, "model": {"N": n}})
             code, out, _ = run_cli(capsys, "kernel", "--config", cfg)
             assert code == 0
             outs.append(out)
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
     def test_bool_in_complex_pair(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema_version": 1, "model": {"N": 2},

@@ -39,7 +39,7 @@ from richain.dynamics import (
     window_entropy,
     window_overlap_norm_sq,
 )
-from richain.kernel import ModelParams, propagate_vector, step_scalars
+from richain.kernel import ModelParams, StepScalars, propagate_vector, step_scalars
 from richain.quasifree import (
     char_fn,
     mode_entropy,
@@ -78,6 +78,14 @@ class TestEvolveState:
         p = std_params(N=30, E=1.7, eta=0.4, tau=0.6)
         for m in (1, 7, 30):
             assert abs(evolve_state(p, m).xi_norm_sq - 1.0) < 1e-12
+
+    def test_xi_off_the_unit_sphere_is_rejected(self, monkeypatch):
+        # (gz)^k 1e-9 too large in every slot puts <xi,xi> 2e-9 above 1
+        exact = StepScalars.gz_power
+        monkeypatch.setattr(StepScalars, "gz_power", lambda self, k: exact(self, k) * (1 + 1e-9))
+        with pytest.raises(ValueError, match=re.escape(
+                "xi_m must stay a unit vector, got <xi,xi> = 1.0000000020000002 at m = 4")):
+            evolve_state(std_params(N=8, E=2.0), 4)
 
     def test_composition_with_propagator(self):
         # evolved char fn == initial char fn after moving zeta through the steps

@@ -512,6 +512,41 @@ class TestShortTimeLimitRun:
                 ChainStateSpec(kind="number_state", level=1), [1.0],
             )
 
+    @pytest.mark.parametrize("shift, fails", [(1e-6, True), (1e-9, False)])
+    def test_abs_error_off_its_law_fails_the_run(self, monkeypatch, shift, fails):
+        # a symmetric moment off by 1e-6 moves the limit, and with it abs_error,
+        # off predicted_error by more than law_remainder at N = 1e3; at 1e-9 the
+        # gap stays below law_remainder
+        exact = ChainStateSpec.symmetric_moment
+        monkeypatch.setattr(ChainStateSpec, "symmetric_moment",
+                            lambda self: exact(self) * (1 + shift))
+        run = lambda: short_time_limit_run(
+            std_params(E=2.0, eta=0.5), LimitSchedule(checkpoints=(100, 1_000, 10_000)),
+            ChainStateSpec(kind="number_state", level=1), [1.0])
+        if fails:
+            with pytest.raises(RuntimeError, match="off its law"):
+                run()
+        else:
+            assert len(run()) == 3
+
+    def test_evaluation_cutoff_is_bounded(self, monkeypatch):
+        # theta = 3 on |1> takes cutoff 8 * 9 + 3 = 75: past a bound of 64 the run
+        # raises before it forms a density at that cutoff
+        from richain import experiments
+
+        monkeypatch.setattr(experiments, "_EVAL_CUTOFF_CAP", 64)
+        sizes = []
+        density = ChainStateSpec.density
+        monkeypatch.setattr(ChainStateSpec, "density",
+                            lambda self, cutoff: sizes.append(cutoff) or density(self, cutoff))
+        run = lambda theta: short_time_limit_run(
+            std_params(), LimitSchedule(checkpoints=(100, 1_000)),
+            ChainStateSpec(kind="number_state", level=1), [theta])
+        with pytest.raises(ValueError, match=r"evaluation cutoff 75 for max\|theta\| = 3.0 is above 64"):
+            run(3.0)
+        assert max(sizes) < 64
+        assert len(run(2.0)) == 2 and max(sizes) == 8 * 4 + 3
+
     def test_vacuum_errors_at_rounding_pass_the_monotone_gate(self):
         # the vacuum chain is Gaussian, so its value meets the limit to rounding:
         # abs_error [0, 5.6e-17, 0] rises by less than the gate's 1e-14 |limit|
