@@ -3,13 +3,13 @@
 Subcommands expose the library over a single JSON config document and
 emit deterministic CSV or JSON: fixed column order, complex values split
 into <name>_re/<name>_im, infinities and NaN as the strings "inf",
-"-inf" and "nan".  CSV writes floats with 17 significant digits, JSON
-with the shortest repr that round-trips.  Identical config must produce
-byte-identical output, so nothing time- or environment-dependent is ever
-serialized.  A command computes all its records before the first byte is
-written, so a failing command writes nothing; the encoders then write to
-the destination record by record, so the records are the only memory that
-grows with the output.
+"-inf" and "nan".  CSV writes floats with 17 significant digits, each row
+with one %-format planned once per record signature; JSON writes the
+shortest repr that round-trips.  Identical config gives byte-identical
+output, so nothing time- or environment-dependent is ever serialized.
+A command computes all its records before the first byte is written, so a
+failing command writes nothing; the encoders then write record by record,
+so only the records (and a signature number for each) grow with the output.
 
 Flags alone set --oracle, --cutoff and --tolerance; --cutoff sets the
 oracle's cutoff, so on `simulate` and `sweep` it needs --oracle.  A config
@@ -26,11 +26,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -164,10 +167,18 @@ def _model_from_config(config: dict) -> ModelParams:
 _PLAIN = (float, int, str, bool, type(None))
 
 
+def _plain(value):
+    """A numpy (or subclassed) bool, float or int as the builtin; any other value as is."""
+    for kind, numpy_kind in ((bool, np.bool_), (float, np.floating), (int, np.integer)):
+        if isinstance(value, (kind, numpy_kind)):
+            return kind(value)
+    return value
+
+
 def _split(section: dict, prefix: str = "") -> dict:
     """A record section as plain scalars under `prefix` + key: each complex
     value becomes <key>_re and <key>_im floats, and numpy scalars become
-    bool, int or float.  Both writers encode this one form."""
+    bool, int or float.  The header walk and the JSON writer read this form."""
     out = {}
     for key, value in section.items():
         key = prefix + key
@@ -176,26 +187,9 @@ def _split(section: dict, prefix: str = "") -> dict:
         elif isinstance(value, (complex, np.complexfloating)):
             out[key + "_re"] = float(value.real)
             out[key + "_im"] = float(value.imag)
-        elif isinstance(value, (bool, np.bool_)):
-            out[key] = bool(value)
-        elif isinstance(value, (float, np.floating)):
-            out[key] = float(value)
-        elif isinstance(value, (int, np.integer)):
-            out[key] = int(value)
         else:
-            out[key] = value
+            out[key] = _plain(value)
     return out
-
-
-# the CSV text of a split value by its exact type, any other type by str:
-# floats with 17 significant digits, which spell inf, -inf and nan so
-_CSV_CELL = {
-    float: "{:.17g}".format,
-    bool: {True: "true", False: "false"}.__getitem__,
-    int: str,
-    str: str,
-    type(None): lambda _: "",
-}
 
 
 def _signature(section: dict) -> tuple:
@@ -203,45 +197,90 @@ def _signature(section: dict) -> tuple:
     return (*section, *map(type, section.values()))
 
 
-def _csv_columns(records: list[RunRecord]) -> list[str]:
-    """The header: the first-seen union of the records' split columns.  `_split`
-    runs only on a record whose signature of keys and value types is new."""
-    columns, seen, inputs = {}, set(), None
+def _csv_columns(records: list[RunRecord]) -> tuple[list[str], list[int]]:
+    """The header, the first-seen union of the records' split columns, and each
+    record's signature of keys and value types, numbered in first-seen order.
+    `_split` runs only on a record whose signature is new."""
+    columns, seen, numbers, inputs = {}, {}, [], None
     for r in records:
         if r.inputs is not inputs:  # a simulate run's records share one inputs dict
             inputs, inputs_signature = r.inputs, _signature(r.inputs)
         deltas = r.oracle_deltas or {}
         signature = (inputs_signature, _signature(r.outputs), _signature(deltas))
         if signature not in seen:
-            seen.add(signature)
+            seen[signature] = len(seen)
             # dict keys keep first-seen order
             columns.update(dict.fromkeys(
                 ["run_id", *_split(inputs), *_split(r.outputs), *_split(deltas, "delta_")]))
-    return list(columns)
+        numbers.append(seen[signature])
+    return list(columns), numbers
 
 
-def _csv_cells(section: dict, prefix: str = "") -> dict:
-    """A record section's split values as CSV text, under `prefix` + key."""
-    return {key: _CSV_CELL.get(type(v), str)(v) for key, v in _split(section, prefix).items()}
+# a plain type's cell: a %-format and the fix that makes its values %-ready.  17
+# significant digits spell inf, -inf and nan so; any other type is text
+_CSV_FORMS = {float: ("%.17g", None), int: ("%d", None), type(None): ("", None),
+              bool: ("%s", {True: "true", False: "false"}.__getitem__)}
+_CSV_SPECIAL = re.compile('[,"\r\n]').search
+
+
+def _csv_text(value) -> str:
+    """str(value) as csv.writer writes it in a row of several cells."""
+    text = str(value)
+    if _CSV_SPECIAL(text) is None:
+        return text
+    buf = io.StringIO()  # this Python's csv decides the quoting
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def _csv_plan(columns: list[str], inputs: dict, outputs: dict, deltas: dict) -> tuple:
+    """A record signature's row plan (fmt, fixes, read), which `_records_csv`
+    runs on a row's values = [run_id, *outputs.values(), *deltas.values()]:
+    values += [fix(values[i]) for i, fix in fixes]; fmt % read(values).
+    `fmt` holds each column's cell: the inputs' literal text, nothing for a
+    column the record lacks or a None, or a %-format of one value, read as it
+    is or after its fix (text, or a complex's re or im)."""
+    cells = {"run_id": ("%s", 0, _csv_text)}  # later sections win, as in a merged dict
+    for column, value in _split(inputs).items():
+        form, fix = _CSV_FORMS.get(type(value), ("%s", _csv_text))
+        text = form % (fix(value) if fix else value) if form else ""
+        cells[column] = (text.replace("%", "%%"), None, None)
+    items = [*outputs.items(), *(("delta_" + key, value) for key, value in deltas.items())]
+    for i, (column, value) in enumerate(items, 1):
+        if isinstance(value, (complex, np.complexfloating)):
+            cells[column + "_re"] = ("%.17g", i, attrgetter("real"))
+            cells[column + "_im"] = ("%.17g", i, attrgetter("imag"))
+        else:
+            form, fix = _CSV_FORMS.get(type(_plain(value)), ("%s", _csv_text))
+            cells[column] = (form, i if form else None, fix)
+    forms, fixes, reads = [], [], []
+    for column in columns:
+        form, i, fix = cells.get(column, ("", None, None))
+        forms.append(form)
+        if fix:
+            fixes.append((i, fix))
+            i = len(items) + len(fixes)  # fixed values follow the row's own
+        if i is not None:
+            reads.append(i)
+    return ",".join(forms) + "\n", fixes, itemgetter(*reads) if reads else lambda values: ()
 
 
 def _records_csv(records: list[RunRecord], out) -> None:
-    """Write the records' CSV to the text stream `out`, one row at a time."""
-    columns = _csv_columns(records)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    inputs, echo = None, {}
-    for r in records:
-        if r.inputs is not inputs:  # a simulate run's records share one inputs dict: encode it once
-            inputs, echo = r.inputs, _csv_cells(r.inputs)
-        row = {
-            "run_id": r.run_id,
-            **echo,
-            **_csv_cells(r.outputs),
-            **_csv_cells(r.oracle_deltas or {}, "delta_"),
-        }
-        # a column the row lacks reads None, which csv writes as an empty cell
-        writer.writerow(map(row.get, columns))
+    """Write the records' CSV to the text stream `out`, each row one % of its plan."""
+    columns, numbers = _csv_columns(records)
+    out.write(",".join(map(_csv_text, columns)) + "\n")
+    inputs, plans = None, {}
+    for r, number in zip(records, numbers):
+        if r.inputs is not inputs:  # the plans hold the inputs' text
+            inputs, plans = r.inputs, {}
+        deltas = r.oracle_deltas or {}
+        if number not in plans:
+            plans[number] = _csv_plan(columns, inputs, r.outputs, deltas)
+        fmt, fixes, read = plans[number]
+        values = [r.run_id, *r.outputs.values(), *deltas.values()]
+        values += [fix(values[i]) for i, fix in fixes]
+        row = fmt % read(values)
+        out.write(row if row != "\n" else '""\n')  # csv quotes a row's one empty cell
 
 
 def _json_value(value):
@@ -333,24 +372,15 @@ def cmd_simulate(config: dict, params: ModelParams, cutoff: int | None) -> list[
         outputs = {
             "m": m,
             "beta_star": dynamics.effective_beta_S(params, m),
-            "beta_star_star": (
-                dynamics.effective_beta_Sm(params, m) if m >= 1 else float("nan")
-            ),
-            "relative_entropy": (
-                dynamics.relative_entropy(params, m) if finite else float("nan")
-            ),
+            "beta_star_star": dynamics.effective_beta_Sm(params, m) if m >= 1 else float("nan"),
+            "relative_entropy": dynamics.relative_entropy(params, m) if finite else float("nan"),
             "total_entropy": dynamics.total_entropy(params, m),
             # complex, so the column keeps its _re/_im pair
             "char_S": complex(dynamics.char_fn_S(params, m, alpha)),
         }
-        deltas = None
-        if rho is not None:
-            deltas = oracle_deltas(params, m, rho, np.random.default_rng([seed, m]), 5)
-        records.append(
-            RunRecord(
-                run_id=f"simulate-{m:04d}", inputs=inputs, outputs=outputs, oracle_deltas=deltas
-            )
-        )
+        deltas = None if rho is None else oracle_deltas(
+            params, m, rho, np.random.default_rng([seed, m]), 5)
+        records.append(RunRecord(f"simulate-{m:04d}", inputs, outputs, deltas))
     return records
 
 
@@ -369,9 +399,7 @@ def cmd_subsystem(config: dict, params: ModelParams) -> list[RunRecord]:
     if kind == "S":
         extras["beta_star"] = dynamics.effective_beta_S(params, m)
     elif kind in ("S1", "Sm"):
-        extras["beta_star_star"] = dynamics.effective_beta_Sm(
-            params, 1 if kind == "S1" else m
-        )
+        extras["beta_star_star"] = dynamics.effective_beta_Sm(params, 1 if kind == "S1" else m)
     elif kind == "window":
         extras["window_norm_sq"] = dynamics.window_overlap_norm_sq(params, n, m)
         extras["window_entropy"] = dynamics.window_entropy(params, n, m)
@@ -380,19 +408,11 @@ def cmd_subsystem(config: dict, params: ModelParams) -> list[RunRecord]:
     for i, args in enumerate(tuples):
         if len(args) != len(slots):
             raise ConfigError(
-                f"subsystem.alphas[{i}] has {len(args)} entries, selector needs {len(slots)}"
-            )
+                f"subsystem.alphas[{i}] has {len(args)} entries, selector needs {len(slots)}")
         value = dynamics.reduced_char_fn(params, m, slots, args)
-        outputs = {"value": value, **extras}
-        for j, a in enumerate(args):
-            outputs[f"alpha{j}"] = a
-        records.append(
-            RunRecord(
-                run_id=f"subsystem-{i:04d}",
-                inputs={**_echo_model(params), "kind": kind, "m": m, "n": n},
-                outputs=outputs,
-            )
-        )
+        outputs = {"value": value, **extras, **{f"alpha{j}": a for j, a in enumerate(args)}}
+        inputs = {**_echo_model(params), "kind": kind, "m": m, "n": n}
+        records.append(RunRecord(f"subsystem-{i:04d}", inputs, outputs))
     return records
 
 
@@ -600,10 +620,8 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
     checks.append(VerifyCheck("oracle_entropy_constancy", dev, 1e-5))
 
     if finite:
-        dev = abs(
-            fock_oracle.relative_entropy_oracle(rho_m[2], rho_m[0])
-            - dynamics.relative_entropy(p2, 2)
-        )
+        dev = abs(fock_oracle.relative_entropy_oracle(rho_m[2], rho_m[0])
+                  - dynamics.relative_entropy(p2, 2))
         checks.append(VerifyCheck("oracle_relative_entropy", dev, 1e-4))
 
     # short-time limit: the thermal-chain error sequence must decrease
@@ -623,26 +641,11 @@ def cmd_verify(config: dict, params: ModelParams, tolerance: float | None, cutof
     checks = run_verification(params, cutoff=cutoff, seed=seed)
     if tolerance is not None:
         checks = [replace(check, tolerance=tolerance) for check in checks]
-    lines = []
-    records = []
-    for i, check in enumerate(checks):
-        status = "PASS" if check.passed else "FAIL"
-        lines.append(
-            f"{status} {check.name}: deviation {check.deviation:.6e}"
-            f" tolerance {check.tolerance:.6e}"
-        )
-        records.append(
-            RunRecord(
-                run_id=f"verify-{i:04d}",
-                inputs=_echo_model(params),
-                outputs={
-                    "check": check.name,
-                    "deviation": check.deviation,
-                    "tolerance": check.tolerance,
-                    "passed": check.passed,
-                },
-            )
-        )
+    lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: deviation {c.deviation:.6e}"
+             f" tolerance {c.tolerance:.6e}" for c in checks]
+    records = [RunRecord(f"verify-{i:04d}", _echo_model(params), {
+        "check": c.name, "deviation": c.deviation, "tolerance": c.tolerance, "passed": c.passed,
+    }) for i, c in enumerate(checks)]
     failed = sum(not c.passed for c in checks)
     lines.append(f"{len(checks) - failed}/{len(checks)} checks passed")
     return (0 if failed == 0 else 1), "\n".join(lines) + "\n", records
@@ -654,9 +657,7 @@ def cmd_verify(config: dict, params: ModelParams, tolerance: float | None, cutof
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="richain",
-        description="Exactly soluble repeated-interaction chain dynamics.",
-    )
+        prog="richain", description="Exactly soluble repeated-interaction chain dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
         "kernel": "step scalars, coupled-mode energies and hypothesis flags",
@@ -708,8 +709,7 @@ def main(argv=None) -> int:
             records = cmd_limit(config, params)
         elif args.command == "verify":
             code, report, records = cmd_verify(
-                config, params, args.tolerance, 24 if cutoff is None else cutoff
-            )
+                config, params, args.tolerance, 24 if cutoff is None else cutoff)
             sys.stdout.write(report)
             if args.output is not None:
                 _emit(records, args.command, args.output, args.format)

@@ -582,13 +582,13 @@ def sweep(grid: dict, cutoff: int | None = None, seed: int = 0) -> list[RunRecor
     holds one nonempty list for each of E, eps, eta, tau, beta0, beta, N.
 
     Points that fail parameter validation (the stability condition
-    included) or hold a value of the wrong type become error records
-    rather than aborting the sweep, as does an N that is a bool or a
-    fraction; such an N is echoed as given.  With a cutoff the oracle
-    runs: points with at most ORACLE_MAX_N chain modes also carry
-    truncated-Fock deltas from 5 zeta samples, drawn from a generator
-    seeded by (seed, grid index); the cutoff and seed are echoed in each
-    record.
+    included) or hold a value of the wrong type or an integer too large
+    for a float become error records rather than aborting the sweep, as
+    does an N that is a bool or a fraction; such an N is echoed as
+    given.  With a cutoff the oracle runs: points with at most
+    ORACLE_MAX_N chain modes also carry truncated-Fock deltas from 5 zeta
+    samples, drawn from a generator seeded by (seed, grid index); the
+    cutoff and seed are echoed in each record.
     """
     if not isinstance(grid, dict):
         raise ValueError("sweep grid must be a dict with one list per axis")
@@ -621,7 +621,7 @@ def sweep(grid: dict, cutoff: int | None = None, seed: int = 0) -> list[RunRecor
                 E=float(E), eps=float(eps), eta=float(eta), tau=float(tau),
                 N=n_modes, beta0=float(beta0), beta=float(beta),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             records.append(RunRecord(run_id=run_id, inputs=inputs, outputs={"error": str(exc)}))
             continue
         inputs["N"] = params.N

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import richain
 from richain import dynamics
@@ -263,6 +265,48 @@ class TestStreamedEncoders:
         finally:
             tracemalloc.stop()
         assert peak < 2**20, (fmt, peak)
+
+
+# every kind of value a record can hold, the edges of each kind among them
+_EDGE_FLOATS = st.sampled_from(
+    [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308])
+_CELL_TEXT = st.text(
+    st.sampled_from([",", '"', "\r", "\n", " ", "%", "a", "7", "é", "β", "—"]), max_size=6)
+_VALUES = st.one_of(
+    _EDGE_FLOATS, st.floats(),
+    st.integers(-(2**70), 2**70), st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.booleans(), st.booleans().map(np.bool_), st.none(),
+    st.complex_numbers(), st.complex_numbers(max_magnitude=1e300).map(np.complex128),
+    _CELL_TEXT,
+    st.lists(st.integers() | st.floats(), max_size=3),  # a sweep error record echoes a bad grid value
+)
+# few keys, so that sections share and collide on split columns
+_SECTIONS = st.dictionaries(st.sampled_from(["a", "b", "c", "c_re", "delta_a", "run_id", "k,%"]),
+                            _VALUES, max_size=4)
+
+
+@st.composite
+def _record_runs(draw):
+    """Records in runs that each share one inputs dict, as simulate's do; each
+    record draws its own output and delta keys and types."""
+    records = []
+    for run in range(draw(st.integers(1, 3))):
+        inputs = draw(_SECTIONS)
+        for _ in range(draw(st.integers(1, 4))):
+            run_id = draw(_CELL_TEXT | st.just(f"run-{run}"))
+            records.append(RunRecord(run_id, inputs, draw(_SECTIONS), draw(st.none() | _SECTIONS)))
+    return records
+
+
+class TestCsvPlans:
+    """The per-signature row plans write the bytes csv.writer writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_record_runs())
+    @example([RunRecord("", {}, {}), RunRecord("x", {}, {}, {}), RunRecord("", {}, {})])  # one column
+    def test_csv_matches_the_reference(self, records):
+        assert csv_text(records) == reference_csv(records)
 
 
 class TestRecordEncoding:
@@ -759,6 +803,9 @@ class TestConfigErrors:
          "sweep.grid.beta[0]"),
         # an integer past the floats is no number
         ("kernel", {"model": {"E": 10**400}}, "model.E"),
+        ("sweep", {"sweep": {"grid": {"E": [10**400, 1.0], "eps": [1.0], "eta": [0.5], "tau": [1.0],
+                                      "beta0": [1.0], "beta": [1.5], "N": [2]}}},
+         "sweep.grid.E[0]"),
     ])
     def test_unread_key_exits_2_and_names_it(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path, {"schema_version": 1, **payload})

@@ -959,6 +959,16 @@ class TestSweep:
         assert "N must be a whole number" in recs[3].outputs["error"]
         assert recs[1].inputs["N"] == [2]
 
+    def test_integer_past_the_floats_becomes_error_record(self):
+        # float(10**400) raises OverflowError: it ends that point, not the sweep
+        grid = self.base_grid()
+        grid.update(E=[10**400, 1.0], beta0=[1.0], beta=[1.5], N=[2])
+        recs = sweep(grid)
+        assert ["error" in r.outputs for r in recs] == [True, False]
+        assert recs[0].outputs == {"error": "int too large to convert to float"}
+        assert recs[0].inputs["E"] == 10**400
+        assert recs[1].inputs["E"] == 1.0 and "total_entropy" in recs[1].outputs
+
     def test_fractional_or_bool_n_becomes_error_record(self):
         grid = self.base_grid()
         grid["N"] = [2.5, True, 2.0, math.inf]
