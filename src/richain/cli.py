@@ -5,11 +5,12 @@ emit deterministic CSV or JSON: fixed column order, complex values split
 into <name>_re/<name>_im, infinities and NaN as the strings "inf",
 "-inf" and "nan".  CSV writes floats with 17 significant digits, each row
 with one %-format planned once per record signature; JSON writes the
-shortest repr that round-trips.  Identical config gives byte-identical
-output, so nothing time- or environment-dependent is ever serialized.
-A command computes all its records before the first byte is written, so a
-failing command writes nothing; the encoders then write record by record,
-so only the records (and a signature number for each) grow with the output.
+shortest repr that round-trips.  Identical config must produce
+byte-identical output, so nothing time- or environment-dependent is ever
+serialized.  A command computes all its records before the first byte is
+written, so a failing command writes nothing; the encoders then write to
+the destination record by record, so only the records (and a signature
+number for each) grow with the output.
 
 Flags alone set --oracle, --cutoff and --tolerance; --cutoff sets the
 oracle's cutoff, so on `simulate` and `sweep` it needs --oracle.  A config
@@ -33,7 +34,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, replace
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -207,24 +208,28 @@ def _csv_columns(records: list[RunRecord]) -> tuple[list[str], list[int]]:
             inputs, inputs_signature = r.inputs, _signature(r.inputs)
         deltas = r.oracle_deltas or {}
         signature = (inputs_signature, _signature(r.outputs), _signature(deltas))
-        if signature not in seen:
-            seen[signature] = len(seen)
+        number = seen.get(signature)
+        if number is None:
+            number = seen[signature] = len(seen)
             # dict keys keep first-seen order
             columns.update(dict.fromkeys(
                 ["run_id", *_split(inputs), *_split(r.outputs), *_split(deltas, "delta_")]))
-        numbers.append(seen[signature])
+        numbers.append(number)
     return list(columns), numbers
 
 
-# a plain type's cell: a %-format and the fix that makes its values %-ready.  17
-# significant digits spell inf, -inf and nan so; any other type is text
-_CSV_FORMS = {float: ("%.17g", None), int: ("%d", None), type(None): ("", None),
-              bool: ("%s", {True: "true", False: "false"}.__getitem__)}
+# the %-format of a float or int cell and the function that makes a value of
+# that type %-ready: 17 significant digits spell inf, -inf and nan so.  Any
+# other value is a text cell, "%s" of `_csv_text`
+_CSV_FORMS = {float: ("%.17g", float), int: ("%d", int)}
 _CSV_SPECIAL = re.compile('[,"\r\n]').search
 
 
 def _csv_text(value) -> str:
-    """str(value) as csv.writer writes it in a row of several cells."""
+    """A value that is no float or int as csv.writer writes it in a row of
+    several cells: true, false, nothing for None, else its str."""
+    if value is None or isinstance(value, (bool, np.bool_)):
+        return {True: "true", False: "false", None: ""}[value]
     text = str(value)
     if _CSV_SPECIAL(text) is None:
         return text
@@ -233,53 +238,40 @@ def _csv_text(value) -> str:
     return buf.getvalue()[:-2]
 
 
-def _csv_plan(columns: list[str], inputs: dict, outputs: dict, deltas: dict) -> tuple:
-    """A record signature's row plan (fmt, fixes, read), which `_records_csv`
-    runs on a row's values = [run_id, *outputs.values(), *deltas.values()]:
-    values += [fix(values[i]) for i, fix in fixes]; fmt % read(values).
-    `fmt` holds each column's cell: the inputs' literal text, nothing for a
-    column the record lacks or a None, or a %-format of one value, read as it
-    is or after its fix (text, or a complex's re or im)."""
-    cells = {"run_id": ("%s", 0, _csv_text)}  # later sections win, as in a merged dict
-    for column, value in _split(inputs).items():
+def _csv_plan(columns: list[str], r: RunRecord) -> tuple[str, list]:
+    """The row plan of `r`'s signature: a %-format over the header, with the
+    inputs' cells as literal text and nothing in a column `r` lacks, and for
+    each %-slot the index of its value in (run_id, *outputs.values(),
+    *deltas.values()) and the function that makes that value %-ready."""
+    cells = {"run_id": ("%s", _csv_text, 0)}  # later sections win, as in a merged dict
+    for column, value in _split(r.inputs).items():
         form, fix = _CSV_FORMS.get(type(value), ("%s", _csv_text))
-        text = form % (fix(value) if fix else value) if form else ""
-        cells[column] = (text.replace("%", "%%"), None, None)
-    items = [*outputs.items(), *(("delta_" + key, value) for key, value in deltas.items())]
-    for i, (column, value) in enumerate(items, 1):
+        cells[column] = ((form % fix(value)).replace("%", "%%"), None, None)
+    deltas = {"delta_" + key: value for key, value in (r.oracle_deltas or {}).items()}
+    for i, (column, value) in enumerate([*r.outputs.items(), *deltas.items()], 1):
         if isinstance(value, (complex, np.complexfloating)):
-            cells[column + "_re"] = ("%.17g", i, attrgetter("real"))
-            cells[column + "_im"] = ("%.17g", i, attrgetter("imag"))
+            cells[column + "_re"] = ("%.17g", attrgetter("real"), i)
+            cells[column + "_im"] = ("%.17g", attrgetter("imag"), i)
         else:
-            form, fix = _CSV_FORMS.get(type(_plain(value)), ("%s", _csv_text))
-            cells[column] = (form, i if form else None, fix)
-    forms, fixes, reads = [], [], []
-    for column in columns:
-        form, i, fix = cells.get(column, ("", None, None))
-        forms.append(form)
-        if fix:
-            fixes.append((i, fix))
-            i = len(items) + len(fixes)  # fixed values follow the row's own
-        if i is not None:
-            reads.append(i)
-    return ",".join(forms) + "\n", fixes, itemgetter(*reads) if reads else lambda values: ()
+            cells[column] = (*_CSV_FORMS.get(type(_plain(value)), ("%s", _csv_text)), i)
+    cells = [cells.get(column, ("", None, None)) for column in columns]
+    return ",".join(form for form, _, _ in cells) + "\n", [(i, fix) for _, fix, i in cells if fix]
 
 
 def _records_csv(records: list[RunRecord], out) -> None:
     """Write the records' CSV to the text stream `out`, each row one % of its plan."""
     columns, numbers = _csv_columns(records)
+    # the header as csv writes it, without a csv.writer's 128 KiB record buffer
     out.write(",".join(map(_csv_text, columns)) + "\n")
     inputs, plans = None, {}
     for r, number in zip(records, numbers):
-        if r.inputs is not inputs:  # the plans hold the inputs' text
+        if r.inputs is not inputs:  # a plan holds its inputs' text
             inputs, plans = r.inputs, {}
-        deltas = r.oracle_deltas or {}
         if number not in plans:
-            plans[number] = _csv_plan(columns, inputs, r.outputs, deltas)
-        fmt, fixes, read = plans[number]
-        values = [r.run_id, *r.outputs.values(), *deltas.values()]
-        values += [fix(values[i]) for i, fix in fixes]
-        row = fmt % read(values)
+            plans[number] = _csv_plan(columns, r)
+        fmt, slots = plans[number]
+        values = (r.run_id, *r.outputs.values(), *(r.oracle_deltas or {}).values())
+        row = fmt % tuple([fix(values[i]) for i, fix in slots])
         out.write(row if row != "\n" else '""\n')  # csv quotes a row's one empty cell
 
 
@@ -372,15 +364,24 @@ def cmd_simulate(config: dict, params: ModelParams, cutoff: int | None) -> list[
         outputs = {
             "m": m,
             "beta_star": dynamics.effective_beta_S(params, m),
-            "beta_star_star": dynamics.effective_beta_Sm(params, m) if m >= 1 else float("nan"),
-            "relative_entropy": dynamics.relative_entropy(params, m) if finite else float("nan"),
+            "beta_star_star": (
+                dynamics.effective_beta_Sm(params, m) if m >= 1 else float("nan")
+            ),
+            "relative_entropy": (
+                dynamics.relative_entropy(params, m) if finite else float("nan")
+            ),
             "total_entropy": dynamics.total_entropy(params, m),
             # complex, so the column keeps its _re/_im pair
             "char_S": complex(dynamics.char_fn_S(params, m, alpha)),
         }
-        deltas = None if rho is None else oracle_deltas(
-            params, m, rho, np.random.default_rng([seed, m]), 5)
-        records.append(RunRecord(f"simulate-{m:04d}", inputs, outputs, deltas))
+        deltas = None
+        if rho is not None:
+            deltas = oracle_deltas(params, m, rho, np.random.default_rng([seed, m]), 5)
+        records.append(
+            RunRecord(
+                run_id=f"simulate-{m:04d}", inputs=inputs, outputs=outputs, oracle_deltas=deltas
+            )
+        )
     return records
 
 
@@ -399,7 +400,9 @@ def cmd_subsystem(config: dict, params: ModelParams) -> list[RunRecord]:
     if kind == "S":
         extras["beta_star"] = dynamics.effective_beta_S(params, m)
     elif kind in ("S1", "Sm"):
-        extras["beta_star_star"] = dynamics.effective_beta_Sm(params, 1 if kind == "S1" else m)
+        extras["beta_star_star"] = dynamics.effective_beta_Sm(
+            params, 1 if kind == "S1" else m
+        )
     elif kind == "window":
         extras["window_norm_sq"] = dynamics.window_overlap_norm_sq(params, n, m)
         extras["window_entropy"] = dynamics.window_entropy(params, n, m)
@@ -408,11 +411,19 @@ def cmd_subsystem(config: dict, params: ModelParams) -> list[RunRecord]:
     for i, args in enumerate(tuples):
         if len(args) != len(slots):
             raise ConfigError(
-                f"subsystem.alphas[{i}] has {len(args)} entries, selector needs {len(slots)}")
+                f"subsystem.alphas[{i}] has {len(args)} entries, selector needs {len(slots)}"
+            )
         value = dynamics.reduced_char_fn(params, m, slots, args)
-        outputs = {"value": value, **extras, **{f"alpha{j}": a for j, a in enumerate(args)}}
-        inputs = {**_echo_model(params), "kind": kind, "m": m, "n": n}
-        records.append(RunRecord(f"subsystem-{i:04d}", inputs, outputs))
+        outputs = {"value": value, **extras}
+        for j, a in enumerate(args):
+            outputs[f"alpha{j}"] = a
+        records.append(
+            RunRecord(
+                run_id=f"subsystem-{i:04d}",
+                inputs={**_echo_model(params), "kind": kind, "m": m, "n": n},
+                outputs=outputs,
+            )
+        )
     return records
 
 
@@ -620,8 +631,10 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
     checks.append(VerifyCheck("oracle_entropy_constancy", dev, 1e-5))
 
     if finite:
-        dev = abs(fock_oracle.relative_entropy_oracle(rho_m[2], rho_m[0])
-                  - dynamics.relative_entropy(p2, 2))
+        dev = abs(
+            fock_oracle.relative_entropy_oracle(rho_m[2], rho_m[0])
+            - dynamics.relative_entropy(p2, 2)
+        )
         checks.append(VerifyCheck("oracle_relative_entropy", dev, 1e-4))
 
     # short-time limit: the thermal-chain error sequence must decrease
@@ -641,11 +654,26 @@ def cmd_verify(config: dict, params: ModelParams, tolerance: float | None, cutof
     checks = run_verification(params, cutoff=cutoff, seed=seed)
     if tolerance is not None:
         checks = [replace(check, tolerance=tolerance) for check in checks]
-    lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: deviation {c.deviation:.6e}"
-             f" tolerance {c.tolerance:.6e}" for c in checks]
-    records = [RunRecord(f"verify-{i:04d}", _echo_model(params), {
-        "check": c.name, "deviation": c.deviation, "tolerance": c.tolerance, "passed": c.passed,
-    }) for i, c in enumerate(checks)]
+    lines = []
+    records = []
+    for i, check in enumerate(checks):
+        status = "PASS" if check.passed else "FAIL"
+        lines.append(
+            f"{status} {check.name}: deviation {check.deviation:.6e}"
+            f" tolerance {check.tolerance:.6e}"
+        )
+        records.append(
+            RunRecord(
+                run_id=f"verify-{i:04d}",
+                inputs=_echo_model(params),
+                outputs={
+                    "check": check.name,
+                    "deviation": check.deviation,
+                    "tolerance": check.tolerance,
+                    "passed": check.passed,
+                },
+            )
+        )
     failed = sum(not c.passed for c in checks)
     lines.append(f"{len(checks) - failed}/{len(checks)} checks passed")
     return (0 if failed == 0 else 1), "\n".join(lines) + "\n", records
@@ -657,7 +685,9 @@ def cmd_verify(config: dict, params: ModelParams, tolerance: float | None, cutof
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="richain", description="Exactly soluble repeated-interaction chain dynamics.")
+        prog="richain",
+        description="Exactly soluble repeated-interaction chain dynamics.",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
         "kernel": "step scalars, coupled-mode energies and hypothesis flags",
@@ -709,7 +739,8 @@ def main(argv=None) -> int:
             records = cmd_limit(config, params)
         elif args.command == "verify":
             code, report, records = cmd_verify(
-                config, params, args.tolerance, 24 if cutoff is None else cutoff)
+                config, params, args.tolerance, 24 if cutoff is None else cutoff
+            )
             sys.stdout.write(report)
             if args.output is not None:
                 _emit(records, args.command, args.output, args.format)

@@ -305,6 +305,8 @@ class TestCsvPlans:
     @settings(max_examples=300, deadline=None)
     @given(_record_runs())
     @example([RunRecord("", {}, {}), RunRecord("x", {}, {}, {}), RunRecord("", {}, {})])  # one column
+    @example([RunRecord("r", {"a": "5%d%"}, {"x": 1.0})])  # a % in the echoed inputs
+    @example([RunRecord("r", {"a": 1.0}, {}), RunRecord("s", {"a": 2.0}, {})])  # two inputs, one signature
     def test_csv_matches_the_reference(self, records):
         assert csv_text(records) == reference_csv(records)
 
