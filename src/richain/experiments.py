@@ -178,14 +178,18 @@ class ChainStateSpec:
         if self.kind == "gibbs":
             raise ValueError("the gibbs kind has no finite factorial series")
         p = np.diagonal(self.density(self.min_cutoff)).real
-        return np.array([(-1) ** k * sum(p[n] * (math.comb(n, k) / math.factorial(k))
-                                         for n in range(k, len(p))) for k in range(len(p))])
+        weights = [(n, p[n]) for n in np.flatnonzero(p).tolist()]  # a number state has one
+        return np.array([(-1) ** k * sum((w * (math.comb(n, k) / math.factorial(k))
+                                          for n, w in weights if n >= k), 0.0)
+                         for k in range(len(p))])
 
     def symmetric_moment(self) -> float:
-        """Tr[rho_1 (a*a + a a*)] = 2 f_1 + 1 entering the limit formula."""
+        """Tr[rho_1 (a*a + a a*)] = 2 f_1 + 1 entering the limit formula, f_1 =
+        sum_n rho[n, n] n over the nonzero weights, in the order of n."""
         if self.kind == "gibbs":
             return 2.0 * occupation(self.beta) + 1.0
-        return 1.0 - 2.0 * float(self.factorial_series()[1])
+        p = np.diagonal(self.density(self.min_cutoff)).real
+        return 1.0 + 2.0 * float(sum((p[n] * n for n in np.flatnonzero(p).tolist()), 0.0))
 
 
 _H2_TOL = 1e-12
@@ -364,9 +368,10 @@ def short_time_limit_run(
     chain spec's.  Each record carries |value - limit|; the sequence per
     theta must be monotone nonincreasing from the first checkpoint with
     tau^2*N >= 1, up to 5% relative slack plus the law gate's 1e-14 |limit|,
-    or the run fails.  The thetas must form a nonempty 1-D array of finite
-    values whose |theta|^2 is finite, and the spec must pass
-    `moment_hypothesis_check`; otherwise ValueError.
+    or the run fails, so every record returned reads monotone_ok true.  The
+    thetas must form a nonempty 1-D array of finite values whose |theta|^2
+    is finite, and the spec must pass `moment_hypothesis_check`; otherwise
+    ValueError.
 
     A diagonal chain density, with log P = sum_j a_j x^j from
     `_log_series` (which carries a_j scaled by its radius), has the error law
@@ -487,6 +492,7 @@ def short_time_limit_run(
                         "N": n_steps, "tau": tau, "tau_sq_N": tau**2 * n_steps,
                         "tau_cub_N": tau**3 * n_steps, "value": value, "limit": limit,
                         "abs_error": err, "predicted_error": predicted, "law_remainder": remainder,
+                        "monotone_ok": True,  # the run raises below where it is not
                     },
                 )
             )
@@ -498,10 +504,7 @@ def short_time_limit_run(
         errs = [rec.outputs["abs_error"] for rec in rows]
         # 5 % relative slack, and the law gate's 1e-14 |limit| for errors at rounding
         floor = 1e-14 * rows[0].outputs["limit"]
-        monotone = all(b <= a * 1.05 + floor for a, b in zip(errs[start:], errs[start + 1 :]))
-        for rec in rows:
-            rec.outputs["monotone_ok"] = monotone
-        if not monotone:
+        if not all(b <= a * 1.05 + floor for a, b in zip(errs[start:], errs[start + 1 :])):
             raise RuntimeError(f"limit-run error sequence not monotone for theta={theta}: {errs}")
     return records
 

@@ -30,10 +30,12 @@ sectors, the largest 432 x 432, and the states of a two-step run store:
 
 States are born only as products, `from_diagonal_product` and
 `from_thermal_product`, which `evolve_density` then steps; no public
-call builds a state from caller-supplied blocks.  `evolve_density`,
-`weyl_expectation`, `von_neumann_entropy` and `relative_entropy_oracle`
-take blocked states only, and the reference of `relative_entropy_oracle`
-must be a diagonal product.  `OneModeWeyl` reads a one-mode state as
+call builds a state from caller-supplied blocks.  A product is refused,
+with a ValueError naming its cutoff and before any basis is formed, where
+one step of the state with every mode coupled would hold more than 1 GiB.
+`evolve_density`, `weyl_expectation`, `von_neumann_entropy` and
+`relative_entropy_oracle` take blocked states only, and the reference of
+`relative_entropy_oracle` must be a diagonal product.  `OneModeWeyl` reads a one-mode state as
 a plain square matrix, whose size is its cutoff, and prepares it for
 `weyl_expectation_batch`; the caller validates it.
 
@@ -94,6 +96,12 @@ __all__ = [
 EIG_FLOOR = 1e-300
 NEG_EIG_CLAMP = -1e-12
 _TRACE_TOL = 1e-12
+# what one step holds per entry of a state with every mode coupled, at most:
+# its complex input, its packed output and the cached plan's indices (a step
+# that couples two coupled modes again, measured at D = 24 and 28), and the
+# most one step may hold
+_STEP_BYTES_PER_ENTRY = 48
+_STEP_BYTES_CAP = 1 << 30
 # largest gather of `weyl_expectation` from a blocked state, in entries
 # read with their mirrors, and of the samples' products: each of a chunk's
 # arrays stays near 1 MiB, within a core's cache
@@ -146,6 +154,25 @@ def thermal_probabilities(beta: float, D: int) -> np.ndarray:
         return p
     weights = np.exp(-beta * np.arange(D))
     return weights / weights.sum()
+
+
+def _check_problem_size(modes: int, cutoff: int) -> None:
+    """Raise ValueError naming the cutoff where a step of the `modes`-mode
+    state with every mode coupled, the sum over sectors of k^2 entries, would
+    hold more than _STEP_BYTES_CAP.  The sector sizes are the coefficients of
+    (1 + x + ... + x^(D-1))^modes, formed only where the D^modes basis tuples,
+    at most that sum, fit the bound."""
+    entries = int(cutoff) ** modes
+    if entries * _STEP_BYTES_PER_ENTRY <= _STEP_BYTES_CAP:
+        sizes = np.ones(1, dtype=np.int64)
+        for _ in range(modes):
+            sizes = np.convolve(sizes, np.ones(cutoff, dtype=np.int64))
+        entries = int(sizes @ sizes)
+    need = entries * _STEP_BYTES_PER_ENTRY
+    if need > _STEP_BYTES_CAP:
+        gib = need / 2**30 if need.bit_length() < 1000 else math.inf  # no float past that
+        raise ValueError(f"oracle cutoff {cutoff} is too large for {modes} modes: a step "
+                         f"would hold {gib:.3g} GiB, above {_STEP_BYTES_CAP / 2**30:g} GiB")
 
 
 class _SectorBasis:
@@ -341,6 +368,7 @@ class BlockedDensityMatrix:
         modes = len(prob_vectors)
         if modes == 0:
             raise ValueError("need at least one mode")
+        _check_problem_size(modes, cutoff)
         layout = _GroupLayout.get(modes, cutoff, frozenset())
         grid = layout.basis.grid
         diag = np.ones(len(grid))

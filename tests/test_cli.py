@@ -80,6 +80,21 @@ class TestKernelCommand:
         assert cells["beta0"] == "1.0986122886681098"
         assert cells["beta"] == "0.69314718055994529"
 
+    def test_matexp_on_the_first_eight_slots(self, monkeypatch):
+        # at N = 4000 each dense check would be 4001 x 4001: the deviation
+        # comes from the chain of the first min(N, 8) slots, as at N = 8
+        import richain.cli as cli
+
+        sizes = []
+        check = cli.matrix_exponential_check
+        monkeypatch.setattr(cli, "matrix_exponential_check",
+                            lambda params, n: sizes.append(params.N) or check(params, n))
+        (large,) = cmd_kernel(_model_from_config({"model": {"N": 4000}}))
+        assert sizes == [8] * 8
+        (eight,) = cmd_kernel(_model_from_config({"model": {"N": 8}}))
+        assert large.outputs == eight.outputs
+        assert large.inputs == {**eight.inputs, "N": 4000}
+
     def test_byte_identical_reruns(self, capsys):
         _, a, _ = run_cli(capsys, "kernel")
         _, b, _ = run_cli(capsys, "kernel")
@@ -646,6 +661,73 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--cutoff", "8")
         assert code == 1
         assert "\nFAIL limit_law: deviation inf tolerance" in out
+
+    def test_checks_are_the_records_written(self):
+        # one record per check, formed where its values are known, with one
+        # model echo for the run; --tolerance re-forms them with its tolerance
+        params = _model_from_config({})
+        code, report, records = cmd_verify({}, params, None, 6)
+        assert [r.run_id for r in records] == [f"verify-{i:04d}" for i in range(13)]
+        assert all(r.inputs is records[0].inputs for r in records)
+        for r in records:
+            assert list(r.outputs) == ["check", "deviation", "tolerance", "passed"]
+            assert type(r.outputs["deviation"]) is float
+            assert r.outputs["passed"] is (r.outputs["deviation"] <= r.outputs["tolerance"])
+        assert report.splitlines()[:-1] == [
+            f"{'PASS' if r.outputs['passed'] else 'FAIL'} {r.outputs['check']}: deviation "
+            f"{r.outputs['deviation']:.6e} tolerance {r.outputs['tolerance']:.6e}" for r in records]
+        _, loose, relaxed = cmd_verify({}, params, 0.5, 6)
+        assert [r.outputs["tolerance"] for r in relaxed] == [0.5] * 13
+        assert [r.outputs["deviation"] for r in relaxed] == [r.outputs["deviation"] for r in records]
+        assert loose.endswith("13/13 checks passed\n")
+
+    @pytest.mark.parametrize("model, fails", [({"N": 1}, set()),
+                                              ({"beta": 800}, {"oracle_relative_entropy"})],
+                             ids=["one-mode-chain", "cold-chain"])
+    def test_valid_edge_models_get_a_report(self, tmp_path, capsys, model, fails):
+        # N = 1 takes S + S_1 for the marginals.  At beta = 800 exp(-800 k)
+        # underflows in the product reference, whose support then misses the
+        # evolved state's: the oracle cannot evaluate the relative entropy
+        cfg = write_config(tmp_path, {"schema_version": 1, "model": model})
+        code, out, err = run_cli(capsys, "verify", "--cutoff", "8", "--config", cfg)
+        assert code in (0, 1) and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 14 and lines[-1].endswith("checks passed")
+        assert "PASS marginalization_consistency:" in out
+        for name in fails:
+            assert f"FAIL {name}: deviation inf tolerance" in out
+
+    def test_short_time_run_failure_reads_inf(self, capsys, monkeypatch):
+        import richain.cli as cli
+
+        run = cli.short_time_limit_run
+
+        def gibbs_fails(params, schedule, spec, thetas):
+            if spec.kind == "gibbs":
+                raise RuntimeError("limit-run error sequence not monotone")
+            return run(params, schedule, spec, thetas)
+
+        monkeypatch.setattr(cli, "short_time_limit_run", gibbs_fails)
+        code, out, _ = run_cli(capsys, "verify", "--cutoff", "8")
+        assert code == 1
+        assert "\nFAIL short_time_error_decreasing: deviation inf tolerance" in out
+        assert "\nPASS limit_law:" in out
+
+    @pytest.mark.parametrize("argv", [["verify"], ["simulate", "--oracle"],
+                                      ["sweep", "--oracle"]], ids=["verify", "simulate", "sweep"])
+    def test_oracle_past_its_size_bound_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        from richain import fock_oracle
+
+        monkeypatch.setattr(fock_oracle, "_STEP_BYTES_CAP", 100_000)
+        grid = {"E": [2.0], "eps": [1.0], "eta": [0.5], "tau": [1.0],
+                "beta0": [1.0], "beta": [1.5], "N": [2]}
+        cfg = write_config(tmp_path, {"schema_version": 1, "model": {"N": 2},
+                                      "sweep": {"grid": grid}})
+        out_path = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, *argv, "--cutoff", "8", "--config", cfg,
+                                 "--output", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert "error: oracle cutoff 8 is too large for 3 modes" in err
 
     def test_unstable_config_rejected_before_suites(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

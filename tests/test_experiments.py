@@ -110,6 +110,30 @@ class TestChainStateSpec:
         # 2 <n> + 1 through the CCR
         assert abs(spec.symmetric_moment() - 1.5) < 1e-14
 
+    @pytest.mark.parametrize("rho", [
+        np.diag([1.0]), np.diag([0.5, 0.0, 0.25, 0.0, 0.25]), np.diag(np.exp(-0.7 * np.arange(30))),
+    ], ids=["level-0", "sparse", "thermal-30"])
+    def test_series_and_moment_sum_only_nonzero_weights(self, rho):
+        # the same bits as the sum over every (n, k) pair, in the same order
+        spec = ChainStateSpec(kind="custom", rho=np.pad(rho, (0, 1)) / np.trace(rho))
+        p = np.diagonal(spec.density(spec.min_cutoff)).real
+        every = np.array([(-1) ** k * sum(p[n] * (math.comb(n, k) / math.factorial(k))
+                                          for n in range(k, len(p))) for k in range(len(p))])
+        assert spec.factorial_series().tobytes() == every.tobytes()
+        assert spec.symmetric_moment() == 1.0 - 2.0 * float(every[1])
+
+    def test_number_state_series_is_one_term_per_order(self, monkeypatch):
+        # a number state has one nonzero weight, so level 1000 takes C(1000, k)
+        # once per order k <= 1000, where every (n, k) pair took about 500,000
+        calls = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: calls.append(k) or comb(n, k))
+        spec = ChainStateSpec(kind="number_state", level=1000)
+        assert spec.symmetric_moment() == 2001.0 and not calls
+        c = spec.factorial_series()
+        assert calls == list(range(1001))
+        assert c[1] == -1000.0 and c[1001] == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ChainStateSpec(kind="gibbs")

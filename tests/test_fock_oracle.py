@@ -833,6 +833,32 @@ class TestInterface:
         with pytest.raises(ValueError, match="BlockedDensityMatrix"):
             call(rho)
 
+    def test_problem_size_bounded_before_any_basis(self, monkeypatch):
+        # three modes at D = 8 hold 18,152 entries once every mode is coupled:
+        # past a bound of 100,000 bytes the state is refused before its layout
+        layouts = []
+        get = fo._GroupLayout.get
+        monkeypatch.setattr(fo._GroupLayout, "get",
+                            lambda *args: layouts.append(args) or get(*args))
+        monkeypatch.setattr(fo, "_STEP_BYTES_CAP", 100_000)
+        with pytest.raises(ValueError, match="oracle cutoff 8 is too large for 3 modes"):
+            fo.BlockedDensityMatrix.from_thermal_product([1.0, 1.0, 1.0], 8)
+        assert not layouts
+        fo.BlockedDensityMatrix.from_thermal_product([1.0, 1.0, 1.0], 5)  # 2,255 entries
+        assert layouts
+
+    def test_default_problem_size_bound(self):
+        # 1 GiB at 48 bytes per entry: three modes to D = 33, two to D = 322
+        for modes, largest in ((3, 33), (2, 322)):
+            fo._check_problem_size(modes, largest)
+            with pytest.raises(ValueError, match=f"oracle cutoff {largest + 1} "):
+                fo._check_problem_size(modes, largest + 1)
+        # a cutoff whose D^modes tuples alone pass the bound forms no sector sizes
+        with pytest.raises(ValueError, match="oracle cutoff 1000000000 "):
+            fo._check_problem_size(2, 10**9)
+        with pytest.raises(ValueError, match="would hold inf GiB"):
+            fo._check_problem_size(3, 10**400)
+
     def test_batch_rejects_other_states(self):
         # the batch takes a square one-mode matrix, not a blocked state
         for rho in (fo.BlockedDensityMatrix.from_thermal_product([1.0], 6),
