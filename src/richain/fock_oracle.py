@@ -156,6 +156,17 @@ def thermal_probabilities(beta: float, D: int) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _thermal_log_probabilities(beta: float, D: int) -> np.ndarray:
+    """The logs of `thermal_probabilities`, -beta k - log Z with
+    log Z = log(1 - e^(-beta D)) - log(1 - e^-beta), each 1 - e^-x as
+    -expm1(-x).  They stay finite where e^(-beta k) underflows; -inf
+    marks the levels a vacuum mode (beta = inf) leaves empty."""
+    if math.isinf(beta):
+        return np.where(np.arange(D) == 0, 0.0, -np.inf)
+    log_z = math.log(-math.expm1(-beta * D)) - math.log(-math.expm1(-beta))
+    return -beta * np.arange(D) - log_z
+
+
 def _check_problem_size(modes: int, cutoff: int) -> None:
     """Raise ValueError naming the cutoff where a step of the `modes`-mode
     state with every mode coupled, the sum over sectors of k^2 entries, would
@@ -352,6 +363,8 @@ class BlockedDensityMatrix:
         self._layout = layout
         self._buffer = _read_only(buffer)
         self._spectrum: np.ndarray | None = None
+        # a product's one-mode log probabilities, which only the products set
+        self._log_factors: list[np.ndarray] | None = None
 
     def _stacks(self):
         """Each stack of the layout with its packed blocks, an (n, k, k) read-only view."""
@@ -383,15 +396,21 @@ class BlockedDensityMatrix:
                 raise ValueError(f"probability vector {m} must be nonnegative and sum to 1")
             diag = diag * p[grid[:, m]]
         # with no mode coupled each group is one basis tuple, in basis order
-        return cls(layout, diag)
+        rho = cls(layout, diag)
+        with np.errstate(divide="ignore"):  # a level of probability 0 has log -inf
+            rho._log_factors = [np.log(np.asarray(p, dtype=float)) for p in prob_vectors]
+        return rho
 
     @classmethod
     def from_thermal_product(
         cls, betas: list[float], cutoff: int
     ) -> "BlockedDensityMatrix":
-        return cls.from_diagonal_product(
+        rho = cls.from_diagonal_product(
             [thermal_probabilities(b, cutoff) for b in betas], cutoff
         )
+        # exact logs, which a cold mode's underflowed probabilities lack
+        rho._log_factors = [_thermal_log_probabilities(b, cutoff) for b in betas]
+        return rho
 
     def _diagonal(self) -> np.ndarray:
         """The diagonal, real, indexed by basis position."""
@@ -850,21 +869,25 @@ def relative_entropy_oracle(rho: BlockedDensityMatrix, rho0: BlockedDensityMatri
     """Tr[rho (ln rho - ln rho0)] against a product reference, nonnegative
     up to numerical slack.
 
-    rho0 must store only 1 x 1 blocks, as a product of diagonal one-mode
-    states does; then ln rho0 is diagonal, and the formula is minus the
-    entropy of rho, from its cached spectrum, less the diagonal of rho
-    against the log of rho0's diagonal.  A reference with a coupled mode
-    raises ValueError.
+    rho0 must be a product of diagonal one-mode states, as
+    `from_diagonal_product` and `from_thermal_product` build it; then
+    ln rho0 is diagonal, the sum of the one-mode log probabilities the
+    product keeps, and the formula is minus the entropy of rho, from its
+    cached spectrum, less the diagonal of rho against it.  A thermal
+    product keeps exact logs, so a cold mode whose weights e^(-beta k)
+    underflow still has a finite one.  Any other reference raises
+    ValueError, and so does a rho with weight where rho0 has none.
     """
     _check_blocked(rho, rho0)
     if (rho.modes, rho.cutoff) != (rho0.modes, rho0.cutoff):
         raise ValueError("states must share modes and cutoff")
-    if any(st.size > 1 for st in rho0._layout.stacks):
+    if rho0._log_factors is None:
         raise ValueError("reference state must be a diagonal product, with no coupled mode")
-    p0 = rho0._diagonal()
+    grid = rho0._layout.basis.grid
+    log_p0 = sum(f[grid[:, m]] for m, f in enumerate(rho0._log_factors))
     diag = rho._diagonal()
-    dead = p0 <= EIG_FLOOR
+    dead = np.isneginf(log_p0)
     if np.any(diag[dead] > _SUPPORT_TOL):
         raise ValueError("support of rho is not contained in support of rho0")
     live = ~dead
-    return -von_neumann_entropy(rho) - float((diag[live] * np.log(p0[live])).sum())
+    return -von_neumann_entropy(rho) - float((diag[live] * log_p0[live]).sum())

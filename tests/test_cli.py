@@ -415,18 +415,35 @@ class TestSimulateCommand:
         ({"N": 400, "beta": 1e-3}, [0.02, 0.01]),
         ({"N": 400, "beta": 1e-3}, [0.5, 0.0]),
         ({"N": 400, "beta0": 50.0, "beta": "inf"}, [2.0, 1.5]),
+        ({"N": 400, "beta": 800}, [0.5, 0.0]),
+        ({"N": 400, "tau": 1e-6}, [0.3, -0.7]),
     ])
     def test_char_S_matches_the_rank_one_state(self, model, alpha):
         # char_S is S's Gibbs value from n*; reduced_char_fn builds the rank-one
         # state on slot 0.  Both are exp of an exponent rounded to about 1e-16
         # relative, so the values agree to 1e-15 relative, times the exponent
-        # where that passes 1 (about 125 at beta = 1e-3 and |alpha| = 0.5)
+        # where that passes 1 (about 125 at beta = 1e-3 and |alpha| = 0.5).
+        # Every row is the per-m functions' value, bit for bit: the trajectory
+        # runs their formulas on constants it forms once
         config = {"model": model, "simulate": {"alpha_sample": alpha}}
         params = _model_from_config(config)
         records = cmd_simulate(config, params, None)
         assert len(records) == params.N + 1
         a = complex(*alpha)
+        finite = not (math.isinf(params.beta0) or math.isinf(params.beta))
+        nan = float("nan")
         for m, record in enumerate(records):
+            expect_row = [
+                dynamics.effective_beta_S(params, m),
+                dynamics.effective_beta_Sm(params, m) if m else nan,
+                dynamics.relative_entropy(params, m) if finite else nan,
+                dynamics.total_entropy(params, m),
+                dynamics.char_fn_S(params, m, a),
+            ]
+            row = [record.outputs[k] for k in ("beta_star", "beta_star_star", "relative_entropy",
+                                               "total_entropy")] + [record.outputs["char_S"].real]
+            # NaN matches NaN; every other value matches with ==
+            assert [x == y or x != x and y != y for x, y in zip(row, expect_row)] == [True] * 5, m
             got = record.outputs["char_S"]
             assert got.imag == 0.0
             expect = dynamics.reduced_char_fn(params, m, [0], a)
@@ -686,16 +703,20 @@ class TestVerifyCommand:
                              ids=["one-mode-chain", "cold-chain"])
     def test_valid_edge_models_get_a_report(self, tmp_path, capsys, model, fails):
         # N = 1 takes S + S_1 for the marginals.  At beta = 800 exp(-800 k)
-        # underflows in the product reference, whose support then misses the
-        # evolved state's: the oracle cannot evaluate the relative entropy
+        # underflows in the product reference, but its exact log weights keep
+        # the oracle's relative entropy finite: at cutoff 8 it fails from
+        # truncation alone.  The production limit there is about 400, and the
+        # tail check's gate scales with it
         cfg = write_config(tmp_path, {"schema_version": 1, "model": model})
         code, out, err = run_cli(capsys, "verify", "--cutoff", "8", "--config", cfg)
         assert code in (0, 1) and err == ""
         lines = out.splitlines()
         assert len(lines) == 14 and lines[-1].endswith("checks passed")
         assert "PASS marginalization_consistency:" in out
+        assert "PASS entropy_production_tail:" in out
+        assert "deviation inf" not in out
         for name in fails:
-            assert f"FAIL {name}: deviation inf tolerance" in out
+            assert f"FAIL {name}: deviation " in out
 
     def test_short_time_run_failure_reads_inf(self, capsys, monkeypatch):
         import richain.cli as cli

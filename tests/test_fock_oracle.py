@@ -774,6 +774,19 @@ class TestEntropies:
         got = fo.relative_entropy_oracle(rho1, rho0)
         assert abs(got - direct) < 1e-10
 
+    def test_relative_entropy_against_a_cold_reference(self):
+        # at beta0 = 800 every e^(-800 k) past k = 0 underflows, but the reference's
+        # logs are exact: -800 k - log Z, with log Z = log(1 - e^(-800 D)) -
+        # log(1 - e^-800) rounding to 0
+        b1, D = math.log(2), 12
+        p1 = fo.thermal_probabilities(b1, D)
+        assert fo.thermal_probabilities(800.0, D)[1:].max() == 0.0
+        direct = float((p1 * (np.log(p1) + 800.0 * np.arange(D))).sum())
+        rho1 = fo.BlockedDensityMatrix.from_thermal_product([b1], D)
+        rho0 = fo.BlockedDensityMatrix.from_thermal_product([800.0], D)
+        got = fo.relative_entropy_oracle(rho1, rho0)
+        assert math.isfinite(got) and abs(got - direct) < 1e-12 * direct
+
     def test_relative_entropy_after_evolution(self):
         # blocked path with a non-diagonal first argument
         p = make_params()
