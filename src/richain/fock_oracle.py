@@ -807,7 +807,13 @@ def weyl_expectation_batch(weyl: OneModeWeyl, alphas: np.ndarray) -> np.ndarray:
     at d = 0 and zero at every other even d, so this subtracts Tr[rho] = 1.
     cos(x) - 1 is taken as -2*sin^2(x/2), without cancellation, and the
     -2 is folded into T.
+
+    Each alpha's value has the same bits whichever alphas share the call.
     """
+    if len(alphas) == 1:
+        # a one-row trig @ M takes another BLAS path and sums in another order,
+        # so a lone alpha is evaluated beside a copy of itself
+        return weyl_expectation_batch(weyl, np.repeat(alphas, 2))[:1]
     h = len(weyl._lam)
     r = np.abs(alphas)
     _check_weyl_headroom(float(r.max()), weyl.cutoff)

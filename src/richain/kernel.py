@@ -152,35 +152,20 @@ class StepScalars:
     def gz_power(self, k):
         """(g z)^k for integer k >= 0, a scalar or an array of them.
 
-        Taken as exp(k (log|z| + i arg(gz))) with `log_abs_z`.  z = 0
-        gives exactly 1 at k = 0 and 0 beyond.  One integer goes through
-        `cmath`, whose exp rounds as numpy's does, and comes back as a numpy
-        complex, so products with it round as the array path's entries do.
+        Taken as exp(k (log|z| + i arg(gz))) with `log_abs_z`, by numpy, so
+        one integer carries the bits of its entry in an array.  z = 0 gives
+        exactly 1 at k = 0 and 0 beyond.
         """
         if self.z == 0:
             return np.add(np.asarray(k) == 0, 0j)[()]  # True + 0j is 1 + 0j
         log_gz = complex(self.log_abs_z, cmath.phase(self.g * self.z))
-        if isinstance(k, (int, np.integer)):
-            return np.complex128(cmath.exp(k * log_gz))
         return np.exp(np.multiply(k, log_gz))[()]
 
 
 def step_scalars(params: ModelParams) -> StepScalars:
-    """Evaluate (g, w, z) over one step, at time t = tau.
-
-    Formed once per (E, eps, eta, tau) and shared: every closed form of a
-    trajectory asks for the same step, once per row.  The instance is
-    frozen, so sharing it is safe.
-    """
-    return _step_scalars(params.E, params.eps, params.eta, params.tau)
-
-
-# a bounded memo: a run touches one model per row of a sweep or checkpoint of
-# a limit run, and `verify` 200 random ones.  Typed, so an int E and a float E
-# keep their own entries; eta = -0.0 shares the entry of 0.0, and both give
-# the same scalars
-@functools.lru_cache(maxsize=256, typed=True)
-def _step_scalars(E: float, eps: float, eta: float, t: float) -> StepScalars:
+    """Evaluate (g, w, z) over one step, at time t = tau: a few microseconds,
+    formed afresh on each call."""
+    E, eps, eta, t = params.E, params.eps, params.eta, params.tau
     half = (E - eps) / 2.0
     omega = math.hypot(half, eta)
     r = 2.0 * omega

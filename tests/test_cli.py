@@ -33,6 +33,7 @@ from richain.cli import (
     cmd_sweep,
     cmd_verify,
     main,
+    run_verification,
 )
 from richain.experiments import RunRecord, sweep
 
@@ -718,6 +719,23 @@ class TestVerifyCommand:
         for name in fails:
             assert f"FAIL {name}: deviation " in out
 
+    @pytest.mark.parametrize("model", [{}, {"N": 1}, {"beta": 800}, {"beta": 1e-12}, {"beta0": 1e-6}],
+                             ids=["default", "one-mode-chain", "cold-chain", "hot-chain", "hot-S"])
+    def test_closed_form_checks_read_rounding(self, model):
+        # the four read the explicit step products alone.  At beta = 1e-12,
+        # n(beta) is about 1e12, whose ulp (about 1e-4) effective_beta_affine's
+        # gate scales with; an absolute 1e-12 failed it from rounding alone
+        from richain.quasifree import occupation
+
+        params = _model_from_config({"model": model})
+        scale = max(1.0, occupation(params.beta0), occupation(params.beta))
+        records = {r.outputs["check"]: r.outputs for r in run_verification(params, cutoff=8)}
+        assert records["effective_beta_affine"]["tolerance"] == 1e-12 * scale
+        for name, bound in (("propagation_vs_matrix_product", 1e-13), ("quasifree_composition", 1e-13),
+                            ("effective_beta_affine", 1e-13 * scale), ("window_norm_embedding", 1e-13)):
+            assert records[name]["passed"]
+            assert records[name]["deviation"] <= bound, name
+
     def test_short_time_run_failure_reads_inf(self, capsys, monkeypatch):
         import richain.cli as cli
 
@@ -943,6 +961,25 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, "simulate", "--config", cfg)
         assert code == 2
         assert "re, im" in err
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("kernel", {"schema_version": 1, "model": [2.0]}, '"model" section must be an object'),
+        ("kernel", [{"schema_version": 1}], "config must be a JSON object"),
+        ("subsystem", {"schema_version": 1, "subsystem": {"alphas": []}},
+         "subsystem.alphas must be a nonempty list of argument tuples"),
+        ("limit", {"schema_version": 1, "limit": {"spec": "gibbs"}},
+         'limit.spec must be an object with a "kind"'),
+        ("limit", {"schema_version": 1, "limit": {"spec": {"kind": "laser"}}},
+         "unknown chain-state kind 'laser'"),
+        ("limit", {"schema_version": 1, "limit": {"spec": {"kind": "number_state", "level": -1}}},
+         "invalid chain-state spec: number_state spec needs level >= 0, got -1"),
+    ], ids=["section-not-object", "config-array", "alphas-empty", "spec-not-object",
+            "spec-unknown-kind", "spec-negative-level"])
+    def test_malformed_config_exits_2_with_its_message(self, tmp_path, capsys, command, payload,
+                                                       message):
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "kernel", "--config", "/nonexistent/x.json")

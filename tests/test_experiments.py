@@ -20,11 +20,13 @@ from richain.experiments import (
     ChainStateSpec,
     LimitSchedule,
     _CHUNK,
+    _PRODUCT_TERM_CAP,
     _SERIES_ORDER,
     _chain_log,
     _chain_product_log,
     _head_length,
     _log_series,
+    _series_log,
     moment_hypothesis_check,
     oracle_deltas,
     oracle_states,
@@ -155,6 +157,10 @@ class TestChainStateSpec:
         # cross-field contamination
         with pytest.raises(ValueError):
             ChainStateSpec(kind="gibbs", beta=1.0, level=2)
+        with pytest.raises(ValueError, match="^unknown chain-state kind 'bogus'$"):
+            ChainStateSpec(kind="bogus")
+        with pytest.raises(ValueError, match="^cutoff 2 below the spec minimum 3$"):
+            ChainStateSpec(kind="number_state", level=1).density(2)
 
     def test_custom_matrix_checks(self):
         bad_trace = np.diag([0.5, 0.2]).astype(complex)
@@ -676,6 +682,36 @@ class TestSeriesRoute:
             assert abs(_chain_log(weyl, series, s, scale, n) - whole) <= 1e-14 * abs(whole)
             expect = streamed_value(template, sched, spec, theta, n)
             assert abs(rec.outputs["value"] - expect) <= 1e-14 * abs(expect)
+
+    def test_diagonal_rows_fall_back_to_the_stream(self, monkeypatch):
+        # a series cut at order 2 never reaches rounding, so each row streams
+        # all its terms; the values agree with the series rows to rounding
+        import richain.experiments as experiments
+
+        spec = ChainStateSpec(kind="number_state", level=1)
+        sched = LimitSchedule(checkpoints=(100, 1_000))
+        series_rows = short_time_limit_run(std_params(), sched, spec, [1.0])
+        results = []
+        series_log = experiments._series_log
+        monkeypatch.setattr(experiments, "_series_log",
+                            lambda *args: results.append(series_log(*args)) or results[-1])
+        monkeypatch.setattr(experiments, "_SERIES_ORDER", 2)
+        streamed_rows = short_time_limit_run(std_params(), sched, spec, [1.0])
+        assert None in results
+        for series_row, streamed_row in zip(series_rows, streamed_rows):
+            expect = series_row.outputs["value"]
+            assert abs(streamed_row.outputs["value"] - expect) <= 1e-15 * abs(expect)
+
+    def test_series_log_refuses_a_sum_that_is_not_finite(self):
+        s = step_scalars(std_params())
+        assert _series_log((np.array([math.inf, 0.0]), 1.0, 1), 0.4, s, 100) is None
+
+    def test_streamed_product_cap(self):
+        # a head or whole row past 1e8 terms is refused before any term runs
+        weyl = fock_oracle.OneModeWeyl(ChainStateSpec(kind="number_state", level=1).density(16))
+        s = step_scalars(std_params())
+        with pytest.raises(ValueError, match="^term-by-term product capped at 100000000 factors$"):
+            _chain_product_log(weyl, s, 1.0, _PRODUCT_TERM_CAP + 1)
 
     def test_level_one_value_matches_mpmath_at_1e8(self):
         mp = pytest.importorskip("mpmath")

@@ -556,9 +556,8 @@ class TestWeyl:
     @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "superposition"])
     def test_batch_takes_any_length(self, diagonal):
         # one call over 3 * 2^14 + 1 alphas equals its calls over chunks of 2^14,
-        # and each call returns an array of its own that a later call leaves as it
-        # is.  numpy sums the offsets of a one-alpha call in another order, so
-        # the last chunk's one value may differ in its last digit
+        # the last chunk's one alpha included, and each call returns an array of
+        # its own that a later call leaves as it is
         rho = np.diag(fo.thermal_probabilities(1.0, 16)).astype(complex)
         if not diagonal:
             rho[0, 3] = rho[3, 0] = 0.1
@@ -569,12 +568,28 @@ class TestWeyl:
         kept = whole.copy()
         parts = [fo.weyl_expectation_batch(weyl, alphas[lo : lo + chunk]) for lo in range(0, n, chunk)]
         np.testing.assert_array_equal(whole, kept)
-        joined = np.concatenate(parts)
-        np.testing.assert_array_equal(joined[:-1], whole[:-1])
-        assert abs(joined[-1] - whole[-1]) <= 1e-15 * abs(whole[-1])
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
         first = parts[0].copy()
         fo.weyl_expectation_batch(weyl, alphas[:chunk] * 0.5)
         np.testing.assert_array_equal(parts[0], first)
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "superposition"])
+    @pytest.mark.parametrize("n", [1, 2, 2**14 + 1])
+    def test_batch_bits_do_not_depend_on_the_call_length(self, diagonal, n):
+        # a one-row trig @ M took another BLAS path: alone, about 60 % of alphas
+        # on |1> read other last bits than inside a longer call
+        rho = np.zeros((24, 24), dtype=complex)
+        if diagonal:
+            rho[1, 1] = 1.0  # |1>
+        else:
+            rho[0, 0] = rho[3, 3] = rho[0, 3] = rho[3, 0] = 0.5  # (|0> + |3>)/sqrt(2)
+        weyl = fo.OneModeWeyl(rho)
+        rng = np.random.default_rng(n)
+        alphas = rng.uniform(0.0, 1.5, 3 * n) * np.exp(1j * rng.uniform(0.0, 6.3, 3 * n))
+        whole = fo.weyl_expectation_batch(weyl, alphas).view(np.uint64)
+        for lo in range(0, min(3 * n, 300), n):
+            part = fo.weyl_expectation_batch(weyl, alphas[lo : lo + n]).view(np.uint64)
+            np.testing.assert_array_equal(part, whole[2 * lo : 2 * (lo + n)])
 
     @pytest.mark.parametrize("D", [15, 24])
     def test_batch_general_state(self, D):
@@ -891,3 +906,20 @@ class TestInterface:
                 imported.append("." * node.level + (node.module or ""))
         assert imported
         assert not [name for name in imported if name.startswith((".", "richain"))]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fo.build_ladder(1), "cutoff must be at least 2, got 1"),
+    (lambda: fo.thermal_probabilities(0.0, 8), "beta must lie in (0, +inf], got 0.0"),
+    (lambda: fo.evolve_density(fo.BlockedDensityMatrix.from_thermal_product([1.0, 1.0, 1.0], 4),
+                               ModelParams(E=2.0, eps=1.0, eta=0.5, tau=1.0, N=2, beta0=1.0, beta=1.0),
+                               [3]),
+     "schedule slot 3 outside 1..2"),
+    (lambda: fo.relative_entropy_oracle(fo.BlockedDensityMatrix.from_thermal_product([1.0, 1.0], 4),
+                                        fo.BlockedDensityMatrix.from_thermal_product([1.0, 1.0], 6)),
+     "states must share modes and cutoff"),
+], ids=["ladder-cutoff", "thermal-beta", "schedule-slot", "relative-entropy-shapes"])
+def test_input_errors_name_the_input(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

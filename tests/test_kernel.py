@@ -159,8 +159,8 @@ class TestGzPower:
             np.testing.assert_array_equal(s.gz_power(np.arange(4)), [1.0, 0.0, 0.0, 0.0])
 
     def test_scalar_path_is_the_array_path_bitwise(self):
-        # one integer goes through cmath: each value must carry the bits of the
-        # array path's entry, so products with it round as they did before
+        # one integer must carry the bits of its entry in an array, so products
+        # with it round the same whichever powers share the call
         ks = [0, 1, 7, 2**31, 10**9]
         for s in (
             step_scalars(make_params()),

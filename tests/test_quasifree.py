@@ -210,6 +210,9 @@ class TestRankOneState:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             make_state(modes=3, xi=np.ones(2, dtype=complex))
+        for modes in (0, 2.0):
+            with pytest.raises(ValueError, match=f"^modes must be a positive integer, got {modes}$"):
+                make_state(modes=modes, xi=np.ones(1, dtype=complex))
 
 
 class TestCharFn:
