@@ -14,6 +14,7 @@ from .kernel import (
     StepScalars,
     matrix_exponential_check,
     normal_modes,
+    pair_exponential,
     propagate_vector,
     step_matrix,
     step_scalars,
@@ -52,8 +53,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModelParams", "StepScalars", "as_integer",
-    "step_scalars", "step_matrix", "normal_modes", "matrix_exponential_check",
-    "propagate_vector",
+    "step_scalars", "step_matrix", "normal_modes", "pair_exponential",
+    "matrix_exponential_check", "propagate_vector",
     "RankOneQuasiFreeState", "mode_entropy", "occupation", "occupation_entropy",
     "char_fn",
     "subsystem_slots", "reduced_state", "evolve_state", "reduced_char_fn", "char_fn_S",

@@ -35,6 +35,7 @@ __all__ = [
     "StepScalars",
     "step_scalars",
     "step_matrix",
+    "pair_exponential",
     "matrix_exponential_check",
     "normal_modes",
     "propagate_vector",
@@ -210,34 +211,26 @@ def normal_modes(params: ModelParams) -> tuple[float, float]:
     return ((E + eps) + root) / 2.0, ((E + eps) - root) / 2.0
 
 
-def matrix_exponential_check(params: ModelParams, n: int) -> float:
-    """Exponentiate the Hermitian step generator and compare with the closed form.
+def pair_exponential(params: ModelParams) -> np.ndarray:
+    """exp(i t Y) at t = tau on the two slots {0, n} that a step couples.
 
-    Builds Y_n = eps*I + ((E-eps)/2)*J_n + X_n, where J_n marks the two
-    interacting slots and X_n carries the detuning and coupling, then
-    computes exp(i*t*Y_n) at t = tau by eigendecomposition and returns the
-    largest entrywise deviation from exp(i*t*eps)*V_n(t).
+    Y = [[E, eta], [eta, eps]] is the step generator on those slots, the same
+    for every n, and its exponential is taken by eigendecomposition: it reads
+    none of g, w or z.  Every other slot evolves freely, as exp(i t eps).
     """
-    n = as_integer(n, "slot index n")
-    U = cmath.exp(1j * params.tau * params.eps) * step_matrix(params, n)  # checks n's range
-    E, eps, eta = params.E, params.eps, params.eta
-    dim = params.N + 1
-    half = (E - eps) / 2.0
-
-    J = np.zeros((dim, dim))
-    J[0, 0] = 1.0
-    J[n, n] = 1.0
-    X = np.zeros((dim, dim))
-    X[0, 0] = half
-    X[n, n] = -half
-    X[0, n] = eta
-    X[n, 0] = eta
-    Y = eps * np.eye(dim) + half * J + X
-
-    t = params.tau
+    Y = np.array([[params.E, params.eta], [params.eta, params.eps]])
     vals, vecs = np.linalg.eigh(Y)
-    expY = (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
-    return float(np.max(np.abs(expY - U)))
+    return (vecs * np.exp(1j * params.tau * vals)) @ vecs.conj().T
+
+
+def matrix_exponential_check(params: ModelParams) -> float:
+    """Largest entrywise deviation of `pair_exponential` from the closed-form
+    block exp(i*t*eps) [[gz, gw], [gw, g conj(z)]] of the step at t = tau."""
+    s = step_scalars(params)
+    gw = s.g * s.w
+    block = np.array([[s.g * s.z, gw], [gw, s.g * s.z.conjugate()]])
+    phase = cmath.exp(1j * params.tau * params.eps)
+    return float(np.max(np.abs(pair_exponential(params) - phase * block)))
 
 
 def propagate_vector(params: ModelParams, m: int, zeta: np.ndarray) -> np.ndarray:

@@ -3,10 +3,13 @@
 The mp_* functions evaluate at 50 digits with the mpmath module passed
 as `mp`, so a test that lacks mpmath skips with `pytest.importorskip`.
 `state_entropy` reads the entropy off a rank-one state's own occupations,
-a route independent of `dynamics.window_entropy`'s closed form.
+a route independent of `dynamics.window_entropy`'s closed form, and
+`dense_step_exponential` forms a step on the whole chain from its generator.
 """
 
 import itertools
+
+import numpy as np
 
 from richain.quasifree import RankOneQuasiFreeState, occupation_entropy
 
@@ -37,6 +40,23 @@ def mp_step_sq(mp, params):
         omega = mp.sqrt(((E - eps) / 2) ** 2 + eta**2)
         sin, cos = mp.sin(tau * omega), mp.cos(tau * omega)
         return (eta / omega * sin) ** 2, cos**2 + ((E - eps) / (2 * omega) * sin) ** 2
+
+
+def dense_step_exponential(params, n):
+    """exp(i tau Y_n) of step n on C^(N+1), by eigendecomposition: O(N^3).
+
+    Y_n = eps*I + ((E-eps)/2)*J_n + X_n, where J_n marks the two interacting
+    slots {0, n} and X_n carries the detuning and coupling.
+    """
+    E, eps, eta = params.E, params.eps, params.eta
+    half = (E - eps) / 2.0
+    J = np.zeros((params.N + 1, params.N + 1))
+    J[0, 0] = J[n, n] = 1.0
+    X = np.zeros_like(J)
+    X[0, 0], X[n, n] = half, -half
+    X[0, n] = X[n, 0] = eta
+    vals, vecs = np.linalg.eigh(eps * np.eye(params.N + 1) + half * J + X)
+    return (vecs * np.exp(1j * params.tau * vals)) @ vecs.conj().T
 
 
 def state_entropy(state: RankOneQuasiFreeState) -> float:

@@ -81,20 +81,13 @@ class TestKernelCommand:
         assert cells["beta0"] == "1.0986122886681098"
         assert cells["beta"] == "0.69314718055994529"
 
-    def test_matexp_on_the_first_eight_slots(self, monkeypatch):
-        # at N = 4000 each dense check would be 4001 x 4001: the deviation
-        # comes from the chain of the first min(N, 8) slots, as at N = 8
-        import richain.cli as cli
-
-        sizes = []
-        check = cli.matrix_exponential_check
-        monkeypatch.setattr(cli, "matrix_exponential_check",
-                            lambda params, n: sizes.append(params.N) or check(params, n))
-        (large,) = cmd_kernel(_model_from_config({"model": {"N": 4000}}))
-        assert sizes == [8] * 8
+    def test_matexp_is_the_same_at_any_chain_length(self):
+        # the check reads the two slots a step couples, never the chain: N = 10^6
+        # writes the bits of N = 8
+        (large,) = cmd_kernel(_model_from_config({"model": {"N": 10**6}}))
         (eight,) = cmd_kernel(_model_from_config({"model": {"N": 8}}))
         assert large.outputs == eight.outputs
-        assert large.inputs == {**eight.inputs, "N": 4000}
+        assert eight.outputs["matexp_deviation_max"] == 1.2412670766236366e-16
 
     def test_byte_identical_reruns(self, capsys):
         _, a, _ = run_cli(capsys, "kernel")
@@ -1012,10 +1005,19 @@ class TestConfigErrors:
         assert code == 2
         assert err == f"error: cannot write output: [Errno 2] No such file or directory: '{target}'\n"
         assert not target.parent.exists()
-        # verify's report still goes to stdout, before its records are written
-        assert (out == "") == (argv[0] == "kernel")
-        if argv[0] == "verify":
-            assert out.endswith("13 checks passed\n")
+        # verify writes its records ahead of its report, so nothing reaches stdout
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_tolerance_outside_its_domain_exits_2(self, capsys, monkeypatch, value):
+        # NaN and -1 would fail every check, inf pass even a deviation of inf
+        import richain.cli as cli
+
+        monkeypatch.setattr(cli, "run_verification", None)  # rejected before any work
+        code, out, err = run_cli(capsys, "verify", "--cutoff", "8", f"--tolerance={value}")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: --tolerance ")
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mp_reference
+from mp_reference import dense_step_exponential
 from richain.kernel import (
     ModelParams,
     StepScalars,
     as_integer,
     matrix_exponential_check,
     normal_modes,
+    pair_exponential,
     propagate_vector,
     step_matrix,
     step_scalars,
@@ -95,9 +97,7 @@ class TestAsInteger:
         zeta = np.arange(5, dtype=complex)
         assert np.array_equal(propagate_vector(p, 3.0, zeta), propagate_vector(p, 3, zeta))
         assert np.array_equal(step_matrix(p, 2.0), step_matrix(p, 2))
-        assert matrix_exponential_check(p, 2.0) == matrix_exponential_check(p, 2)
-        for call in (lambda: propagate_vector(p, 2.5, zeta), lambda: step_matrix(p, True),
-                     lambda: matrix_exponential_check(p, 1.5)):
+        for call in (lambda: propagate_vector(p, 2.5, zeta), lambda: step_matrix(p, True)):
             with pytest.raises(ValueError, match="must be a whole number"):
                 call()
 
@@ -233,13 +233,16 @@ class TestNormalModes:
 
 class TestMatrixExponential:
     def test_generator_identities(self):
+        # the pair exponential is the {0, n} block of every step's dense exponential
         p = make_params(N=4)
         for n in range(1, 5):
-            assert matrix_exponential_check(p, n) < 1e-10
+            block = dense_step_exponential(p, n)[np.ix_([0, n], [0, n])]
+            assert np.max(np.abs(block - pair_exponential(p))) < 1e-14
+        assert matrix_exponential_check(p) < 1e-10
 
     def test_custom_time(self):
         p = make_params()
-        assert matrix_exponential_check(replace(p, tau=0.3), 2) < 1e-10
+        assert matrix_exponential_check(replace(p, tau=0.3)) < 1e-10
 
 
 class TestPropagateVector:

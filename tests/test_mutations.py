@@ -4,16 +4,18 @@ that read it.
 Each row scales one function's value by 1 + delta and runs the whole suite at
 cutoff 8.  Cutoff 8 fails the three oracle checks from truncation alone, so
 only the other ten are compared.  The production prefactor scaled by 1 + 1e-9
-is caught by none of them, which is why it has no row.  The last test perturbs
+is caught by none of them, which is why it has no row.  One test perturbs
 the evolved state of a hot chain, where a unit zeta would underflow the
-compared values to 0.
+compared values to 0.  The last evaluates every step at tau (1 + 1e-9), a
+defect that keeps each scalar identity: the checks whose reference is the
+generator's own 2x2 exponential fail, the rest pass.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from richain import cli, dynamics
+from richain import cli, dynamics, experiments, kernel
 from richain.kernel import StepScalars
 
 ORACLE_CHECKS = {"oracle_char_fn", "oracle_entropy_constancy", "oracle_relative_entropy"}
@@ -55,3 +57,16 @@ def test_composition_bites_on_a_hot_chain(monkeypatch):
 
     monkeypatch.setattr(dynamics, "evolve_state", perturbed)
     assert failed_checks(cli._model_from_config({"model": {"beta": 1e-12}})) == {"quasifree_composition"}
+
+
+def test_consistent_step_defect_fails_the_generator_checks(monkeypatch):
+    # tau * (1 + 1e-9) inside step_scalars keeps |g| = 1, |z|^2 + |w|^2 = 1 and w
+    # imaginary, so every closed form stays self-consistent: only the references
+    # formed from the generator's own exponential see it
+    exact = kernel.step_scalars
+    for module in (kernel, dynamics, experiments, cli):
+        monkeypatch.setattr(module, "step_scalars",
+                            lambda params: exact(replace(params, tau=params.tau * (1 + 1e-9))))
+    assert failed_checks(cli._model_from_config({})) == {
+        "matrix_exponential", "propagation_vs_matrix_product", "quasifree_composition",
+        "effective_beta_affine", "window_norm_embedding"}
