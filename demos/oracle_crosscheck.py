@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from richain import ModelParams, char_fn, evolve_state, fock_oracle
+from richain import ModelParams, char_fn, fock_oracle, reduced_state
 from richain import relative_entropy, total_entropy
 
 D = 20
@@ -23,7 +23,7 @@ rho2 = fock_oracle.evolve_density(rho0, p, [1, 2])
 
 rng = np.random.default_rng(9)
 dev = 0.0
-state = evolve_state(p, 2)
+state = reduced_state(p, 2, range(p.N + 1))
 for _ in range(20):
     zeta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     zeta *= 0.4 / np.linalg.norm(zeta)

@@ -31,7 +31,6 @@ from .dynamics import (
     effective_beta_S,
     effective_beta_Sm,
     entropy_production_limit,
-    evolve_state,
     reduced_char_fn,
     reduced_state,
     relative_entropy,
@@ -57,7 +56,7 @@ __all__ = [
     "matrix_exponential_check", "propagate_vector",
     "RankOneQuasiFreeState", "mode_entropy", "occupation", "occupation_entropy",
     "char_fn",
-    "subsystem_slots", "reduced_state", "evolve_state", "reduced_char_fn", "char_fn_S",
+    "subsystem_slots", "reduced_state", "reduced_char_fn", "char_fn_S",
     "effective_beta_S", "effective_beta_Sm", "total_entropy",
     "relative_entropy", "entropy_production_limit",
     "window_overlap_norm_sq", "window_entropy",

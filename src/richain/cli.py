@@ -539,10 +539,10 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
     # = 1/(2n + 1), n the larger occupation, keeps the values at least e^(-1/4),
     # where a unit zeta underflows them to 0 on a hot model
     n0, nb = occupation(params.beta0), occupation(params.beta)
-    initial = dynamics.evolve_state(p20, 0)
+    initial = dynamics.reduced_state(p20, 0, range(21))
     dev = 0.0
     for m in (1, 10, 20):
-        evolved = dynamics.evolve_state(p20, m)
+        evolved = dynamics.reduced_state(p20, m, range(21))
         for _ in range(10):
             zeta = rng.standard_normal(21) + 1j * rng.standard_normal(21)
             zeta /= np.linalg.norm(zeta) * math.sqrt(2.0 * max(n0, nb) + 1.0)
@@ -574,6 +574,19 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
         dev = max(dev, abs(occupation(dynamics.effective_beta_S(p20, m)) - affine))
     check("effective_beta_affine", dev, 1e-12 * max(1.0, n0, nb))
 
+    # the entropy production after m steps is (beta0 - beta)(n* - n(beta0)), and n* -
+    # n(beta0) is the chain slots' weight sum_(j >= 1) |P_m[0, j]|^2 times n(beta) -
+    # n(beta0).  The gate is effective_beta_affine's times |beta0 - beta|
+    finite = not (math.isinf(params.beta0) or math.isinf(params.beta))
+    if finite:
+        dev = 0.0
+        for m, product in enumerate(products):
+            chain = (np.abs(product[0, 1:]) ** 2).sum()
+            reference = (params.beta0 - params.beta) * chain * (nb - n0)
+            dev = max(dev, abs(dynamics.relative_entropy(p20, m) - reference))
+        check("entropy_production_affine", dev,
+              1e-12 * abs(params.beta0 - params.beta) * max(1.0, n0, nb))
+
     # the window of S and its n latest partners holds the weights |P_k[0, j]|^2 of its slots
     dev = 0.0
     for n in range(0, 4):
@@ -587,7 +600,6 @@ def run_verification(params: ModelParams, cutoff: int = 24, seed: int = 0) -> li
     # N does not enter the closed form, so a 100-mode chain gives room for
     # 100 steps.  The gap and its bound each round at about an ulp of the
     # limit, so the gate scales with it
-    finite = not (math.isinf(params.beta0) or math.isinf(params.beta))
     s = step_scalars(params)
     if finite and s.contracting:
         limit = dynamics.entropy_production_limit(params)
@@ -729,6 +741,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a limit run's monotone, law or cross-check gate
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

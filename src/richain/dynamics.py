@@ -48,7 +48,6 @@ from .quasifree import (
 __all__ = [
     "subsystem_slots",
     "reduced_state",
-    "evolve_state",
     "reduced_char_fn",
     "char_fn_S",
     "effective_beta_S",
@@ -61,7 +60,6 @@ __all__ = [
     "window_entropy",
 ]
 
-_NORM_TOL = 1e-12
 _SUBSYSTEM_KINDS = ("S", "S1", "Sm", "S_plus_Sm", "Smn_plus_Sm", "window")
 
 
@@ -128,11 +126,12 @@ def reduced_state(params: ModelParams, m: int, slots) -> RankOneQuasiFreeState:
     restricted to the slots.  xi_m is the conjugate of the first row of
     U_1...U_m: conj(phase (gz)^m) at slot 0, conj(phase g w (gz)^(j-1)) at
     slots 1 <= j <= m and 0 on the slots beyond m that no step has touched
-    yet, with phase exp(i m tau eps).  `slots` is a nonempty list, tuple,
-    range or 1-D array of distinct integers in 0..N.  Costs O(len(slots)):
-    each slot's coefficient is a product of scalars, with its power of gz
-    from `StepScalars.gz_power`, so a slot's bits are the same whichever
-    slots share the call.
+    yet, with phase exp(i m tau eps).  On range(N + 1) it is the state of
+    the whole chain, and m = 0 gives back the initial product.  `slots` is a
+    nonempty list, tuple, range or 1-D array of distinct integers in 0..N.
+    Costs O(len(slots)): each slot's coefficient is a product of scalars,
+    with its power of gz from `StepScalars.gz_power`, so a slot's bits are
+    the same whichever slots share the call.
     """
     m = _check_steps(params, m)
     slots = _slot_list(slots, params.N)
@@ -144,25 +143,8 @@ def reduced_state(params: ModelParams, m: int, slots) -> RankOneQuasiFreeState:
         for j in slots
     ]
     return RankOneQuasiFreeState(
-        modes=len(slots), n=occupation(params.beta), n_xi=occupation(params.beta0),
-        xi=np.conj(coeff),
+        n=occupation(params.beta), n_xi=occupation(params.beta0), xi=np.conj(coeff),
     )
-
-
-def evolve_state(params: ModelParams, m: int) -> RankOneQuasiFreeState:
-    """State of all N+1 modes after the first m interaction steps, in closed form.
-
-    With c = (U_1...U_m zeta)_0, the characteristic function is
-    exp[-(1/4)((2n(beta)+1)(<zeta,zeta> - |c|^2) + (2n(beta0)+1)|c|^2)];
-    m = 0 gives back the initial product.  Builds the full (N+1)-vector,
-    one scalar product per slot, and checks that it stays a unit vector;
-    marginals need only `reduced_state` on their own slots.
-    """
-    state = reduced_state(params, m, range(params.N + 1))
-    norm = state.xi_norm_sq
-    if abs(norm - 1.0) > _NORM_TOL * max(1.0, math.sqrt(m)):
-        raise ValueError(f"xi_m must stay a unit vector, got <xi,xi> = {norm!r} at m = {m}")
-    return state
 
 
 def reduced_char_fn(params: ModelParams, m: int, slots, alphas) -> complex:

@@ -565,9 +565,9 @@ def oracle_deltas(
     |S(rho) - total_entropy| as "entropy".  The oracle takes all samples
     in one call.  With samples = 0 the generator is left untouched.
     """
-    state = dynamics.evolve_state(params, m)
     worst = 0.0
     if samples:
+        state = dynamics.reduced_state(params, m, range(params.N + 1))
         parts = rng.standard_normal((samples, 2, rho.modes))
         zetas = parts[:, 0] + 1j * parts[:, 1]
         for zeta in zetas:

@@ -95,22 +95,17 @@ def occupation_entropy(n: float) -> float:
 
 @dataclass(frozen=True)
 class RankOneQuasiFreeState:
-    """Occupation n on `modes` modes, but n_xi on the share <xi,xi> of xi."""
+    """Occupation n on len(xi) modes, but n_xi on the share <xi,xi> of xi."""
 
-    modes: int
     n: float
     n_xi: float
     xi: np.ndarray
 
     def __post_init__(self):
-        if not (isinstance(self.modes, (int, np.integer)) and self.modes >= 1):
-            raise ValueError(f"modes must be a positive integer, got {self.modes!r}")
         xi = np.asarray(self.xi, dtype=complex)
         object.__setattr__(self, "xi", xi)
-        if xi.shape != (self.modes,):
-            raise ValueError(
-                f"xi must have length modes = {self.modes}, got shape {xi.shape}"
-            )
+        if xi.ndim != 1 or xi.size == 0:
+            raise ValueError(f"xi must be a nonempty vector, got shape {xi.shape}")
         if self.n < -_ADMISSIBILITY_SLACK:
             raise ValueError(f"background occupation n = {self.n!r} < 0")
         along_xi = self.n + (self.n_xi - self.n) * self.xi_norm_sq
@@ -131,10 +126,8 @@ def char_fn(state: RankOneQuasiFreeState, zeta: np.ndarray) -> float:
     for <xi,xi> <= 1, so no occupation is subtracted from another.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    if zeta.shape != (state.modes,):
-        raise ValueError(
-            f"zeta must have length modes = {state.modes}, got shape {zeta.shape}"
-        )
+    if zeta.shape != state.xi.shape:
+        raise ValueError(f"zeta must have the shape {state.xi.shape} of xi, got {zeta.shape}")
     norm_sq = np.vdot(zeta, zeta).real
     overlap_sq = abs(np.vdot(state.xi, zeta)) ** 2
     x, x_xi = 2.0 * state.n + 1.0, 2.0 * state.n_xi + 1.0

@@ -72,7 +72,7 @@ def state_entropy(state: RankOneQuasiFreeState) -> float:
     """
     share = state.xi_norm_sq
     along_xi = state.n * (1.0 - share) + state.n_xi * share
-    return ((state.modes - 1) * occupation_entropy(max(state.n, 0.0))
+    return ((len(state.xi) - 1) * occupation_entropy(max(state.n, 0.0))
             + occupation_entropy(max(along_xi, 0.0)))
 
 

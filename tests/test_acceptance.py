@@ -130,7 +130,7 @@ def test_criterion_03_matrix_exponential_equals_step():
 def test_criterion_04_oracle_characteristic_functions(oracle_states_d25):
     p2, rho_m = oracle_states_d25
     start = time.perf_counter()
-    state = dynamics.evolve_state(p2, 2)
+    state = dynamics.reduced_state(p2, 2, range(p2.N + 1))
     rng = np.random.default_rng(404)
     zetas = []
     for _ in range(50):

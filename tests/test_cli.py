@@ -376,18 +376,6 @@ class TestSimulateCommand:
         totals = {r["total_entropy"] for r in rows}
         assert len(totals) == 1
 
-    def test_rows_never_build_the_full_chain(self, tmp_path, capsys, monkeypatch):
-        # without --oracle every row is O(1): no (N+1)-mode evolved state
-        def full_state(*args):
-            raise AssertionError("simulate built the full evolved state")
-
-        monkeypatch.setattr(dynamics, "evolve_state", full_state)
-        model = dict(STD_MODEL, N=40)
-        cfg = write_config(tmp_path, {"schema_version": 1, "model": model})
-        code, out, _ = run_cli(capsys, "simulate", "--config", cfg)
-        assert code == 0
-        assert len(out.splitlines()) == 1 + 41
-
     def test_rows_build_no_reduced_state(self, tmp_path, capsys, monkeypatch):
         # char_S comes from S's occupation in scalars, not from a rank-one state
         def state(*args):
@@ -574,6 +562,20 @@ class TestLimitCommand:
         assert out == ""
         assert err == "error: evaluation cutoff 80003 for max|theta| = 100.0 is above 4096\n"
 
+    def test_failed_gate_exits_1_with_one_error_line(self, tmp_path, capsys):
+        # the vacuum chain at exponent 0.49 and multiplier 10 is a valid config
+        # whose error sequence rises between the first checkpoints: the monotone
+        # gate's RuntimeError is one error line and the failed-check exit code
+        cfg = write_config(tmp_path, {
+            "schema_version": 1, "model": {"E": 1.0, "eta": 0.3},
+            "limit": {"spec": {"kind": "number_state", "level": 0}, "thetas": [[1.0, 0.0]],
+                      "multiplier": 10, "exponent": 0.49, "checkpoints": [10, 100, 1000, 10000]}})
+        code, out, err = run_cli(capsys, "limit", "--config", cfg)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: limit-run error sequence not monotone for theta=(1+0j): ")
+
     def test_custom_spec_not_configurable(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "schema_version": 1, "limit": {"spec": {"kind": "custom"}},
@@ -658,7 +660,7 @@ class TestVerifyCommand:
         out_path = tmp_path / "verify.csv"
         run_cli(capsys, "verify", "--cutoff", "8", "--output", str(out_path))
         rows = list(csv.DictReader(out_path.read_text(encoding="utf-8").splitlines()))
-        assert len(rows) == 13
+        assert len(rows) == 14
         assert {row["passed"] for row in rows} <= {"true", "false"}
 
     def test_limit_law_fails_off_its_law(self, capsys, monkeypatch):
@@ -678,7 +680,7 @@ class TestVerifyCommand:
         # model echo for the run; --tolerance re-forms them with its tolerance
         params = _model_from_config({})
         code, report, records = cmd_verify({}, params, None, 6)
-        assert [r.run_id for r in records] == [f"verify-{i:04d}" for i in range(13)]
+        assert [r.run_id for r in records] == [f"verify-{i:04d}" for i in range(14)]
         assert all(r.inputs is records[0].inputs for r in records)
         for r in records:
             assert list(r.outputs) == ["check", "deviation", "tolerance", "passed"]
@@ -688,9 +690,9 @@ class TestVerifyCommand:
             f"{'PASS' if r.outputs['passed'] else 'FAIL'} {r.outputs['check']}: deviation "
             f"{r.outputs['deviation']:.6e} tolerance {r.outputs['tolerance']:.6e}" for r in records]
         _, loose, relaxed = cmd_verify({}, params, 0.5, 6)
-        assert [r.outputs["tolerance"] for r in relaxed] == [0.5] * 13
+        assert [r.outputs["tolerance"] for r in relaxed] == [0.5] * 14
         assert [r.outputs["deviation"] for r in relaxed] == [r.outputs["deviation"] for r in records]
-        assert loose.endswith("13/13 checks passed\n")
+        assert loose.endswith("14/14 checks passed\n")
 
     @pytest.mark.parametrize("model, fails", [({"N": 1}, set()),
                                               ({"beta": 800}, {"oracle_relative_entropy"})],
@@ -705,7 +707,7 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--cutoff", "8", "--config", cfg)
         assert code in (0, 1) and err == ""
         lines = out.splitlines()
-        assert len(lines) == 14 and lines[-1].endswith("checks passed")
+        assert len(lines) == 15 and lines[-1].endswith("checks passed")
         assert "PASS marginalization_consistency:" in out
         assert "PASS entropy_production_tail:" in out
         assert "deviation inf" not in out
@@ -715,17 +717,22 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("model", [{}, {"N": 1}, {"beta": 800}, {"beta": 1e-12}, {"beta0": 1e-6}],
                              ids=["default", "one-mode-chain", "cold-chain", "hot-chain", "hot-S"])
     def test_closed_form_checks_read_rounding(self, model):
-        # the four read the explicit step products alone.  At beta = 1e-12,
+        # the five read the explicit step products alone.  At beta = 1e-12,
         # n(beta) is about 1e12, whose ulp (about 1e-4) effective_beta_affine's
-        # gate scales with; an absolute 1e-12 failed it from rounding alone
+        # gate scales with; an absolute 1e-12 failed it from rounding alone.
+        # entropy_production_affine's gate is that times |beta0 - beta|
         from richain.quasifree import occupation
 
         params = _model_from_config({"model": model})
         scale = max(1.0, occupation(params.beta0), occupation(params.beta))
+        gap = abs(params.beta0 - params.beta)
         records = {r.outputs["check"]: r.outputs for r in run_verification(params, cutoff=8)}
         assert records["effective_beta_affine"]["tolerance"] == 1e-12 * scale
+        assert records["entropy_production_affine"]["tolerance"] == 1e-12 * gap * scale
         for name, bound in (("propagation_vs_matrix_product", 1e-13), ("quasifree_composition", 1e-13),
-                            ("effective_beta_affine", 1e-13 * scale), ("window_norm_embedding", 1e-13)):
+                            ("effective_beta_affine", 1e-13 * scale),
+                            ("entropy_production_affine", 1e-13 * gap * scale),
+                            ("window_norm_embedding", 1e-13)):
             assert records[name]["passed"]
             assert records[name]["deviation"] <= bound, name
 

@@ -13,8 +13,8 @@ import pytest
 import fock_reference as ref
 import mp_reference
 from convergence import convergence_study
-from richain import fock_oracle
-from richain.dynamics import effective_beta_S, evolve_state, total_entropy
+from richain import dynamics, fock_oracle
+from richain.dynamics import effective_beta_S, reduced_state, total_entropy
 from richain.experiments import (
     ORACLE_MAX_N,
     ChainStateSpec,
@@ -918,11 +918,18 @@ def _oracle_state(params, cutoff=8):
 
 
 class TestOracleDeltas:
-    def test_zero_samples_leave_the_generator_alone(self):
+    def test_zero_samples_leave_the_generator_alone(self, monkeypatch):
+        # and form no rank-one state: the entropy delta reads the oracle state
+        # and total_entropy alone
+        def state(*args):
+            raise AssertionError("oracle_deltas formed a rank-one state")
+
         p = std_params(N=2, tau=1.0, eta=0.5)
+        rho = _oracle_state(p)
+        monkeypatch.setattr(dynamics, "reduced_state", state)
         rng = np.random.default_rng(5)
         before = rng.bit_generator.state
-        deltas = oracle_deltas(p, 2, _oracle_state(p), rng, 0)
+        deltas = oracle_deltas(p, 2, rho, rng, 0)
         assert rng.bit_generator.state == before
         assert deltas["char_fn_max"] == 0.0
 
@@ -932,7 +939,7 @@ class TestOracleDeltas:
         # and the oracle takes them in one call
         p = std_params(N=N, tau=1.0, eta=0.5)
         rho = _oracle_state(p)
-        state = evolve_state(p, N)
+        state = reduced_state(p, N, range(p.N + 1))
         rng = np.random.default_rng([7, N])
         zetas = []
         for _ in range(6):

@@ -3,12 +3,12 @@ that read it.
 
 Each row scales one function's value by 1 + delta and runs the whole suite at
 cutoff 8.  Cutoff 8 fails the three oracle checks from truncation alone, so
-only the other ten are compared.  The production prefactor scaled by 1 + 1e-9
-is caught by none of them, which is why it has no row.  One test perturbs
-the evolved state of a hot chain, where a unit zeta would underflow the
-compared values to 0.  The last evaluates every step at tau (1 + 1e-9), a
-defect that keeps each scalar identity: the checks whose reference is the
-generator's own 2x2 exponential fail, the rest pass.
+only the other eleven are compared.  The gz_power row moves xi_m off the unit
+sphere: no library gate stops the run, and the checks that read the phases
+report it.  One test perturbs the evolved state of a hot chain, where a unit
+zeta would underflow the compared values to 0.  The last evaluates every step
+at tau (1 + 1e-9), a defect that keeps each scalar identity: the checks whose
+reference is the generator's own 2x2 exponential fail, the rest pass.
 """
 
 from dataclasses import replace
@@ -21,10 +21,14 @@ from richain.kernel import StepScalars
 ORACLE_CHECKS = {"oracle_char_fn", "oracle_entropy_constancy", "oracle_relative_entropy"}
 
 ROWS = [
-    (StepScalars, "zsq_complement", 1e-10, {"effective_beta_affine", "marginalization_consistency"}),
+    (StepScalars, "zsq_complement", 1e-10, {"effective_beta_affine", "marginalization_consistency",
+                                            "entropy_production_affine"}),
     (StepScalars, "zsq_power", 1e-10, {"effective_beta_affine", "window_norm_embedding",
                                        "limit_law", "marginalization_consistency"}),
+    (StepScalars, "gz_power", 1e-9, {"propagation_vs_matrix_product", "marginalization_consistency",
+                                     "limit_law"}),
     (dynamics, "_occupation_S", 1e-9, {"effective_beta_affine", "marginalization_consistency"}),
+    (dynamics, "_production_prefactor", 1e-9, {"entropy_production_affine"}),
     (dynamics, "window_overlap_norm_sq", 1e-9, {"window_norm_embedding"}),
 ]
 
@@ -49,13 +53,13 @@ def test_composition_bites_on_a_hot_chain(monkeypatch):
     # at beta = 1e-12 a unit zeta would underflow both characteristic functions to 0;
     # |zeta|^2 = 1/(2n + 1) keeps them near e^(-1/4), so an evolved background
     # occupation off by 1e-9 fails the check
-    evolve = dynamics.evolve_state
+    exact = dynamics.reduced_state
 
-    def perturbed(params, m):
-        state = evolve(params, m)
+    def perturbed(params, m, slots):
+        state = exact(params, m, slots)
         return replace(state, n=state.n * (1 + 1e-9)) if m else state
 
-    monkeypatch.setattr(dynamics, "evolve_state", perturbed)
+    monkeypatch.setattr(dynamics, "reduced_state", perturbed)
     assert failed_checks(cli._model_from_config({"model": {"beta": 1e-12}})) == {"quasifree_composition"}
 
 
@@ -69,4 +73,4 @@ def test_consistent_step_defect_fails_the_generator_checks(monkeypatch):
                             lambda params: exact(replace(params, tau=params.tau * (1 + 1e-9))))
     assert failed_checks(cli._model_from_config({})) == {
         "matrix_exponential", "propagation_vs_matrix_product", "quasifree_composition",
-        "effective_beta_affine", "window_norm_embedding"}
+        "effective_beta_affine", "entropy_production_affine", "window_norm_embedding"}

@@ -1,6 +1,7 @@
 """Thermal occupations, one-mode entropies and rank-one corrected quasi-free states."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def make_state(modes=3, n=1.0, n_xi=0.5, xi=None):
     if xi is None:
         xi = np.zeros(modes, dtype=complex)
         xi[0] = 1.0
-    return RankOneQuasiFreeState(modes=modes, n=n, n_xi=n_xi, xi=xi)
+    return RankOneQuasiFreeState(n=n, n_xi=n_xi, xi=xi)
 
 
 class TestRankOneState:
@@ -208,11 +209,12 @@ class TestRankOneState:
         assert abs(state_entropy(s) - expect) < 1e-14
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            make_state(modes=3, xi=np.ones(2, dtype=complex))
-        for modes in (0, 2.0):
-            with pytest.raises(ValueError, match=f"^modes must be a positive integer, got {modes}$"):
-                make_state(modes=modes, xi=np.ones(1, dtype=complex))
+        # the mode count is len(xi): xi is a nonempty vector
+        assert len(make_state(modes=3).xi) == 3
+        for xi in (np.ones(0, dtype=complex), np.ones((1, 2), dtype=complex), 1.0 + 0j):
+            shape = np.shape(xi)
+            with pytest.raises(ValueError, match=re.escape(f"nonempty vector, got shape {shape}")):
+                make_state(xi=xi)
 
 
 class TestCharFn:
@@ -225,7 +227,7 @@ class TestCharFn:
         xi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         # x = 2n + 1 = 2.2 and 2 (n_xi - n) = 0.7: the exponent split off xi
         # and along it is this one Gaussian
-        s = RankOneQuasiFreeState(modes=4, n=0.6, n_xi=0.95, xi=xi)
+        s = RankOneQuasiFreeState(n=0.6, n_xi=0.95, xi=xi)
         for _ in range(10):
             zeta = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             direct = math.exp(
@@ -252,7 +254,7 @@ class TestCharFn:
         assert abs(a - b) < 1e-15
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("zeta must have the shape (3,) of xi, got (2,)")):
             char_fn(make_state(), np.zeros(2))
 
 
